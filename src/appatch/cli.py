@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -36,6 +35,7 @@ from .exemplars import (
     load_pool,
     save_pool,
 )
+from .files import write_text_atomic
 from .gateway import (
     ConfigurationError,
     Exchange,
@@ -74,21 +74,8 @@ class PipelineError(Exception):
 
 # ── small file helpers ───────────────────────────────────────────────────
 
-def _write_text_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
-
-
 def _write_json_atomic(path: Path, doc: Any) -> None:
-    _write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _digest_file(path: Path) -> str:
@@ -281,7 +268,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     text_path = out_path.with_name(out_path.name + ".txt")
     _write_json_atomic(out_path, result.to_document(graph))
-    _write_text_atomic(text_path, rendered.text + "\n")
+    write_text_atomic(text_path, rendered.text + "\n")
 
     manifest = RunManifest(
         command="slice",
@@ -395,7 +382,7 @@ def cmd_patch(args: argparse.Namespace) -> int:
     outputs: List[str] = []
 
     def emit_text(name: str, text: str) -> None:
-        _write_text_atomic(out_dir / name, text)
+        write_text_atomic(out_dir / name, text)
         outputs.append(name)
 
     def emit_json(name: str, doc: Any) -> None:

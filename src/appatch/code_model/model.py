@@ -114,46 +114,51 @@ class Program:
     files: Tuple[Tuple[str, str], ...]   # (path, source text)
     functions: Tuple[FunctionDef, ...]
     entry_function: Optional[str] = None
+    # Lookup indexes, built once from the fields above.
+    _lines: Dict[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _by_name: Dict[str, FunctionDef] = field(init=False, repr=False, compare=False)
+    _callers: Dict[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [f.name for f in self.functions]
         if len(names) != len(set(names)):
             dup = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate function names: {', '.join(dup)}")
-        line_counts = {path: text.count("\n") + 1 for path, text in self.files}
+        lines: Dict[str, Tuple[str, ...]] = {}
+        for path, text in self.files:
+            lines.setdefault(path, tuple(text.split("\n")))
         for fn in self.functions:
-            limit = line_counts.get(fn.file)
-            if limit is not None and fn.end_line > limit:
+            table = lines.get(fn.file)
+            if table is not None and fn.end_line > len(table):
                 raise ValueError(
                     f"function {fn.name} ends at line {fn.end_line}, "
-                    f"but {fn.file} has only {limit} lines"
+                    f"but {fn.file} has only {len(table)} lines"
                 )
+        callers: Dict[str, List[str]] = {}
+        for fn in self.functions:
+            for callee, _node in fn.callsites:
+                found = callers.setdefault(callee, [])
+                if not found or found[-1] != fn.name:
+                    found.append(fn.name)
+        object.__setattr__(self, "_lines", lines)
+        object.__setattr__(self, "_by_name", {f.name: f for f in self.functions})
+        object.__setattr__(self, "_callers", {k: tuple(v) for k, v in callers.items()})
 
     def function(self, name: str) -> FunctionDef:
-        for fn in self.functions:
-            if fn.name == name:
-                return fn
-        raise KeyError(name)
+        return self._by_name[name]
 
     def function_names(self) -> FrozenSet[str]:
-        return frozenset(f.name for f in self.functions)
+        return frozenset(self._by_name)
 
     def callers_of(self, callee: str) -> Tuple[str, ...]:
         """Names of functions containing a callsite of ``callee``, in definition order."""
-        found = []
-        for fn in self.functions:
-            if any(name == callee for name, _ in fn.callsites) and fn.name not in found:
-                found.append(fn.name)
-        return tuple(found)
+        return self._callers.get(callee, ())
 
     def source_line(self, file: str, line: int) -> Optional[str]:
-        for path, text in self.files:
-            if path == file:
-                lines = text.split("\n")
-                if 1 <= line <= len(lines):
-                    return lines[line - 1]
-                return None
-        return None
+        lines = self._lines.get(file)
+        if lines is None or not 1 <= line <= len(lines):
+            return None
+        return lines[line - 1]
 
 
 @dataclass(frozen=True)
@@ -172,6 +177,10 @@ class DependenceGraph:
     _pred: Dict[str, Tuple[Tuple[str, str], ...]] = field(
         default=None, repr=False, compare=False
     )
+    # (file, line) -> node ids on that line, in column order
+    _at: Dict[Tuple[str, int], Tuple[str, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self._succ is None or self._pred is None:
@@ -182,6 +191,12 @@ class DependenceGraph:
                 pred[dst].append((src, kind))
             object.__setattr__(self, "_succ", {k: tuple(v) for k, v in succ.items()})
             object.__setattr__(self, "_pred", {k: tuple(v) for k, v in pred.items()})
+        at: Dict[Tuple[str, int], List[str]] = {}
+        for node in self.nodes.values():
+            at.setdefault((node.file, node.line), []).append(node.id)
+        object.__setattr__(self, "_at", {
+            key: tuple(sorted(ids, key=self.sort_key)) for key, ids in at.items()
+        })
 
     @classmethod
     def build(
@@ -211,16 +226,8 @@ class DependenceGraph:
         except KeyError:
             raise UnknownNodeError(node_id) from None
 
-    def successors(self, node_id: str) -> Tuple[Tuple[str, str], ...]:
-        self.node(node_id)
-        return self._succ[node_id]
-
-    def predecessors(self, node_id: str) -> Tuple[Tuple[str, str], ...]:
-        self.node(node_id)
-        return self._pred[node_id]
-
     def sorted_node_ids(self) -> List[str]:
-        return sorted(self.nodes, key=lambda nid: self.sort_key(nid))
+        return [nid for key in sorted(self._at) for nid in self._at[key]]
 
     def sort_key(self, node_id: str) -> Tuple[str, int, int]:
         node = self.node(node_id)
@@ -229,8 +236,7 @@ class DependenceGraph:
 
     def nodes_at(self, file: str, line: int) -> List[str]:
         """All node ids attributed to a source line, in column order."""
-        hits = [n for n in self.nodes.values() if n.file == file and n.line == line]
-        return [n.id for n in sorted(hits, key=lambda n: self.sort_key(n.id))]
+        return list(self._at.get((file, line), ()))
 
 
 @dataclass(frozen=True)
@@ -247,9 +253,6 @@ class ExternalInputSet:
     @property
     def ids(self) -> FrozenSet[str]:
         return frozenset(self.reasons)
-
-    def sorted_ids(self, graph: DependenceGraph) -> List[str]:
-        return sorted(self.ids, key=graph.sort_key)
 
     def validate_against(self, graph: DependenceGraph) -> None:
         for node_id in self.reasons:

@@ -9,6 +9,7 @@ lands in exactly one category, most specific first.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import re
@@ -17,6 +18,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .diffs import ApplyError, DiffError, apply_patch  # noqa: F401  (module surface)
+from .files import write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -212,17 +214,18 @@ class MetricsReport:
         }
 
     def write_csv(self, path: Union[str, Path]) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["category", "recall", "precision", "f1"])
-            for name in REPORT_CATEGORIES:
-                metrics = self.per_category[name]
-                writer.writerow([
-                    name,
-                    f"{metrics.recall:.6f}",
-                    f"{metrics.precision:.6f}",
-                    f"{metrics.f1:.6f}",
-                ])
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(["category", "recall", "precision", "f1"])
+        for name in REPORT_CATEGORIES:
+            metrics = self.per_category[name]
+            writer.writerow([
+                name,
+                f"{metrics.recall:.6f}",
+                f"{metrics.precision:.6f}",
+                f"{metrics.f1:.6f}",
+            ])
+        write_text_atomic(path, buffer.getvalue())
 
 
 def compute_metrics(

@@ -19,6 +19,7 @@ from . import diffs
 from .code_model import build_sdg, import_graph, parse_program
 from .code_model.model import DependenceGraph, Program
 from .code_model.sdg import identify_external_inputs
+from .files import write_text_atomic
 from .gateway import GatewayError, Provider, prompt_sha
 from .prompts import (
     build_mining_prompt,
@@ -28,8 +29,8 @@ from .prompts import (
 )
 from .scoping import (
     VulnSpec,
-    forward_reachable,
     functions_containing,
+    reach,
     render_slice,
     vulnerability_semantics,
 )
@@ -273,14 +274,11 @@ def mining_slice(
             ranges = {}
         for file, spans in ranges.items():
             for start, end in spans:
-                for node in graph.nodes.values():
-                    if node.file == file and start <= node.line <= end:
-                        patch_nodes.add(node.id)
+                for line in range(start, end + 1):
+                    patch_nodes.update(graph.nodes_at(file, line))
 
-    reaching_ei = frozenset(
-        ei_id for ei_id in ei.ids
-        if patch_nodes and (forward_reachable(graph, ei_id) & patch_nodes)
-    )
+    # An input reaches a patched node iff it lies in their backward closure.
+    reaching_ei = ei.ids & reach(graph._pred, patch_nodes)
     if not reaching_ei:
         reaching_ei = result.ei_ids
 
@@ -382,10 +380,9 @@ def build_pool(
 
 
 def save_pool(pool: ExemplarPool, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for exemplar in pool:
-            handle.write(json.dumps(exemplar.to_document(), sort_keys=True))
-            handle.write("\n")
+    write_text_atomic(path, "".join(
+        json.dumps(exemplar.to_document(), sort_keys=True) + "\n" for exemplar in pool
+    ))
 
 
 def load_pool(path: Union[str, Path]) -> ExemplarPool:

@@ -11,12 +11,13 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+from .files import write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -313,16 +314,7 @@ class CachedProvider(Provider):
             with open(path, "r", encoding="utf-8") as handle:
                 return self._record(Exchange.from_document(json.load(handle)))
         exchange = self.inner.complete(prompt)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(exchange.to_document(), handle, indent=2, sort_keys=True)
-            os.replace(tmp_name, path)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        write_text_atomic(path, json.dumps(exchange.to_document(), indent=2, sort_keys=True))
         return self._record(exchange)
 
 

@@ -3,7 +3,9 @@
 The slice for a (vulnerable statement, external input) pair is the set of
 nodes lying on a dependence path from the input to the statement; the
 overall result unions these over every pair, so statements no external
-input can influence stay out of scope.
+input can influence stay out of scope.  That union is computed with two
+traversals: the nodes reachable from some input that also reach some
+vulnerable statement.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from .code_model.model import DependenceGraph, ExternalInputSet, Program
 
@@ -41,12 +43,11 @@ class VulnSpec:
 
 @dataclass(frozen=True)
 class SliceResult:
-    """Union slice plus bookkeeping about what produced each node."""
+    """Union slice with the vulnerable nodes and external inputs inside it."""
 
     node_ids: FrozenSet[str]
     sv_ids: FrozenSet[str]
     ei_ids: FrozenSet[str]           # external inputs inside the slice
-    provenance: Mapping[str, FrozenSet[Tuple[str, str]]]  # node -> (sv, ei) pairs
     fallback: bool = False
 
     def __post_init__(self):
@@ -78,28 +79,32 @@ class RenderedSlice:
     empty: bool = False
 
 
-def forward_reachable(graph: DependenceGraph, start: str) -> Set[str]:
-    seen = {start}
-    stack = [start]
+def reach(
+    step: Mapping[str, Sequence[Tuple[str, str]]], starts: Iterable[str]
+) -> Set[str]:
+    """Every node reachable from ``starts`` along ``step``, starts included.
+
+    ``step`` maps a node to its ``(neighbour, edge kind)`` pairs: the
+    graph's successor map walks forward, its predecessor map backward.
+    """
+    seen = set(starts)
+    stack = list(seen)
     while stack:
-        node = stack.pop()
-        for succ, _kind in graph.successors(node):
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
+        for neighbour, _kind in step[stack.pop()]:
+            if neighbour not in seen:
+                seen.add(neighbour)
+                stack.append(neighbour)
     return seen
+
+
+def forward_reachable(graph: DependenceGraph, start: str) -> Set[str]:
+    graph.node(start)
+    return reach(graph._succ, (start,))
 
 
 def backward_reachable(graph: DependenceGraph, start: str) -> Set[str]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for pred, _kind in graph.predecessors(node):
-            if pred not in seen:
-                seen.add(pred)
-                stack.append(pred)
-    return seen
+    graph.node(start)
+    return reach(graph._pred, (start,))
 
 
 def pair_slice(graph: DependenceGraph, sv: str, ei: str) -> FrozenSet[str]:
@@ -109,12 +114,10 @@ def pair_slice(graph: DependenceGraph, sv: str, ei: str) -> FrozenSet[str]:
     Empty when no path connects the pair.
     """
     graph.node(sv)
-    graph.node(ei)
     forward = forward_reachable(graph, ei)
     if sv not in forward:
         return frozenset()
-    backward = backward_reachable(graph, sv)
-    return frozenset(forward & backward) | {sv, ei}
+    return frozenset(forward & backward_reachable(graph, sv))
 
 
 def resolve_vulnerable_nodes(
@@ -142,19 +145,17 @@ def vulnerability_semantics(
 ) -> SliceResult:
     """Union of pair slices over every (external input, vulnerable node) pair.
 
-    Resolved vulnerable nodes are always kept.  When no external input
-    reaches any of them the full backward closure is used instead and the
-    result is flagged as a fallback.
+    A node lies on a path from some input to some vulnerable node exactly
+    when it is forward-reachable from the inputs and backward-reachable
+    from the vulnerable nodes, so the union is one intersection of two
+    traversals.  Resolved vulnerable nodes are always kept.  When no
+    external input reaches any of them the full backward closure is used
+    instead and the result is flagged as a fallback.
     """
     sv_ids = resolve_vulnerable_nodes(graph, spec)
-    provenance: Dict[str, Set[Tuple[str, str]]] = {}
-    union: Set[str] = set()
-    for ei_id in sorted(ei.ids):
-        for sv_id in sorted(sv_ids):
-            members = pair_slice(graph, sv_id, ei_id)
-            union |= members
-            for node in members:
-                provenance.setdefault(node, set()).add((sv_id, ei_id))
+    ei.validate_against(graph)
+    backward = reach(graph._pred, sv_ids)
+    union = reach(graph._succ, ei.ids) & backward
 
     fallback = not union
     if fallback:
@@ -162,17 +163,13 @@ def vulnerability_semantics(
             "no external input reaches any vulnerable node; "
             "falling back to the backward closure of %d node(s)", len(sv_ids)
         )
-        for sv_id in sorted(sv_ids):
-            union |= backward_reachable(graph, sv_id)
+        union = backward
     union |= sv_ids
 
     return SliceResult(
         node_ids=frozenset(union),
         sv_ids=sv_ids,
         ei_ids=frozenset(ei.ids & union),
-        provenance={
-            node: frozenset(pairs) for node, pairs in sorted(provenance.items())
-        },
         fallback=fallback,
     )
 

@@ -1,8 +1,12 @@
 import json
+import random
 import time
 
 import pytest
 
+from appatch import exemplars
+from appatch.code_model import export_graph
+from appatch.code_model.model import ExternalInputSet
 from appatch.exemplars import (
     DatasetError,
     DatasetSample,
@@ -19,8 +23,10 @@ from appatch.exemplars import (
 )
 from appatch.gateway import CachedProvider, prompt_sha
 from appatch.prompts import build_mining_prompt, render_cwes, render_ei, render_lines
+from appatch.scoping import VulnSpec
 
 from conftest import load_script, scripted
+from oracles import adjacency_maps, bfs, random_dag
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +158,30 @@ def test_truncated_pool_line_reports_line_number(dataset, tmp_path):
     assert "line 3" in str(err.value)
 
 
+def test_failed_save_leaves_previous_pool_intact(dataset, tmp_path, monkeypatch):
+    pool, _ = build_pool(dataset, scripted(load_script("mine.json")))
+    assert len(pool) >= 2
+    path = tmp_path / "pool.jsonl"
+    save_pool(pool, path)
+    before = path.read_bytes()
+
+    to_document = Exemplar.to_document
+    calls = []
+
+    def fails_on_second(self):
+        calls.append(self.sample_id)
+        if len(calls) == 2:
+            raise RuntimeError("serialization failed")
+        return to_document(self)
+
+    monkeypatch.setattr(Exemplar, "to_document", fails_on_second)
+    with pytest.raises(RuntimeError):
+        save_pool(ExemplarPool(reversed(list(pool))), path)
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pool.jsonl"]
+
+
 def test_large_pool_loads_quickly(tmp_path):
     pool = ExemplarPool()
     for index in range(306):
@@ -235,3 +265,62 @@ def test_provider_failure_becomes_mining_error(dataset):
     with pytest.raises(MiningError) as err:
         mine_exemplar(dataset[0], provider)
     assert err.value.sample_id == "jsi-strcpy-overflow"
+
+
+# ── mining slice against a brute-force oracle ───────────────────────────
+
+def _hunks(spans):
+    """A one-file diff whose hunks cover the given (start, old count) spans."""
+    lines = ["--- a/g.c", "+++ b/g.c"]
+    for start, count in spans:
+        lines.append(f"@@ -{start},{count} +{start},{count + 1} @@")
+        lines += ["-old"] * count + ["+new"] * (count + 1)
+    return "\n".join(lines) + "\n"
+
+
+def _patch_reaching_ei(graph, ei_ids, spans):
+    """The per-input definition: inputs whose forward BFS meets a patched node."""
+    forward, _ = adjacency_maps(graph)
+    patched = set()
+    for start, count in spans:
+        end = start + count - 1 if count else start
+        patched |= {n.id for n in graph.nodes.values() if start <= n.line <= end}
+    return frozenset(e for e in ei_ids if patched and bfs(forward, e) & patched)
+
+
+def test_mining_reaching_ei_matches_per_input_oracle(monkeypatch):
+    rng = random.Random(20240810)
+    fell_back = 0
+    for index in range(200):
+        graph, sv_ids, ei_ids = random_dag(rng)
+        lines = len(graph.nodes)
+        spans = []
+        at = 1
+        for _ in range(rng.randint(0, 3)):
+            if at > lines + 4:
+                break
+            start = rng.randint(at, lines + 4)
+            count = rng.randint(0, 3)
+            spans.append((start, count))
+            at = start + count + 1
+        if index == 0:
+            spans = [(lines + 2, 2)]     # touches no node: no patch nodes
+        sample = DatasetSample(
+            id=f"dag-{index}",
+            vuln=VulnSpec(
+                vulnerable_lines=tuple(("g.c", graph.node(s).line) for s in sorted(sv_ids)),
+                cwe_ids=("CWE-125",),
+            ),
+            graph_document=export_graph(graph),
+            ground_truth_patch=_hunks(spans) if spans else None,
+        )
+        ei = ExternalInputSet(reasons={e: "external-call" for e in ei_ids})
+        monkeypatch.setattr(exemplars, "identify_external_inputs",
+                            lambda program, graph, functions=None: ei)
+        _program, _graph, result, _rendered, reaching_ei = mining_slice(sample)
+        expected = _patch_reaching_ei(graph, ei_ids, spans)
+        if not expected:
+            expected = result.ei_ids
+            fell_back += 1
+        assert reaching_ei == expected, (index, spans)
+    assert 0 < fell_back < 200

@@ -50,6 +50,15 @@ def test_pair_slice_unknown_id_names_it():
     assert "missing" in str(err.value)
 
 
+def test_unknown_external_input_names_it():
+    graph = chain_graph()
+    spec = VulnSpec(vulnerable_lines=(("c.c", 3),), cwe_ids=())
+    ei = ExternalInputSet(reasons={"A": "external-call", "missing": "external-call"})
+    with pytest.raises(UnknownNodeError) as err:
+        vulnerability_semantics(graph, spec, ei)
+    assert "missing" in str(err.value)
+
+
 def test_empty_ei_falls_back_to_backward_closure():
     graph = chain_graph()
     spec = VulnSpec(vulnerable_lines=(("c.c", 3),), cwe_ids=("CWE-787",))
@@ -76,9 +85,8 @@ def test_fixture_slice_matches_expected_context(jsi_program, jsi_graph, jsi_ei):
     assert lines == [12, 16, 17, 18, 19, 21, 22, 24, 48]
     assert result.sv_ids == {"jsi_like.c:48:5"}
     assert result.ei_ids == jsi_ei.ids  # every input participates here
-    # provenance: the allocation is justified by at least the dStr pairing
-    malloc_pairs = result.provenance["jsi_like.c:24:5"]
-    assert any(ei.endswith("24:5") or ei.endswith("12:26") for _sv, ei in malloc_pairs)
+    # the allocation is justified by at least the dStr pairing
+    assert "jsi_like.c:24:5" in pair_slice(jsi_graph, "jsi_like.c:48:5", "jsi_like.c:12:26")
 
 
 def test_random_graphs_match_reachability_oracle():
