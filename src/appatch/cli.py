@@ -178,14 +178,12 @@ def _stage_seconds(exchanges: Sequence[Exchange]) -> float:
 
 # ── shared loaders ───────────────────────────────────────────────────────
 
-def _load_sample_file(path: Path, require_patch: bool) -> DatasetSample:
+def _load_sample_file(path: Path) -> DatasetSample:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         sample = DatasetSample.from_document(doc)
     except (json.JSONDecodeError, DatasetError) as exc:
         raise UsageError(f"sample file {path}: {exc}")
-    if require_patch and sample.ground_truth_patch is None:
-        raise UsageError(f"sample file {path}: missing ground-truth patch")
     try:
         sample.check_patch_applies()
     except DatasetError as exc:
@@ -332,7 +330,7 @@ def cmd_patch(args: argparse.Namespace) -> int:
 
     sample_path = _require_file(args.sample, "sample file")
     pool_path = _require_file(args.pool, "pool file")
-    sample = _load_sample_file(sample_path, require_patch=False)
+    sample = _load_sample_file(sample_path)
     try:
         pool = load_pool(pool_path)
     except DatasetError as exc:

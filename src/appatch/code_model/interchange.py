@@ -22,6 +22,7 @@ from .model import (
     GraphFormatError,
     Program,
     StatementNode,
+    infer_entry_function,
 )
 
 
@@ -197,22 +198,8 @@ def _reconstruct_program(graph: DependenceGraph) -> Program:
         lines = [line_map.get(i, "") for i in range(1, top + 1)]
         file_texts.append((path, "\n".join(lines)))
 
-    names = {fn.name for fn in functions}
-    called = set()
-    for fn in functions:
-        for callee, _ in fn.callsites:
-            if callee in names:
-                called.add(callee)
-    roots = [fn.name for fn in functions if fn.name not in called]
-    if "main" in names:
-        entry = "main"
-    elif len(roots) == 1:
-        entry = roots[0]
-    else:
-        entry = None
-
     return Program(
         files=tuple(file_texts),
         functions=tuple(functions),
-        entry_function=entry,
+        entry_function=infer_entry_function(functions),
     )

@@ -7,7 +7,7 @@ parses of the same sources always produce the same graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 STATEMENT_KINDS = (
     "assign",
@@ -105,6 +105,15 @@ class FunctionDef:
     callsites: Tuple[Tuple[str, str], ...]  # (callee name, node id)
     start_line: int
     end_line: int
+
+
+def infer_entry_function(functions: Sequence[FunctionDef]) -> Optional[str]:
+    """``main`` when defined, else the one function no defined function calls."""
+    if any(fn.name == "main" for fn in functions):
+        return "main"
+    called = {callee for fn in functions for callee, _ in fn.callsites}
+    roots = [fn.name for fn in functions if fn.name not in called]
+    return roots[0] if len(roots) == 1 else None
 
 
 @dataclass(frozen=True)

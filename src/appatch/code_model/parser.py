@@ -8,6 +8,8 @@ Anything richer has to come in through the graph-interchange importer.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -16,6 +18,7 @@ from .model import (
     ParseError,
     Program,
     UnsupportedConstructError,
+    infer_entry_function,
     node_id_for,
 )
 
@@ -56,89 +59,70 @@ class Token:
     end: int
 
 
+# One alternation in lexing order; ``lastgroup`` names the token kind.
+# Branches start with disjoint characters except ``/``, where the comments
+# come first, and ``_PUNCT`` is already ordered longest match first.
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<newline>\n)",
+    r"(?P<skip>[ \t\r]+|//[^\n]*)",
+    r"(?P<comment>/\*)",
+    r"(?P<ident>[A-Za-z_]\w*)",
+    r"(?P<num>\d[\w.]*)",
+    # A start outside ASCII that \d does not take: str.isalpha and
+    # str.isdigit decide below (``²1`` is a number, ``½`` starts nothing).
+    r"(?P<word>[^\W\d][\w.]*)",
+    r'(?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*")',
+    r"(?P<char>'[^'\\\n]*(?:\\.[^'\\\n]*)*')",
+    "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")",
+]))
+
+
+def _lex_error(file: str, ch: str, line: int, col: int) -> ParseError:
+    if ch == "#":
+        return UnsupportedConstructError("preprocessor directive", file, line, col)
+    if ch in "\"'":
+        return ParseError("unterminated literal", file, line, col)
+    return ParseError(f"unexpected character {ch!r}", file, line, col)
+
+
 def tokenize(file: str, text: str) -> List[Token]:
     tokens: List[Token] = []
-    i = 0
     line = 1
     line_start = 0
+    pos = 0
     n = len(text)
-
-    def loc(pos: int) -> Tuple[int, int]:
-        return line, pos - line_start + 1
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    match = _TOKEN_RE.match
+    while pos < n:
+        m = match(text, pos)
+        col = pos - line_start + 1
+        if m is None:
+            raise _lex_error(file, text[pos], line, col)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "newline":
             line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                l, c = loc(i)
-                raise ParseError("unterminated comment", file, l, c)
-            line += text.count("\n", i, j)
-            nl = text.rfind("\n", i, j)
+            line_start = end
+        elif kind == "comment":
+            close = text.find("*/", end)
+            if close < 0:
+                raise ParseError("unterminated comment", file, line, col)
+            nl = text.rfind("\n", pos, close)
             if nl >= 0:
+                line += text.count("\n", pos, close)
                 line_start = nl + 1
-            i = j + 2
-            continue
-        if ch == "#":
-            l, c = loc(i)
-            raise UnsupportedConstructError("preprocessor directive", file, l, c)
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            l, c = loc(i)
-            tokens.append(Token("ident", text[i:j], l, c, i, j))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                j += 1
-            l, c = loc(i)
-            tokens.append(Token("num", text[i:j], l, c, i, j))
-            i = j
-            continue
-        if ch in "\"'":
-            quote = ch
-            j = i + 1
-            while j < n and text[j] != quote:
-                if text[j] == "\\":
-                    j += 1
-                if j < n and text[j] == "\n":
-                    l, c = loc(i)
-                    raise ParseError("unterminated literal", file, l, c)
-                j += 1
-            if j >= n:
-                l, c = loc(i)
-                raise ParseError("unterminated literal", file, l, c)
-            l, c = loc(i)
-            kind = "string" if quote == '"' else "char"
-            tokens.append(Token(kind, text[i : j + 1], l, c, i, j + 1))
-            i = j + 1
-            continue
-        matched = None
-        for op in _PUNCT:
-            if text.startswith(op, i):
-                matched = op
-                break
-        if matched is None:
-            l, c = loc(i)
-            raise ParseError(f"unexpected character {ch!r}", file, l, c)
-        l, c = loc(i)
-        tokens.append(Token("punct", matched, l, c, i, i + len(matched)))
-        i += len(matched)
+            end = close + 2
+        elif kind != "skip":
+            if kind == "word":
+                ch = text[pos]
+                if ch.isalpha():
+                    kind = "ident"
+                    end = pos + len(m.group().partition(".")[0])
+                elif ch.isdigit():
+                    kind = "num"
+                else:
+                    raise _lex_error(file, ch, line, col)
+            tokens.append(Token(kind, text[pos:end], line, col, pos, end))
+        pos = end
 
     tokens.append(Token("eof", "", line, max(1, n - line_start + 1), n, n))
     return tokens
@@ -782,36 +766,12 @@ def parse_ir(sources: Sequence[Tuple[str, str]]) -> List[FunctionIR]:
     functions: List[FunctionIR] = []
     for path, text in sources:
         functions.extend(_FileParser(path, text).parse_file())
-    names = [fn.name for fn in functions]
-    for name in names:
-        if names.count(name) > 1:
-            first = next(fn for fn in functions if fn.name == name)
-            raise ParseError(f"duplicate function name: {name}",
-                             first.file, first.start_line, 1)
-    return functions
-
-
-def infer_entry_function(functions: Sequence[FunctionIR]) -> Optional[str]:
-    """``main`` when present, else the unique uncalled root of the call graph."""
-    names = {fn.name for fn in functions}
-    if "main" in names:
-        return "main"
-    called = set()
+    counts = Counter(fn.name for fn in functions)
     for fn in functions:
-        for stmt_calls in _iter_calls(fn):
-            for callee, _ in stmt_calls:
-                if callee in names:
-                    called.add(callee)
-    roots = [fn.name for fn in functions if fn.name not in called]
-    if len(roots) == 1:
-        return roots[0]
-    return None
-
-
-def _iter_calls(fn: FunctionIR):
-    for node in iter_nodes(fn):
-        if node.calls:
-            yield node.calls
+        if counts[fn.name] > 1:
+            raise ParseError(f"duplicate function name: {fn.name}",
+                             fn.file, fn.start_line, 1)
+    return functions
 
 
 def iter_nodes(fn: FunctionIR) -> List[NodeInfo]:
@@ -854,19 +814,18 @@ def parse_program(
     functions_ir = parse_ir(sources)
     defs: List[FunctionDef] = []
     for fn in functions_ir:
-        node_ids = tuple(
-            node_id_for(fn.file, node.line, node.col) for node in iter_nodes(fn)
-        )
-        callsites = []
+        node_ids: List[str] = []
+        callsites: List[Tuple[str, str]] = []
         for node in iter_nodes(fn):
-            for callee, _ in node.calls:
-                callsites.append((callee, node_id_for(fn.file, node.line, node.col)))
+            node_id = node_id_for(fn.file, node.line, node.col)
+            node_ids.append(node_id)
+            callsites.extend((callee, node_id) for callee, _ in node.calls)
         defs.append(
             FunctionDef(
                 name=fn.name,
                 file=fn.file,
                 params=fn.params,
-                statements=node_ids,
+                statements=tuple(node_ids),
                 callsites=tuple(callsites),
                 start_line=fn.start_line,
                 end_line=fn.end_line,
@@ -877,7 +836,7 @@ def parse_program(
             raise ParseError(f"entry function not defined: {entry}", "<entry>", 1, 1)
         entry_name = entry
     else:
-        entry_name = infer_entry_function(functions_ir)
+        entry_name = infer_entry_function(defs)
     program = Program(
         files=tuple(sources),
         functions=tuple(defs),

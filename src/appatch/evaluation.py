@@ -88,48 +88,26 @@ def load_labels(path: Union[str, Path]) -> List[PatchLabel]:
 
 # ── SynEq classification ────────────────────────────────────────────────
 
-_BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
-_LINE_COMMENT_RE = re.compile(r"//[^\n]*")
+# A literal (kept whole, even unterminated), a // comment, a closed block
+# comment (its body is kept for its newlines) or an unterminated one.
+_COMMENT_RE = re.compile(
+    r'''("[^"\\]*(?:\\.[^"\\]*)*"?|'[^'\\]*(?:\\.[^'\\]*)*'?)'''
+    r"|//[^\n]*|/\*(.*?)\*/|/\*.*",
+    re.DOTALL,
+)
+_BLANKS_RE = re.compile(r"[ \t]+")
+
+
+def _replacement(match: re.Match) -> str:
+    literal, body = match.group(1, 2)
+    if literal:
+        return literal
+    return "\n" * body.count("\n") if body else ""
 
 
 def _strip_comments(text: str) -> str:
     """Remove // and /* */ comments, leaving string literals alone."""
-    out: List[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in "\"'":
-            quote = ch
-            out.append(ch)
-            i += 1
-            while i < n and text[i] != quote:
-                if text[i] == "\\" and i + 1 < n:
-                    out.append(text[i : i + 2])
-                    i += 2
-                    continue
-                out.append(text[i])
-                i += 1
-            if i < n:
-                out.append(text[i])
-                i += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                i = n
-                continue
-            newlines = text.count("\n", i, j)
-            out.append("\n" * newlines)
-            i = j + 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_replacement, text)
 
 
 def normalize_code(text: str) -> str:
@@ -137,7 +115,7 @@ def normalize_code(text: str) -> str:
     stripped = _strip_comments(text)
     lines = []
     for line in stripped.split("\n"):
-        collapsed = re.sub(r"[ \t]+", " ", line).strip()
+        collapsed = _BLANKS_RE.sub(" ", line).strip()
         if collapsed:
             lines.append(collapsed)
     return "\n".join(lines)

@@ -218,12 +218,11 @@ class Exemplar:
 
 
 class ExemplarPool:
-    """Insertion-ordered exemplar collection with a CWE index."""
+    """Insertion-ordered exemplar collection with unique sample ids."""
 
     def __init__(self, exemplars: Sequence[Exemplar] = ()):
         self._items: List[Exemplar] = []
         self._ids: set = set()
-        self._by_cwe: Dict[str, List[Exemplar]] = {}
         for exemplar in exemplars:
             self.add(exemplar)
 
@@ -232,8 +231,6 @@ class ExemplarPool:
             raise ValueError(f"duplicate sample id in pool: {exemplar.sample_id!r}")
         self._ids.add(exemplar.sample_id)
         self._items.append(exemplar)
-        for cwe in exemplar.cwe_ids:
-            self._by_cwe.setdefault(cwe, []).append(exemplar)
 
     def __iter__(self):
         return iter(self._items)
@@ -243,13 +240,6 @@ class ExemplarPool:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExemplarPool) and self._items == other._items
-
-    def by_cwe(self, cwe: str) -> List[Exemplar]:
-        return list(self._by_cwe.get(cwe, ()))
-
-    @property
-    def cwe_ids(self) -> FrozenSet[str]:
-        return frozenset(self._by_cwe)
 
 
 def mining_slice(

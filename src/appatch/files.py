@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 from typing import Union
 
@@ -13,11 +12,13 @@ def write_text_atomic(path: Union[str, Path], text: str) -> None:
 
     Newlines are written as given (``\\r\\n`` stays ``\\r\\n``).  Readers see
     the old file or the new one, never a partial write; on failure the
-    temporary file is removed and ``path`` is untouched.
+    temporary file is removed and ``path`` is untouched.  The file is
+    created with mode ``0o666`` less the process umask, as ``open`` would.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

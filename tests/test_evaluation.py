@@ -13,6 +13,7 @@ from appatch.evaluation import (
     load_labels,
     merge_labels,
     normalize_code,
+    _strip_comments,
 )
 
 
@@ -47,6 +48,23 @@ def test_normalize_collapses_runs_and_drops_blanks():
 def test_normalize_strips_comments_but_not_strings():
     text = 'x = "keep // this"; // drop\n/* gone\n   entirely */ y = 1;\n'
     assert normalize_code(text) == 'x = "keep // this";\ny = 1;'
+
+
+def test_unterminated_block_comment_drops_the_rest():
+    assert normalize_code("a = 1; /* open\n b = 2;\n") == "a = 1;"
+
+
+def test_escaped_quote_keeps_a_following_line_comment_inside_the_literal():
+    text = 'x = "a\\" // keep"; // drop\n'
+    assert normalize_code(text) == 'x = "a\\" // keep";'
+
+
+def test_double_quote_in_a_char_literal_opens_no_string():
+    assert normalize_code("c = '\"'; // gone\ny = 2;") == "c = '\"';\ny = 2;"
+
+
+def test_closed_multi_line_comment_keeps_its_line_count():
+    assert _strip_comments("a /* x\n\n y */ b\nc") == "a \n\n b\nc"
 
 
 def test_identical_diffs_are_syneq(jsi_sources):

@@ -10,6 +10,7 @@ from appatch.code_model.model import (
     FunctionDef,
     Program,
     StatementNode,
+    infer_entry_function,
 )
 
 
@@ -50,6 +51,15 @@ def _program() -> Program:
             _function("target", [], 4),
         ),
     )
+
+
+def test_entry_inference_main_else_the_one_uncalled_function():
+    functions = _program().functions
+    assert infer_entry_function(functions) is None          # zeta and alpha
+    assert infer_entry_function(functions[:1] + functions[2:]) == "zeta"
+    recursive = _function("zeta", ["zeta", "mid", "target"], 1)
+    assert infer_entry_function((recursive,) + functions[2:]) is None
+    assert infer_entry_function(functions + (_function("main", [], 5),)) == "main"
 
 
 def test_callers_of_in_definition_order_without_duplicates():

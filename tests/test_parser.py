@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from appatch.code_model import ParseError, UnsupportedConstructError, parse_program
-from appatch.code_model.parser import parse_ir
+from appatch.code_model.parser import parse_ir, tokenize
 
 
 def kinds_of(program, graph_nodes=None):
@@ -122,3 +124,74 @@ def test_function_line_ranges_inside_file(jsi_program):
         assert 1 <= fn.start_line <= fn.end_line <= line_count
         ir = {f.name: f for f in parse_ir(jsi_program.files)}
         assert ir[fn.name].start_line == fn.start_line
+
+
+def test_duplicate_function_reported_at_first_duplicated_name():
+    with pytest.raises(ParseError) as err:
+        parse_ir([("a.c", "int a(){return 0;}\nint b(){return 0;}\n"
+                          "int b(){return 1;}\nint a(){return 1;}")])
+    assert err.value.message == "duplicate function name: a"
+    assert (err.value.file, err.value.line, err.value.col) == ("a.c", 1, 1)
+
+
+# ── lexer ────────────────────────────────────────────────────────────────
+
+@pytest.mark.parametrize("source,error,message,line,col", [
+    ("int f(){\n/* a\n b */ x /* open\n y", ParseError,
+     "unterminated comment", 3, 9),
+    ('int f(){\n  s = "abc;\n}', ParseError, "unterminated literal", 2, 7),
+    ('x = "ab\ncd";', ParseError, "unterminated literal", 1, 5),
+    ('x = "ab\\\ncd";', ParseError, "unterminated literal", 1, 5),
+    ("int x;\n  #define A 1\n", UnsupportedConstructError,
+     "unsupported construct: preprocessor directive", 2, 3),
+    ("/* one\n two */  @", ParseError, "unexpected character '@'", 2, 10),
+])
+def test_lexer_errors_carry_exact_location(source, error, message, line, col):
+    with pytest.raises(ParseError) as err:
+        tokenize("lex.c", source)
+    assert type(err.value) is error
+    assert (err.value.message, err.value.file, err.value.line, err.value.col) == (
+        message, "lex.c", line, col,
+    )
+
+
+def test_punctuation_takes_the_longest_match():
+    tokens = tokenize("a.c", "a <<= b")
+    assert [(t.kind, t.value) for t in tokens] == [
+        ("ident", "a"), ("punct", "<<="), ("ident", "b"), ("eof", ""),
+    ]
+    with pytest.raises(UnsupportedConstructError) as err:
+        parse_program([("a.c", "int f(int *p){int x = p->x; return x;}")])
+    assert err.value.construct == "member access"
+
+
+def test_lexer_reads_non_ascii_starts_as_str_classifies_them():
+    tokens = tokenize("u.c", "\u00b21.5 \u00e9t\u00e9 x")
+    assert [(t.kind, t.value, t.col) for t in tokens] == [
+        ("num", "\u00b21.5", 1), ("ident", "\u00e9t\u00e9", 6),
+        ("ident", "x", 10), ("eof", "", 11),
+    ]
+    with pytest.raises(ParseError) as err:
+        tokenize("u.c", "a \u00bd")
+    assert (err.value.message, err.value.col) == ("unexpected character '\u00bd'", 3)
+
+
+_MINI_C = "ab_19 \t\r\n\n/*+-<>=!&|.;(){}[]\"'\\#@\u00b2\u00e9\f"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=_MINI_C, max_size=60))
+def test_tokens_are_exact_ordered_slices_of_the_text(text):
+    try:
+        tokens = tokenize("p.c", text)
+    except ParseError as err:
+        assert 1 <= err.line <= text.count("\n") + 1 and err.col >= 1
+        return
+    assert tokens[-1].kind == "eof" and tokens[-1].start == tokens[-1].end == len(text)
+    previous_end = 0
+    for tok in tokens[:-1]:
+        assert tok.value == text[tok.start:tok.end] and tok.start < tok.end
+        assert tok.start >= previous_end
+        assert tok.line == text.count("\n", 0, tok.start) + 1
+        assert tok.col == tok.start - (text.rfind("\n", 0, tok.start) + 1) + 1
+        previous_end = tok.end
