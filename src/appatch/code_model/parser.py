@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .model import (
     FunctionDef,
@@ -49,8 +49,7 @@ _BINARY_PRECEDENCE = {
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str        # ident | num | string | char | punct | eof
     value: str
     line: int
@@ -64,7 +63,7 @@ class Token:
 # come first, and ``_PUNCT`` is already ordered longest match first.
 _TOKEN_RE = re.compile("|".join([
     r"(?P<newline>\n)",
-    r"(?P<skip>[ \t\r]+|//[^\n]*)",
+    r"(?P<skip>[ \t\r\f\v]+|//[^\n]*)",
     r"(?P<comment>/\*)",
     r"(?P<ident>[A-Za-z_]\w*)",
     r"(?P<num>\d[\w.]*)",
@@ -92,6 +91,7 @@ def tokenize(file: str, text: str) -> List[Token]:
     pos = 0
     n = len(text)
     match = _TOKEN_RE.match
+    make = Token._make      # tuple.__new__: no Python-level __new__ per token
     while pos < n:
         m = match(text, pos)
         col = pos - line_start + 1
@@ -121,7 +121,7 @@ def tokenize(file: str, text: str) -> List[Token]:
                     kind = "num"
                 else:
                     raise _lex_error(file, ch, line, col)
-            tokens.append(Token(kind, text[pos:end], line, col, pos, end))
+            tokens.append(make((kind, text[pos:end], line, col, pos, end)))
         pos = end
 
     tokens.append(Token("eof", "", line, max(1, n - line_start + 1), n, n))
@@ -281,7 +281,10 @@ class _FileParser:
     # token helpers -------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        # ``advance`` never moves ``pos`` past the final ``eof`` token.
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]

@@ -1,8 +1,9 @@
 """System dependence graph construction over the parsed program model.
 
-Per function: a control-flow graph, reaching definitions over it, data
-edges for surviving def-use pairs, and control edges from each branch or
-loop header to the statements in its syntactic scope.  Across functions:
+Per function: a control-flow graph, reaching definitions over it (solved
+on int bitsets, one bit per def fact), data edges for surviving def-use
+pairs, and control edges from each branch or loop header to the
+statements in its syntactic scope.  Across functions:
 call edges from callsites to callee entries and param edges from the
 statements defining each argument to the callee's param-def nodes.
 """
@@ -158,42 +159,87 @@ def build_function_flow(fn: FunctionIR) -> FunctionFlow:
     )
 
 
+class _ReachingDefs:
+    """Reaching definitions of one function, solved over int bitsets.
+
+    Each ``(node id, var)`` def fact owns one bit; ``var_mask[var]`` holds
+    the bits of every def of ``var``.  Per node, ``OUT = gen | (IN & keep)``
+    where ``keep`` clears every fact of the variables the node defines, and
+    ``IN`` is the OR of the predecessors' OUTs, iterated round-robin in
+    source order to the least fixed point.
+    """
+
+    __slots__ = ("facts", "var_mask", "in_bits")
+
+    def __init__(self, flow: FunctionFlow):
+        order = flow.node_ids
+        index = {nid: i for i, nid in enumerate(order)}
+        facts: List[Tuple[str, str]] = []
+        var_mask: Dict[str, int] = {}
+        gen: List[int] = []
+        for nid in order:
+            bits = 0
+            for var in flow.infos[nid].defs:
+                bit = 1 << len(facts)
+                facts.append((nid, var))
+                bits |= bit
+                var_mask[var] = var_mask.get(var, 0) | bit
+            gen.append(bits)
+        keep: List[int] = []
+        for nid in order:
+            killed = 0
+            for var in flow.infos[nid].defs:
+                killed |= var_mask[var]
+            keep.append(~killed)
+
+        preds: List[List[int]] = [[] for _ in order]
+        for src, targets in flow.cfg_succ.items():
+            for dst in targets:
+                preds[index[dst]].append(index[src])
+
+        in_bits = [0] * len(order)
+        out_bits = list(gen)
+        changed = True
+        while changed:
+            changed = False
+            for i, node_preds in enumerate(preds):
+                new_in = 0
+                for pred in node_preds:
+                    new_in |= out_bits[pred]
+                in_bits[i] = new_in
+                new_out = gen[i] | (new_in & keep[i])
+                if new_out != out_bits[i]:
+                    out_bits[i] = new_out
+                    changed = True
+
+        self.facts = facts
+        self.var_mask = var_mask
+        self.in_bits = in_bits
+
+    def facts_in(self, bits: int) -> List[Tuple[str, str]]:
+        facts = self.facts
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(facts[low.bit_length() - 1])
+            bits ^= low
+        return out
+
+    def def_ids(self, i: int, var: str) -> List[str]:
+        """Ids of the defs of ``var`` that reach node ``i`` (source order)."""
+        return [nid for nid, _ in self.facts_in(self.in_bits[i] & self.var_mask.get(var, 0))]
+
+
 def reaching_definitions(flow: FunctionFlow) -> Dict[str, FrozenSet[Tuple[str, str]]]:
     """IN sets of the classic reaching-definitions dataflow.
 
     Facts are ``(defining node id, variable)`` pairs.
     """
-    gen: Dict[str, Set[Tuple[str, str]]] = {}
-    kill_vars: Dict[str, FrozenSet[str]] = {}
-    for nid in flow.node_ids:
-        info = flow.infos[nid]
-        gen[nid] = {(nid, var) for var in info.defs}
-        kill_vars[nid] = info.defs
-
-    preds: Dict[str, List[str]] = {nid: [] for nid in flow.node_ids}
-    for src, targets in flow.cfg_succ.items():
-        for dst in targets:
-            preds[dst].append(src)
-
-    in_sets: Dict[str, Set[Tuple[str, str]]] = {nid: set() for nid in flow.node_ids}
-    out_sets: Dict[str, Set[Tuple[str, str]]] = {nid: set(gen[nid]) for nid in flow.node_ids}
-
-    changed = True
-    while changed:
-        changed = False
-        for nid in flow.node_ids:
-            new_in: Set[Tuple[str, str]] = set()
-            for pred in preds[nid]:
-                new_in |= out_sets[pred]
-            if new_in != in_sets[nid]:
-                in_sets[nid] = new_in
-            new_out = set(gen[nid]) | {
-                fact for fact in new_in if fact[1] not in kill_vars[nid]
-            }
-            if new_out != out_sets[nid]:
-                out_sets[nid] = new_out
-                changed = True
-    return {nid: frozenset(facts) for nid, facts in in_sets.items()}
+    solved = _ReachingDefs(flow)
+    return {
+        nid: frozenset(solved.facts_in(bits))
+        for nid, bits in zip(flow.node_ids, solved.in_bits)
+    }
 
 
 def build_sdg(program: Program) -> DependenceGraph:
@@ -232,13 +278,12 @@ def build_sdg(program: Program) -> DependenceGraph:
     }
 
     for flow in flows:
-        in_sets = reaching_definitions(flow)
-        for nid in flow.node_ids:
+        reaching = _ReachingDefs(flow)
+        for i, nid in enumerate(flow.node_ids):
             info = flow.infos[nid]
             for var in info.uses:
-                for def_id, def_var in in_sets[nid]:
-                    if def_var == var:
-                        edges.add((def_id, nid, "data"))
+                for def_id in reaching.def_ids(i, var):
+                    edges.add((def_id, nid, "data"))
             for callee, arg_uses in info.calls:
                 callee_flow = flow_by_name.get(callee)
                 if callee_flow is None:
@@ -249,9 +294,8 @@ def build_sdg(program: Program) -> DependenceGraph:
                     if position >= len(formals):
                         break
                     for var in used:
-                        for def_id, def_var in in_sets[nid]:
-                            if def_var == var:
-                                edges.add((def_id, formals[position], "param"))
+                        for def_id in reaching.def_ids(i, var):
+                            edges.add((def_id, formals[position], "param"))
         for header, governed in flow.control_scopes.items():
             for target in governed:
                 edges.add((header, target, "control"))

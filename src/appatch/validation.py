@@ -2,6 +2,8 @@
 
 Deliberately OR-semantics rather than majority voting: the ensemble
 exists to prune patches every judge rejects, not to demand consensus.
+A judge that fails answers "error", which is no vote for the patch but
+stays distinguishable from a "no" in the verdicts.
 """
 
 from __future__ import annotations
@@ -18,16 +20,21 @@ from .scoping import RenderedSlice, VulnSpec
 
 log = logging.getLogger(__name__)
 
+_ANSWERS = ("yes", "no", "error")
+
 
 @dataclass(frozen=True)
 class ValidationVerdict:
     """Per-provider answers for one candidate patch."""
 
     ordinal: int
-    answers: Tuple[Tuple[str, str], ...]   # (provider id, "yes" | "no")
+    answers: Tuple[Tuple[str, str], ...]   # (provider id, "yes" | "no" | "error")
     retained: bool
 
     def __post_init__(self):
+        for provider_id, answer in self.answers:
+            if answer not in _ANSWERS:
+                raise ValueError(f"unknown answer {answer!r} from {provider_id}")
         if self.retained != any(answer == "yes" for _, answer in self.answers):
             raise ValueError("retained flag contradicts the answers")
 
@@ -38,10 +45,10 @@ def validate_patch(
     patch: CandidatePatch,
     provider: Provider,
 ) -> Tuple[str, List[Exchange]]:
-    """One judge, one patch: returns "yes" or "no".
+    """One judge, one patch: returns "yes", "no" or "error".
 
-    Provider failures count as "no" so a flaky judge can only lose votes,
-    never abort the run.
+    A provider failure answers "error": a flaky judge can only lose votes,
+    never abort the run, and its silence is not recorded as a rejection.
     """
     prompt = build_validation_prompt(
         slice_text=rendered_slice.text,
@@ -52,9 +59,9 @@ def validate_patch(
     try:
         exchange = provider.complete(prompt)
     except GatewayError as exc:
-        log.warning("validator %s failed on patch %d (%s); counting as no",
+        log.warning("validator %s failed on patch %d (%s); answering error",
                     provider.id, patch.ordinal, exc)
-        return "no", []
+        return "error", []
     return ("yes" if parse_verdict(exchange.response) else "no"), [exchange]
 
 

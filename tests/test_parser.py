@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appatch.code_model import ParseError, UnsupportedConstructError, parse_program
-from appatch.code_model.parser import parse_ir, tokenize
+from appatch.code_model.parser import Token, _FileParser, parse_ir, tokenize
 
 
 def kinds_of(program, graph_nodes=None):
@@ -174,6 +174,41 @@ def test_lexer_reads_non_ascii_starts_as_str_classifies_them():
     with pytest.raises(ParseError) as err:
         tokenize("u.c", "a \u00bd")
     assert (err.value.message, err.value.col) == ("unexpected character '\u00bd'", 3)
+
+
+def test_form_feed_and_vertical_tab_are_blanks_that_keep_the_line():
+    tokens = tokenize("f.c", "a\f b\v\vc\n\fd")
+    assert [(t.value, t.line, t.col) for t in tokens] == [
+        ("a", 1, 1), ("b", 1, 4), ("c", 1, 7), ("d", 2, 2), ("", 2, 3),
+    ]
+    program = parse_program([("p.c", "int f(){return 0;}\n\f\nint g(){return f();}\n")])
+    assert [fn.name for fn in program.functions] == ["f", "g"]
+    assert program.function("g").start_line == 3
+
+
+def test_tokens_are_immutable_records_that_compare_by_value():
+    first = tokenize("t.c", "int x = 1;")
+    assert first == tokenize("t.c", "int x = 1;")
+    tok = first[1]
+    assert Token._fields == ("kind", "value", "line", "col", "start", "end")
+    assert (tok.kind, tok.value, tok.line, tok.col, tok.start, tok.end) == (
+        "ident", "x", 1, 5, 4, 5,
+    )
+    with pytest.raises(AttributeError):
+        tok.value = "y"
+
+
+def test_peek_and_advance_stop_at_eof():
+    parser = _FileParser("t.c", "x ;")
+    assert parser.advance().value == "x"
+    assert parser.peek().value == ";"
+    assert parser.peek(1).kind == "eof"
+    parser.advance()
+    eof = parser.peek()
+    assert eof.kind == "eof"
+    assert parser.advance() is eof and parser.advance() is eof
+    assert parser.pos == len(parser.tokens) - 1
+    assert parser.peek() is eof and parser.peek(1) is eof
 
 
 _MINI_C = "ab_19 \t\r\n\n/*+-<>=!&|.;(){}[]\"'\\#@\u00b2\u00e9\f"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from appatch.code_model import build_sdg, parse_program
+from appatch.code_model import build_sdg, parse_program, reaching_definitions
 from appatch.code_model.parser import (
     ForStmt,
     IfStmt,
@@ -323,3 +323,60 @@ def test_random_programs_match_brute_force_oracle():
             )
             got = intraprocedural_edges(graph, fn_ir.name)
             assert got == expected, source
+
+
+def set_based_reaching_definitions(flow):
+    """IN sets by round-robin over Python sets of (node id, var) facts."""
+    gen = {nid: {(nid, var) for var in flow.infos[nid].defs} for nid in flow.node_ids}
+    preds = {nid: [] for nid in flow.node_ids}
+    for src, targets in flow.cfg_succ.items():
+        for dst in targets:
+            preds[dst].append(src)
+    in_sets = {nid: set() for nid in flow.node_ids}
+    out_sets = {nid: set(gen[nid]) for nid in flow.node_ids}
+    changed = True
+    while changed:
+        changed = False
+        for nid in flow.node_ids:
+            new_in = set()
+            for pred in preds[nid]:
+                new_in |= out_sets[pred]
+            in_sets[nid] = new_in
+            killed = flow.infos[nid].defs
+            new_out = gen[nid] | {fact for fact in new_in if fact[1] not in killed}
+            if new_out != out_sets[nid]:
+                out_sets[nid] = new_out
+                changed = True
+    return {nid: frozenset(facts) for nid, facts in in_sets.items()}
+
+
+def test_reaching_definitions_equal_the_set_based_fixed_point(fixtures_dir):
+    import random
+
+    rng = random.Random(424242)
+    sources = [(f, (fixtures_dir / f).read_text())
+               for f in ("jsi_like.c", "idx_read.c", "null_use.c")]
+    sources += [(f"r{i}.c", _random_mini_c(rng)) for i in range(40)]
+    for name, source in sources:
+        for fn_ir in program_ir(parse_program([(name, source)])):
+            flow = build_function_flow(fn_ir)
+            assert reaching_definitions(flow) == set_based_reaching_definitions(flow), (
+                name, fn_ir.name)
+
+
+def test_use_of_a_never_defined_variable_gets_no_data_edge():
+    source = "int f(int a){int c; c = zz; c = c + a; while(a){a = zz + 1;} return c;}"
+    program = parse_program([("u.c", source)])
+    (fn_ir,) = program_ir(program)
+    flow = build_function_flow(fn_ir)
+    in_sets = reaching_definitions(flow)
+    assert in_sets == set_based_reaching_definitions(flow)
+    assert all(var != "zz" for facts in in_sets.values() for _, var in facts)
+    graph = build_sdg(program)
+    data_into = {}
+    for src, dst, kind in graph.edges:
+        if kind == "data":
+            data_into.setdefault(graph.node(dst).text, set()).add(graph.node(src).text)
+    assert "c = zz" not in data_into
+    assert "a = zz + 1" not in data_into
+    assert data_into["c = c + a"] == {"c = zz", "int a"}

@@ -29,10 +29,10 @@ def test_negative_first_token():
     assert answer == "no"
 
 
-def test_provider_failure_counts_as_no():
+def test_provider_failure_answers_error():
     provider = scripted([{"error": "offline", "transient": False}])
     answer, exchanges = validate_patch(SLICE, SPEC, patch(), provider)
-    assert answer == "no"
+    assert answer == "error"
     assert exchanges == []
 
 
@@ -109,3 +109,24 @@ def test_concurrent_judges_preserve_per_judge_order():
     retained, verdicts, _ = validate_all(patches, validators, SLICE, SPEC, jobs=2)
     assert [p.ordinal for p in retained] == [1, 2]
     assert dict(verdicts[2].answers) == {"v1": "no", "v2": "no"}
+
+
+@pytest.mark.parametrize("other,kept", [("yes", True), ("no", False)])
+def test_failed_judge_is_recorded_as_error_and_casts_no_vote(other, kept):
+    validators = [scripted([{"error": "offline", "transient": False}], "v1"),
+                  scripted([other], "v2")]
+    retained, verdicts, exchanges = validate_all([patch()], validators, SLICE, SPEC)
+    assert dict(verdicts[0].answers) == {"v1": "error", "v2": other}
+    assert verdicts[0].retained is kept
+    assert (len(retained) == 1) is kept
+    assert len(exchanges) == 1
+
+
+def test_verdict_accepts_error_and_rejects_unknown_answers():
+    verdict = ValidationVerdict(ordinal=1, answers=(("v1", "error"), ("v2", "yes")),
+                                retained=True)
+    assert verdict.retained
+    with pytest.raises(ValueError):
+        ValidationVerdict(ordinal=1, answers=(("v1", "error"),), retained=True)
+    with pytest.raises(ValueError):
+        ValidationVerdict(ordinal=1, answers=(("v1", "maybe"),), retained=False)
