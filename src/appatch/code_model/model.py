@@ -72,6 +72,12 @@ def node_id_for(file: str, line: int, col: int) -> str:
     return f"{file}:{line}:{col}"
 
 
+def _column(node_id: str) -> int:
+    """The ``col`` of a ``file:line:col`` id; 0 for an id without one."""
+    head, _, tail = node_id.rpartition(":")
+    return int(tail) if ":" in head and tail.isdecimal() else 0
+
+
 @dataclass(frozen=True)
 class StatementNode:
     """One statement-level vertex of the dependence graph."""
@@ -186,7 +192,8 @@ class DependenceGraph:
     _pred: Dict[str, Tuple[Tuple[str, str], ...]] = field(
         default=None, repr=False, compare=False
     )
-    # (file, line) -> node ids on that line, in column order
+    # (file, line) -> node ids on that line, in column order, ties in
+    # document order
     _at: Dict[Tuple[str, int], Tuple[str, ...]] = field(
         init=False, repr=False, compare=False
     )
@@ -195,7 +202,8 @@ class DependenceGraph:
         if self._succ is None or self._pred is None:
             succ: Dict[str, List[Tuple[str, str]]] = {nid: [] for nid in self.nodes}
             pred: Dict[str, List[Tuple[str, str]]] = {nid: [] for nid in self.nodes}
-            for src, dst, kind in sorted(self.edges):
+            # Adjacency order is unobservable: every walk over it is set-based.
+            for src, dst, kind in self.edges:
                 succ[src].append((dst, kind))
                 pred[dst].append((src, kind))
             object.__setattr__(self, "_succ", {k: tuple(v) for k, v in succ.items()})
@@ -204,7 +212,8 @@ class DependenceGraph:
         for node in self.nodes.values():
             at.setdefault((node.file, node.line), []).append(node.id)
         object.__setattr__(self, "_at", {
-            key: tuple(sorted(ids, key=self.sort_key)) for key, ids in at.items()
+            key: tuple(ids) if len(ids) == 1 else tuple(sorted(ids, key=_column))
+            for key, ids in at.items()
         })
 
     @classmethod
@@ -239,9 +248,10 @@ class DependenceGraph:
         return [nid for key in sorted(self._at) for nid in self._at[key]]
 
     def sort_key(self, node_id: str) -> Tuple[str, int, int]:
+        """File, line, then the node's place in ``nodes_at`` order."""
         node = self.node(node_id)
-        col = int(node_id.rsplit(":", 1)[1]) if node_id.count(":") >= 2 else 0
-        return (node.file, node.line, col)
+        on_line = self._at[(node.file, node.line)]
+        return (node.file, node.line, on_line.index(node_id) if len(on_line) > 1 else 0)
 
     def nodes_at(self, file: str, line: int) -> List[str]:
         """All node ids attributed to a source line, in column order."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .model import (
     FunctionDef,
@@ -48,6 +48,8 @@ _BINARY_PRECEDENCE = {
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
+_UNARY_OPS = {"!", "-", "+", "~", "*", "&"}
+
 
 class Token(NamedTuple):
     kind: str        # ident | num | string | char | punct | eof
@@ -58,12 +60,14 @@ class Token(NamedTuple):
     end: int
 
 
-# One alternation in lexing order; ``lastgroup`` names the token kind.
-# Branches start with disjoint characters except ``/``, where the comments
-# come first, and ``_PUNCT`` is already ordered longest match first.
-_TOKEN_RE = re.compile("|".join([
+# A run of blanks, then one alternation in lexing order; ``lastgroup``
+# names the token kind and its group's span is the token.  Branches start
+# with disjoint characters except ``/``, where the comments come first, and
+# ``_PUNCT`` is already ordered longest match first.
+_BLANKS = r"[ \t\r\f\v]*"
+_TOKEN_RE = re.compile(_BLANKS + "(?:" + "|".join([
     r"(?P<newline>\n)",
-    r"(?P<skip>[ \t\r\f\v]+|//[^\n]*)",
+    r"(?P<skip>//[^\n]*)",
     r"(?P<comment>/\*)",
     r"(?P<ident>[A-Za-z_]\w*)",
     r"(?P<num>\d[\w.]*)",
@@ -73,7 +77,8 @@ _TOKEN_RE = re.compile("|".join([
     r'(?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*")',
     r"(?P<char>'[^'\\\n]*(?:\\.[^'\\\n]*)*')",
     "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")",
-]))
+]) + ")")
+_BLANKS_RE = re.compile(_BLANKS)
 
 
 def _lex_error(file: str, ch: str, line: int, col: int) -> ParseError:
@@ -91,165 +96,84 @@ def tokenize(file: str, text: str) -> List[Token]:
     pos = 0
     n = len(text)
     match = _TOKEN_RE.match
-    make = Token._make      # tuple.__new__: no Python-level __new__ per token
+    new = tuple.__new__     # no Python-level __new__ per token
+    append = tokens.append
     while pos < n:
         m = match(text, pos)
-        col = pos - line_start + 1
         if m is None:
-            raise _lex_error(file, text[pos], line, col)
+            # Only blanks left, or no token after them.
+            pos = _BLANKS_RE.match(text, pos).end()
+            if pos == n:
+                break
+            raise _lex_error(file, text[pos], line, pos - line_start + 1)
         kind = m.lastgroup
-        end = m.end()
+        start, end = m.span(kind)
         if kind == "newline":
             line += 1
             line_start = end
         elif kind == "comment":
             close = text.find("*/", end)
             if close < 0:
-                raise ParseError("unterminated comment", file, line, col)
-            nl = text.rfind("\n", pos, close)
+                raise ParseError("unterminated comment", file, line, start - line_start + 1)
+            nl = text.rfind("\n", start, close)
             if nl >= 0:
-                line += text.count("\n", pos, close)
+                line += text.count("\n", start, close)
                 line_start = nl + 1
             end = close + 2
         elif kind != "skip":
             if kind == "word":
-                ch = text[pos]
+                ch = text[start]
                 if ch.isalpha():
                     kind = "ident"
-                    end = pos + len(m.group().partition(".")[0])
+                    dot = text.find(".", start, end)
+                    if dot >= 0:
+                        end = dot
                 elif ch.isdigit():
                     kind = "num"
                 else:
-                    raise _lex_error(file, ch, line, col)
-            tokens.append(make((kind, text[pos:end], line, col, pos, end)))
+                    raise _lex_error(file, ch, line, start - line_start + 1)
+            append(new(Token, (kind, text[start:end], line, start - line_start + 1, start, end)))
         pos = end
 
     tokens.append(Token("eof", "", line, max(1, n - line_start + 1), n, n))
     return tokens
 
 
-# ── expression AST ──────────────────────────────────────────────────────
-
-@dataclass(frozen=True)
-class Expr:
-    pass
-
-
-@dataclass(frozen=True)
-class Name(Expr):
-    ident: str
-
-
-@dataclass(frozen=True)
-class Literal(Expr):
-    text: str
-
-
-@dataclass(frozen=True)
-class Call(Expr):
-    callee: str
-    args: Tuple[Expr, ...]
-
-
-@dataclass(frozen=True)
-class Index(Expr):
-    base: Expr
-    index: Expr
-
-
-@dataclass(frozen=True)
-class Unary(Expr):
-    op: str
-    operand: Expr
-
-
-@dataclass(frozen=True)
-class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class SizeOf(Expr):
-    idents: FrozenSet[str]
-
-
-def expr_uses(expr: Expr) -> FrozenSet[str]:
-    if isinstance(expr, Name):
-        return frozenset([expr.ident])
-    if isinstance(expr, Literal):
-        return frozenset()
-    if isinstance(expr, Call):
-        out = frozenset()
-        for arg in expr.args:
-            out |= expr_uses(arg)
-        return out
-    if isinstance(expr, Index):
-        return expr_uses(expr.base) | expr_uses(expr.index)
-    if isinstance(expr, Unary):
-        return expr_uses(expr.operand)
-    if isinstance(expr, Binary):
-        return expr_uses(expr.left) | expr_uses(expr.right)
-    if isinstance(expr, SizeOf):
-        return expr.idents
-    raise TypeError(expr)
-
-
-def expr_calls(expr: Expr) -> List[Tuple[str, Tuple[FrozenSet[str], ...]]]:
-    """All calls inside ``expr``: (callee, per-argument use sets)."""
-    out: List[Tuple[str, Tuple[FrozenSet[str], ...]]] = []
-    if isinstance(expr, Call):
-        out.append((expr.callee, tuple(expr_uses(a) for a in expr.args)))
-        for arg in expr.args:
-            out.extend(expr_calls(arg))
-    elif isinstance(expr, Index):
-        out.extend(expr_calls(expr.base))
-        out.extend(expr_calls(expr.index))
-    elif isinstance(expr, Unary):
-        out.extend(expr_calls(expr.operand))
-    elif isinstance(expr, Binary):
-        out.extend(expr_calls(expr.left))
-        out.extend(expr_calls(expr.right))
-    return out
-
-
 # ── statement IR (consumed by the dependence builder) ───────────────────
 
-@dataclass(frozen=True)
-class NodeInfo:
+CallFact = Tuple[str, Tuple[FrozenSet[str], ...]]   # (callee, per-argument uses)
+
+
+class NodeInfo(NamedTuple):
     """Everything the graph builder needs to know about one node."""
 
+    id: str          # file:line:col
     kind: str
     line: int
     col: int
     text: str
     defs: FrozenSet[str]
     uses: FrozenSet[str]
-    calls: Tuple[Tuple[str, Tuple[FrozenSet[str], ...]], ...] = ()
+    calls: Tuple[CallFact, ...] = ()
     is_return: bool = False
 
 
-@dataclass(frozen=True)
-class SimpleStmt:
+class SimpleStmt(NamedTuple):
     node: NodeInfo
 
 
-@dataclass(frozen=True)
-class IfStmt:
+class IfStmt(NamedTuple):
     node: NodeInfo
     then: Tuple["Stmt", ...]
     orelse: Tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
-class WhileStmt:
+class WhileStmt(NamedTuple):
     node: NodeInfo
     body: Tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
-class ForStmt:
+class ForStmt(NamedTuple):
     init: Optional[NodeInfo]
     node: NodeInfo
     update: Optional[NodeInfo]
@@ -271,12 +195,30 @@ class FunctionIR:
     end_line: int
 
 
+_EMPTY: FrozenSet[str] = frozenset()
+
+# Expressions are parsed straight into their statement's flow facts: every
+# variable read goes into ``_FileParser.uses`` and every call into
+# ``_FileParser.calls``, in pre-order (a call takes its slot before its
+# arguments).  An expression returns only its shape, which is all that its
+# statement checks: ``("name", ident)`` is a bare variable, not yet counted
+# as a use because it may still turn out to be a callee; ``("lvalue",
+# root)`` is a chain of ``[]`` and unary ``*`` over a variable, already
+# counted; the two constants below are everything else.
+Shape = Tuple[str, str]
+_CALL: Shape = ("call", "")
+_OTHER: Shape = ("other", "")
+
+
 class _FileParser:
     def __init__(self, file: str, text: str):
         self.file = file
         self.text = text
         self.tokens = tokenize(file, text)
         self.pos = 0
+        # Flow facts of the statement being parsed (see ``Shape`` above).
+        self.uses: Set[str] = set()
+        self.calls: List[Optional[CallFact]] = []
 
     # token helpers -------------------------------------------------------
 
@@ -314,8 +256,11 @@ class _FileParser:
         return tok.kind == "ident" and tok.value in TYPE_KEYWORDS
 
     def excerpt(self, start_tok: Token, end_tok: Token) -> str:
+        """Source from one token to another, its lines joined by one space."""
         raw = self.text[start_tok.start : end_tok.end]
-        return " ".join(part.strip() for part in raw.splitlines() if part.strip())
+        if "\n" not in raw:
+            return raw
+        return " ".join(part.strip() for part in raw.split("\n") if part.strip())
 
     def unsupported(self, construct: str, tok: Token):
         raise UnsupportedConstructError(construct, self.file, tok.line, tok.col)
@@ -383,24 +328,9 @@ class _FileParser:
                         continue
                     break
         close = self.expect(")")
-        signature = self.excerpt(start_tok, close)
-        entry = NodeInfo(
-            kind="entry",
-            line=name_tok.line,
-            col=name_tok.col,
-            text=signature,
-            defs=frozenset(),
-            uses=frozenset(),
-        )
+        entry = self.node("entry", name_tok, self.excerpt(start_tok, close))
         param_nodes = tuple(
-            NodeInfo(
-                kind="param-def",
-                line=p_name.line,
-                col=p_name.col,
-                text=self.excerpt(p_start, p_name),
-                defs=frozenset([name]),
-                uses=frozenset(),
-            )
+            self.node("param-def", p_name, self.excerpt(p_start, p_name), frozenset([name]))
             for name, p_start, p_name in params
         )
         self.expect("{")
@@ -416,6 +346,19 @@ class _FileParser:
             start_line=start_tok.line,
             end_line=end_tok.line,
         )
+
+    def node(
+        self,
+        kind: str,
+        at: Token,
+        text: str,
+        defs: FrozenSet[str] = _EMPTY,
+        uses: FrozenSet[str] = _EMPTY,
+        calls: Tuple[CallFact, ...] = (),
+    ) -> NodeInfo:
+        """One IR node at token ``at``; its ``file:line:col`` id is made here, once."""
+        return NodeInfo(node_id_for(self.file, at.line, at.col), kind, at.line, at.col,
+                        text, defs, uses, calls, kind == "return")
 
     def parse_block(self) -> List:
         stmts: List = []
@@ -456,40 +399,23 @@ class _FileParser:
     def parse_if(self) -> IfStmt:
         start = self.expect("if")
         self.expect("(")
-        cond = self.parse_expr()
+        uses, calls = self.parse_value()
         close = self.expect(")")
-        node = NodeInfo(
-            kind="branch",
-            line=start.line,
-            col=start.col,
-            text=self.excerpt(start, close),
-            defs=frozenset(),
-            uses=expr_uses(cond),
-            calls=tuple(expr_calls(cond)),
-        )
+        node = self.node("branch", start, self.excerpt(start, close), _EMPTY, uses, calls)
         then = self.parse_stmt()
         orelse: List = []
         if self.peek().value == "else":
             self.advance()
             orelse = self.parse_stmt()
-        return IfStmt(node=node, then=tuple(then), orelse=tuple(orelse))
+        return IfStmt(node, tuple(then), tuple(orelse))
 
     def parse_while(self) -> WhileStmt:
         start = self.expect("while")
         self.expect("(")
-        cond = self.parse_expr()
+        uses, calls = self.parse_value()
         close = self.expect(")")
-        node = NodeInfo(
-            kind="loop-header",
-            line=start.line,
-            col=start.col,
-            text=self.excerpt(start, close),
-            defs=frozenset(),
-            uses=expr_uses(cond),
-            calls=tuple(expr_calls(cond)),
-        )
-        body = self.parse_stmt()
-        return WhileStmt(node=node, body=tuple(body))
+        node = self.node("loop-header", start, self.excerpt(start, close), _EMPTY, uses, calls)
+        return WhileStmt(node, tuple(self.parse_stmt()))
 
     def parse_for(self) -> ForStmt:
         start = self.expect("for")
@@ -504,83 +430,47 @@ class _FileParser:
             else:
                 init = self.parse_simple()
         self.expect(";")
-        uses = frozenset()
-        calls: Tuple = ()
+        uses: FrozenSet[str] = _EMPTY
+        calls: Tuple[CallFact, ...] = ()
         if self.peek().value != ";":
-            cond = self.parse_expr()
-            uses = expr_uses(cond)
-            calls = tuple(expr_calls(cond))
+            uses, calls = self.parse_value()
         self.expect(";")
         update: Optional[NodeInfo] = None
         if self.peek().value != ")":
             update = self.parse_simple()
         close = self.expect(")")
-        node = NodeInfo(
-            kind="loop-header",
-            line=start.line,
-            col=start.col,
-            text=self.excerpt(start, close),
-            defs=frozenset(),
-            uses=uses,
-            calls=calls,
-        )
-        body = self.parse_stmt()
-        return ForStmt(init=init, node=node, update=update, body=tuple(body))
+        node = self.node("loop-header", start, self.excerpt(start, close), _EMPTY, uses, calls)
+        return ForStmt(init, node, update, tuple(self.parse_stmt()))
 
     def parse_return(self) -> SimpleStmt:
         start = self.expect("return")
-        uses = frozenset()
-        calls: Tuple = ()
-        last = start
+        uses: FrozenSet[str] = _EMPTY
+        calls: Tuple[CallFact, ...] = ()
         if self.peek().value != ";":
-            expr = self.parse_expr()
-            uses = expr_uses(expr)
-            calls = tuple(expr_calls(expr))
-            last = self.tokens[self.pos - 1]
+            uses, calls = self.parse_value()
         semi = self.expect(";")
-        node = NodeInfo(
-            kind="return",
-            line=start.line,
-            col=start.col,
-            text=self.excerpt(start, semi),
-            defs=frozenset(),
-            uses=uses,
-            calls=calls,
-            is_return=True,
-        )
-        return SimpleStmt(node)
+        return SimpleStmt(self.node("return", start, self.excerpt(start, semi),
+                                    _EMPTY, uses, calls))
 
     def parse_declaration(self, consume_semicolon: bool = True) -> List[NodeInfo]:
         start = self.peek()
         self.parse_type()
-        nodes: List[NodeInfo] = []
+        declarators = []   # (name token, uses, calls)
         while True:
             name_tok = self.expect_ident()
             while self.peek().value == "[":
                 self.advance()
                 if self.peek().value != "]":
-                    self.parse_expr()
+                    self.parse_value()   # an array size adds no flow facts
                 self.expect("]")
-            uses = frozenset()
-            calls: Tuple = ()
+            uses: FrozenSet[str] = _EMPTY
+            calls: Tuple[CallFact, ...] = ()
             if self.peek().value == "=":
                 self.advance()
                 if self.peek().value == "{":
                     self.unsupported("brace initializer", self.peek())
-                init = self.parse_expr()
-                uses = expr_uses(init)
-                calls = tuple(expr_calls(init))
-            nodes.append(
-                NodeInfo(
-                    kind="decl",
-                    line=name_tok.line,
-                    col=name_tok.col,
-                    text="",  # patched below once the full extent is known
-                    defs=frozenset([name_tok.value]),
-                    uses=uses,
-                    calls=calls,
-                )
-            )
+                uses, calls = self.parse_value()
+            declarators.append((name_tok, uses, calls))
             if self.peek().value == ",":
                 self.advance()
                 continue
@@ -590,11 +480,8 @@ class _FileParser:
         else:
             last = self.tokens[self.pos - 1]
         text = self.excerpt(start, last)
-        return [
-            NodeInfo(kind=n.kind, line=n.line, col=n.col, text=text,
-                     defs=n.defs, uses=n.uses, calls=n.calls)
-            for n in nodes
-        ]
+        return [self.node("decl", name_tok, text, frozenset([name_tok.value]), uses, calls)
+                for name_tok, uses, calls in declarators]
 
     def parse_simple(self) -> NodeInfo:
         """One assignment, call, or increment/decrement, without its ';'."""
@@ -602,135 +489,132 @@ class _FileParser:
         if start.value in ("++", "--"):
             self.advance()
             name_tok = self.expect_ident()
-            return NodeInfo(
-                kind="assign", line=start.line, col=start.col,
-                text=self.excerpt(start, name_tok),
-                defs=frozenset([name_tok.value]),
-                uses=frozenset([name_tok.value]),
-            )
-        expr = self.parse_unary()
+            var = frozenset([name_tok.value])
+            return self.node("assign", start, self.excerpt(start, name_tok), var, var)
+        self.uses = uses = set()
+        self.calls = calls = []
+        kind, name = self.parse_unary()
         nxt = self.peek()
         if nxt.value in ("++", "--"):
             self.advance()
-            if not isinstance(expr, Name):
+            if kind != "name":
                 self.unsupported("increment of a non-variable", start)
-            return NodeInfo(
-                kind="assign", line=start.line, col=start.col,
-                text=self.excerpt(start, nxt),
-                defs=frozenset([expr.ident]),
-                uses=frozenset([expr.ident]),
-            )
+            var = frozenset([name])
+            return self.node("assign", start, self.excerpt(start, nxt), var, var)
         if nxt.value in _ASSIGN_OPS:
-            op = self.advance()
-            target, lvalue_uses = self._lvalue(expr, start)
+            # Writes through pointers and into array cells are weak updates
+            # of the root variable, so an lvalue's root is already a use.
+            if kind != "name" and kind != "lvalue":
+                self.unsupported("assignment target", start)
+            self.advance()
             rhs = self.parse_expr()
-            last = self.tokens[self.pos - 1]
-            uses = lvalue_uses | expr_uses(rhs)
-            if op.value != "=":
-                uses |= frozenset([target])
-            return NodeInfo(
-                kind="assign", line=start.line, col=start.col,
-                text=self.excerpt(start, last),
-                defs=frozenset([target]),
-                uses=uses,
-                calls=tuple(expr_calls(rhs)),
-            )
-        if isinstance(expr, Call):
-            last = self.tokens[self.pos - 1]
-            return NodeInfo(
-                kind="call", line=start.line, col=start.col,
-                text=self.excerpt(start, last),
-                defs=frozenset(),
-                uses=expr_uses(expr),
-                calls=tuple(expr_calls(expr)),
-            )
+            if rhs[0] == "name":
+                uses.add(rhs[1])
+            if nxt.value != "=":
+                uses.add(name)
+            return self.node("assign", start, self.excerpt(start, self.tokens[self.pos - 1]),
+                             frozenset([name]), frozenset(uses), tuple(calls))
+        if kind == "call":
+            return self.node("call", start, self.excerpt(start, self.tokens[self.pos - 1]),
+                             _EMPTY, frozenset(uses), tuple(calls))
         self.unsupported("expression statement", start)
-
-    def _lvalue(self, expr: Expr, tok: Token) -> Tuple[str, FrozenSet[str]]:
-        """Defined variable and the extra uses an lvalue implies.
-
-        Writes through pointers and into array cells are weak updates of
-        the root variable, so the root also counts as used.
-        """
-        if isinstance(expr, Name):
-            return expr.ident, frozenset()
-        if isinstance(expr, (Index, Unary)):
-            root = expr
-            while True:
-                if isinstance(root, Index):
-                    root = root.base
-                elif isinstance(root, Unary) and root.op == "*":
-                    root = root.operand
-                else:
-                    break
-            if isinstance(root, Name):
-                return root.ident, expr_uses(expr)
-        self.unsupported("assignment target", tok)
 
     # expressions ----------------------------------------------------------
 
-    def parse_expr(self, min_prec: int = 1) -> Expr:
+    def parse_value(self) -> Tuple[FrozenSet[str], Tuple[CallFact, ...]]:
+        """Parse one expression that is read whole: its uses and its calls."""
+        self.uses = uses = set()
+        self.calls = calls = []
+        kind, name = self.parse_expr()
+        if kind == "name":
+            uses.add(name)
+        return frozenset(uses), tuple(calls)
+
+    def parse_expr(self, min_prec: int = 1) -> Shape:
         left = self.parse_unary()
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.value in ("?",):
+            tok = tokens[self.pos]
+            if tok.value == "?":
                 self.unsupported("ternary operator", tok)
-            if tok.value in _ASSIGN_OPS and tok.value == "=":
+            if tok.value == "=":
                 self.unsupported("nested assignment", tok)
             prec = _BINARY_PRECEDENCE.get(tok.value)
             if prec is None or prec < min_prec:
                 return left
-            self.advance()
+            self.pos += 1
+            if left[0] == "name":
+                self.uses.add(left[1])
             right = self.parse_expr(prec + 1)
-            left = Binary(tok.value, left, right)
+            if right[0] == "name":
+                self.uses.add(right[1])
+            left = _OTHER
 
-    def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.value in ("!", "-", "+", "~", "*", "&"):
-            self.advance()
-            return Unary(tok.value, self.parse_unary())
-        return self.parse_postfix()
+    def parse_unary(self) -> Shape:
+        op = self.tokens[self.pos].value
+        if op not in _UNARY_OPS:
+            return self.parse_postfix()
+        self.pos += 1
+        kind, name = operand = self.parse_unary()
+        if kind == "name":
+            self.uses.add(name)
+            return ("lvalue", name) if op == "*" else _OTHER
+        return operand if op == "*" and kind == "lvalue" else _OTHER
 
-    def parse_postfix(self) -> Expr:
-        expr = self.parse_primary()
+    def parse_postfix(self) -> Shape:
+        shape = self.parse_primary()
+        tokens = self.tokens
         while True:
-            tok = self.peek()
+            tok = tokens[self.pos]
             if tok.value == "(":
-                if not isinstance(expr, Name):
+                if shape[0] != "name":
                     self.unsupported("function-pointer call", tok)
-                self.advance()
-                args: List[Expr] = []
-                if self.peek().value != ")":
+                self.pos += 1
+                calls = self.calls
+                slot = len(calls)
+                calls.append(None)
+                args: List[FrozenSet[str]] = []
+                if tokens[self.pos].value != ")":
+                    outer = self.uses
                     while True:
-                        args.append(self.parse_expr())
-                        if self.peek().value == ",":
-                            self.advance()
-                            continue
-                        break
+                        self.uses = used = set()
+                        kind, name = self.parse_expr()
+                        if kind == "name":
+                            used.add(name)
+                        args.append(frozenset(used))
+                        outer |= used
+                        if tokens[self.pos].value != ",":
+                            break
+                        self.pos += 1
+                    self.uses = outer
                 self.expect(")")
-                expr = Call(expr.ident, tuple(args))
+                calls[slot] = (shape[1], tuple(args))
+                shape = _CALL
             elif tok.value == "[":
-                self.advance()
-                index = self.parse_expr()
+                self.pos += 1
+                kind, name = shape
+                if kind == "name":
+                    self.uses.add(name)
+                    shape = ("lvalue", name)
+                elif kind != "lvalue":
+                    shape = _OTHER
+                kind, name = self.parse_expr()
+                if kind == "name":
+                    self.uses.add(name)
                 self.expect("]")
-                expr = Index(expr, index)
             elif tok.value in (".", "->"):
                 self.unsupported("member access", tok)
             else:
-                return expr
+                return shape
 
-    def parse_primary(self) -> Expr:
+    def parse_primary(self) -> Shape:
         tok = self.peek()
-        if tok.kind == "num":
+        if tok.kind in ("num", "string", "char"):
             self.advance()
-            return Literal(tok.value)
-        if tok.kind in ("string", "char"):
-            self.advance()
-            return Literal(tok.value)
+            return _OTHER
         if tok.value == "sizeof":
             self.advance()
             self.expect("(")
-            idents = set()
             depth = 1
             while depth > 0:
                 inner = self.advance()
@@ -742,21 +626,24 @@ class _FileParser:
                 elif inner.value == ")":
                     depth -= 1
                 elif inner.kind == "ident" and inner.value not in TYPE_KEYWORDS:
-                    idents.add(inner.value)
-            return SizeOf(frozenset(idents))
+                    self.uses.add(inner.value)
+            return _OTHER
         if tok.value == "(":
             if self.peek(1).kind == "ident" and self.peek(1).value in TYPE_KEYWORDS:
                 self.advance()
                 self.parse_type()
                 self.expect(")")
-                return Unary("cast", self.parse_unary())
+                kind, name = self.parse_unary()   # a cast
+                if kind == "name":
+                    self.uses.add(name)
+                return _OTHER
             self.advance()
-            expr = self.parse_expr()
+            shape = self.parse_expr()
             self.expect(")")
-            return expr
+            return shape
         if tok.kind == "ident" and tok.value not in TYPE_KEYWORDS and tok.value not in CONTROL_KEYWORDS:
             self.advance()
-            return Name(tok.value)
+            return ("name", tok.value)
         raise ParseError(
             f"expected an expression, found {tok.value or 'end of input'!r}",
             self.file, tok.line, tok.col,
@@ -820,9 +707,8 @@ def parse_program(
         node_ids: List[str] = []
         callsites: List[Tuple[str, str]] = []
         for node in iter_nodes(fn):
-            node_id = node_id_for(fn.file, node.line, node.col)
-            node_ids.append(node_id)
-            callsites.extend((callee, node_id) for callee, _ in node.calls)
+            node_ids.append(node.id)
+            callsites.extend((callee, node.id) for callee, _ in node.calls)
         defs.append(
             FunctionDef(
                 name=fn.name,

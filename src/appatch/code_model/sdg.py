@@ -18,7 +18,6 @@ from .model import (
     ExternalInputSet,
     Program,
     StatementNode,
-    node_id_for,
 )
 from .parser import (
     ForStmt,
@@ -27,7 +26,6 @@ from .parser import (
     NodeInfo,
     SimpleStmt,
     WhileStmt,
-    iter_nodes,
     program_ir,
 )
 
@@ -52,99 +50,78 @@ class FunctionFlow:
     infos: Mapping[str, NodeInfo]
 
 
-def _nid(fn: FunctionIR, node: NodeInfo) -> str:
-    return node_id_for(fn.file, node.line, node.col)
-
-
 def build_function_flow(fn: FunctionIR) -> FunctionFlow:
     infos: Dict[str, NodeInfo] = {}
     order: List[str] = []
-    for node in iter_nodes(fn):
-        nid = _nid(fn, node)
+    succ: Dict[str, Set[str]] = {}
+    scopes: Dict[str, Tuple[str, ...]] = {}
+
+    def add(node: NodeInfo) -> str:
+        nid = node.id
         if nid in infos:
             raise ValueError(f"node id collision in {fn.name}: {nid}")
         infos[nid] = node
         order.append(nid)
-
-    succ: Dict[str, Set[str]] = {nid: set() for nid in order}
-    scopes: Dict[str, List[str]] = {}
+        succ[nid] = set()
+        return nid
 
     def link(preds: Sequence[str], target: str) -> None:
         for pred in preds:
             succ[pred].add(target)
 
-    def subtree_ids(stmts) -> List[str]:
-        ids: List[str] = []
-        for stmt in stmts:
-            if isinstance(stmt, SimpleStmt):
-                ids.append(_nid(fn, stmt.node))
-            elif isinstance(stmt, IfStmt):
-                ids.append(_nid(fn, stmt.node))
-                ids.extend(subtree_ids(stmt.then))
-                ids.extend(subtree_ids(stmt.orelse))
-            elif isinstance(stmt, WhileStmt):
-                ids.append(_nid(fn, stmt.node))
-                ids.extend(subtree_ids(stmt.body))
-            elif isinstance(stmt, ForStmt):
-                if stmt.init is not None:
-                    ids.append(_nid(fn, stmt.init))
-                ids.append(_nid(fn, stmt.node))
-                if stmt.update is not None:
-                    ids.append(_nid(fn, stmt.update))
-                ids.extend(subtree_ids(stmt.body))
-        return ids
-
+    # ``add`` runs in source order, so the ids a scope governs are the
+    # slice of ``order`` that its body's wiring appended.
     def wire(stmts, preds: List[str]) -> List[str]:
         current = preds
         for stmt in stmts:
             if isinstance(stmt, SimpleStmt):
-                nid = _nid(fn, stmt.node)
+                nid = add(stmt.node)
                 link(current, nid)
                 current = [] if stmt.node.is_return else [nid]
             elif isinstance(stmt, IfStmt):
-                nid = _nid(fn, stmt.node)
+                nid = add(stmt.node)
                 link(current, nid)
-                then_out = wire(stmt.then, [nid])
-                governed = subtree_ids(stmt.then) + subtree_ids(stmt.orelse)
-                scopes[nid] = governed
+                mark = len(order)
+                current = wire(stmt.then, [nid])
                 if stmt.orelse:
-                    else_out = wire(stmt.orelse, [nid])
-                    current = then_out + else_out
+                    current = current + wire(stmt.orelse, [nid])
                 else:
-                    current = then_out + [nid]
+                    current = current + [nid]
+                scopes[nid] = tuple(order[mark:])
             elif isinstance(stmt, WhileStmt):
-                nid = _nid(fn, stmt.node)
+                nid = add(stmt.node)
                 link(current, nid)
-                body_out = wire(stmt.body, [nid])
-                link(body_out, nid)
-                scopes[nid] = subtree_ids(stmt.body)
+                mark = len(order)
+                link(wire(stmt.body, [nid]), nid)
+                scopes[nid] = tuple(order[mark:])
                 current = [nid]
             elif isinstance(stmt, ForStmt):
-                nid = _nid(fn, stmt.node)
                 if stmt.init is not None:
-                    init_id = _nid(fn, stmt.init)
+                    init_id = add(stmt.init)
                     link(current, init_id)
                     current = [init_id]
+                nid = add(stmt.node)
                 link(current, nid)
+                upd_id = None if stmt.update is None else add(stmt.update)
+                mark = len(order)
                 body_out = wire(stmt.body, [nid])
-                governed = subtree_ids(stmt.body)
-                if stmt.update is not None:
-                    upd_id = _nid(fn, stmt.update)
+                governed = order[mark:]
+                if upd_id is not None:
                     link(body_out, upd_id)
                     link([upd_id], nid)
-                    governed = governed + [upd_id]
+                    governed.append(upd_id)
                 else:
                     link(body_out, nid)
-                scopes[nid] = governed
+                scopes[nid] = tuple(governed)
                 current = [nid]
             else:
                 raise TypeError(stmt)
         return current
 
     # entry -> param defs -> body
-    chain = [_nid(fn, fn.entry)]
+    chain = [add(fn.entry)]
     for param in fn.param_nodes:
-        pid = _nid(fn, param)
+        pid = add(param)
         link(chain, pid)
         chain = [pid]
     wire(fn.body, chain)
@@ -154,7 +131,7 @@ def build_function_flow(fn: FunctionIR) -> FunctionFlow:
         file=fn.file,
         node_ids=tuple(order),
         cfg_succ={nid: tuple(sorted(targets)) for nid, targets in succ.items()},
-        control_scopes={nid: tuple(ids) for nid, ids in scopes.items()},
+        control_scopes=scopes,
         infos=infos,
     )
 

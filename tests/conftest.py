@@ -36,6 +36,28 @@ def jsi_ei(jsi_program, jsi_graph):
     return identify_external_inputs(jsi_program, jsi_graph)
 
 
+@pytest.fixture
+def graph_without_columns():
+    """Interchange document whose ids carry no ``:col``; two share line 1."""
+    def node(nid, line, text, kind):
+        return {"id": nid, "file": "x.c", "function": "f", "line": line,
+                "text": text, "kind": kind}
+
+    return {
+        "nodes": [
+            node("x.c:f:p0", 1, "int n", "param-def"),
+            node("x.c:f:entry", 1, "int f(int n)", "entry"),
+            node("x.c:f:s1", 2, "buf = malloc(n)", "assign"),
+            node("x.c:f:s2", 3, "buf[n] = 0", "assign"),
+        ],
+        "edges": [
+            {"src": "x.c:f:p0", "dst": "x.c:f:s1", "kind": "data"},
+            {"src": "x.c:f:s1", "dst": "x.c:f:s2", "kind": "data"},
+            {"src": "x.c:f:p0", "dst": "x.c:f:s2", "kind": "data"},
+        ],
+    }
+
+
 def scripted(responses, provider_id="scripted", **kwargs):
     kwargs.setdefault("backoff", 0.0)
     return ScriptedProvider(provider_id, responses, **kwargs)

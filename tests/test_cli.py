@@ -85,6 +85,17 @@ def test_slice_from_imported_graph_matches_source_path(tmp_path, jsi_graph):
     assert a["ei"] == b["ei"]
 
 
+def test_slice_graph_accepts_ids_without_a_numeric_column(tmp_path, graph_without_columns):
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(graph_without_columns))
+    out = tmp_path / "s.json"
+    assert main(["slice", "--graph", str(graph_file), "--vuln", "x.c:3",
+                 "--out", str(out)]) == 0
+    document = json.loads(out.read_text())
+    assert document["nodes"] == ["x.c:f:p0", "x.c:f:s1", "x.c:f:s2"]
+    assert document["ei"] == ["x.c:f:p0", "x.c:f:s1"]
+
+
 def test_slice_parse_error_is_pipeline_error(tmp_path):
     bad = tmp_path / "bad.c"
     bad.write_text("int f(){")

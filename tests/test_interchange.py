@@ -103,3 +103,14 @@ def test_imported_graph_slices_like_the_parsed_one(jsi_program, jsi_graph):
     r1 = vulnerability_semantics(jsi_graph, spec, ei1)
     r2 = vulnerability_semantics(graph2, spec, ei2)
     assert r1.node_ids == r2.node_ids
+
+
+def test_ids_without_a_numeric_column_keep_document_order(graph_without_columns):
+    document = graph_without_columns
+    program, graph = import_graph(document)
+    assert graph.nodes_at("x.c", 1) == ["x.c:f:p0", "x.c:f:entry"]
+    assert sorted(reversed(list(graph.nodes)), key=graph.sort_key) == [
+        "x.c:f:p0", "x.c:f:entry", "x.c:f:s1", "x.c:f:s2",
+    ]
+    assert export_graph(graph)["nodes"] == document["nodes"]
+    assert program.entry_function == "f"

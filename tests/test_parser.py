@@ -230,3 +230,22 @@ def test_tokens_are_exact_ordered_slices_of_the_text(text):
         assert tok.line == text.count("\n", 0, tok.start) + 1
         assert tok.col == tok.start - (text.rfind("\n", 0, tok.start) + 1) + 1
         previous_end = tok.end
+
+
+@pytest.mark.parametrize("ch", ["\x1c", "\x85", "\u2028", "\v"])
+@pytest.mark.parametrize("gap", [" ", "\n  "])
+def test_node_text_keeps_line_separators_inside_string_literals(ch, gap):
+    from appatch.code_model import build_sdg
+
+    source = f'int f(){{char *s; s ={gap}"a   b{ch}   c"; return 0;}}'
+    graph = build_sdg(parse_program([("s.c", source)]))
+    texts = {graph.node(nid).text for nid in graph.nodes}
+    assert f's = "a   b{ch}   c"' in texts
+
+
+def test_node_text_joins_only_newline_separated_lines():
+    from appatch.code_model import build_sdg
+
+    source = "int f(int a){int x;\n  x = a\r\n    + 1\n    + 2;\n  return x;}"
+    graph = build_sdg(parse_program([("n.c", source)]))
+    assert graph.node("n.c:2:3").text == "x = a + 1 + 2"

@@ -380,3 +380,27 @@ def test_use_of_a_never_defined_variable_gets_no_data_edge():
     assert "c = zz" not in data_into
     assert "a = zz + 1" not in data_into
     assert data_into["c = c + a"] == {"c = zz", "int a"}
+
+
+def test_calls_inside_an_assignment_target_are_callsites():
+    from appatch.code_model import identify_external_inputs
+
+    source = ("int g(int s){return s;}\n"
+              "int main(int s, int n){\n"
+              "    char buf[8];\n"
+              "    buf[recv(s, n)] = 0;\n"
+              "    buf[g(s)] = g(n);\n"
+              "    return 0;\n"
+              "}\n")
+    program = parse_program([("t.c", source)])
+    graph = build_sdg(program)
+    assert program.function("main").callsites == (
+        ("recv", "t.c:4:5"), ("g", "t.c:5:5"), ("g", "t.c:5:5"),
+    )
+    ei = identify_external_inputs(program, graph)
+    assert ei.reasons["t.c:4:5"] == "external-call"
+    entry_g, param_g = program.function("g").statements[:2]
+    assert ("t.c:5:5", entry_g, "call") in graph.edges
+    param_sources = {src for src, dst, kind in graph.edges
+                     if kind == "param" and dst == param_g}
+    assert param_sources == {"t.c:2:14", "t.c:2:21"}   # main's s and n
