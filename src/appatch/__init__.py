@@ -22,7 +22,6 @@ from .scoping import (
     RenderedSlice,
     SliceResult,
     VulnSpec,
-    pair_slice,
     render_slice,
     vulnerability_semantics,
 )
@@ -53,7 +52,6 @@ from .gateway import (
     Provider,
     ScriptedProvider,
     accounting_report,
-    complete,
     load_providers,
 )
 from .evaluation import (

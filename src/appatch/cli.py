@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 pipeline error (parse/provider failures),
 2 usage or configuration error.  Every run writes a manifest whose
-contents are reproducible under a warm cache: timings come from recorded
-exchange latencies, never the wall clock, and paths are relative.
+contents are reproducible under a warm cache: it holds digests, output
+names, token accounting and flags, never a wall-clock reading or an
+absolute path.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class Config:
     providers: Dict[str, Provider] = field(default_factory=dict)
     external_functions: frozenset = DEFAULT_EXTERNAL_FUNCTIONS
     demand_rounds: int = DEFAULT_DEMAND_ROUNDS
-    path: Optional[Path] = None
+    digest: Optional[str] = None   # sha256 of the config file's bytes
 
     def provider(self, provider_id: str) -> Provider:
         if provider_id not in self.providers:
@@ -117,8 +118,9 @@ def load_config(path_text: Optional[str]) -> Config:
     if resolved is None:
         return Config()
     path = _require_file(resolved, "config file")
+    raw = path.read_bytes()
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path}: not valid JSON: {exc.msg}")
     if not isinstance(doc, dict):
@@ -138,42 +140,31 @@ def load_config(path_text: Optional[str]) -> Config:
         providers=providers,
         external_functions=external_set,
         demand_rounds=rounds,
-        path=path,
+        digest=hashlib.sha256(raw).hexdigest(),
     )
 
 
 # ── manifest ─────────────────────────────────────────────────────────────
 
-@dataclass
-class RunManifest:
-    """Replayable record of one run.
-
-    ``stage_seconds`` sums recorded exchange latencies per stage, so a
-    warm-cache rerun reproduces the manifest byte for byte.
-    """
-
-    command: str
-    config_digest: Optional[str]
-    input_digests: Dict[str, str]
-    outputs: List[str]
-    stage_seconds: Dict[str, float]
-    accounting: Dict[str, Any]
-    flags: Dict[str, Any]
-
-    def write(self, path: Path) -> None:
-        _write_json_atomic(path, {
-            "command": self.command,
-            "config_digest": self.config_digest,
-            "input_digests": self.input_digests,
-            "outputs": sorted(self.outputs),
-            "stage_seconds": self.stage_seconds,
-            "accounting": self.accounting,
-            "flags": self.flags,
-        })
-
-
-def _stage_seconds(exchanges: Sequence[Exchange]) -> float:
-    return round(sum(e.latency for e in exchanges), 9)
+def _write_manifest(
+    path: Path,
+    command: str,
+    config_digest: Optional[str],
+    input_digests: Dict[str, str],
+    outputs: List[str],
+    accounting: Dict[str, Any],
+    flags: Dict[str, Any],
+) -> None:
+    """Record one run; every field is deterministic, so a warm-cache rerun
+    reproduces the manifest byte for byte."""
+    _write_json_atomic(path, {
+        "command": command,
+        "config_digest": config_digest,
+        "input_digests": input_digests,
+        "outputs": sorted(outputs),
+        "accounting": accounting,
+        "flags": flags,
+    })
 
 
 # ── shared loaders ───────────────────────────────────────────────────────
@@ -268,16 +259,15 @@ def cmd_slice(args: argparse.Namespace) -> int:
     _write_json_atomic(out_path, result.to_document(graph))
     write_text_atomic(text_path, rendered.text + "\n")
 
-    manifest = RunManifest(
+    _write_manifest(
+        out_path.with_name(out_path.name + ".manifest.json"),
         command="slice",
-        config_digest=_digest_file(config.path) if config.path else None,
+        config_digest=config.digest,
         input_digests=input_digests,
         outputs=[out_path.name, text_path.name],
-        stage_seconds={"slice": 0.0},
         accounting={},
         flags={"fallback": result.fallback},
     )
-    manifest.write(out_path.with_name(out_path.name + ".manifest.json"))
     print(f"slice: {len(result.node_ids)} nodes "
           f"({len(result.ei_ids)} external inputs, fallback={result.fallback})")
     return EXIT_OK
@@ -301,12 +291,12 @@ def cmd_mine(args: argparse.Namespace) -> int:
     pool_path.parent.mkdir(parents=True, exist_ok=True)
     save_pool(pool, pool_path)
 
-    manifest = RunManifest(
+    _write_manifest(
+        pool_path.with_name(pool_path.name + ".manifest.json"),
         command="mine",
-        config_digest=_digest_file(config.path) if config.path else None,
+        config_digest=config.digest,
         input_digests={"dataset": _digest_file(dataset_path)},
         outputs=[pool_path.name],
-        stage_seconds={"mine": _stage_seconds(provider.history)},
         accounting=accounting_report(provider.history),
         flags={
             "provider": args.provider,
@@ -317,7 +307,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
             ],
         },
     )
-    manifest.write(pool_path.with_name(pool_path.name + ".manifest.json"))
     print(f"mine: {len(pool)} exemplar(s), {len(failures)} failure(s)")
     return EXIT_OK
 
@@ -326,6 +315,10 @@ def cmd_patch(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     provider = config.provider(args.provider)
     validator_ids = [v.strip() for v in (args.validators or "").split(",") if v.strip()]
+    repeated = sorted({v for v in validator_ids if validator_ids.count(v) > 1})
+    if repeated:
+        # One judge asked twice would overwrite its own verdicts.
+        raise UsageError(f"--validators names {', '.join(repeated)} more than once")
     validators = [config.provider(v) for v in validator_ids]
 
     sample_path = _require_file(args.sample, "sample file")
@@ -415,20 +408,15 @@ def cmd_patch(args: argparse.Namespace) -> int:
     })
 
     all_exchanges = rc_exchanges + sel_exchanges + [gen_exchange] + val_exchanges
-    manifest = RunManifest(
+    _write_manifest(
+        out_dir / "manifest.json",
         command="patch",
-        config_digest=_digest_file(config.path) if config.path else None,
+        config_digest=config.digest,
         input_digests={
             "sample": _digest_file(sample_path),
             "pool": _digest_file(pool_path),
         },
         outputs=outputs,
-        stage_seconds={
-            "root_cause": _stage_seconds(rc_exchanges),
-            "select": _stage_seconds(sel_exchanges),
-            "generate": _stage_seconds([gen_exchange]),
-            "validate": _stage_seconds(val_exchanges),
-        },
         accounting=accounting_report(all_exchanges),
         flags={
             "provider": args.provider,
@@ -438,7 +426,6 @@ def cmd_patch(args: argparse.Namespace) -> int:
             "forced_final": root_cause.forced_final,
         },
     )
-    manifest.write(out_dir / "manifest.json")
     print(f"patch: {len(patches)} candidate(s), {len(retained)} retained "
           f"({'validated' if validators else 'no validation'})")
     return EXIT_OK
@@ -530,16 +517,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     input_digests = {"ground_truth": _digest_file(gt_path)}
     if labels_digest:
         input_digests["labels"] = labels_digest
-    manifest = RunManifest(
+    _write_manifest(
+        report_path.with_name(report_path.name + ".manifest.json"),
         command="eval",
         config_digest=None,
         input_digests=input_digests,
         outputs=outputs,
-        stage_seconds={"eval": 0.0},
         accounting={},
         flags={"labels": bool(args.labels), "samples": len(gt_samples)},
     )
-    manifest.write(report_path.with_name(report_path.name + ".manifest.json"))
     correct = report.per_category["Correct"]
     print(f"eval: recall={correct.recall:.4f} precision={correct.precision:.4f} "
           f"f1={correct.f1:.4f} over {report.testing_samples} sample(s)")

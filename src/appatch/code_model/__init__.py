@@ -19,7 +19,6 @@ from .sdg import (
     build_function_flow,
     build_sdg,
     identify_external_inputs,
-    reaching_definitions,
 )
 from .interchange import dump_graph, export_graph, import_graph
 
@@ -43,5 +42,4 @@ __all__ = [
     "import_graph",
     "node_id_for",
     "parse_program",
-    "reaching_definitions",
 ]

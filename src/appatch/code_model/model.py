@@ -187,10 +187,10 @@ class DependenceGraph:
     nodes: Mapping[str, StatementNode]
     edges: FrozenSet[Tuple[str, str, str]]
     _succ: Dict[str, Tuple[Tuple[str, str], ...]] = field(
-        default=None, repr=False, compare=False
+        init=False, repr=False, compare=False
     )
     _pred: Dict[str, Tuple[Tuple[str, str], ...]] = field(
-        default=None, repr=False, compare=False
+        init=False, repr=False, compare=False
     )
     # (file, line) -> node ids on that line, in column order, ties in
     # document order
@@ -199,15 +199,14 @@ class DependenceGraph:
     )
 
     def __post_init__(self):
-        if self._succ is None or self._pred is None:
-            succ: Dict[str, List[Tuple[str, str]]] = {nid: [] for nid in self.nodes}
-            pred: Dict[str, List[Tuple[str, str]]] = {nid: [] for nid in self.nodes}
-            # Adjacency order is unobservable: every walk over it is set-based.
-            for src, dst, kind in self.edges:
-                succ[src].append((dst, kind))
-                pred[dst].append((src, kind))
-            object.__setattr__(self, "_succ", {k: tuple(v) for k, v in succ.items()})
-            object.__setattr__(self, "_pred", {k: tuple(v) for k, v in pred.items()})
+        succ: Dict[str, List[Tuple[str, str]]] = {nid: [] for nid in self.nodes}
+        pred: Dict[str, List[Tuple[str, str]]] = {nid: [] for nid in self.nodes}
+        # Adjacency order is unobservable: every walk over it is set-based.
+        for src, dst, kind in self.edges:
+            succ[src].append((dst, kind))
+            pred[dst].append((src, kind))
+        object.__setattr__(self, "_succ", {k: tuple(v) for k, v in succ.items()})
+        object.__setattr__(self, "_pred", {k: tuple(v) for k, v in pred.items()})
         at: Dict[Tuple[str, int], List[str]] = {}
         for node in self.nodes.values():
             at.setdefault((node.file, node.line), []).append(node.id)

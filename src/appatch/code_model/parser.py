@@ -458,18 +458,23 @@ class _FileParser:
         declarators = []   # (name token, uses, calls)
         while True:
             name_tok = self.expect_ident()
+            # Array sizes, then the initializer, in source order.
+            uses: FrozenSet[str] = _EMPTY
+            calls: Tuple[CallFact, ...] = ()
             while self.peek().value == "[":
                 self.advance()
                 if self.peek().value != "]":
-                    self.parse_value()   # an array size adds no flow facts
+                    size_uses, size_calls = self.parse_value()
+                    uses |= size_uses
+                    calls += size_calls
                 self.expect("]")
-            uses: FrozenSet[str] = _EMPTY
-            calls: Tuple[CallFact, ...] = ()
             if self.peek().value == "=":
                 self.advance()
                 if self.peek().value == "{":
                     self.unsupported("brace initializer", self.peek())
-                uses, calls = self.parse_value()
+                init_uses, init_calls = self.parse_value()
+                uses |= init_uses
+                calls += init_calls
             declarators.append((name_tok, uses, calls))
             if self.peek().value == ",":
                 self.advance()
@@ -625,7 +630,8 @@ class _FileParser:
                     depth += 1
                 elif inner.value == ")":
                     depth -= 1
-                elif inner.kind == "ident" and inner.value not in TYPE_KEYWORDS:
+                elif (inner.kind == "ident" and inner.value not in TYPE_KEYWORDS
+                      and self.tokens[self.pos].value != "("):   # a callee is no use
                     self.uses.add(inner.value)
             return _OTHER
         if tok.value == "(":

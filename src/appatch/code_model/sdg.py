@@ -207,18 +207,6 @@ class _ReachingDefs:
         return [nid for nid, _ in self.facts_in(self.in_bits[i] & self.var_mask.get(var, 0))]
 
 
-def reaching_definitions(flow: FunctionFlow) -> Dict[str, FrozenSet[Tuple[str, str]]]:
-    """IN sets of the classic reaching-definitions dataflow.
-
-    Facts are ``(defining node id, variable)`` pairs.
-    """
-    solved = _ReachingDefs(flow)
-    return {
-        nid: frozenset(solved.facts_in(bits))
-        for nid, bits in zip(flow.node_ids, solved.in_bits)
-    }
-
-
 def build_sdg(program: Program) -> DependenceGraph:
     """Assemble the interprocedural dependence graph for a parsed program.
 

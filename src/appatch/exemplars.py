@@ -144,7 +144,7 @@ class DatasetSample:
             ) from exc
 
 
-def load_dataset(path: Union[str, Path], require_patch: bool = True) -> List[DatasetSample]:
+def load_dataset(path: Union[str, Path]) -> List[DatasetSample]:
     """Read a JSON-lines dataset, checking each ground-truth patch applies."""
     samples: List[DatasetSample] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -157,7 +157,7 @@ def load_dataset(path: Union[str, Path], require_patch: bool = True) -> List[Dat
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}, line {lineno}: not valid JSON: {exc.msg}")
             sample = DatasetSample.from_document(doc)
-            if require_patch and sample.ground_truth_patch is None:
+            if sample.ground_truth_patch is None:
                 raise DatasetError(
                     f"{path}, line {lineno}: sample {sample.id!r} has no ground-truth patch"
                 )

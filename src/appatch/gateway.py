@@ -74,7 +74,6 @@ class Exchange:
     prompt_digest: str
     input_tokens: int
     output_tokens: int
-    latency: float
     estimated: bool = False   # token counts are estimates, not provider-reported
 
     def to_document(self) -> Dict[str, Any]:
@@ -86,7 +85,6 @@ class Exchange:
             "prompt_digest": self.prompt_digest,
             "input_tokens": self.input_tokens,
             "output_tokens": self.output_tokens,
-            "latency": self.latency,
             "estimated": self.estimated,
         }
 
@@ -94,7 +92,7 @@ class Exchange:
     def from_document(cls, doc: Mapping[str, Any]) -> "Exchange":
         return cls(**{k: doc[k] for k in (
             "provider_id", "model", "prompt", "response", "prompt_digest",
-            "input_tokens", "output_tokens", "latency", "estimated",
+            "input_tokens", "output_tokens", "estimated",
         )})
 
 
@@ -149,7 +147,6 @@ class Provider:
 
     def complete(self, prompt: str) -> Exchange:
         last_error: Optional[ProviderError] = None
-        started = time.monotonic()
         with self._slots:
             for attempt in range(1, self.attempts + 1):
                 self._pace()
@@ -166,7 +163,6 @@ class Provider:
                         if delay > 0:
                             time.sleep(delay)
                     continue
-                latency = time.monotonic() - started
                 estimated = tokens_in is None or tokens_out is None
                 return self._record(Exchange(
                     provider_id=self.id,
@@ -176,7 +172,6 @@ class Provider:
                     prompt_digest=exchange_digest(self.id, self.model, prompt),
                     input_tokens=tokens_in if tokens_in is not None else estimate_tokens(prompt),
                     output_tokens=tokens_out if tokens_out is not None else estimate_tokens(response),
-                    latency=latency,
                     estimated=estimated,
                 ))
         raise ProviderError(
@@ -200,10 +195,6 @@ class ScriptedProvider(Provider):
         super().__init__(provider_id, model, **kwargs)
         self._queue: List[Union[str, Mapping]] = list(responses)
         self._queue_lock = threading.Lock()
-
-    def remaining(self) -> int:
-        with self._queue_lock:
-            return len(self._queue)
 
     def _fetch(self, prompt: str) -> Tuple[str, Optional[int], Optional[int]]:
         with self._queue_lock:
@@ -318,10 +309,6 @@ class CachedProvider(Provider):
         return self._record(exchange)
 
 
-def complete(provider: Provider, prompt: str) -> Exchange:
-    return provider.complete(prompt)
-
-
 def accounting_report(exchanges: Sequence[Exchange]) -> Dict[str, Dict[str, Any]]:
     """Exact per-provider totals over an exchange list."""
     report: Dict[str, Dict[str, Any]] = {}
@@ -330,13 +317,11 @@ def accounting_report(exchanges: Sequence[Exchange]) -> Dict[str, Dict[str, Any]
             "calls": 0,
             "input_tokens": 0,
             "output_tokens": 0,
-            "wall_seconds": 0.0,
             "estimated": False,
         })
         entry["calls"] += 1
         entry["input_tokens"] += exchange.input_tokens
         entry["output_tokens"] += exchange.output_tokens
-        entry["wall_seconds"] += exchange.latency
         entry["estimated"] = entry["estimated"] or exchange.estimated
     return report
 

@@ -219,13 +219,12 @@ def select_exemplars(
     provider: Provider,
     cwe_filter: bool = False,
     cwe_ids: Sequence[str] = (),
-    limit: int = MAX_EXEMPLARS,
 ) -> Tuple[List[Exemplar], List[Exchange]]:
     """Scan the pool in insertion order, keeping pairwise-similar exemplars.
 
     Every candidate costs one yes/no comparison; the scan stops as soon as
-    ``limit`` exemplars are chosen.  Anything but a leading "yes" counts
-    as no.
+    ``MAX_EXEMPLARS`` exemplars are chosen.  Anything but a leading "yes"
+    counts as no.
     """
     chosen: List[Exemplar] = []
     exchanges: List[Exchange] = []
@@ -243,7 +242,7 @@ def select_exemplars(
         exchanges.append(exchange)
         if parse_verdict(exchange.response):
             chosen.append(exemplar)
-            if len(chosen) >= limit:
+            if len(chosen) >= MAX_EXEMPLARS:
                 break
     return chosen, exchanges
 
@@ -283,7 +282,7 @@ def generate_patches(
     spec: VulnSpec,
     root_cause: RootCause,
     provider: Provider,
-    program: Optional[Program] = None,
+    program: Program,
 ) -> Tuple[List[CandidatePatch], Exchange]:
     """Ask for five candidate patches and parse the fenced blocks.
 
@@ -314,14 +313,11 @@ def generate_patches(
         raise PromptingError(f"patch generation failed: {exc}") from exc
 
     digest = prompt_sha(prompt)
-    ranges = (
-        _function_line_ranges(program, rendered_slice.included_functions)
-        if program is not None else None
-    )
+    ranges = _function_line_ranges(program, rendered_slice.included_functions)
     patches: List[CandidatePatch] = []
     for match in _PATCH_BLOCK_RE.finditer(exchange.response):
         diff_text = match.group(2)
-        if ranges is not None and not _hunks_inside(diff_text, ranges):
+        if not _hunks_inside(diff_text, ranges):
             log.warning("patch block %s references lines outside the rendered "
                         "functions; dropping it", match.group(1))
             continue

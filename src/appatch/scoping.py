@@ -97,29 +97,6 @@ def reach(
     return seen
 
 
-def forward_reachable(graph: DependenceGraph, start: str) -> Set[str]:
-    graph.node(start)
-    return reach(graph._succ, (start,))
-
-
-def backward_reachable(graph: DependenceGraph, start: str) -> Set[str]:
-    graph.node(start)
-    return reach(graph._pred, (start,))
-
-
-def pair_slice(graph: DependenceGraph, sv: str, ei: str) -> FrozenSet[str]:
-    """Nodes on some dependence path from ``ei`` to ``sv``.
-
-    Reachability is reflexive, so ``sv == ei`` yields that single node.
-    Empty when no path connects the pair.
-    """
-    graph.node(sv)
-    forward = forward_reachable(graph, ei)
-    if sv not in forward:
-        return frozenset()
-    return frozenset(forward & backward_reachable(graph, sv))
-
-
 def resolve_vulnerable_nodes(
     graph: DependenceGraph, spec: VulnSpec
 ) -> FrozenSet[str]:

@@ -11,7 +11,6 @@ from appatch.gateway import (
     ProviderError,
     ScriptExhaustedError,
     accounting_report,
-    complete,
     exchange_digest,
     load_providers,
 )
@@ -69,7 +68,7 @@ def test_cache_hit_returns_identical_exchange(tmp_path):
     first = provider.complete("the prompt")
     second = provider.complete("the prompt")
     assert second == first
-    assert inner.remaining() == 0  # the script served exactly one call
+    assert len(inner.history) == 1  # the script served exactly one call
 
     digest = exchange_digest(inner.id, inner.model, "the prompt")
     entry = tmp_path / "cache" / digest[:2] / f"{digest}.json"
@@ -96,10 +95,29 @@ def test_accounting_sums_are_exact():
     e2 = provider.complete("b " * 200)
     report = accounting_report([e1, e2])
     entry = report["scripted"]
-    assert entry["calls"] == 2
-    assert entry["input_tokens"] == 300
-    assert entry["output_tokens"] == 30
-    assert entry["wall_seconds"] == pytest.approx(e1.latency + e2.latency)
+    assert entry == {"calls": 2, "input_tokens": 300, "output_tokens": 30,
+                     "estimated": True}
+
+
+def test_cache_serves_entries_that_still_carry_a_latency(tmp_path):
+    """Entries written before exchanges dropped their wall-clock field load."""
+    inner = scripted([])
+    provider = CachedProvider("c", inner, tmp_path / "cache")
+    digest = exchange_digest(inner.id, inner.model, "old prompt")
+    entry = tmp_path / "cache" / digest[:2] / f"{digest}.json"
+    entry.parent.mkdir(parents=True)
+    entry.write_text(json.dumps({
+        "provider_id": inner.id, "model": inner.model, "prompt": "old prompt",
+        "response": "old answer", "prompt_digest": digest,
+        "input_tokens": 2, "output_tokens": 2, "latency": 0.123,
+        "estimated": True,
+    }))
+    exchange = provider.complete("old prompt")
+    assert exchange.response == "old answer"
+    assert inner.history == []  # served from disk, the script was never asked
+    assert accounting_report(provider.history) == {inner.id: {
+        "calls": 1, "input_tokens": 2, "output_tokens": 2, "estimated": True,
+    }}
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -140,7 +158,7 @@ def stub_server():
 def test_http_chat_reads_stub_body(stub_server):
     _StubHandler.failures_left = 0
     provider = HttpChatProvider("h", "test-model", stub_server, backoff=0.0)
-    exchange = complete(provider, "hello")
+    exchange = provider.complete("hello")
     assert exchange.response == "stub says hello"
     assert exchange.input_tokens == 7
     assert exchange.output_tokens == 3
@@ -151,7 +169,7 @@ def test_http_chat_retries_transient_failures(stub_server):
     _StubHandler.failures_left = 2
     provider = HttpChatProvider("h", "test-model", stub_server,
                                 attempts=3, backoff=0.0)
-    assert complete(provider, "hello").response == "stub says hello"
+    assert provider.complete("hello").response == "stub says hello"
 
 
 def test_http_chat_missing_auth_names_the_env_var(stub_server, monkeypatch):

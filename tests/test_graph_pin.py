@@ -110,7 +110,9 @@ def _statement_facts(statement):
     ("x++;", "assign", ["x"], ["x"], []),
     ("--x;", "assign", ["x"], ["x"], []),
     ("if (!f(x)) x = 0;", "branch", [], ["x"], [("f", [["x"]])]),
-    ("int y[f(i)], z = g(a);", "decl", ["y"], [], []),
+    # an array size is read; inside sizeof(...) a callee is still no use
+    ("int y[f(i)], z = g(a);", "decl", ["y"], ["i"], [("f", [["i"]])]),
+    ("int x = sizeof(f(n));", "decl", ["x"], ["n"], []),
 ])
 def test_expression_flow_facts(statement, kind, defs, uses, calls):
     assert _statement_facts(statement) == (kind, defs, uses, calls)

@@ -173,7 +173,7 @@ def test_all_affirmative_pool_of_twenty_keeps_first_eight():
     chosen, exchanges = select_exemplars(fake_cause(), pool, provider)
     assert [e.sample_id for e in chosen] == [f"s{i:02d}" for i in range(8)]
     assert len(exchanges) == 8  # early exit: no ninth comparison
-    assert provider.remaining() == 12
+    assert len(provider.history) == 8
 
 
 def test_yes_no_yes_selects_first_and_third():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from appatch.code_model import build_sdg, parse_program, reaching_definitions
+from appatch.code_model import build_sdg, parse_program
 from appatch.code_model.parser import (
     ForStmt,
     IfStmt,
@@ -18,7 +18,7 @@ from appatch.code_model.parser import (
     WhileStmt,
     program_ir,
 )
-from appatch.code_model.sdg import build_function_flow
+from appatch.code_model.sdg import _ReachingDefs, build_function_flow
 
 
 def brute_force_data_edges(flow):
@@ -325,6 +325,15 @@ def test_random_programs_match_brute_force_oracle():
             assert got == expected, source
 
 
+def reaching_definitions(flow):
+    """IN sets decoded from the builder's bitset solver."""
+    solved = _ReachingDefs(flow)
+    return {
+        nid: frozenset(solved.facts_in(bits))
+        for nid, bits in zip(flow.node_ids, solved.in_bits)
+    }
+
+
 def set_based_reaching_definitions(flow):
     """IN sets by round-robin over Python sets of (node id, var) facts."""
     gen = {nid: {(nid, var) for var in flow.infos[nid].defs} for nid in flow.node_ids}
@@ -404,3 +413,13 @@ def test_calls_inside_an_assignment_target_are_callsites():
     param_sources = {src for src, dst, kind in graph.edges
                      if kind == "param" and dst == param_g}
     assert param_sources == {"t.c:2:14", "t.c:2:21"}   # main's s and n
+
+
+def test_calls_in_an_array_size_are_callsites():
+    from appatch.code_model import identify_external_inputs
+
+    source = "int main(int s, int n){\n    char buf[recv(s, n)];\n    return 0;\n}\n"
+    program = parse_program([("t.c", source)])
+    assert program.function("main").callsites == (("recv", "t.c:2:10"),)
+    ei = identify_external_inputs(program, build_sdg(program))
+    assert ei.reasons["t.c:2:10"] == "external-call"
