@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import evaluation
 from .code_model import (
@@ -40,14 +40,12 @@ from .files import write_text_atomic
 from .gateway import (
     ConfigurationError,
     Exchange,
-    GatewayError,
     Provider,
     accounting_report,
     load_providers,
 )
 from .prompting import (
     DEFAULT_DEMAND_ROUNDS,
-    NoPatchesError,
     PromptingError,
     generate_patches,
     generate_root_cause,
@@ -79,15 +77,22 @@ def _write_json_atomic(path: Path, doc: Any) -> None:
     write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _digest_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read_input(path_text: Union[str, Path], what: str) -> Tuple[str, str]:
+    """Read an input file once: its text and the sha256 of its bytes.
 
-
-def _require_file(path_text: str, what: str) -> Path:
+    The text is decoded as ``Path.read_text(encoding="utf-8")`` would, so
+    ``\\r\\n`` and a lone ``\\r`` read as ``\\n``; the digest is of the bytes
+    as they were, so a manifest names exactly what was parsed.
+    """
     path = Path(path_text)
     if not path.is_file():
         raise UsageError(f"{what} not found: {path}")
-    return path
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{what} {path}: not valid UTF-8 at byte {exc.start}")
+    return text.replace("\r\n", "\n").replace("\r", "\n"), hashlib.sha256(data).hexdigest()
 
 
 # ── configuration ────────────────────────────────────────────────────────
@@ -117,10 +122,10 @@ def load_config(path_text: Optional[str]) -> Config:
     resolved = path_text or os.environ.get(CONFIG_ENV_VAR)
     if resolved is None:
         return Config()
-    path = _require_file(resolved, "config file")
-    raw = path.read_bytes()
+    text, digest = _read_input(resolved, "config file")
+    path = Path(resolved)
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path}: not valid JSON: {exc.msg}")
     if not isinstance(doc, dict):
@@ -140,7 +145,7 @@ def load_config(path_text: Optional[str]) -> Config:
         providers=providers,
         external_functions=external_set,
         demand_rounds=rounds,
-        digest=hashlib.sha256(raw).hexdigest(),
+        digest=digest,
     )
 
 
@@ -169,16 +174,12 @@ def _write_manifest(
 
 # ── shared loaders ───────────────────────────────────────────────────────
 
-def _load_sample_file(path: Path) -> DatasetSample:
+def _load_sample_file(text: str, path: Path) -> DatasetSample:
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        sample = DatasetSample.from_document(doc)
+        sample = DatasetSample.from_document(json.loads(text))
     except (json.JSONDecodeError, DatasetError) as exc:
         raise UsageError(f"sample file {path}: {exc}")
-    try:
-        sample.check_patch_applies()
-    except DatasetError as exc:
-        raise UsageError(str(exc))
+    sample.check_patch_applies()
     return sample
 
 
@@ -221,18 +222,19 @@ def cmd_slice(args: argparse.Namespace) -> int:
     input_digests: Dict[str, str] = {}
 
     if args.graph:
-        graph_path = _require_file(args.graph, "graph file")
-        input_digests[f"graph:{graph_path.name}"] = _digest_file(graph_path)
+        text, digest = _read_input(args.graph, "graph file")
+        input_digests[f"graph:{Path(args.graph).name}"] = digest
         try:
-            program, graph = import_graph(graph_path.read_text(encoding="utf-8"))
+            program, graph = import_graph(text)
         except CodeModelError as exc:
             raise PipelineError(f"graph import failed: {exc}")
     else:
         sources = []
         for source_text in args.source or []:
-            source_path = _require_file(source_text, "source file")
-            sources.append((source_path.name, source_path.read_text(encoding="utf-8")))
-            input_digests[f"source:{source_path.name}"] = _digest_file(source_path)
+            text, digest = _read_input(source_text, "source file")
+            name = Path(source_text).name
+            sources.append((name, text))
+            input_digests[f"source:{name}"] = digest
         if not sources:
             raise UsageError("either --source or --graph is required")
         try:
@@ -241,15 +243,14 @@ def cmd_slice(args: argparse.Namespace) -> int:
         except CodeModelError as exc:
             raise PipelineError(f"parse failed: {exc}")
 
-    spec = VulnSpec(
-        vulnerable_lines=tuple(_parse_vuln_arg(args.vuln)),
-        cwe_ids=tuple(c.strip() for c in (args.cwe or "").split(",") if c.strip()),
-    )
-    ei = identify_external_inputs(program, graph, _external_functions(args, config))
+    vulnerable_lines = tuple(_parse_vuln_arg(args.vuln))
+    cwe_ids = tuple(c.strip() for c in (args.cwe or "").split(",") if c.strip())
     try:
-        result = vulnerability_semantics(graph, spec, ei)
-    except ScopingError as exc:
-        raise PipelineError(str(exc))
+        spec = VulnSpec(vulnerable_lines, cwe_ids)
+    except ValueError as exc:
+        raise UsageError(f"--cwe: {exc}")
+    ei = identify_external_inputs(program, graph, _external_functions(args, config))
+    result = vulnerability_semantics(graph, spec, ei)
 
     functions = functions_containing(graph, result.node_ids)
     rendered = render_slice(result, program, graph, functions)
@@ -276,11 +277,8 @@ def cmd_slice(args: argparse.Namespace) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     provider = config.provider(args.provider)
-    dataset_path = _require_file(args.dataset, "dataset file")
-    try:
-        dataset = load_dataset(dataset_path)
-    except DatasetError as exc:
-        raise UsageError(str(exc))
+    text, dataset_digest = _read_input(args.dataset, "dataset file")
+    dataset = load_dataset(text, Path(args.dataset))
 
     pool, failures = build_pool(
         dataset, provider,
@@ -295,7 +293,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         pool_path.with_name(pool_path.name + ".manifest.json"),
         command="mine",
         config_digest=config.digest,
-        input_digests={"dataset": _digest_file(dataset_path)},
+        input_digests={"dataset": dataset_digest},
         outputs=[pool_path.name],
         accounting=accounting_report(provider.history),
         flags={
@@ -313,6 +311,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_patch(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    max_rounds = config.demand_rounds if args.max_rounds is None else args.max_rounds
+    if max_rounds < 1:
+        raise UsageError("--max-rounds must be a positive integer")
     provider = config.provider(args.provider)
     validator_ids = [v.strip() for v in (args.validators or "").split(",") if v.strip()]
     repeated = sorted({v for v in validator_ids if validator_ids.count(v) > 1})
@@ -321,35 +322,25 @@ def cmd_patch(args: argparse.Namespace) -> int:
         raise UsageError(f"--validators names {', '.join(repeated)} more than once")
     validators = [config.provider(v) for v in validator_ids]
 
-    sample_path = _require_file(args.sample, "sample file")
-    pool_path = _require_file(args.pool, "pool file")
-    sample = _load_sample_file(sample_path)
-    try:
-        pool = load_pool(pool_path)
-    except DatasetError as exc:
-        raise UsageError(str(exc))
+    sample_text, sample_digest = _read_input(args.sample, "sample file")
+    pool_text, pool_digest = _read_input(args.pool, "pool file")
+    sample = _load_sample_file(sample_text, Path(args.sample))
+    pool = load_pool(pool_text, Path(args.pool))
 
     program, graph = _materialize(sample)
     ei = identify_external_inputs(program, graph, _external_functions(args, config))
-    try:
-        result = vulnerability_semantics(graph, sample.vuln, ei)
-    except ScopingError as exc:
-        raise PipelineError(str(exc))
+    result = vulnerability_semantics(graph, sample.vuln, ei)
 
-    try:
-        root_cause, rendered, rc_exchanges = generate_root_cause(
-            graph, program, sample.vuln, result, provider,
-            max_rounds=args.max_rounds or config.demand_rounds,
-        )
-        chosen, sel_exchanges = select_exemplars(
-            root_cause, pool, provider,
-            cwe_filter=args.cwe_filter, cwe_ids=sample.vuln.cwe_ids,
-        )
-        patches, gen_exchange = generate_patches(
-            chosen, rendered, sample.vuln, root_cause, provider, program,
-        )
-    except (PromptingError, GatewayError) as exc:
-        raise PipelineError(str(exc))
+    root_cause, rendered, rc_exchanges = generate_root_cause(
+        graph, program, sample.vuln, result, provider, max_rounds=max_rounds,
+    )
+    chosen, sel_exchanges = select_exemplars(
+        root_cause, pool, provider,
+        cwe_filter=args.cwe_filter, cwe_ids=sample.vuln.cwe_ids,
+    )
+    patches, gen_exchange = generate_patches(
+        chosen, rendered, sample.vuln, root_cause, provider, program,
+    )
 
     val_exchanges: List[Exchange] = []
     if validators:
@@ -412,10 +403,7 @@ def cmd_patch(args: argparse.Namespace) -> int:
         out_dir / "manifest.json",
         command="patch",
         config_digest=config.digest,
-        input_digests={
-            "sample": _digest_file(sample_path),
-            "pool": _digest_file(pool_path),
-        },
+        input_digests={"sample": sample_digest, "pool": pool_digest},
         outputs=outputs,
         accounting=accounting_report(all_exchanges),
         flags={
@@ -435,21 +423,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     results_dir = Path(args.results)
     if not results_dir.is_dir():
         raise UsageError(f"results directory not found: {results_dir}")
-    gt_path = _require_file(args.ground_truth, "ground-truth file")
-    try:
-        gt_samples = load_dataset(gt_path)
-    except DatasetError as exc:
-        raise UsageError(str(exc))
+    text, gt_digest = _read_input(args.ground_truth, "ground-truth file")
+    gt_samples = load_dataset(text, Path(args.ground_truth))
+    input_digests = {"ground_truth": gt_digest}
 
     human_labels = []
-    labels_digest = None
     if args.labels:
-        labels_path = _require_file(args.labels, "labels file")
-        labels_digest = _digest_file(labels_path)
-        try:
-            human_labels = evaluation.load_labels(labels_path)
-        except evaluation.EvaluationError as exc:
-            raise UsageError(str(exc))
+        text, digest = _read_input(args.labels, "labels file")
+        input_digests["labels"] = digest
+        human_labels = evaluation.load_labels(text, Path(args.labels))
 
     auto_syneq: Dict[Tuple[str, int], bool] = {}
     generated: Dict[str, int] = {}
@@ -460,14 +442,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         result_path = results_dir / sample.id / "result.json"
         if not result_path.is_file():
             continue
+        text, _ = _read_input(result_path, "result file")
         try:
-            result_doc = json.loads(result_path.read_text(encoding="utf-8"))
+            result_doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{result_path}: not valid JSON: {exc.msg}")
+        if not isinstance(result_doc, dict):
+            raise UsageError(f"{result_path}: top level must be an object")
         retained = set(result_doc.get("retained", []))
-        candidates = {
-            c["ordinal"]: c["file"] for c in result_doc.get("candidates", [])
-        }
+        try:
+            candidates = {
+                c["ordinal"]: c["file"] for c in result_doc.get("candidates", [])
+            }
+        except (KeyError, TypeError):
+            raise UsageError(f"{result_path}: every candidate needs an 'ordinal' and a 'file'")
         generated[sample.id] = len(retained)
         retained_sets[sample.id] = retained
         for ordinal in sorted(retained):
@@ -476,18 +464,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 raise UsageError(
                     f"{result_path}: retained ordinal {ordinal} has no candidate file"
                 )
-            diff_text = (results_dir / sample.id / file_name).read_text(encoding="utf-8")
+            diff_text, _ = _read_input(results_dir / sample.id / file_name, "candidate file")
             if sample.sources is None:
                 log.warning("sample %s is graph-backed; cannot auto-check SynEq",
                             sample.id)
                 auto_syneq[(sample.id, ordinal)] = False
                 continue
-            try:
-                is_syneq, note = evaluation.classify_syneq(
-                    dict(sample.sources), diff_text, sample.ground_truth_patch,
-                )
-            except evaluation.EvaluationError as exc:
-                raise UsageError(str(exc))
+            is_syneq, note = evaluation.classify_syneq(
+                dict(sample.sources), diff_text, sample.ground_truth_patch,
+            )
             if note:
                 log.info("sample %s patch %d: %s", sample.id, ordinal, note)
             auto_syneq[(sample.id, ordinal)] = is_syneq
@@ -502,10 +487,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             log.warning("label for %s patch %d ignored: not in the retained set",
                         label.sample_id, label.ordinal)
     labels = evaluation.merge_labels(auto_syneq, kept_labels)
-    try:
-        report = evaluation.compute_metrics(len(gt_samples), labels, generated)
-    except evaluation.EvaluationError as exc:
-        raise UsageError(str(exc))
+    report = evaluation.compute_metrics(len(gt_samples), labels, generated)
 
     report_path = Path(args.report)
     _write_json_atomic(report_path, report.to_document())
@@ -514,9 +496,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report.write_csv(args.csv)
         outputs.append(Path(args.csv).name)
 
-    input_digests = {"ground_truth": _digest_file(gt_path)}
-    if labels_digest:
-        input_digests["labels"] = labels_digest
     _write_manifest(
         report_path.with_name(report_path.name + ".manifest.json"),
         command="eval",
@@ -603,15 +582,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # The one place an error becomes an exit code: bad input or
+    # configuration is a usage error, a failed stage a pipeline error.
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DatasetError, evaluation.EvaluationError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PIPELINE
-    except (GatewayError, NoPatchesError) as exc:
+    except (PipelineError, ScopingError, PromptingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
 

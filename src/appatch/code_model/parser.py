@@ -308,7 +308,7 @@ class _FileParser:
 
     def parse_function(self, start_tok: Token, name_tok: Token) -> FunctionIR:
         self.expect("(")
-        params: List[Tuple[str, Token, Token]] = []  # (name, first tok, name tok)
+        params = []   # (first token, name token, array-size uses, array-size calls)
         if self.peek().value != ")":
             if self.peek().value == "void" and self.peek(1).value == ")":
                 self.advance()
@@ -317,12 +317,7 @@ class _FileParser:
                     p_start = self.peek()
                     self.parse_type()
                     p_name = self.expect_ident()
-                    while self.peek().value == "[":
-                        self.advance()
-                        if self.peek().value != "]":
-                            self.advance()
-                        self.expect("]")
-                    params.append((p_name.value, p_start, p_name))
+                    params.append((p_start, p_name, *self.parse_array_sizes()))
                     if self.peek().value == ",":
                         self.advance()
                         continue
@@ -330,8 +325,9 @@ class _FileParser:
         close = self.expect(")")
         entry = self.node("entry", name_tok, self.excerpt(start_tok, close))
         param_nodes = tuple(
-            self.node("param-def", p_name, self.excerpt(p_start, p_name), frozenset([name]))
-            for name, p_start, p_name in params
+            self.node("param-def", p_name, self.excerpt(p_start, p_name),
+                      frozenset([p_name.value]), uses, calls)
+            for p_start, p_name, uses, calls in params
         )
         self.expect("{")
         body = self.parse_block()
@@ -339,7 +335,7 @@ class _FileParser:
         return FunctionIR(
             name=name_tok.value,
             file=self.file,
-            params=tuple(name for name, _, _ in params),
+            params=tuple(p_name.value for _, p_name, _, _ in params),
             entry=entry,
             param_nodes=param_nodes,
             body=tuple(body),
@@ -459,15 +455,7 @@ class _FileParser:
         while True:
             name_tok = self.expect_ident()
             # Array sizes, then the initializer, in source order.
-            uses: FrozenSet[str] = _EMPTY
-            calls: Tuple[CallFact, ...] = ()
-            while self.peek().value == "[":
-                self.advance()
-                if self.peek().value != "]":
-                    size_uses, size_calls = self.parse_value()
-                    uses |= size_uses
-                    calls += size_calls
-                self.expect("]")
+            uses, calls = self.parse_array_sizes()
             if self.peek().value == "=":
                 self.advance()
                 if self.peek().value == "{":
@@ -487,6 +475,19 @@ class _FileParser:
         text = self.excerpt(start, last)
         return [self.node("decl", name_tok, text, frozenset([name_tok.value]), uses, calls)
                 for name_tok, uses, calls in declarators]
+
+    def parse_array_sizes(self) -> Tuple[FrozenSet[str], Tuple[CallFact, ...]]:
+        """The ``[size]`` suffixes after a declared name: their uses and calls."""
+        uses: FrozenSet[str] = _EMPTY
+        calls: Tuple[CallFact, ...] = ()
+        while self.peek().value == "[":
+            self.advance()
+            if self.peek().value != "]":
+                size_uses, size_calls = self.parse_value()
+                uses |= size_uses
+                calls += size_calls
+            self.expect("]")
+        return uses, calls
 
     def parse_simple(self) -> NodeInfo:
         """One assignment, call, or increment/decrement, without its ';'."""

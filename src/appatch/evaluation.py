@@ -63,26 +63,26 @@ class PatchLabel:
         )
 
 
-def load_labels(path: Union[str, Path]) -> List[PatchLabel]:
+def load_labels(text: str, path: Union[str, Path]) -> List[PatchLabel]:
+    """Parse a JSON-lines labels file; ``path`` names it in error messages only."""
     labels: List[PatchLabel] = []
     seen: set = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                label = PatchLabel.from_document(json.loads(raw))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise EvaluationError(f"{path}, line {lineno}: bad label: {exc}")
-            key = (label.sample_id, label.ordinal)
-            if key in seen:
-                raise EvaluationError(
-                    f"{path}, line {lineno}: duplicate label for "
-                    f"sample {label.sample_id!r} patch {label.ordinal}"
-                )
-            seen.add(key)
-            labels.append(label)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            label = PatchLabel.from_document(json.loads(raw))
+        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            raise EvaluationError(f"{path}, line {lineno}: bad label: {exc}")
+        key = (label.sample_id, label.ordinal)
+        if key in seen:
+            raise EvaluationError(
+                f"{path}, line {lineno}: duplicate label for "
+                f"sample {label.sample_id!r} patch {label.ordinal}"
+            )
+        seen.add(key)
+        labels.append(label)
     return labels
 
 

@@ -20,7 +20,7 @@ from .code_model import build_sdg, import_graph, parse_program
 from .code_model.model import DependenceGraph, Program
 from .code_model.sdg import identify_external_inputs
 from .files import write_text_atomic
-from .gateway import GatewayError, Provider, prompt_sha
+from .gateway import ConfigurationError, Provider, ProviderError, prompt_sha
 from .prompts import (
     build_mining_prompt,
     render_cwes,
@@ -144,25 +144,27 @@ class DatasetSample:
             ) from exc
 
 
-def load_dataset(path: Union[str, Path]) -> List[DatasetSample]:
-    """Read a JSON-lines dataset, checking each ground-truth patch applies."""
+def load_dataset(text: str, path: Union[str, Path]) -> List[DatasetSample]:
+    """Parse a JSON-lines dataset, checking each ground-truth patch applies.
+
+    ``path`` names the file in error messages only.
+    """
     samples: List[DatasetSample] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}, line {lineno}: not valid JSON: {exc.msg}")
-            sample = DatasetSample.from_document(doc)
-            if sample.ground_truth_patch is None:
-                raise DatasetError(
-                    f"{path}, line {lineno}: sample {sample.id!r} has no ground-truth patch"
-                )
-            sample.check_patch_applies()
-            samples.append(sample)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            doc = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}, line {lineno}: not valid JSON: {exc.msg}")
+        sample = DatasetSample.from_document(doc)
+        if sample.ground_truth_patch is None:
+            raise DatasetError(
+                f"{path}, line {lineno}: sample {sample.id!r} has no ground-truth patch"
+            )
+        sample.check_patch_applies()
+        samples.append(sample)
     ids = [s.id for s in samples]
     if len(ids) != len(set(ids)):
         raise DatasetError(f"{path}: duplicate sample ids")
@@ -309,7 +311,7 @@ def mine_exemplar(
     )
     try:
         exchange = provider.complete(prompt)
-    except GatewayError as exc:
+    except ProviderError as exc:
         raise MiningError(sample.id, f"provider failed: {exc}") from exc
     try:
         root_cause, fixing_strategy = split_sections(exchange.response)
@@ -353,6 +355,8 @@ def build_pool(
             results[index] = mine_exemplar(sample, provider, external_functions)
         except MiningError as exc:
             failures.append(MiningFailure(sample.id, str(exc)))
+        except ConfigurationError:
+            raise   # a misconfigured provider fails every sample alike
         except Exception as exc:  # defensive: one bad sample must not sink the run
             log.exception("unexpected mining failure for %s", sample.id)
             failures.append(MiningFailure(sample.id, f"unexpected: {exc}"))
@@ -375,16 +379,15 @@ def save_pool(pool: ExemplarPool, path: Union[str, Path]) -> None:
     ))
 
 
-def load_pool(path: Union[str, Path]) -> ExemplarPool:
+def load_pool(text: str, path: Union[str, Path]) -> ExemplarPool:
+    """Parse a JSON-lines pool; ``path`` names the file in error messages only."""
     pool = ExemplarPool()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                doc = json.loads(raw)
-                pool.add(Exemplar.from_document(doc))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DatasetError(f"{path}, line {lineno}: bad exemplar record: {exc}")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            pool.add(Exemplar.from_document(json.loads(raw)))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DatasetError(f"{path}, line {lineno}: bad exemplar record: {exc}")
     return pool

@@ -350,8 +350,17 @@ def _build_one(entry: Mapping[str, Any], base_dir: Optional[Path]) -> Provider:
             script_path = Path(script)
             if base_dir is not None and not script_path.is_absolute():
                 script_path = base_dir / script_path
-            with open(script_path, "r", encoding="utf-8") as handle:
-                responses = json.load(handle)
+            try:
+                responses = json.loads(script_path.read_text(encoding="utf-8"))
+            except OSError as exc:
+                raise ConfigurationError(
+                    f"scripted provider {provider_id!r}: script {script_path}: {exc.strerror}"
+                ) from exc
+            except ValueError as exc:   # not UTF-8, or not JSON
+                raise ConfigurationError(
+                    f"scripted provider {provider_id!r}: script {script_path} "
+                    f"is not valid JSON: {exc}"
+                ) from exc
         if not isinstance(responses, list):
             raise ConfigurationError(
                 f"scripted provider {provider_id!r}: responses must be a JSON array"

@@ -16,7 +16,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 from . import diffs
 from .code_model.model import DependenceGraph, Program
 from .exemplars import Exemplar, ExemplarPool
-from .gateway import Exchange, GatewayError, Provider, prompt_sha
+from .gateway import Exchange, Provider, ProviderError, prompt_sha
 from .prompts import (
     build_comparison_prompt,
     build_patch_prompt,
@@ -158,7 +158,7 @@ def generate_root_cause(
         )
         try:
             exchange = provider.complete(prompt)
-        except GatewayError as exc:
+        except ProviderError as exc:
             raise PromptingError(f"root-cause generation failed: {exc}") from exc
         exchanges.append(exchange)
         response = exchange.response
@@ -235,7 +235,7 @@ def select_exemplars(
         prompt = build_comparison_prompt(exemplar.root_cause, root_cause.text)
         try:
             exchange = provider.complete(prompt)
-        except GatewayError as exc:
+        except ProviderError as exc:
             log.warning("comparison against %s failed (%s); treating as no",
                         exemplar.sample_id, exc)
             continue
@@ -309,7 +309,7 @@ def generate_patches(
     )
     try:
         exchange = provider.complete(prompt)
-    except GatewayError as exc:
+    except ProviderError as exc:
         raise PromptingError(f"patch generation failed: {exc}") from exc
 
     digest = prompt_sha(prompt)

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .gateway import Exchange, GatewayError, Provider
+from .gateway import Exchange, Provider, ProviderError
 from .prompting import CandidatePatch
 from .prompts import build_validation_prompt, parse_verdict, render_cwes, render_lines
 from .scoping import RenderedSlice, VulnSpec
@@ -49,6 +49,8 @@ def validate_patch(
 
     A provider failure answers "error": a flaky judge can only lose votes,
     never abort the run, and its silence is not recorded as a rejection.
+    A misconfigured judge (say, its auth variable is unset) is no vote at
+    all: its ``ConfigurationError`` propagates.
     """
     prompt = build_validation_prompt(
         slice_text=rendered_slice.text,
@@ -58,7 +60,7 @@ def validate_patch(
     )
     try:
         exchange = provider.complete(prompt)
-    except GatewayError as exc:
+    except ProviderError as exc:
         log.warning("validator %s failed on patch %d (%s); answering error",
                     provider.id, patch.ordinal, exc)
         return "error", []

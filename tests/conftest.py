@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from appatch.code_model import build_sdg, identify_external_inputs, parse_program
-from appatch.gateway import ScriptedProvider
+from appatch.gateway import HttpChatProvider, ScriptedProvider
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -56,6 +56,15 @@ def graph_without_columns():
             {"src": "x.c:f:p0", "dst": "x.c:f:s2", "kind": "data"},
         ],
     }
+
+
+@pytest.fixture
+def unauthorised(monkeypatch):
+    """An http-chat provider whose auth variable is unset: it raises
+    ``ConfigurationError`` while building its headers, before any request."""
+    monkeypatch.delenv("APPATCH_TEST_UNSET_KEY", raising=False)
+    return HttpChatProvider("remote", "m", "http://127.0.0.1:9/v1/chat/completions",
+                            auth_env="APPATCH_TEST_UNSET_KEY", backoff=0.0)
 
 
 def scripted(responses, provider_id="scripted", **kwargs):

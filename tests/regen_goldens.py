@@ -43,7 +43,8 @@ def collect_prompts():
     prompts = {}
 
     # Phase 1: mining prompts for the three dataset samples
-    dataset = load_dataset(FIXTURES / "dataset.jsonl")
+    dataset_path = FIXTURES / "dataset.jsonl"
+    dataset = load_dataset(dataset_path.read_text(encoding="utf-8"), dataset_path)
     miner = script("mine.json", "miner")
     pool, failures = build_pool(dataset, miner)
     assert not failures, failures

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -466,3 +467,164 @@ def test_slice_from_graph_renders_node_texts(tmp_path, jsi_graph):
     assert "24: p = malloc(cnt + 1)" in rendered  # node text, sparse source
     numbers = [int(l.split(":", 1)[0]) for l in rendered.splitlines() if l.strip()]
     assert numbers == sorted(numbers)
+
+
+# ── inputs are read once; bad input exits 2 ──────────────────────────────
+
+def test_manifest_digest_is_of_the_bytes_that_ran(tmp_path, mined_pool, monkeypatch):
+    """A pool replaced right after it was parsed leaves the manifest naming
+    the bytes the run used, not what the file holds afterwards."""
+    from appatch import cli
+
+    config, pool_path = mined_pool
+    ran = pool_path.read_bytes()
+    real_load_pool = cli.load_pool
+
+    def load_then_replace(*args, **kwargs):
+        pool = real_load_pool(*args, **kwargs)
+        pool_path.write_text("")
+        return pool
+
+    monkeypatch.setattr(cli, "load_pool", load_then_replace)
+    out_dir = tmp_path / "out"
+    assert main(["patch", "--sample", str(FIXTURES / "sample_e2e.json"),
+                 "--pool", str(pool_path), "--provider", "gen",
+                 "--out", str(out_dir), "--config", str(config)]) == 0
+    assert pool_path.read_bytes() == b""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["input_digests"]["pool"] == hashlib.sha256(ran).hexdigest()
+
+
+def test_crlf_and_cr_sources_slice_like_their_lf_copy(tmp_path):
+    lf = (FIXTURES / "jsi_like.c").read_bytes()
+    assert b"\r" not in lf
+    runs = {}
+    for name, data in (("lf", lf), ("crlf", lf.replace(b"\n", b"\r\n")),
+                       ("cr", lf.replace(b"\n", b"\r"))):
+        root = tmp_path / name
+        root.mkdir()
+        (root / "jsi_like.c").write_bytes(data)
+        out = root / "slice.json"
+        assert main(["slice", "--source", str(root / "jsi_like.c"),
+                     "--vuln", "jsi_like.c:48", "--out", str(out)]) == 0
+        manifest = json.loads((root / "slice.json.manifest.json").read_text())
+        assert manifest["input_digests"] == {
+            "source:jsi_like.c": hashlib.sha256(data).hexdigest()
+        }
+        runs[name] = (out.read_bytes(), (root / "slice.json.txt").read_bytes())
+    assert runs["crlf"] == runs["lf"]
+    assert runs["cr"] == runs["lf"]
+
+
+def test_input_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    source = tmp_path / "latin1.c"
+    source.write_bytes("int f(){return 0;} /* café */\n".encode("latin-1"))
+    code = main(["slice", "--source", str(source), "--vuln", "latin1.c:1",
+                 "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert f"source file {source}: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script_bytes, problem", [
+    (None, "No such file or directory"),
+    (b'["unterminated"', "is not valid JSON"),
+])
+def test_bad_script_file_is_usage_error(tmp_path, capsys, script_bytes, problem):
+    script = tmp_path / "script.json"
+    if script_bytes is not None:
+        script.write_bytes(script_bytes)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"providers": [
+        {"id": "miner", "kind": "scripted", "script": "script.json"},
+    ]}))
+    code = main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"),
+                 "--provider", "miner", "--pool", str(tmp_path / "pool.jsonl"),
+                 "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scripted provider 'miner'" in err
+    assert f"script {script}" in err and problem in err
+
+
+def with_remote_provider(config_path, monkeypatch):
+    """Add an http-chat provider ``remote`` whose auth variable is unset;
+    it fails while building its headers, before any request is sent."""
+    monkeypatch.delenv("APPATCH_TEST_UNSET_KEY", raising=False)
+    doc = json.loads(config_path.read_text())
+    doc["providers"].append({
+        "id": "remote", "kind": "http-chat", "model": "m",
+        "endpoint": "http://127.0.0.1:9/v1/chat/completions",
+        "auth_env": "APPATCH_TEST_UNSET_KEY", "backoff": 0.0,
+    })
+    config_path.write_text(json.dumps(doc))
+    return config_path
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_mine_with_missing_auth_is_usage_error(tmp_path, monkeypatch, capsys, jobs):
+    config = with_remote_provider(write_config(tmp_path), monkeypatch)
+    pool_path = tmp_path / "pool.jsonl"
+    code = main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"),
+                 "--provider", "remote", "--pool", str(pool_path),
+                 "--config", str(config), "--jobs", jobs])
+    assert code == 2
+    assert "needs auth: set the APPATCH_TEST_UNSET_KEY" in capsys.readouterr().err
+    assert not pool_path.exists()
+
+
+@pytest.mark.parametrize("role", ["--provider", "--validators"])
+def test_patch_with_missing_auth_is_usage_error(tmp_path, mined_pool, monkeypatch,
+                                                capsys, role):
+    config, pool_path = mined_pool
+    with_remote_provider(config, monkeypatch)
+    flags = {"--provider": "gen", "--validators": "v1"}
+    flags[role] = "remote"
+    out_dir = tmp_path / "out-remote"
+    code = main(["patch", "--sample", str(FIXTURES / "sample_e2e.json"),
+                 "--pool", str(pool_path), "--out", str(out_dir),
+                 "--config", str(config),
+                 "--provider", flags["--provider"], "--validators", flags["--validators"]])
+    assert code == 2
+    assert "needs auth: set the APPATCH_TEST_UNSET_KEY" in capsys.readouterr().err
+    assert not (out_dir / "manifest.json").exists()
+
+
+def test_slice_bad_cwe_flag_is_usage_error(tmp_path, capsys):
+    code = main(["slice", "--source", str(FIXTURES / "jsi_like.c"),
+                 "--vuln", "jsi_like.c:48", "--cwe", "CWE-x",
+                 "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "bad CWE id: 'CWE-x'" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_patch_max_rounds_below_one_is_usage_error(tmp_path, mined_pool, capsys, rounds):
+    config, pool_path = mined_pool
+    out_dir = tmp_path / "out-rounds"
+    code = main(["patch", "--sample", str(FIXTURES / "sample_e2e.json"),
+                 "--pool", str(pool_path), "--provider", "gen",
+                 "--out", str(out_dir), "--config", str(config),
+                 "--max-rounds", rounds])
+    assert code == 2
+    assert "--max-rounds must be a positive integer" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("result_text, named", [
+    ("[1, 3, 4]", "result.json"),
+    ('{"candidates": [{"ordinal": 1}], "retained": [1]}', "result.json"),
+    (None, "candidate_3.diff"),   # a retained candidate's diff is gone
+])
+def test_eval_malformed_results_are_usage_errors(tmp_path, patched_results, capsys,
+                                                 result_text, named):
+    results, gt_path = patched_results
+    sample_dir = results / "jsi-strcpy-zero-day"
+    if result_text is None:
+        (sample_dir / "candidate_3.diff").unlink()
+    else:
+        (sample_dir / "result.json").write_text(result_text)
+    code = main(["eval", "--results", str(results), "--ground-truth", str(gt_path),
+                 "--report", str(tmp_path / "report.json")])
+    assert code == 2
+    assert str(sample_dir / named) in capsys.readouterr().err

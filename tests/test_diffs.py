@@ -94,7 +94,8 @@ def test_fixture_ground_truth_patches_apply(fixtures_dir):
     from appatch.exemplars import load_dataset
 
     # load_dataset re-checks the apply-cleanly invariant for every sample
-    samples = load_dataset(fixtures_dir / "dataset.jsonl")
+    path = fixtures_dir / "dataset.jsonl"
+    samples = load_dataset(path.read_text(encoding="utf-8"), path)
     assert [s.id for s in samples] == [
         "jsi-strcpy-overflow", "idx-oob-read", "null-deref-store",
     ]

@@ -227,7 +227,7 @@ def test_load_labels_rejects_duplicates(tmp_path):
     conflict = dict(label, category="Plausible")
     path.write_text(json.dumps(label) + "\n" + json.dumps(conflict) + "\n")
     with pytest.raises(EvaluationError) as err:
-        load_labels(path)
+        load_labels(path.read_text(encoding="utf-8"), path)
     assert "duplicate" in str(err.value)
 
 

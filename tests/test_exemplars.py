@@ -31,7 +31,8 @@ from oracles import adjacency_maps, bfs, random_dag
 
 @pytest.fixture(scope="module")
 def dataset(fixtures_dir):
-    return load_dataset(fixtures_dir / "dataset.jsonl")
+    path = fixtures_dir / "dataset.jsonl"
+    return load_dataset(path.read_text(encoding="utf-8"), path)
 
 
 def test_dataset_loads_and_checks_patches(dataset):
@@ -49,7 +50,7 @@ def test_dataset_rejects_non_applying_patch(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(DatasetError) as err:
-        load_dataset(path)
+        load_dataset(path.read_text(encoding="utf-8"), path)
     assert "does not apply" in str(err.value)
 
 
@@ -134,14 +135,15 @@ def test_pool_round_trip(dataset, tmp_path):
     pool, _ = build_pool(dataset, scripted(load_script("mine.json")))
     path = tmp_path / "pool.jsonl"
     save_pool(pool, path)
-    assert load_pool(path) == pool
+    assert load_pool(path.read_text(encoding="utf-8"), path) == pool
 
 
 def test_pool_iteration_order_survives_save_load(dataset, tmp_path):
     pool, _ = build_pool(dataset, scripted(load_script("mine.json")))
     path = tmp_path / "pool.jsonl"
     save_pool(pool, path)
-    assert [e.sample_id for e in load_pool(path)] == [e.sample_id for e in pool]
+    loaded = load_pool(path.read_text(encoding="utf-8"), path)
+    assert [e.sample_id for e in loaded] == [e.sample_id for e in pool]
 
 
 def test_truncated_pool_line_reports_line_number(dataset, tmp_path):
@@ -152,7 +154,7 @@ def test_truncated_pool_line_reports_line_number(dataset, tmp_path):
     text[-1] = text[-1][: len(text[-1]) // 2]
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(DatasetError) as err:
-        load_pool(path)
+        load_pool(path.read_text(encoding="utf-8"), path)
     assert "line 3" in str(err.value)
 
 
@@ -197,7 +199,7 @@ def test_large_pool_loads_quickly(tmp_path):
     path = tmp_path / "big.jsonl"
     save_pool(pool, path)
     started = time.monotonic()
-    loaded = load_pool(path)
+    loaded = load_pool(path.read_text(encoding="utf-8"), path)
     elapsed = time.monotonic() - started
     assert len(loaded) == 306
     assert elapsed < 1.0

@@ -249,3 +249,19 @@ def test_node_text_joins_only_newline_separated_lines():
     source = "int f(int a){int x;\n  x = a\r\n    + 1\n    + 2;\n  return x;}"
     graph = build_sdg(parse_program([("n.c", source)]))
     assert graph.node("n.c:2:3").text == "x = a + 1 + 2"
+
+
+def test_parameter_array_size_uses_flow_into_the_param_def():
+    from appatch.code_model import build_sdg
+
+    program = parse_program([("p.c", "int f(int n, int a[n+1]){return a[0];}")])
+    graph = build_sdg(program)
+    n_def, a_def = program.functions[0].statements[1:3]
+    assert graph.node(a_def).text == "int a"
+    assert graph.node(a_def).uses == frozenset({"n"})
+    assert (n_def, a_def, "data") in graph.edges
+
+
+def test_call_in_a_parameter_array_size_is_a_callsite():
+    program = parse_program([("p.c", "int f(int s, int a[recv(s, 1)]){return a[0];}")])
+    assert program.functions[0].callsites == (("recv", "p.c:1:18"),)

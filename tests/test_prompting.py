@@ -4,6 +4,7 @@ import pytest
 
 from appatch.code_model import identify_external_inputs, parse_program
 from appatch.exemplars import Exemplar, ExemplarPool
+from appatch.gateway import ConfigurationError
 from appatch.prompting import (
     NoPatchesError,
     RootCause,
@@ -208,6 +209,12 @@ def test_comparison_failure_counts_as_no():
     assert [e.sample_id for e in chosen] == ["s1"]
 
 
+def test_comparison_with_missing_auth_raises(unauthorised):
+    pool = ExemplarPool([make_exemplar("s0")])
+    with pytest.raises(ConfigurationError):
+        select_exemplars(fake_cause(), pool, unauthorised)
+
+
 # ── patch generation ─────────────────────────────────────────────────────
 
 @pytest.fixture(scope="module")
@@ -236,6 +243,12 @@ def test_prose_only_response_is_an_error(patch_stage):
     with pytest.raises(NoPatchesError):
         generate_patches([], rendered, sample.vuln, root_cause,
                          scripted(["no patches, sorry"]), program)
+
+
+def test_patch_request_with_missing_auth_raises(patch_stage, unauthorised):
+    sample, program, rendered, root_cause = patch_stage
+    with pytest.raises(ConfigurationError):
+        generate_patches([], rendered, sample.vuln, root_cause, unauthorised, program)
 
 
 def test_three_blocks_accepted_with_warning(patch_stage, caplog):
