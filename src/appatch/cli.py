@@ -130,14 +130,20 @@ def load_config(path_text: Optional[str]) -> Config:
         raise UsageError(f"config file {path}: not valid JSON: {exc.msg}")
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path}: top level must be an object")
+    entries = doc.get("providers", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise UsageError(f"config file {path}: providers must be an array of objects")
     try:
-        providers = load_providers(doc.get("providers", []), base_dir=path.parent)
+        providers = load_providers(entries, base_dir=path.parent)
     except ConfigurationError as exc:
         raise UsageError(f"config file {path}: {exc}")
     external = doc.get("external_functions")
-    external_set = (
-        frozenset(external) if external is not None else DEFAULT_EXTERNAL_FUNCTIONS
-    )
+    if external is None:
+        external_set = DEFAULT_EXTERNAL_FUNCTIONS
+    elif isinstance(external, list) and all(isinstance(n, str) for n in external):
+        external_set = frozenset(external)
+    else:
+        raise UsageError(f"config file {path}: external_functions must be an array of strings")
     rounds = doc.get("demand_rounds", DEFAULT_DEMAND_ROUNDS)
     if not isinstance(rounds, int) or rounds < 1:
         raise UsageError(f"config file {path}: demand_rounds must be a positive integer")
@@ -205,7 +211,7 @@ def _parse_vuln_arg(vuln: str) -> List[Tuple[str, int]]:
         if not part:
             continue
         file, sep, line = part.rpartition(":")
-        if not sep or not line.isdigit():
+        if not sep or not line.isdecimal():
             raise UsageError(f"--vuln expects file:line, got {part!r}")
         out.append((file, int(line)))
     if not out:

@@ -13,13 +13,8 @@ from .model import (
     UnsupportedConstructError,
     node_id_for,
 )
-from .parser import parse_program
-from .sdg import (
-    DEFAULT_EXTERNAL_FUNCTIONS,
-    build_function_flow,
-    build_sdg,
-    identify_external_inputs,
-)
+from .parser import build_function_flow, parse_program
+from .sdg import DEFAULT_EXTERNAL_FUNCTIONS, build_sdg, identify_external_inputs
 from .interchange import dump_graph, export_graph, import_graph
 
 __all__ = [

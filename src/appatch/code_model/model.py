@@ -7,7 +7,9 @@ parses of the same sources always produce the same graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 STATEMENT_KINDS = (
     "assign",
@@ -78,26 +80,33 @@ def _column(node_id: str) -> int:
     return int(tail) if ":" in head and tail.isdecimal() else 0
 
 
-@dataclass(frozen=True)
-class StatementNode:
-    """One statement-level vertex of the dependence graph."""
+CallFact = Tuple[str, Tuple[FrozenSet[str], ...]]   # (callee, per-argument uses)
 
-    id: str
+
+class StatementNode(NamedTuple):
+    """One statement-level vertex of the dependence graph.
+
+    The parser fills in the flow facts; an imported graph knows only the
+    structural fields, so its nodes keep the empty defaults.
+    """
+
+    id: str          # file:line:col
     file: str
     function: str
     line: int
     text: str
     kind: str
-    # Variables this node defines / uses; empty for imported graphs where
-    # only the structural fields are known.
     defs: FrozenSet[str] = frozenset()
     uses: FrozenSet[str] = frozenset()
+    calls: Tuple[CallFact, ...] = ()   # in pre-order: a call before its arguments
 
-    def __post_init__(self):
-        if self.kind not in STATEMENT_KINDS:
-            raise ValueError(f"bad statement kind: {self.kind!r}")
-        if self.line < 1:
-            raise ValueError(f"line must be >= 1, got {self.line}")
+    @property
+    def col(self) -> int:
+        return _column(self.id)
+
+    @property
+    def is_return(self) -> bool:
+        return self.kind == "return"
 
 
 @dataclass(frozen=True)
@@ -111,6 +120,17 @@ class FunctionDef:
     callsites: Tuple[Tuple[str, str], ...]  # (callee name, node id)
     start_line: int
     end_line: int
+
+
+@dataclass(frozen=True)
+class FunctionFlow:
+    """One function's control flow, as the parser walked its statements."""
+
+    name: str
+    node_ids: Tuple[str, ...]                    # source order, entry first
+    cfg_succ: Mapping[str, Tuple[str, ...]]
+    control_scopes: Mapping[str, Tuple[str, ...]]  # header id -> governed ids
+    infos: Mapping[str, StatementNode]             # node id -> node, source order
 
 
 def infer_entry_function(functions: Sequence[FunctionDef]) -> Optional[str]:
@@ -129,6 +149,8 @@ class Program:
     files: Tuple[Tuple[str, str], ...]   # (path, source text)
     functions: Tuple[FunctionDef, ...]
     entry_function: Optional[str] = None
+    # One per function, in order; only ``parse_program`` fills them in.
+    flows: Tuple[FunctionFlow, ...] = field(default=(), compare=False, repr=False)
     # Lookup indexes, built once from the fields above.
     _lines: Dict[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _by_name: Dict[str, FunctionDef] = field(init=False, repr=False, compare=False)

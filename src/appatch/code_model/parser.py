@@ -11,12 +11,15 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .model import (
+    CallFact,
     FunctionDef,
+    FunctionFlow,
     ParseError,
     Program,
+    StatementNode,
     UnsupportedConstructError,
     infer_entry_function,
     node_id_for,
@@ -139,44 +142,27 @@ def tokenize(file: str, text: str) -> List[Token]:
     return tokens
 
 
-# ── statement IR (consumed by the dependence builder) ───────────────────
-
-CallFact = Tuple[str, Tuple[FrozenSet[str], ...]]   # (callee, per-argument uses)
-
-
-class NodeInfo(NamedTuple):
-    """Everything the graph builder needs to know about one node."""
-
-    id: str          # file:line:col
-    kind: str
-    line: int
-    col: int
-    text: str
-    defs: FrozenSet[str]
-    uses: FrozenSet[str]
-    calls: Tuple[CallFact, ...] = ()
-    is_return: bool = False
-
+# ── statement tree (walked once, by ``build_function_flow``) ────────────
 
 class SimpleStmt(NamedTuple):
-    node: NodeInfo
+    node: StatementNode
 
 
 class IfStmt(NamedTuple):
-    node: NodeInfo
+    node: StatementNode
     then: Tuple["Stmt", ...]
     orelse: Tuple["Stmt", ...]
 
 
 class WhileStmt(NamedTuple):
-    node: NodeInfo
+    node: StatementNode
     body: Tuple["Stmt", ...]
 
 
 class ForStmt(NamedTuple):
-    init: Optional[NodeInfo]
-    node: NodeInfo
-    update: Optional[NodeInfo]
+    init: Optional[StatementNode]
+    node: StatementNode
+    update: Optional[StatementNode]
     body: Tuple["Stmt", ...]
 
 
@@ -188,8 +174,8 @@ class FunctionIR:
     name: str
     file: str
     params: Tuple[str, ...]
-    entry: NodeInfo
-    param_nodes: Tuple[NodeInfo, ...]
+    entry: StatementNode
+    param_nodes: Tuple[StatementNode, ...]
     body: Tuple["Stmt", ...]
     start_line: int
     end_line: int
@@ -216,6 +202,7 @@ class _FileParser:
         self.text = text
         self.tokens = tokenize(file, text)
         self.pos = 0
+        self.function = ""   # name of the function being parsed
         # Flow facts of the statement being parsed (see ``Shape`` above).
         self.uses: Set[str] = set()
         self.calls: List[Optional[CallFact]] = []
@@ -323,6 +310,7 @@ class _FileParser:
                         continue
                     break
         close = self.expect(")")
+        self.function = name_tok.value
         entry = self.node("entry", name_tok, self.excerpt(start_tok, close))
         param_nodes = tuple(
             self.node("param-def", p_name, self.excerpt(p_start, p_name),
@@ -351,10 +339,10 @@ class _FileParser:
         defs: FrozenSet[str] = _EMPTY,
         uses: FrozenSet[str] = _EMPTY,
         calls: Tuple[CallFact, ...] = (),
-    ) -> NodeInfo:
-        """One IR node at token ``at``; its ``file:line:col`` id is made here, once."""
-        return NodeInfo(node_id_for(self.file, at.line, at.col), kind, at.line, at.col,
-                        text, defs, uses, calls, kind == "return")
+    ) -> StatementNode:
+        """The graph node at token ``at``; its ``file:line:col`` id is made here, once."""
+        return StatementNode(node_id_for(self.file, at.line, at.col), self.file,
+                             self.function, at.line, text, kind, defs, uses, calls)
 
     def parse_block(self) -> List:
         stmts: List = []
@@ -416,7 +404,7 @@ class _FileParser:
     def parse_for(self) -> ForStmt:
         start = self.expect("for")
         self.expect("(")
-        init: Optional[NodeInfo] = None
+        init: Optional[StatementNode] = None
         if self.peek().value != ";":
             if self.at_type():
                 decls = self.parse_declaration(consume_semicolon=False)
@@ -431,7 +419,7 @@ class _FileParser:
         if self.peek().value != ";":
             uses, calls = self.parse_value()
         self.expect(";")
-        update: Optional[NodeInfo] = None
+        update: Optional[StatementNode] = None
         if self.peek().value != ")":
             update = self.parse_simple()
         close = self.expect(")")
@@ -448,7 +436,7 @@ class _FileParser:
         return SimpleStmt(self.node("return", start, self.excerpt(start, semi),
                                     _EMPTY, uses, calls))
 
-    def parse_declaration(self, consume_semicolon: bool = True) -> List[NodeInfo]:
+    def parse_declaration(self, consume_semicolon: bool = True) -> List[StatementNode]:
         start = self.peek()
         self.parse_type()
         declarators = []   # (name token, uses, calls)
@@ -489,7 +477,7 @@ class _FileParser:
             self.expect("]")
         return uses, calls
 
-    def parse_simple(self) -> NodeInfo:
+    def parse_simple(self) -> StatementNode:
         """One assignment, call, or increment/decrement, without its ';'."""
         start = self.peek()
         if start.value in ("++", "--"):
@@ -657,11 +645,106 @@ class _FileParser:
         )
 
 
+# ── control flow ────────────────────────────────────────────────────────
+
+def build_function_flow(fn: FunctionIR) -> FunctionFlow:
+    """One walk over a function's statements: its nodes in source order,
+    its CFG and the statements each branch or loop header governs."""
+    infos: Dict[str, StatementNode] = {}
+    order: List[str] = []
+    succ: Dict[str, Set[str]] = {}
+    scopes: Dict[str, Tuple[str, ...]] = {}
+
+    def add(node: StatementNode) -> str:
+        nid = node.id
+        if nid in infos:
+            raise ValueError(f"node id collision in {fn.name}: {nid}")
+        infos[nid] = node
+        order.append(nid)
+        succ[nid] = set()
+        return nid
+
+    def link(preds: Sequence[str], target: str) -> None:
+        for pred in preds:
+            succ[pred].add(target)
+
+    # ``add`` runs in source order, so the ids a scope governs are the
+    # slice of ``order`` that its body's wiring appended.
+    def wire(stmts, preds: List[str]) -> List[str]:
+        current = preds
+        for stmt in stmts:
+            if isinstance(stmt, SimpleStmt):
+                nid = add(stmt.node)
+                link(current, nid)
+                current = [] if stmt.node.is_return else [nid]
+            elif isinstance(stmt, IfStmt):
+                nid = add(stmt.node)
+                link(current, nid)
+                mark = len(order)
+                current = wire(stmt.then, [nid])
+                if stmt.orelse:
+                    current = current + wire(stmt.orelse, [nid])
+                else:
+                    current = current + [nid]
+                scopes[nid] = tuple(order[mark:])
+            elif isinstance(stmt, WhileStmt):
+                nid = add(stmt.node)
+                link(current, nid)
+                mark = len(order)
+                link(wire(stmt.body, [nid]), nid)
+                scopes[nid] = tuple(order[mark:])
+                current = [nid]
+            elif isinstance(stmt, ForStmt):
+                if stmt.init is not None:
+                    init_id = add(stmt.init)
+                    link(current, init_id)
+                    current = [init_id]
+                nid = add(stmt.node)
+                link(current, nid)
+                upd_id = None if stmt.update is None else add(stmt.update)
+                mark = len(order)
+                body_out = wire(stmt.body, [nid])
+                governed = order[mark:]
+                if upd_id is not None:
+                    link(body_out, upd_id)
+                    link([upd_id], nid)
+                    governed.append(upd_id)
+                else:
+                    link(body_out, nid)
+                scopes[nid] = tuple(governed)
+                current = [nid]
+            else:
+                raise TypeError(stmt)
+        return current
+
+    # entry -> param defs -> body
+    chain = [add(fn.entry)]
+    for param in fn.param_nodes:
+        pid = add(param)
+        link(chain, pid)
+        chain = [pid]
+    wire(fn.body, chain)
+
+    return FunctionFlow(
+        name=fn.name,
+        node_ids=tuple(order),
+        cfg_succ={nid: tuple(sorted(targets)) for nid, targets in succ.items()},
+        control_scopes=scopes,
+        infos=infos,
+    )
+
+
 # ── public entry points ─────────────────────────────────────────────────
 
 def parse_ir(sources: Sequence[Tuple[str, str]]) -> List[FunctionIR]:
     functions: List[FunctionIR] = []
+    seen: Set[str] = set()
     for path, text in sources:
+        # Node ids are ``path:line:col``, so one path parsed twice would
+        # give two nodes one id.
+        if path in seen:
+            raise ParseError(f"duplicate source path: {path}", path, 1, 1)
+        seen.add(path)
         functions.extend(_FileParser(path, text).parse_file())
     counts = Counter(fn.name for fn in functions)
     for fn in functions:
@@ -671,81 +754,39 @@ def parse_ir(sources: Sequence[Tuple[str, str]]) -> List[FunctionIR]:
     return functions
 
 
-def iter_nodes(fn: FunctionIR) -> List[NodeInfo]:
-    """All nodes of a function in source order: entry, params, body."""
-    out: List[NodeInfo] = [fn.entry]
-    out.extend(fn.param_nodes)
-
-    def walk(stmts):
-        for stmt in stmts:
-            if isinstance(stmt, SimpleStmt):
-                out.append(stmt.node)
-            elif isinstance(stmt, IfStmt):
-                out.append(stmt.node)
-                walk(stmt.then)
-                walk(stmt.orelse)
-            elif isinstance(stmt, WhileStmt):
-                out.append(stmt.node)
-                walk(stmt.body)
-            elif isinstance(stmt, ForStmt):
-                if stmt.init is not None:
-                    out.append(stmt.init)
-                out.append(stmt.node)
-                if stmt.update is not None:
-                    out.append(stmt.update)
-                walk(stmt.body)
-
-    walk(fn.body)
-    return out
-
-
 def parse_program(
     sources: Sequence[Tuple[str, str]],
     entry: Optional[str] = None,
 ) -> Program:
-    """Parse mini-C sources into a :class:`Program`.
+    """Parse mini-C sources into a :class:`Program`, each function's flow included.
 
     ``entry`` overrides entry-point inference; the inferred default is
     ``main`` when present, else the unique function nobody calls.
     """
     functions_ir = parse_ir(sources)
-    defs: List[FunctionDef] = []
-    for fn in functions_ir:
-        node_ids: List[str] = []
-        callsites: List[Tuple[str, str]] = []
-        for node in iter_nodes(fn):
-            node_ids.append(node.id)
-            callsites.extend((callee, node.id) for callee, _ in node.calls)
-        defs.append(
-            FunctionDef(
-                name=fn.name,
-                file=fn.file,
-                params=fn.params,
-                statements=tuple(node_ids),
-                callsites=tuple(callsites),
-                start_line=fn.start_line,
-                end_line=fn.end_line,
-            )
+    flows = tuple(build_function_flow(fn) for fn in functions_ir)
+    defs = [
+        FunctionDef(
+            name=fn.name,
+            file=fn.file,
+            params=fn.params,
+            statements=flow.node_ids,
+            callsites=tuple((callee, node.id) for node in flow.infos.values()
+                            for callee, _ in node.calls),
+            start_line=fn.start_line,
+            end_line=fn.end_line,
         )
+        for fn, flow in zip(functions_ir, flows)
+    ]
     if entry is not None:
         if entry not in {fn.name for fn in functions_ir}:
             raise ParseError(f"entry function not defined: {entry}", "<entry>", 1, 1)
         entry_name = entry
     else:
         entry_name = infer_entry_function(defs)
-    program = Program(
+    return Program(
         files=tuple(sources),
         functions=tuple(defs),
         entry_function=entry_name,
+        flows=flows,
     )
-    object.__setattr__(program, "_ir", tuple(functions_ir))
-    return program
-
-
-def program_ir(program: Program) -> Tuple[FunctionIR, ...]:
-    """The parse IR for ``program``, reparsing when it was not kept."""
-    ir = getattr(program, "_ir", None)
-    if ir is None:
-        ir = tuple(parse_ir(program.files))
-        object.__setattr__(program, "_ir", ir)
-    return ir

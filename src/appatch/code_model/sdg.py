@@ -1,6 +1,7 @@
 """System dependence graph construction over the parsed program model.
 
-Per function: a control-flow graph, reaching definitions over it (solved
+The parser hands over each function's nodes, control-flow graph and
+branch scopes.  Per function: reaching definitions over the CFG (solved
 on int bitsets, one bit per def fact), data edges for surviving def-use
 pairs, and control edges from each branch or loop header to the
 statements in its syntactic scope.  Across functions:
@@ -10,24 +11,9 @@ statements defining each argument to the callee's param-def nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .model import (
-    DependenceGraph,
-    ExternalInputSet,
-    Program,
-    StatementNode,
-)
-from .parser import (
-    ForStmt,
-    FunctionIR,
-    IfStmt,
-    NodeInfo,
-    SimpleStmt,
-    WhileStmt,
-    program_ir,
-)
+from .model import DependenceGraph, ExternalInputSet, FunctionFlow, Program
 
 # Curated call targets that introduce externally controlled data or state.
 # Extendable through configuration; this is only the default.
@@ -36,104 +22,6 @@ DEFAULT_EXTERNAL_FUNCTIONS = frozenset({
     "read", "fread", "fgets", "gets", "scanf", "fscanf",
     "recv", "recvfrom", "getenv", "socket_recv",
 })
-
-
-@dataclass(frozen=True)
-class FunctionFlow:
-    """Intra-function flow facts used to assemble the SDG."""
-
-    name: str
-    file: str
-    node_ids: Tuple[str, ...]                    # source order, entry first
-    cfg_succ: Mapping[str, Tuple[str, ...]]
-    control_scopes: Mapping[str, Tuple[str, ...]]  # header id -> governed ids
-    infos: Mapping[str, NodeInfo]
-
-
-def build_function_flow(fn: FunctionIR) -> FunctionFlow:
-    infos: Dict[str, NodeInfo] = {}
-    order: List[str] = []
-    succ: Dict[str, Set[str]] = {}
-    scopes: Dict[str, Tuple[str, ...]] = {}
-
-    def add(node: NodeInfo) -> str:
-        nid = node.id
-        if nid in infos:
-            raise ValueError(f"node id collision in {fn.name}: {nid}")
-        infos[nid] = node
-        order.append(nid)
-        succ[nid] = set()
-        return nid
-
-    def link(preds: Sequence[str], target: str) -> None:
-        for pred in preds:
-            succ[pred].add(target)
-
-    # ``add`` runs in source order, so the ids a scope governs are the
-    # slice of ``order`` that its body's wiring appended.
-    def wire(stmts, preds: List[str]) -> List[str]:
-        current = preds
-        for stmt in stmts:
-            if isinstance(stmt, SimpleStmt):
-                nid = add(stmt.node)
-                link(current, nid)
-                current = [] if stmt.node.is_return else [nid]
-            elif isinstance(stmt, IfStmt):
-                nid = add(stmt.node)
-                link(current, nid)
-                mark = len(order)
-                current = wire(stmt.then, [nid])
-                if stmt.orelse:
-                    current = current + wire(stmt.orelse, [nid])
-                else:
-                    current = current + [nid]
-                scopes[nid] = tuple(order[mark:])
-            elif isinstance(stmt, WhileStmt):
-                nid = add(stmt.node)
-                link(current, nid)
-                mark = len(order)
-                link(wire(stmt.body, [nid]), nid)
-                scopes[nid] = tuple(order[mark:])
-                current = [nid]
-            elif isinstance(stmt, ForStmt):
-                if stmt.init is not None:
-                    init_id = add(stmt.init)
-                    link(current, init_id)
-                    current = [init_id]
-                nid = add(stmt.node)
-                link(current, nid)
-                upd_id = None if stmt.update is None else add(stmt.update)
-                mark = len(order)
-                body_out = wire(stmt.body, [nid])
-                governed = order[mark:]
-                if upd_id is not None:
-                    link(body_out, upd_id)
-                    link([upd_id], nid)
-                    governed.append(upd_id)
-                else:
-                    link(body_out, nid)
-                scopes[nid] = tuple(governed)
-                current = [nid]
-            else:
-                raise TypeError(stmt)
-        return current
-
-    # entry -> param defs -> body
-    chain = [add(fn.entry)]
-    for param in fn.param_nodes:
-        pid = add(param)
-        link(chain, pid)
-        chain = [pid]
-    wire(fn.body, chain)
-
-    return FunctionFlow(
-        name=fn.name,
-        file=fn.file,
-        node_ids=tuple(order),
-        cfg_succ={nid: tuple(sorted(targets)) for nid, targets in succ.items()},
-        control_scopes=scopes,
-        infos=infos,
-    )
 
 
 class _ReachingDefs:
@@ -208,52 +96,36 @@ class _ReachingDefs:
 
 
 def build_sdg(program: Program) -> DependenceGraph:
-    """Assemble the interprocedural dependence graph for a parsed program.
+    """Assemble the interprocedural dependence graph of a program that
+    :func:`parse_program` built; the graph's nodes are the parser's own.
 
     Calls to functions not defined in the program get no call or param
     edges; their return values act as plain definitions at the callsite.
     """
-    flows = [build_function_flow(fn) for fn in program_ir(program)]
-    flow_by_name = {flow.name: flow for flow in flows}
-
-    nodes: List[StatementNode] = []
-    for flow in flows:
-        for nid in flow.node_ids:
-            info = flow.infos[nid]
-            nodes.append(
-                StatementNode(
-                    id=nid,
-                    file=flow.file,
-                    function=flow.name,
-                    line=info.line,
-                    text=info.text,
-                    kind=info.kind,
-                    defs=info.defs,
-                    uses=info.uses,
-                )
-            )
+    flows = program.flows
+    if len(flows) != len(program.functions):
+        raise ValueError("build_sdg needs a program from parse_program, "
+                         "which records each function's flow")
 
     edges: Set[Tuple[str, str, str]] = set()
     entry_ids = {flow.name: flow.node_ids[0] for flow in flows}
     param_ids = {
-        flow.name: [
-            nid for nid in flow.node_ids if flow.infos[nid].kind == "param-def"
-        ]
+        flow.name: [node.id for node in flow.infos.values() if node.kind == "param-def"]
         for flow in flows
     }
 
     for flow in flows:
         reaching = _ReachingDefs(flow)
-        for i, nid in enumerate(flow.node_ids):
-            info = flow.infos[nid]
-            for var in info.uses:
+        for i, node in enumerate(flow.infos.values()):
+            nid = node.id
+            for var in node.uses:
                 for def_id in reaching.def_ids(i, var):
                     edges.add((def_id, nid, "data"))
-            for callee, arg_uses in info.calls:
-                callee_flow = flow_by_name.get(callee)
-                if callee_flow is None:
+            for callee, arg_uses in node.calls:
+                entry_id = entry_ids.get(callee)
+                if entry_id is None:
                     continue  # unresolved callsite: recorded, never an error
-                edges.add((nid, entry_ids[callee], "call"))
+                edges.add((nid, entry_id, "call"))
                 formals = param_ids[callee]
                 for position, used in enumerate(arg_uses):
                     if position >= len(formals):
@@ -265,6 +137,7 @@ def build_sdg(program: Program) -> DependenceGraph:
             for target in governed:
                 edges.add((header, target, "control"))
 
+    nodes = (node for flow in flows for node in flow.infos.values())
     return DependenceGraph.build(nodes, edges)
 
 

@@ -16,11 +16,11 @@ from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import diffs
-from .code_model import build_sdg, import_graph, parse_program
+from .code_model import CodeModelError, build_sdg, import_graph, parse_program
 from .code_model.model import DependenceGraph, Program
 from .code_model.sdg import identify_external_inputs
 from .files import write_text_atomic
-from .gateway import ConfigurationError, Provider, ProviderError, prompt_sha
+from .gateway import Provider, ProviderError, prompt_sha
 from .prompts import (
     build_mining_prompt,
     render_cwes,
@@ -28,6 +28,7 @@ from .prompts import (
     render_lines,
 )
 from .scoping import (
+    ScopingError,
     VulnSpec,
     functions_containing,
     reach,
@@ -88,11 +89,11 @@ class DatasetSample:
                 ),
                 cwe_ids=tuple(vuln_doc.get("cwes", ())),
             )
+            sources = doc.get("sources")
+            if sources is not None:
+                sources = tuple((str(path), str(text)) for path, text in sources)
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"bad sample record: {exc}") from exc
-        sources = doc.get("sources")
-        if sources is not None:
-            sources = tuple((str(path), str(text)) for path, text in sources)
         return cls(
             id=str(sample_id),
             vuln=vuln,
@@ -299,9 +300,14 @@ def mine_exemplar(
     """Phase-1 mining of one sample; the ground-truth patch rides along."""
     if not sample.ground_truth_patch:
         raise MiningError(sample.id, "mining needs a ground-truth patch")
-    program, graph, result, rendered, reaching_ei = mining_slice(
-        sample, external_functions
-    )
+    try:
+        program, graph, result, rendered, reaching_ei = mining_slice(
+            sample, external_functions
+        )
+    except CodeModelError as exc:
+        raise MiningError(sample.id, f"cannot build the dependence graph: {exc}") from exc
+    except ScopingError as exc:
+        raise MiningError(sample.id, str(exc)) from exc
     prompt = build_mining_prompt(
         slice_text=rendered.text,
         cwes=render_cwes(sample.vuln.cwe_ids),
@@ -342,9 +348,13 @@ def build_pool(
     external_functions: Optional[FrozenSet[str]] = None,
     jobs: int = 1,
 ) -> Tuple[ExemplarPool, List[MiningFailure]]:
-    """Mine a whole dataset; failures are reported, never fatal.
+    """Mine a whole dataset.
 
-    Pool order follows dataset order regardless of completion order.
+    A sample that cannot be mined (its graph does not build, its slice
+    does not resolve, its provider fails or answers out of shape) is
+    reported as a failure and the run goes on; any other exception is a
+    defect and propagates.  Pool order follows dataset order regardless
+    of completion order.
     """
     results: List[Optional[Exemplar]] = [None] * len(dataset)
     failures: List[MiningFailure] = []
@@ -355,11 +365,6 @@ def build_pool(
             results[index] = mine_exemplar(sample, provider, external_functions)
         except MiningError as exc:
             failures.append(MiningFailure(sample.id, str(exc)))
-        except ConfigurationError:
-            raise   # a misconfigured provider fails every sample alike
-        except Exception as exc:  # defensive: one bad sample must not sink the run
-            log.exception("unexpected mining failure for %s", sample.id)
-            failures.append(MiningFailure(sample.id, f"unexpected: {exc}"))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as executor:

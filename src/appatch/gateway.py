@@ -328,17 +328,29 @@ def accounting_report(exchanges: Sequence[Exchange]) -> Dict[str, Dict[str, Any]
 
 # ── configuration ───────────────────────────────────────────────────────
 
+# Retry and pacing keys that scripted and http-chat entries share, with their types.
+_SHELL_KEYS = (
+    ("attempts", int, "an integer"),
+    ("rpm_limit", int, "an integer"),
+    ("max_concurrency", int, "an integer"),
+    ("backoff", (int, float), "a number"),
+)
+
+
 def _build_one(entry: Mapping[str, Any], base_dir: Optional[Path]) -> Provider:
     kind = entry.get("kind")
     provider_id = entry.get("id")
     if not provider_id or not isinstance(provider_id, str):
         raise ConfigurationError("provider entry needs a string 'id'")
     common = {}
-    for key in ("attempts", "rpm_limit", "max_concurrency"):
+    for key, types, describe in _SHELL_KEYS:
         if key in entry:
-            common[key] = entry[key]
-    if "backoff" in entry:
-        common["backoff"] = entry["backoff"]
+            value = entry[key]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigurationError(
+                    f"provider {provider_id!r}: {key!r} must be {describe}"
+                )
+            common[key] = value
     if kind == "scripted":
         responses = entry.get("responses")
         if responses is None:

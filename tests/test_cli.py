@@ -628,3 +628,104 @@ def test_eval_malformed_results_are_usage_errors(tmp_path, patched_results, caps
                  "--report", str(tmp_path / "report.json")])
     assert code == 2
     assert str(sample_dir / named) in capsys.readouterr().err
+
+
+# ── malformed inputs exit with a code, not a traceback ───────────────────
+
+def test_slice_two_sources_with_one_name_is_parse_failure(tmp_path, capsys):
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "x.c").write_text(f"int {folder}(int n){{return n;}}\n")
+    code = main(["slice", "--source", str(tmp_path / "a" / "x.c"),
+                 "--source", str(tmp_path / "b" / "x.c"), "--vuln", "x.c:1",
+                 "--out", str(tmp_path / "s.json")])
+    assert code == 1
+    assert "parse failed: x.c:1:1: duplicate source path: x.c" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_patch_sample_listing_one_path_twice_is_pipeline_error(tmp_path, mined_pool,
+                                                               capsys):
+    config, pool_path = mined_pool
+    doc = json.loads((FIXTURES / "sample_e2e.json").read_text())
+    doc["sources"] = doc["sources"] * 2
+    sample = tmp_path / "twice.json"
+    sample.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out-twice"
+    code = main(["patch", "--sample", str(sample), "--pool", str(pool_path),
+                 "--provider", "gen", "--out", str(out_dir), "--config", str(config)])
+    assert code == 1
+    assert "duplicate source path: jsi_like.c" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def _record_with_short_sources_entry():
+    return {"id": "short", "vuln": {"lines": [["a.c", 1]], "cwes": []},
+            "sources": [["a.c"]], "ground_truth_patch": ""}
+
+
+@pytest.mark.parametrize("command", ["mine", "patch", "eval"])
+def test_sources_entry_without_text_is_usage_error(tmp_path, mined_pool, capsys, command):
+    config, pool_path = mined_pool
+    record = tmp_path / "record.jsonl"
+    record.write_text(json.dumps(_record_with_short_sources_entry()) + "\n")
+    argv = {
+        "mine": ["mine", "--dataset", str(record), "--provider", "miner",
+                 "--pool", str(tmp_path / "short-pool.jsonl"), "--config", str(config)],
+        "patch": ["patch", "--sample", str(record), "--pool", str(pool_path),
+                  "--provider", "gen", "--out", str(tmp_path / "out-short"),
+                  "--config", str(config)],
+        "eval": ["eval", "--results", str(tmp_path), "--ground-truth", str(record),
+                 "--report", str(tmp_path / "report-short.json")],
+    }[command]
+    assert main(argv) == 2
+    assert "bad sample record: not enough values to unpack" in capsys.readouterr().err
+
+
+def test_slice_vuln_line_of_superscript_digits_is_usage_error(tmp_path, capsys):
+    code = main(["slice", "--source", str(FIXTURES / "jsi_like.c"),
+                 "--vuln", "jsi_like.c:\u00b2", "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "--vuln expects file:line, got 'jsi_like.c:\u00b2'" in capsys.readouterr().err
+
+
+def _providers_as_object(doc):
+    doc["providers"] = {p["id"]: p for p in doc["providers"]}
+
+
+def _provider_entry_not_an_object(doc):
+    doc["providers"].append("miner")
+
+
+def _external_functions_as_string(doc):
+    doc["external_functions"] = "recv"
+
+
+def _miner_key(key, value):
+    def mutate(doc):
+        next(p for p in doc["providers"] if p["id"] == "miner")[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_providers_as_object, "providers must be an array of objects"),
+    (_provider_entry_not_an_object, "providers must be an array of objects"),
+    (_external_functions_as_string, "external_functions must be an array of strings"),
+    (_miner_key("attempts", "3"), "provider 'miner': 'attempts' must be an integer"),
+    (_miner_key("rpm_limit", "60"), "provider 'miner': 'rpm_limit' must be an integer"),
+    (_miner_key("max_concurrency", 2.5),
+     "provider 'miner': 'max_concurrency' must be an integer"),
+    (_miner_key("backoff", "0.5"), "provider 'miner': 'backoff' must be a number"),
+], ids=["providers-object", "provider-entry", "external-functions", "attempts",
+        "rpm-limit", "max-concurrency", "backoff"])
+def test_config_of_the_wrong_shape_is_usage_error(tmp_path, capsys, mutate, message):
+    config = write_config(tmp_path)
+    doc = json.loads(config.read_text())
+    mutate(doc)
+    config.write_text(json.dumps(doc))
+    pool_path = tmp_path / "pool.jsonl"
+    code = main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"),
+                 "--provider", "miner", "--pool", str(pool_path), "--config", str(config)])
+    assert code == 2
+    assert f"config file {config}: {message}" in capsys.readouterr().err
+    assert not pool_path.exists()

@@ -324,3 +324,29 @@ def test_mining_reaching_ei_matches_per_input_oracle(monkeypatch):
             fell_back += 1
         assert reaching_ei == expected, (index, spans)
     assert 0 < fell_back < 200
+
+
+# ── failures are explicit: a sample's failure is reported, a defect raised ─
+
+def test_sample_that_does_not_parse_is_a_reported_parse_failure():
+    broken = DatasetSample(
+        id="broken", vuln=VulnSpec((("bad.c", 1),), ("CWE-787",)),
+        sources=(("bad.c", "int f(){"),), ground_truth_patch="unused",
+    )
+    pool, failures = build_pool([broken], scripted([]))
+    assert len(pool) == 0
+    assert [f.message for f in failures] == [
+        "sample 'broken': cannot build the dependence graph: "
+        "bad.c:1:9: expected '}', found end of input"
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_defect_while_mining_propagates_out_of_build_pool(dataset, monkeypatch, jobs):
+    def defect(*args, **kwargs):
+        raise RuntimeError("defect in mining_slice")
+
+    monkeypatch.setattr(exemplars, "mining_slice", defect)
+    response = load_script("mine.json")[0]
+    with pytest.raises(RuntimeError, match="defect in mining_slice"):
+        build_pool(dataset, scripted([response] * 3), jobs=jobs)

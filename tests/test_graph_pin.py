@@ -24,12 +24,11 @@ import pytest  # noqa: E402
 
 from appatch.code_model import (  # noqa: E402
     UnsupportedConstructError,
-    build_function_flow,
     build_sdg,
     dump_graph,
     parse_program,
 )
-from appatch.code_model.parser import program_ir, tokenize  # noqa: E402
+from appatch.code_model.parser import tokenize  # noqa: E402
 
 TOKENS_SHA256 = "b4867fd07fc13b6dfde1a9a404450b9f117c22f94a6d92e1c3c5e099bf4b7add"
 GRAPH_SHA256 = "863fe69f2894368eac848f508d2cd72e2851f35db269cc9ef035bd315f5cf54a"
@@ -65,8 +64,8 @@ def _flow_facts(sources):
     program = parse_program(sources)
     facts = [["callsites", fn.name, [list(site) for site in fn.callsites]]
              for fn in program.functions]
-    for fn in program_ir(program):
-        for nid, info in build_function_flow(fn).infos.items():
+    for flow in program.flows:
+        for nid, info in flow.infos.items():
             facts.append([
                 nid, info.kind, sorted(info.defs), sorted(info.uses),
                 [[callee, [sorted(used) for used in args]] for callee, args in info.calls],
@@ -86,8 +85,8 @@ def test_flow_facts_of_fixtures_and_benchmark_program_are_pinned(fixtures_dir):
 
 def _statement_facts(statement):
     source = f"int t(int a, int i, int *p, int x){{\n{statement}\nreturn 0;}}\n"
-    (fn,) = program_ir(parse_program([("e.c", source)]))
-    info = next(n for n in build_function_flow(fn).infos.values() if n.line == 2)
+    (flow,) = parse_program([("e.c", source)]).flows
+    info = next(n for n in flow.infos.values() if n.line == 2)
     calls = [(callee, [sorted(used) for used in args]) for callee, args in info.calls]
     return info.kind, sorted(info.defs), sorted(info.uses), calls
 

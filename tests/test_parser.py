@@ -134,6 +134,14 @@ def test_duplicate_function_reported_at_first_duplicated_name():
     assert (err.value.file, err.value.line, err.value.col) == ("a.c", 1, 1)
 
 
+def test_source_path_given_twice_is_rejected_by_name():
+    with pytest.raises(ParseError) as err:
+        parse_ir([("x.c", "int a(){return 0;}"), ("y.c", "int b(){return 0;}"),
+                  ("x.c", "int c(){return 0;}")])
+    assert err.value.message == "duplicate source path: x.c"
+    assert (err.value.file, err.value.line, err.value.col) == ("x.c", 1, 1)
+
+
 # ── lexer ────────────────────────────────────────────────────────────────
 
 @pytest.mark.parametrize("source,error,message,line,col", [

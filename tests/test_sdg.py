@@ -16,9 +16,10 @@ from appatch.code_model.parser import (
     IfStmt,
     SimpleStmt,
     WhileStmt,
-    program_ir,
+    build_function_flow,
+    parse_ir,
 )
-from appatch.code_model.sdg import _ReachingDefs, build_function_flow
+from appatch.code_model.sdg import _ReachingDefs
 
 
 def brute_force_data_edges(flow):
@@ -143,7 +144,7 @@ def test_fixture_edges_match_brute_force_oracle(fixtures_dir, fixture):
     source = (fixtures_dir / fixture).read_text()
     program = parse_program([(fixture, source)])
     graph = build_sdg(program)
-    for fn_ir in program_ir(program):
+    for fn_ir in parse_ir(program.files):
         flow = build_function_flow(fn_ir)
         expected = brute_force_data_edges(flow) | brute_force_control_edges(fn_ir, flow)
         assert intraprocedural_edges(graph, fn_ir.name) == expected
@@ -316,7 +317,7 @@ def test_random_programs_match_brute_force_oracle():
         source = _random_mini_c(rng)
         program = parse_program([("r.c", source)])
         graph = build_sdg(program)
-        for fn_ir in program_ir(program):
+        for fn_ir in parse_ir(program.files):
             flow = build_function_flow(fn_ir)
             expected = brute_force_data_edges(flow) | brute_force_control_edges(
                 fn_ir, flow
@@ -367,7 +368,7 @@ def test_reaching_definitions_equal_the_set_based_fixed_point(fixtures_dir):
                for f in ("jsi_like.c", "idx_read.c", "null_use.c")]
     sources += [(f"r{i}.c", _random_mini_c(rng)) for i in range(40)]
     for name, source in sources:
-        for fn_ir in program_ir(parse_program([(name, source)])):
+        for fn_ir in parse_ir(parse_program([(name, source)]).files):
             flow = build_function_flow(fn_ir)
             assert reaching_definitions(flow) == set_based_reaching_definitions(flow), (
                 name, fn_ir.name)
@@ -376,7 +377,7 @@ def test_reaching_definitions_equal_the_set_based_fixed_point(fixtures_dir):
 def test_use_of_a_never_defined_variable_gets_no_data_edge():
     source = "int f(int a){int c; c = zz; c = c + a; while(a){a = zz + 1;} return c;}"
     program = parse_program([("u.c", source)])
-    (fn_ir,) = program_ir(program)
+    (fn_ir,) = parse_ir(program.files)
     flow = build_function_flow(fn_ir)
     in_sets = reaching_definitions(flow)
     assert in_sets == set_based_reaching_definitions(flow)
@@ -423,3 +424,24 @@ def test_calls_in_an_array_size_are_callsites():
     assert program.function("main").callsites == (("recv", "t.c:2:10"),)
     ei = identify_external_inputs(program, build_sdg(program))
     assert ei.reasons["t.c:2:10"] == "external-call"
+
+
+def test_graph_holds_the_parsers_nodes(jsi_program, jsi_graph):
+    for flow in jsi_program.flows:
+        for nid, node in flow.infos.items():
+            assert jsi_graph.nodes[nid] is node
+
+
+def test_build_sdg_needs_a_program_from_parse_program(jsi_graph):
+    from appatch.code_model import dump_graph, import_graph
+    from appatch.code_model.model import FunctionDef, Program
+
+    imported, _ = import_graph(dump_graph(jsi_graph))
+    with pytest.raises(ValueError, match="build_sdg needs a program from parse_program"):
+        build_sdg(imported)
+    by_hand = Program(files=(("h.c", "int f(){return 0;}"),), functions=(
+        FunctionDef(name="f", file="h.c", params=(), statements=(), callsites=(),
+                    start_line=1, end_line=1),
+    ))
+    with pytest.raises(ValueError, match="build_sdg needs a program from parse_program"):
+        build_sdg(by_hand)
