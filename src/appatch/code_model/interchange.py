@@ -51,9 +51,8 @@ def dump_graph(graph: DependenceGraph) -> str:
 
 
 def _require(value: Any, typ, path: str, describe: str) -> Any:
-    if typ is int and isinstance(value, bool):
-        raise GraphFormatError(f"expected {describe}", path)
-    if not isinstance(value, typ):
+    # JSON decodes to exact builtin types, so a bool is never an int here.
+    if type(value) is not typ:
         raise GraphFormatError(f"expected {describe}", path)
     return value
 
@@ -104,7 +103,6 @@ def import_graph(document: Any) -> Tuple[Program, DependenceGraph]:
             line=line, text=text, kind=kind,
         ))
 
-    by_id = {node.id: node for node in nodes}
     edges = []
     for i, item in enumerate(raw_edges):
         path = f"$.edges[{i}]"
@@ -116,9 +114,9 @@ def import_graph(document: Any) -> Tuple[Program, DependenceGraph]:
             raise GraphFormatError(
                 f"kind must be one of {'|'.join(EDGE_KINDS)}", f"{path}.kind"
             )
-        if src not in by_id:
+        if src not in seen:
             raise GraphFormatError(f"dangling edge: unknown node {src!r}", f"{path}.src")
-        if dst not in by_id:
+        if dst not in seen:
             raise GraphFormatError(f"dangling edge: unknown node {dst!r}", f"{path}.dst")
         edges.append((src, dst, kind))
 
@@ -127,79 +125,58 @@ def import_graph(document: Any) -> Tuple[Program, DependenceGraph]:
     return program, graph
 
 
+# Call edges only exist for callees defined in the graph; callsites of
+# library functions are recovered from the statement text.
+_CALL_RE = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\s*\(")
+_NON_CALLS = frozenset({"if", "while", "for", "return", "sizeof", "switch"})
+
+
 def _reconstruct_program(graph: DependenceGraph) -> Program:
     """Best-effort Program for an imported graph.
 
     Source text is synthesized per line from node texts, which is enough
-    for slice rendering; parameters come from param-def nodes and
-    callsites from call edges.
+    for slice rendering; callsites come from call edges and, for callees
+    the graph does not define, from the statement text.
     """
-    by_function: Dict[str, List[StatementNode]] = {}
+    calls_at: Dict[str, List[str]] = {}
+    for src, dst in sorted((src, dst) for src, dst, kind in graph.edges if kind == "call"):
+        callee = graph.nodes[dst]
+        if callee.kind == "entry":
+            calls_at.setdefault(src, []).append(callee.function)
+
+    members: Dict[str, List[StatementNode]] = {}
+    callsites: Dict[str, List[Tuple[str, str]]] = {}
+    lines: Dict[str, Dict[int, str]] = {}
     for nid in graph.sorted_node_ids():
         node = graph.nodes[nid]
-        by_function.setdefault(node.function, []).append(node)
-
-    entry_of = {}
-    for name, members in by_function.items():
-        for node in members:
-            if node.kind == "entry":
-                entry_of[node.id] = name
-
-    calls_at_node: Dict[str, List[str]] = {}
-    for src, dst, kind in sorted(graph.edges):
-        if kind == "call" and dst in entry_of:
-            calls_at_node.setdefault(src, []).append(entry_of[dst])
-
-    # Call edges only exist for callees defined in the graph; callsites of
-    # library functions are recovered from the statement text.
-    call_pattern = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\s*\(")
-    non_calls = {"if", "while", "for", "return", "sizeof", "switch"}
-    for nid in graph.sorted_node_ids():
-        node = graph.nodes[nid]
-        if node.kind in ("entry", "param-def"):
-            continue
-        known = calls_at_node.setdefault(nid, [])
-        for name in call_pattern.findall(node.text):
-            if name not in non_calls and name not in known:
-                known.append(name)
-
-    callsites_by_function: Dict[str, List[Tuple[str, str]]] = {
-        name: [] for name in by_function
-    }
-    for nid in graph.sorted_node_ids():
-        for callee in calls_at_node.get(nid, ()):
-            caller = graph.nodes[nid].function
-            callsites_by_function.setdefault(caller, []).append((callee, nid))
-
-    functions = []
-    for name, members in sorted(by_function.items()):
-        params = tuple(
-            node.text for node in members if node.kind == "param-def"
+        members.setdefault(node.function, []).append(node)
+        lines.setdefault(node.file, {}).setdefault(node.line, node.text)
+        callees = calls_at.get(nid, [])
+        if node.kind not in ("entry", "param-def"):
+            for name in _CALL_RE.findall(node.text):
+                if name not in _NON_CALLS and name not in callees:
+                    callees.append(name)
+        callsites.setdefault(node.function, []).extend(
+            (callee, nid) for callee in callees
         )
-        functions.append(FunctionDef(
+
+    functions = [
+        FunctionDef(
             name=name,
-            file=members[0].file,
-            params=params,
-            statements=tuple(node.id for node in members),
-            callsites=tuple(callsites_by_function.get(name, ())),
-            start_line=min(node.line for node in members),
-            end_line=max(node.line for node in members),
-        ))
-
-    files: Dict[str, Dict[int, str]] = {}
-    for nid in graph.sorted_node_ids():
-        node = graph.nodes[nid]
-        files.setdefault(node.file, {})
-        files[node.file].setdefault(node.line, node.text)
-    file_texts = []
-    for path in sorted(files):
-        line_map = files[path]
-        top = max(line_map)
-        lines = [line_map.get(i, "") for i in range(1, top + 1)]
-        file_texts.append((path, "\n".join(lines)))
-
+            file=nodes[0].file,
+            statements=tuple(node.id for node in nodes),
+            callsites=tuple(callsites[name]),
+            start_line=min(node.line for node in nodes),
+            end_line=max(node.line for node in nodes),
+        )
+        for name, nodes in sorted(members.items())
+    ]
+    files = tuple(
+        (path, "\n".join(texts.get(i, "") for i in range(1, max(texts) + 1)))
+        for path, texts in sorted(lines.items())
+    )
     return Program(
-        files=tuple(file_texts),
+        files=files,
         functions=tuple(functions),
         entry_function=infer_entry_function(functions),
     )

@@ -6,6 +6,7 @@ parses of the same sources always produce the same graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
@@ -115,7 +116,6 @@ class FunctionDef:
 
     name: str
     file: str
-    params: Tuple[str, ...]
     statements: Tuple[str, ...]          # node ids owned by this function
     callsites: Tuple[Tuple[str, str], ...]  # (callee name, node id)
     start_line: int
@@ -208,12 +208,9 @@ class DependenceGraph:
 
     nodes: Mapping[str, StatementNode]
     edges: FrozenSet[Tuple[str, str, str]]
-    _succ: Dict[str, Tuple[Tuple[str, str], ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    _pred: Dict[str, Tuple[Tuple[str, str], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    # node id -> neighbour ids; an edge's kind is kept in ``edges`` only
+    _succ: Dict[str, List[str]] = field(init=False, repr=False, compare=False)
+    _pred: Dict[str, List[str]] = field(init=False, repr=False, compare=False)
     # (file, line) -> node ids on that line, in column order, ties in
     # document order
     _at: Dict[Tuple[str, int], Tuple[str, ...]] = field(
@@ -221,14 +218,14 @@ class DependenceGraph:
     )
 
     def __post_init__(self):
-        succ: Dict[str, List[Tuple[str, str]]] = {nid: [] for nid in self.nodes}
-        pred: Dict[str, List[Tuple[str, str]]] = {nid: [] for nid in self.nodes}
+        succ: Dict[str, List[str]] = {nid: [] for nid in self.nodes}
+        pred: Dict[str, List[str]] = {nid: [] for nid in self.nodes}
         # Adjacency order is unobservable: every walk over it is set-based.
-        for src, dst, kind in self.edges:
-            succ[src].append((dst, kind))
-            pred[dst].append((src, kind))
-        object.__setattr__(self, "_succ", {k: tuple(v) for k, v in succ.items()})
-        object.__setattr__(self, "_pred", {k: tuple(v) for k, v in pred.items()})
+        for src, dst, _kind in self.edges:
+            succ[src].append(dst)
+            pred[dst].append(src)
+        object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", pred)
         at: Dict[Tuple[str, int], List[str]] = {}
         for node in self.nodes.values():
             at.setdefault((node.file, node.line), []).append(node.id)
@@ -243,21 +240,17 @@ class DependenceGraph:
         nodes: Iterable[StatementNode],
         edges: Iterable[Tuple[str, str, str]],
     ) -> "DependenceGraph":
-        node_map = {}
-        for node in nodes:
-            if node.id in node_map:
-                raise ValueError(f"duplicate node id: {node.id}")
-            node_map[node.id] = node
-        edge_set = set()
-        for src, dst, kind in edges:
-            if kind not in EDGE_KINDS:
-                raise ValueError(f"bad edge kind: {kind!r}")
-            if src not in node_map:
-                raise ValueError(f"edge references missing node: {src}")
-            if dst not in node_map:
-                raise ValueError(f"edge references missing node: {dst}")
-            edge_set.add((src, dst, kind))
-        return cls(nodes=node_map, edges=frozenset(edge_set))
+        """The graph of ``nodes`` and ``edges``; node ids must be distinct.
+
+        Edge kinds and endpoints are the producer's to check:
+        :func:`import_graph` checks them in outside documents.
+        """
+        nodes = tuple(nodes)
+        node_map = {node.id: node for node in nodes}
+        if len(node_map) != len(nodes):
+            dup = next(nid for nid, n in Counter(node.id for node in nodes).items() if n > 1)
+            raise ValueError(f"duplicate node id: {dup}")
+        return cls(nodes=node_map, edges=frozenset(edges))
 
     def node(self, node_id: str) -> StatementNode:
         try:

@@ -173,7 +173,6 @@ Stmt = Union[SimpleStmt, IfStmt, WhileStmt, ForStmt]
 class FunctionIR:
     name: str
     file: str
-    params: Tuple[str, ...]
     entry: StatementNode
     param_nodes: Tuple[StatementNode, ...]
     body: Tuple["Stmt", ...]
@@ -323,7 +322,6 @@ class _FileParser:
         return FunctionIR(
             name=name_tok.value,
             file=self.file,
-            params=tuple(p_name.value for _, p_name, _, _ in params),
             entry=entry,
             param_nodes=param_nodes,
             body=tuple(body),
@@ -657,8 +655,6 @@ def build_function_flow(fn: FunctionIR) -> FunctionFlow:
 
     def add(node: StatementNode) -> str:
         nid = node.id
-        if nid in infos:
-            raise ValueError(f"node id collision in {fn.name}: {nid}")
         infos[nid] = node
         order.append(nid)
         succ[nid] = set()
@@ -769,7 +765,6 @@ def parse_program(
         FunctionDef(
             name=fn.name,
             file=fn.file,
-            params=fn.params,
             statements=flow.node_ids,
             callsites=tuple((callee, node.id) for node in flow.infos.values()
                             for callee, _ in node.calls),

@@ -160,6 +160,4 @@ def identify_external_inputs(
         for node_id in entry_fn.statements:
             if graph.node(node_id).kind == "param-def":
                 reasons[node_id] = "program-input-param"
-    result = ExternalInputSet(reasons=reasons)
-    result.validate_against(graph)
-    return result
+    return ExternalInputSet(reasons=reasons)

@@ -336,21 +336,35 @@ _SHELL_KEYS = (
     ("backoff", (int, float), "a number"),
 )
 
+# Request keys of http-chat entries, named as ``HttpChatProvider`` takes them.
+_HTTP_CHAT_KEYS = (
+    ("timeout", (int, float), "a number"),
+    ("temperature", (int, float), "a number"),
+    ("max_tokens", int, "an integer"),
+    ("auth_env", str, "a string"),
+)
 
-def _build_one(entry: Mapping[str, Any], base_dir: Optional[Path]) -> Provider:
-    kind = entry.get("kind")
-    provider_id = entry.get("id")
-    if not provider_id or not isinstance(provider_id, str):
-        raise ConfigurationError("provider entry needs a string 'id'")
-    common = {}
-    for key, types, describe in _SHELL_KEYS:
+
+def _typed_keys(entry: Mapping[str, Any], provider_id: str, keys) -> Dict[str, Any]:
+    """The entry's values for those of ``keys`` it sets, each checked for type."""
+    found = {}
+    for key, types, describe in keys:
         if key in entry:
             value = entry[key]
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigurationError(
                     f"provider {provider_id!r}: {key!r} must be {describe}"
                 )
-            common[key] = value
+            found[key] = value
+    return found
+
+
+def _build_one(entry: Mapping[str, Any], base_dir: Optional[Path]) -> Provider:
+    kind = entry.get("kind")
+    provider_id = entry.get("id")
+    if not provider_id or not isinstance(provider_id, str):
+        raise ConfigurationError("provider entry needs a string 'id'")
+    common = _typed_keys(entry, provider_id, _SHELL_KEYS)
     if kind == "scripted":
         responses = entry.get("responses")
         if responses is None:
@@ -386,14 +400,17 @@ def _build_one(entry: Mapping[str, Any], base_dir: Optional[Path]) -> Provider:
             raise ConfigurationError(
                 f"http-chat provider {provider_id!r} needs 'endpoint' and 'model'"
             )
+        headers = entry.get("headers", {})
+        if not isinstance(headers, dict) or not all(
+            isinstance(name, str) and isinstance(value, str)
+            for name, value in headers.items()
+        ):
+            raise ConfigurationError(
+                f"provider {provider_id!r}: 'headers' must be an object of strings"
+            )
         return HttpChatProvider(
-            provider_id, model, endpoint,
-            auth_env=entry.get("auth_env"),
-            temperature=entry.get("temperature", 0.0),
-            max_tokens=entry.get("max_tokens", 2048),
-            timeout=entry.get("timeout", 120.0),
-            extra_headers=entry.get("headers"),
-            **common,
+            provider_id, model, endpoint, extra_headers=headers,
+            **_typed_keys(entry, provider_id, _HTTP_CHAT_KEYS), **common,
         )
     raise ConfigurationError(f"unknown provider kind: {kind!r}")
 

@@ -262,11 +262,9 @@ def _function_line_ranges(program: Program, functions: FrozenSet[str]):
 
 
 def _hunks_inside(diff_text: str, ranges) -> bool:
-    try:
-        per_file = diffs.touched_lines(diff_text)
-    except diffs.DiffError:
-        return False
-    for file, spans in per_file.items():
+    """Whether every hunk lies in ``ranges``; raises ``DiffError`` when the
+    text is not a parseable diff."""
+    for file, spans in diffs.touched_lines(diff_text).items():
         allowed = ranges.get(file)
         if not allowed:
             return False
@@ -317,7 +315,13 @@ def generate_patches(
     patches: List[CandidatePatch] = []
     for match in _PATCH_BLOCK_RE.finditer(exchange.response):
         diff_text = match.group(2)
-        if not _hunks_inside(diff_text, ranges):
+        try:
+            inside = _hunks_inside(diff_text, ranges)
+        except diffs.DiffError as exc:
+            log.warning("patch block %s is not a parseable diff (%s); dropping it",
+                        match.group(1), exc)
+            continue
+        if not inside:
             log.warning("patch block %s references lines outside the rendered "
                         "functions; dropping it", match.group(1))
             continue

@@ -79,18 +79,16 @@ class RenderedSlice:
     empty: bool = False
 
 
-def reach(
-    step: Mapping[str, Sequence[Tuple[str, str]]], starts: Iterable[str]
-) -> Set[str]:
+def reach(step: Mapping[str, Sequence[str]], starts: Iterable[str]) -> Set[str]:
     """Every node reachable from ``starts`` along ``step``, starts included.
 
-    ``step`` maps a node to its ``(neighbour, edge kind)`` pairs: the
-    graph's successor map walks forward, its predecessor map backward.
+    ``step`` maps a node to its neighbours: the graph's successor map
+    walks forward, its predecessor map backward.
     """
     seen = set(starts)
     stack = list(seen)
     while stack:
-        for neighbour, _kind in step[stack.pop()]:
+        for neighbour in step[stack.pop()]:
             if neighbour not in seen:
                 seen.add(neighbour)
                 stack.append(neighbour)

@@ -707,6 +707,16 @@ def _miner_key(key, value):
     return mutate
 
 
+def _http_chat_key(key, value):
+    """Add an http-chat provider ``chat`` with one key of the wrong type;
+    loading the config rejects it, so no request is ever sent."""
+    def mutate(doc):
+        doc["providers"].append({"id": "chat", "kind": "http-chat", "model": "m",
+                                 "endpoint": "http://127.0.0.1:9/v1/chat/completions",
+                                 key: value})
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_providers_as_object, "providers must be an array of objects"),
     (_provider_entry_not_an_object, "providers must be an array of objects"),
@@ -716,8 +726,21 @@ def _miner_key(key, value):
     (_miner_key("max_concurrency", 2.5),
      "provider 'miner': 'max_concurrency' must be an integer"),
     (_miner_key("backoff", "0.5"), "provider 'miner': 'backoff' must be a number"),
+    (_http_chat_key("timeout", "soon"), "provider 'chat': 'timeout' must be a number"),
+    (_http_chat_key("temperature", "hot"),
+     "provider 'chat': 'temperature' must be a number"),
+    (_http_chat_key("max_tokens", "many"),
+     "provider 'chat': 'max_tokens' must be an integer"),
+    (_http_chat_key("max_tokens", True), "provider 'chat': 'max_tokens' must be an integer"),
+    (_http_chat_key("headers", ["X-Key: 1"]),
+     "provider 'chat': 'headers' must be an object of strings"),
+    (_http_chat_key("headers", {"X-Retries": 3}),
+     "provider 'chat': 'headers' must be an object of strings"),
+    (_http_chat_key("auth_env", 7), "provider 'chat': 'auth_env' must be a string"),
 ], ids=["providers-object", "provider-entry", "external-functions", "attempts",
-        "rpm-limit", "max-concurrency", "backoff"])
+        "rpm-limit", "max-concurrency", "backoff", "http-timeout", "http-temperature",
+        "http-max-tokens", "http-max-tokens-bool", "http-headers-array",
+        "http-headers-value", "http-auth-env"])
 def test_config_of_the_wrong_shape_is_usage_error(tmp_path, capsys, mutate, message):
     config = write_config(tmp_path)
     doc = json.loads(config.read_text())

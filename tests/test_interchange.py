@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -114,3 +115,28 @@ def test_ids_without_a_numeric_column_keep_document_order(graph_without_columns)
     ]
     assert export_graph(graph)["nodes"] == document["nodes"]
     assert program.entry_function == "f"
+
+
+IMPORTED_PROGRAM_SHA256 = "389de49afe874af531d5acf1be50260655f10c8814ca0d5fb023c0d90f701503"
+
+
+def test_programs_rebuilt_from_the_fixture_graphs_are_pinned(fixtures_dir):
+    """Files, functions (statements, callsites in order, line span) and the
+    entry that ``import_graph`` rebuilds from each fixture's exported graph."""
+    from appatch.code_model import build_sdg, parse_program
+
+    rebuilt = []
+    for name in ("idx_read.c", "jsi_like.c", "null_use.c"):
+        source = (fixtures_dir / name).read_text(encoding="utf-8")
+        program, _ = import_graph(dump_graph(build_sdg(parse_program([(name, source)]))))
+        rebuilt.append({
+            "files": [list(entry) for entry in program.files],
+            "functions": [
+                [fn.name, fn.file, list(fn.statements),
+                 [list(site) for site in fn.callsites], fn.start_line, fn.end_line]
+                for fn in program.functions
+            ],
+            "entry": program.entry_function,
+        })
+    digest = hashlib.sha256(json.dumps(rebuilt).encode("utf-8")).hexdigest()
+    assert digest == IMPORTED_PROGRAM_SHA256

@@ -23,12 +23,14 @@ def test_minimal_function():
     assert kinds == ["entry", "return"]
 
 
-def test_fixture_parses_with_three_functions(jsi_program):
+def test_fixture_parses_with_three_functions(jsi_program, jsi_graph):
     assert [fn.name for fn in jsi_program.functions] == [
         "jsi_strlen", "format_value", "jsi_strcpy",
     ]
     assert jsi_program.entry_function == "format_value"
-    assert jsi_program.function("format_value").params == ("dStr", "quoted")
+    nodes = [jsi_graph.node(nid) for nid in jsi_program.function("format_value").statements]
+    params = tuple(name for node in nodes if node.kind == "param-def" for name in node.defs)
+    assert params == ("dStr", "quoted")
 
 
 def test_unbalanced_brace_is_a_syntax_error():

@@ -291,6 +291,21 @@ def test_block_outside_rendered_functions_is_dropped(patch_stage, caplog):
     assert "dst[i] = 0" in patches[0].diff
 
 
+def test_unparseable_block_is_dropped_as_such(patch_stage, caplog):
+    sample, program, rendered, root_cause = patch_stage
+    response = load_script("gen.json")[5]
+    broken = ("Patch 1:\n```diff\n--- a/jsi_like.c\n+++ b/jsi_like.c\n"
+              "@@ -55,1 +55,1 @@\n-        dst[i] = src[i];\n```\n\n")   # no '+' line
+    with caplog.at_level("WARNING"):
+        patches, _ = generate_patches(
+            [], rendered, sample.vuln, root_cause, scripted([broken + response]), program,
+        )
+    assert len(patches) == 5
+    dropped = [r.getMessage() for r in caplog.records if "dropping it" in r.getMessage()]
+    assert len(dropped) == 1
+    assert "patch block 1 is not a parseable diff" in dropped[0]
+
+
 def test_prompt_digest_is_shared_by_all_patches(patch_stage):
     sample, program, rendered, root_cause = patch_stage
     response = load_script("gen.json")[5]

@@ -440,7 +440,7 @@ def test_build_sdg_needs_a_program_from_parse_program(jsi_graph):
     with pytest.raises(ValueError, match="build_sdg needs a program from parse_program"):
         build_sdg(imported)
     by_hand = Program(files=(("h.c", "int f(){return 0;}"),), functions=(
-        FunctionDef(name="f", file="h.c", params=(), statements=(), callsites=(),
+        FunctionDef(name="f", file="h.c", statements=(), callsites=(),
                     start_line=1, end_line=1),
     ))
     with pytest.raises(ValueError, match="build_sdg needs a program from parse_program"):
