@@ -77,6 +77,11 @@ def _write_json_atomic(path: Path, doc: Any) -> None:
     write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _is_int(value: Any) -> bool:
+    """An integer in a JSON document; ``true`` and ``false`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _read_input(path_text: Union[str, Path], what: str) -> Tuple[str, str]:
     """Read an input file once: its text and the sha256 of its bytes.
 
@@ -145,7 +150,7 @@ def load_config(path_text: Optional[str]) -> Config:
     else:
         raise UsageError(f"config file {path}: external_functions must be an array of strings")
     rounds = doc.get("demand_rounds", DEFAULT_DEMAND_ROUNDS)
-    if not isinstance(rounds, int) or rounds < 1:
+    if not _is_int(rounds) or rounds < 1:
         raise UsageError(f"config file {path}: demand_rounds must be a positive integer")
     return Config(
         providers=providers,
@@ -455,13 +460,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise UsageError(f"{result_path}: not valid JSON: {exc.msg}")
         if not isinstance(result_doc, dict):
             raise UsageError(f"{result_path}: top level must be an object")
-        retained = set(result_doc.get("retained", []))
-        try:
-            candidates = {
-                c["ordinal"]: c["file"] for c in result_doc.get("candidates", [])
-            }
-        except (KeyError, TypeError):
-            raise UsageError(f"{result_path}: every candidate needs an 'ordinal' and a 'file'")
+        ordinals = result_doc.get("retained", [])
+        if not isinstance(ordinals, list) or not all(map(_is_int, ordinals)):
+            raise UsageError(f"{result_path}: 'retained' must be a list of integers")
+        entries = result_doc.get("candidates", [])
+        if not isinstance(entries, list) or not all(
+            isinstance(c, dict) and _is_int(c.get("ordinal")) and isinstance(c.get("file"), str)
+            for c in entries
+        ):
+            raise UsageError(
+                f"{result_path}: every candidate needs an integer 'ordinal' and a string 'file'"
+            )
+        candidates = {c["ordinal"]: c["file"] for c in entries}
+        retained = set(ordinals)
         generated[sample.id] = len(retained)
         retained_sets[sample.id] = retained
         for ordinal in sorted(retained):

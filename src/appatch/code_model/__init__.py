@@ -13,7 +13,7 @@ from .model import (
     UnsupportedConstructError,
     node_id_for,
 )
-from .parser import build_function_flow, parse_program
+from .parser import parse_program
 from .sdg import DEFAULT_EXTERNAL_FUNCTIONS, build_sdg, identify_external_inputs
 from .interchange import dump_graph, export_graph, import_graph
 
@@ -29,7 +29,6 @@ __all__ = [
     "StatementNode",
     "UnknownNodeError",
     "UnsupportedConstructError",
-    "build_function_flow",
     "build_sdg",
     "dump_graph",
     "export_graph",

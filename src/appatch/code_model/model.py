@@ -124,7 +124,7 @@ class FunctionDef:
 
 @dataclass(frozen=True)
 class FunctionFlow:
-    """One function's control flow, as the parser walked its statements."""
+    """One function's nodes and control flow, wired by the parser as it parsed them."""
 
     name: str
     node_ids: Tuple[str, ...]                    # source order, entry first

@@ -4,14 +4,18 @@ The subset covers what desk-scale vulnerable samples need: functions,
 scalar/pointer/array declarations, assignments, calls, if/else, while/for,
 return, string literals.  No preprocessor, no structs, no typedefs.
 Anything richer has to come in through the graph-interchange importer.
+
+There is no syntax tree.  Expressions parse straight to their statement's
+flow facts, and each statement, as it is parsed, becomes a graph node wired
+into its function's control-flow graph; ``parse_program`` hands each
+function over with its finished :class:`FunctionFlow`.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .model import (
     CallFact,
@@ -142,44 +146,6 @@ def tokenize(file: str, text: str) -> List[Token]:
     return tokens
 
 
-# ── statement tree (walked once, by ``build_function_flow``) ────────────
-
-class SimpleStmt(NamedTuple):
-    node: StatementNode
-
-
-class IfStmt(NamedTuple):
-    node: StatementNode
-    then: Tuple["Stmt", ...]
-    orelse: Tuple["Stmt", ...]
-
-
-class WhileStmt(NamedTuple):
-    node: StatementNode
-    body: Tuple["Stmt", ...]
-
-
-class ForStmt(NamedTuple):
-    init: Optional[StatementNode]
-    node: StatementNode
-    update: Optional[StatementNode]
-    body: Tuple["Stmt", ...]
-
-
-Stmt = Union[SimpleStmt, IfStmt, WhileStmt, ForStmt]
-
-
-@dataclass(frozen=True)
-class FunctionIR:
-    name: str
-    file: str
-    entry: StatementNode
-    param_nodes: Tuple[StatementNode, ...]
-    body: Tuple["Stmt", ...]
-    start_line: int
-    end_line: int
-
-
 _EMPTY: FrozenSet[str] = frozenset()
 
 # Expressions are parsed straight into their statement's flow facts: every
@@ -202,6 +168,11 @@ class _FileParser:
         self.tokens = tokenize(file, text)
         self.pos = 0
         self.function = ""   # name of the function being parsed
+        # That function's nodes and control flow, wired as it is parsed.
+        self.order: List[str] = []                  # node ids, source order
+        self.infos: Dict[str, StatementNode] = {}
+        self.succ: Dict[str, Set[str]] = {}
+        self.scopes: Dict[str, Tuple[str, ...]] = {}   # header id -> governed ids
         # Flow facts of the statement being parsed (see ``Shape`` above).
         self.uses: Set[str] = set()
         self.calls: List[Optional[CallFact]] = []
@@ -253,13 +224,13 @@ class _FileParser:
 
     # grammar -------------------------------------------------------------
 
-    def parse_file(self) -> List[FunctionIR]:
-        functions: List[FunctionIR] = []
+    def parse_file(self) -> List[Tuple[FunctionDef, FunctionFlow]]:
+        functions: List[Tuple[FunctionDef, FunctionFlow]] = []
         while self.peek().kind != "eof":
             functions.extend(self.parse_top_level())
         return functions
 
-    def parse_top_level(self) -> List[FunctionIR]:
+    def parse_top_level(self) -> List[Tuple[FunctionDef, FunctionFlow]]:
         tok = self.peek()
         if not self.at_type():
             raise ParseError(f"expected a declaration, found {tok.value!r}",
@@ -292,7 +263,9 @@ class _FileParser:
         while self.peek().value == "*":
             self.advance()
 
-    def parse_function(self, start_tok: Token, name_tok: Token) -> FunctionIR:
+    def parse_function(
+        self, start_tok: Token, name_tok: Token,
+    ) -> Tuple[FunctionDef, FunctionFlow]:
         self.expect("(")
         params = []   # (first token, name token, array-size uses, array-size calls)
         if self.peek().value != ")":
@@ -309,24 +282,35 @@ class _FileParser:
                         continue
                     break
         close = self.expect(")")
-        self.function = name_tok.value
-        entry = self.node("entry", name_tok, self.excerpt(start_tok, close))
-        param_nodes = tuple(
-            self.node("param-def", p_name, self.excerpt(p_start, p_name),
-                      frozenset([p_name.value]), uses, calls)
-            for p_start, p_name, uses, calls in params
-        )
+        self.function = name = name_tok.value
+        self.order, self.infos, self.succ, self.scopes = [], {}, {}, {}
+        # entry -> param defs -> body
+        preds = [self.add(self.node("entry", name_tok, self.excerpt(start_tok, close)), ())]
+        for p_start, p_name, uses, calls in params:
+            preds = [self.add(self.node("param-def", p_name, self.excerpt(p_start, p_name),
+                                        frozenset([p_name.value]), uses, calls), preds)]
         self.expect("{")
-        body = self.parse_block()
+        self.parse_block(preds)
         end_tok = self.expect("}")
-        return FunctionIR(
-            name=name_tok.value,
-            file=self.file,
-            entry=entry,
-            param_nodes=param_nodes,
-            body=tuple(body),
-            start_line=start_tok.line,
-            end_line=end_tok.line,
+        infos = self.infos
+        node_ids = tuple(self.order)
+        return (
+            FunctionDef(
+                name=name,
+                file=self.file,
+                statements=node_ids,
+                callsites=tuple((callee, nid) for nid, node in infos.items()
+                                for callee, _ in node.calls),
+                start_line=start_tok.line,
+                end_line=end_tok.line,
+            ),
+            FunctionFlow(
+                name=name,
+                node_ids=node_ids,
+                cfg_succ={nid: tuple(sorted(targets)) for nid, targets in self.succ.items()},
+                control_scopes=self.scopes,
+                infos=infos,
+            ),
         )
 
     def node(
@@ -342,67 +326,96 @@ class _FileParser:
         return StatementNode(node_id_for(self.file, at.line, at.col), self.file,
                              self.function, at.line, text, kind, defs, uses, calls)
 
-    def parse_block(self) -> List:
-        stmts: List = []
+    # control flow ----------------------------------------------------------
+    #
+    # Each statement parser takes ``preds``, the ids control reaches it
+    # from, and returns the ids control leaves it by (none after a
+    # ``return``).  Nodes are added in source order, so the ids a branch or
+    # loop header governs are the slice of ``order`` that its body added.
+
+    def add(self, node: StatementNode, preds: Iterable[str]) -> str:
+        """Add ``node`` to the function, reached from ``preds``; its id."""
+        nid = node.id
+        self.infos[nid] = node
+        self.order.append(nid)
+        self.succ[nid] = set()
+        self.link(preds, nid)
+        return nid
+
+    def link(self, preds: Iterable[str], target: str) -> None:
+        succ = self.succ
+        for pred in preds:
+            succ[pred].add(target)
+
+    def parse_block(self, preds: List[str]) -> List[str]:
         while self.peek().value != "}":
             if self.peek().kind == "eof":
                 tok = self.peek()
                 raise ParseError("expected '}', found end of input",
                                  self.file, tok.line, tok.col)
-            stmts.extend(self.parse_stmt())
-        return stmts
+            preds = self.parse_stmt(preds)
+        return preds
 
-    def parse_stmt(self) -> List:
+    def parse_stmt(self, preds: List[str]) -> List[str]:
         tok = self.peek()
         if tok.value == ";":
             self.advance()
-            return []
+            return preds
         if tok.value == "{":
             self.advance()
-            stmts = self.parse_block()
+            preds = self.parse_block(preds)
             self.expect("}")
-            return stmts
+            return preds
         if tok.value == "if":
-            return [self.parse_if()]
+            return self.parse_if(preds)
         if tok.value == "while":
-            return [self.parse_while()]
+            return self.parse_while(preds)
         if tok.value == "for":
-            return [self.parse_for()]
+            return self.parse_for(preds)
         if tok.value == "return":
-            return [self.parse_return()]
+            return self.parse_return(preds)
         if tok.value == "else":
             raise ParseError("'else' without matching 'if'", self.file, tok.line, tok.col)
         if self.at_type():
-            return [SimpleStmt(node) for node in self.parse_declaration()]
+            for node in self.parse_declaration():
+                preds = [self.add(node, preds)]
+            return preds
         node = self.parse_simple()
         self.expect(";")
-        return [SimpleStmt(node)]
+        return [self.add(node, preds)]
 
-    def parse_if(self) -> IfStmt:
+    def parse_if(self, preds: List[str]) -> List[str]:
         start = self.expect("if")
         self.expect("(")
         uses, calls = self.parse_value()
         close = self.expect(")")
-        node = self.node("branch", start, self.excerpt(start, close), _EMPTY, uses, calls)
-        then = self.parse_stmt()
-        orelse: List = []
+        nid = self.add(self.node("branch", start, self.excerpt(start, close), _EMPTY, uses, calls),
+                       preds)
+        mark = len(self.order)
+        leave = self.parse_stmt([nid])
         if self.peek().value == "else":
             self.advance()
-            orelse = self.parse_stmt()
-        return IfStmt(node, tuple(then), tuple(orelse))
+            leave = leave + self.parse_stmt([nid])
+        else:
+            leave = leave + [nid]
+        self.scopes[nid] = tuple(self.order[mark:])
+        return leave
 
-    def parse_while(self) -> WhileStmt:
+    def parse_while(self, preds: List[str]) -> List[str]:
         start = self.expect("while")
         self.expect("(")
         uses, calls = self.parse_value()
         close = self.expect(")")
-        node = self.node("loop-header", start, self.excerpt(start, close), _EMPTY, uses, calls)
-        return WhileStmt(node, tuple(self.parse_stmt()))
+        nid = self.add(self.node("loop-header", start, self.excerpt(start, close),
+                                 _EMPTY, uses, calls), preds)
+        mark = len(self.order)
+        self.link(self.parse_stmt([nid]), nid)
+        self.scopes[nid] = tuple(self.order[mark:])
+        return [nid]
 
-    def parse_for(self) -> ForStmt:
+    def parse_for(self, preds: List[str]) -> List[str]:
         start = self.expect("for")
         self.expect("(")
-        init: Optional[StatementNode] = None
         if self.peek().value != ";":
             if self.at_type():
                 decls = self.parse_declaration(consume_semicolon=False)
@@ -411,6 +424,7 @@ class _FileParser:
                 init = decls[0]
             else:
                 init = self.parse_simple()
+            preds = [self.add(init, preds)]
         self.expect(";")
         uses: FrozenSet[str] = _EMPTY
         calls: Tuple[CallFact, ...] = ()
@@ -421,18 +435,29 @@ class _FileParser:
         if self.peek().value != ")":
             update = self.parse_simple()
         close = self.expect(")")
-        node = self.node("loop-header", start, self.excerpt(start, close), _EMPTY, uses, calls)
-        return ForStmt(init, node, update, tuple(self.parse_stmt()))
+        # The header's text ends after the update, but the header comes first.
+        nid = self.add(self.node("loop-header", start, self.excerpt(start, close),
+                                 _EMPTY, uses, calls), preds)
+        back, tail = nid, ()   # where the body loops back to; the update, governed last
+        if update is not None:
+            back = self.add(update, ())
+            self.link([back], nid)
+            tail = (back,)
+        mark = len(self.order)
+        self.link(self.parse_stmt([nid]), back)
+        self.scopes[nid] = tuple(self.order[mark:]) + tail
+        return [nid]
 
-    def parse_return(self) -> SimpleStmt:
+    def parse_return(self, preds: List[str]) -> List[str]:
         start = self.expect("return")
         uses: FrozenSet[str] = _EMPTY
         calls: Tuple[CallFact, ...] = ()
         if self.peek().value != ";":
             uses, calls = self.parse_value()
         semi = self.expect(";")
-        return SimpleStmt(self.node("return", start, self.excerpt(start, semi),
-                                    _EMPTY, uses, calls))
+        self.add(self.node("return", start, self.excerpt(start, semi), _EMPTY, uses, calls),
+                 preds)
+        return []
 
     def parse_declaration(self, consume_semicolon: bool = True) -> List[StatementNode]:
         start = self.peek()
@@ -643,112 +668,7 @@ class _FileParser:
         )
 
 
-# ── control flow ────────────────────────────────────────────────────────
-
-def build_function_flow(fn: FunctionIR) -> FunctionFlow:
-    """One walk over a function's statements: its nodes in source order,
-    its CFG and the statements each branch or loop header governs."""
-    infos: Dict[str, StatementNode] = {}
-    order: List[str] = []
-    succ: Dict[str, Set[str]] = {}
-    scopes: Dict[str, Tuple[str, ...]] = {}
-
-    def add(node: StatementNode) -> str:
-        nid = node.id
-        infos[nid] = node
-        order.append(nid)
-        succ[nid] = set()
-        return nid
-
-    def link(preds: Sequence[str], target: str) -> None:
-        for pred in preds:
-            succ[pred].add(target)
-
-    # ``add`` runs in source order, so the ids a scope governs are the
-    # slice of ``order`` that its body's wiring appended.
-    def wire(stmts, preds: List[str]) -> List[str]:
-        current = preds
-        for stmt in stmts:
-            if isinstance(stmt, SimpleStmt):
-                nid = add(stmt.node)
-                link(current, nid)
-                current = [] if stmt.node.is_return else [nid]
-            elif isinstance(stmt, IfStmt):
-                nid = add(stmt.node)
-                link(current, nid)
-                mark = len(order)
-                current = wire(stmt.then, [nid])
-                if stmt.orelse:
-                    current = current + wire(stmt.orelse, [nid])
-                else:
-                    current = current + [nid]
-                scopes[nid] = tuple(order[mark:])
-            elif isinstance(stmt, WhileStmt):
-                nid = add(stmt.node)
-                link(current, nid)
-                mark = len(order)
-                link(wire(stmt.body, [nid]), nid)
-                scopes[nid] = tuple(order[mark:])
-                current = [nid]
-            elif isinstance(stmt, ForStmt):
-                if stmt.init is not None:
-                    init_id = add(stmt.init)
-                    link(current, init_id)
-                    current = [init_id]
-                nid = add(stmt.node)
-                link(current, nid)
-                upd_id = None if stmt.update is None else add(stmt.update)
-                mark = len(order)
-                body_out = wire(stmt.body, [nid])
-                governed = order[mark:]
-                if upd_id is not None:
-                    link(body_out, upd_id)
-                    link([upd_id], nid)
-                    governed.append(upd_id)
-                else:
-                    link(body_out, nid)
-                scopes[nid] = tuple(governed)
-                current = [nid]
-            else:
-                raise TypeError(stmt)
-        return current
-
-    # entry -> param defs -> body
-    chain = [add(fn.entry)]
-    for param in fn.param_nodes:
-        pid = add(param)
-        link(chain, pid)
-        chain = [pid]
-    wire(fn.body, chain)
-
-    return FunctionFlow(
-        name=fn.name,
-        node_ids=tuple(order),
-        cfg_succ={nid: tuple(sorted(targets)) for nid, targets in succ.items()},
-        control_scopes=scopes,
-        infos=infos,
-    )
-
-
-# ── public entry points ─────────────────────────────────────────────────
-
-def parse_ir(sources: Sequence[Tuple[str, str]]) -> List[FunctionIR]:
-    functions: List[FunctionIR] = []
-    seen: Set[str] = set()
-    for path, text in sources:
-        # Node ids are ``path:line:col``, so one path parsed twice would
-        # give two nodes one id.
-        if path in seen:
-            raise ParseError(f"duplicate source path: {path}", path, 1, 1)
-        seen.add(path)
-        functions.extend(_FileParser(path, text).parse_file())
-    counts = Counter(fn.name for fn in functions)
-    for fn in functions:
-        if counts[fn.name] > 1:
-            raise ParseError(f"duplicate function name: {fn.name}",
-                             fn.file, fn.start_line, 1)
-    return functions
-
+# ── public entry point ──────────────────────────────────────────────────
 
 def parse_program(
     sources: Sequence[Tuple[str, str]],
@@ -759,29 +679,30 @@ def parse_program(
     ``entry`` overrides entry-point inference; the inferred default is
     ``main`` when present, else the unique function nobody calls.
     """
-    functions_ir = parse_ir(sources)
-    flows = tuple(build_function_flow(fn) for fn in functions_ir)
-    defs = [
-        FunctionDef(
-            name=fn.name,
-            file=fn.file,
-            statements=flow.node_ids,
-            callsites=tuple((callee, node.id) for node in flow.infos.values()
-                            for callee, _ in node.calls),
-            start_line=fn.start_line,
-            end_line=fn.end_line,
-        )
-        for fn, flow in zip(functions_ir, flows)
-    ]
+    parsed: List[Tuple[FunctionDef, FunctionFlow]] = []
+    seen: Set[str] = set()
+    for path, text in sources:
+        # Node ids are ``path:line:col``, so one path parsed twice would
+        # give two nodes one id.
+        if path in seen:
+            raise ParseError(f"duplicate source path: {path}", path, 1, 1)
+        seen.add(path)
+        parsed.extend(_FileParser(path, text).parse_file())
+    defs = tuple(fn for fn, _ in parsed)
+    counts = Counter(fn.name for fn in defs)
+    for fn in defs:
+        if counts[fn.name] > 1:
+            raise ParseError(f"duplicate function name: {fn.name}",
+                             fn.file, fn.start_line, 1)
     if entry is not None:
-        if entry not in {fn.name for fn in functions_ir}:
+        if entry not in counts:
             raise ParseError(f"entry function not defined: {entry}", "<entry>", 1, 1)
         entry_name = entry
     else:
         entry_name = infer_entry_function(defs)
     return Program(
         files=tuple(sources),
-        functions=tuple(defs),
+        functions=defs,
         entry_function=entry_name,
-        flows=flows,
+        flows=tuple(flow for _, flow in parsed),
     )

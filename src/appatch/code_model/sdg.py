@@ -1,12 +1,13 @@
 """System dependence graph construction over the parsed program model.
 
-The parser hands over each function's nodes, control-flow graph and
-branch scopes.  Per function: reaching definitions over the CFG (solved
-on int bitsets, one bit per def fact), data edges for surviving def-use
-pairs, and control edges from each branch or loop header to the
-statements in its syntactic scope.  Across functions:
-call edges from callsites to callee entries and param edges from the
-statements defining each argument to the callee's param-def nodes.
+The parser wires each function's control-flow graph and branch scopes
+as it parses, and hands them over with the function's nodes.  Per
+function: reaching definitions over the CFG (solved on int bitsets, one
+bit per def fact), data edges for surviving def-use pairs, and control
+edges from each branch or loop header to the statements in its syntactic
+scope.  Across functions: call edges from callsites to callee entries and
+param edges from the statements defining each argument to the callee's
+param-def nodes.
 """
 
 from __future__ import annotations

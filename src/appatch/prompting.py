@@ -57,7 +57,6 @@ class ContextDemand:
     """Functions the model asked for, after placeholder resolution."""
 
     requested: Tuple[str, ...]
-    raw: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ class CandidatePatch:
 
     ordinal: int
     diff: str
-    raw_block: str
     prompt_digest: str
 
 
@@ -107,7 +105,6 @@ def parse_context_demand(
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         log.warning("context_funcs is not a list of names; ignoring")
         return None
-    raw = tuple(names)
     requested: List[str] = []
     for name in names:
         if name.startswith(_CALLER_PREFIX):
@@ -120,7 +117,7 @@ def parse_context_demand(
                     requested.append(caller)
         elif name not in requested:
             requested.append(name)
-    return ContextDemand(requested=tuple(requested), raw=raw)
+    return ContextDemand(requested=tuple(requested))
 
 
 def generate_root_cause(
@@ -145,8 +142,6 @@ def generate_root_cause(
     all_functions = program.function_names()
     transcript: List[Tuple[str, str]] = []
     exchanges: List[Exchange] = []
-    rendered = None
-    response = ""
 
     for round_number in range(1, max_rounds + 1):
         rendered = render_slice(result, program, graph, functions)
@@ -166,51 +161,29 @@ def generate_root_cause(
 
         demand = parse_context_demand(response, program)
         if demand is None:
-            return (
-                RootCause(
-                    text=response,
-                    iterations=round_number,
-                    functions_used=frozenset(functions),
-                    transcript=tuple(transcript),
-                ),
-                rendered,
-                exchanges,
-            )
+            break
         if functions >= all_functions:
             log.warning(
                 "model still demands context but every function is included; "
                 "forcing the last answer"
             )
-            return (
-                RootCause(
-                    text=response,
-                    iterations=round_number,
-                    functions_used=frozenset(functions),
-                    transcript=tuple(transcript),
-                    forced_final=True,
-                ),
-                rendered,
-                exchanges,
-            )
+            break
         for name in demand.requested:
             if name not in all_functions:
                 log.warning("demanded function %r is not defined; skipping", name)
             elif name not in functions:
                 functions.add(name)
-
-    log.warning("demand loop hit the %d-round ceiling; forcing the last answer",
-                max_rounds)
-    return (
-        RootCause(
-            text=response,
-            iterations=max_rounds,
-            functions_used=frozenset(functions),
-            transcript=tuple(transcript),
-            forced_final=True,
-        ),
-        rendered,
-        exchanges,
+    else:
+        log.warning("demand loop hit the %d-round ceiling; forcing the last answer",
+                    max_rounds)
+    root_cause = RootCause(
+        text=response,
+        iterations=round_number,
+        functions_used=frozenset(functions),
+        transcript=tuple(transcript),
+        forced_final=demand is not None,   # the last answer still demanded context
     )
+    return root_cause, rendered, exchanges
 
 
 def select_exemplars(
@@ -313,7 +286,11 @@ def generate_patches(
     digest = prompt_sha(prompt)
     ranges = _function_line_ranges(program, rendered_slice.included_functions)
     patches: List[CandidatePatch] = []
+    total_blocks = 0
     for match in _PATCH_BLOCK_RE.finditer(exchange.response):
+        total_blocks += 1
+        if len(patches) == 5:
+            continue   # only counted
         diff_text = match.group(2)
         try:
             inside = _hunks_inside(diff_text, ranges)
@@ -328,12 +305,8 @@ def generate_patches(
         patches.append(CandidatePatch(
             ordinal=len(patches) + 1,
             diff=diff_text,
-            raw_block=match.group(0),
             prompt_digest=digest,
         ))
-        if len(patches) == 5:
-            break
-    total_blocks = len(_PATCH_BLOCK_RE.findall(exchange.response))
     if total_blocks > 5:
         log.warning("response contained %d patch blocks; keeping the first 5",
                     total_blocks)

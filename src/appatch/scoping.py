@@ -76,7 +76,6 @@ class RenderedSlice:
     text: str
     included_functions: FrozenSet[str]
     listed_ei: FrozenSet[str]
-    empty: bool = False
 
 
 def reach(step: Mapping[str, Sequence[str]], starts: Iterable[str]) -> Set[str]:
@@ -173,8 +172,7 @@ def render_slice(
             lines.add((node.file, node.line))
             included.add(node.function)
 
-    empty = not lines
-    if empty:
+    if not lines:
         log.warning("slice does not intersect functions %s", sorted(wanted))
 
     for fn in program.functions:
@@ -202,7 +200,6 @@ def render_slice(
         text="\n".join(chunks),
         included_functions=frozenset(included),
         listed_ei=listed_ei,
-        empty=empty,
     )
 
 

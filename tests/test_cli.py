@@ -614,6 +614,9 @@ def test_patch_max_rounds_below_one_is_usage_error(tmp_path, mined_pool, capsys,
 @pytest.mark.parametrize("result_text, named", [
     ("[1, 3, 4]", "result.json"),
     ('{"candidates": [{"ordinal": 1}], "retained": [1]}', "result.json"),
+    ('{"retained": 5}', "result.json"),
+    ('{"retained": [[1]]}', "result.json"),
+    ('{"candidates": [{"ordinal": 1, "file": 7}], "retained": [1]}', "result.json"),
     (None, "candidate_3.diff"),   # a retained candidate's diff is gone
 ])
 def test_eval_malformed_results_are_usage_errors(tmp_path, patched_results, capsys,
@@ -701,6 +704,10 @@ def _external_functions_as_string(doc):
     doc["external_functions"] = "recv"
 
 
+def _demand_rounds_true(doc):
+    doc["demand_rounds"] = True
+
+
 def _miner_key(key, value):
     def mutate(doc):
         next(p for p in doc["providers"] if p["id"] == "miner")[key] = value
@@ -721,6 +728,7 @@ def _http_chat_key(key, value):
     (_providers_as_object, "providers must be an array of objects"),
     (_provider_entry_not_an_object, "providers must be an array of objects"),
     (_external_functions_as_string, "external_functions must be an array of strings"),
+    (_demand_rounds_true, "demand_rounds must be a positive integer"),
     (_miner_key("attempts", "3"), "provider 'miner': 'attempts' must be an integer"),
     (_miner_key("rpm_limit", "60"), "provider 'miner': 'rpm_limit' must be an integer"),
     (_miner_key("max_concurrency", 2.5),
@@ -737,9 +745,9 @@ def _http_chat_key(key, value):
     (_http_chat_key("headers", {"X-Retries": 3}),
      "provider 'chat': 'headers' must be an object of strings"),
     (_http_chat_key("auth_env", 7), "provider 'chat': 'auth_env' must be a string"),
-], ids=["providers-object", "provider-entry", "external-functions", "attempts",
-        "rpm-limit", "max-concurrency", "backoff", "http-timeout", "http-temperature",
-        "http-max-tokens", "http-max-tokens-bool", "http-headers-array",
+], ids=["providers-object", "provider-entry", "external-functions", "demand-rounds-bool",
+        "attempts", "rpm-limit", "max-concurrency", "backoff", "http-timeout",
+        "http-temperature", "http-max-tokens", "http-max-tokens-bool", "http-headers-array",
         "http-headers-value", "http-auth-env"])
 def test_config_of_the_wrong_shape_is_usage_error(tmp_path, capsys, mutate, message):
     config = write_config(tmp_path)

@@ -6,7 +6,9 @@ stream and of its interchange JSON must not move.  Any change to the lexer,
 parser or dataflow that alters a token, a node or an edge fails here.  The
 flow facts the interchange JSON does not carry (defs, uses, calls, returns,
 callsites) are pinned over the same program plus the three fixtures, and a
-table pins them for the expression forms that are easy to get wrong.
+table pins them for the expression forms that are easy to get wrong.  Each
+function's control-flow graph and branch scopes, which the graph shows only
+through its edges, are pinned over the same four programs.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from appatch.code_model.parser import tokenize  # noqa: E402
 TOKENS_SHA256 = "b4867fd07fc13b6dfde1a9a404450b9f117c22f94a6d92e1c3c5e099bf4b7add"
 GRAPH_SHA256 = "863fe69f2894368eac848f508d2cd72e2851f35db269cc9ef035bd315f5cf54a"
 FLOW_FACTS_SHA256 = "7156e2fa8a321c38e87d8827fc2ae01ce225b8da8c3c6dea9cb9f078d4557cbc"
+CFG_SHA256 = "9c21ff35e4de723c10f5e2f74c49c4026216d962f483f77ca9bd9667e8315f6d"
 
 
 def _sha256(text: str) -> str:
@@ -81,6 +84,25 @@ def test_flow_facts_of_fixtures_and_benchmark_program_are_pinned(fixtures_dir):
     facts.append(_flow_facts([(program.file, program.text)]))
     assert sum(len(f) for f in facts) == 1980
     assert _sha256(json.dumps(facts)) == FLOW_FACTS_SHA256
+
+
+def _cfg(sources):
+    """Per function: its CFG successors and its branch scopes, keys and values sorted."""
+    return [
+        [flow.name,
+         sorted([nid, sorted(targets)] for nid, targets in flow.cfg_succ.items()),
+         sorted([nid, sorted(ids)] for nid, ids in flow.control_scopes.items())]
+        for flow in parse_program(sources).flows
+    ]
+
+
+def test_cfg_and_scopes_of_fixtures_and_benchmark_program_are_pinned(fixtures_dir):
+    program = _benchmark_program()
+    cfgs = [_cfg([(name, (fixtures_dir / name).read_text(encoding="utf-8"))])
+            for name in ("idx_read.c", "jsi_like.c", "null_use.c")]
+    cfgs.append(_cfg([(program.file, program.text)]))
+    assert sum(len(fn[1]) + len(fn[2]) for c in cfgs for fn in c) == 2211
+    assert _sha256(json.dumps(cfgs)) == CFG_SHA256
 
 
 def _statement_facts(statement):

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appatch.code_model import ParseError, UnsupportedConstructError, parse_program
-from appatch.code_model.parser import Token, _FileParser, parse_ir, tokenize
+from appatch.code_model.parser import Token, _FileParser, tokenize
 
 
 def kinds_of(program, graph_nodes=None):
@@ -124,22 +124,21 @@ def test_function_line_ranges_inside_file(jsi_program):
     line_count = (dict(jsi_program.files)["jsi_like.c"]).count("\n") + 1
     for fn in jsi_program.functions:
         assert 1 <= fn.start_line <= fn.end_line <= line_count
-        ir = {f.name: f for f in parse_ir(jsi_program.files)}
-        assert ir[fn.name].start_line == fn.start_line
+        assert fn.name in jsi_program.source_line("jsi_like.c", fn.start_line)
 
 
 def test_duplicate_function_reported_at_first_duplicated_name():
     with pytest.raises(ParseError) as err:
-        parse_ir([("a.c", "int a(){return 0;}\nint b(){return 0;}\n"
-                          "int b(){return 1;}\nint a(){return 1;}")])
+        parse_program([("a.c", "int a(){return 0;}\nint b(){return 0;}\n"
+                               "int b(){return 1;}\nint a(){return 1;}")])
     assert err.value.message == "duplicate function name: a"
     assert (err.value.file, err.value.line, err.value.col) == ("a.c", 1, 1)
 
 
 def test_source_path_given_twice_is_rejected_by_name():
     with pytest.raises(ParseError) as err:
-        parse_ir([("x.c", "int a(){return 0;}"), ("y.c", "int b(){return 0;}"),
-                  ("x.c", "int c(){return 0;}")])
+        parse_program([("x.c", "int a(){return 0;}"), ("y.c", "int b(){return 0;}"),
+                       ("x.c", "int c(){return 0;}")])
     assert err.value.message == "duplicate source path: x.c"
     assert (err.value.file, err.value.line, err.value.col) == ("x.c", 1, 1)
 

@@ -216,9 +216,12 @@ def test_render_line_numbers_strictly_increase(jsi_slice, jsi_program, jsi_graph
     assert all(a < b for a, b in zip(numbers, numbers[1:]))
 
 
-def test_render_empty_intersection_flags_warning(jsi_slice, jsi_program, jsi_graph):
-    rendered = render_slice(jsi_slice, jsi_program, jsi_graph, {"jsi_strlen"})
-    assert rendered.empty is True
+def test_render_empty_intersection_flags_warning(jsi_slice, jsi_program, jsi_graph,
+                                                  caplog):
+    with caplog.at_level("WARNING"):
+        rendered = render_slice(jsi_slice, jsi_program, jsi_graph, {"jsi_strlen"})
+    assert any("slice does not intersect functions ['jsi_strlen']" in r.message
+               for r in caplog.records)
     assert rendered.text == ""
 
 

@@ -1,9 +1,9 @@
 """Dependence construction checked against a brute-force oracle.
 
 The oracle recomputes data edges by filtered path search over the CFG
-(one DFS per def-use pair, avoiding redefinitions) and control edges by
-walking syntactic branch scopes, independently of the worklist dataflow
-used by the builder.
+(one DFS per def-use pair, avoiding redefinitions), independently of the
+worklist dataflow used by the builder, and control edges from branch
+scopes that ``oracles.syntactic_control_edges`` reads off the token stream.
 """
 
 from __future__ import annotations
@@ -11,15 +11,8 @@ from __future__ import annotations
 import pytest
 
 from appatch.code_model import build_sdg, parse_program
-from appatch.code_model.parser import (
-    ForStmt,
-    IfStmt,
-    SimpleStmt,
-    WhileStmt,
-    build_function_flow,
-    parse_ir,
-)
 from appatch.code_model.sdg import _ReachingDefs
+from oracles import syntactic_control_edges
 
 
 def brute_force_data_edges(flow):
@@ -56,67 +49,17 @@ def brute_force_data_edges(flow):
     return edges
 
 
-def brute_force_control_edges(fn_ir, flow):
-    """Header -> every node in its syntactic scope, recomputed from the tree."""
-    from appatch.code_model.model import node_id_for
-
-    def nid(node):
-        return node_id_for(fn_ir.file, node.line, node.col)
-
-    edges = set()
-
-    def all_ids(stmts):
-        out = []
-        for stmt in stmts:
-            if isinstance(stmt, SimpleStmt):
-                out.append(nid(stmt.node))
-            elif isinstance(stmt, IfStmt):
-                out.append(nid(stmt.node))
-                out.extend(all_ids(stmt.then))
-                out.extend(all_ids(stmt.orelse))
-            elif isinstance(stmt, WhileStmt):
-                out.append(nid(stmt.node))
-                out.extend(all_ids(stmt.body))
-            elif isinstance(stmt, ForStmt):
-                if stmt.init is not None:
-                    out.append(nid(stmt.init))
-                out.append(nid(stmt.node))
-                if stmt.update is not None:
-                    out.append(nid(stmt.update))
-                out.extend(all_ids(stmt.body))
-        return out
-
-    def walk(stmts):
-        for stmt in stmts:
-            if isinstance(stmt, IfStmt):
-                for member in all_ids(stmt.then) + all_ids(stmt.orelse):
-                    edges.add((nid(stmt.node), member, "control"))
-                walk(stmt.then)
-                walk(stmt.orelse)
-            elif isinstance(stmt, WhileStmt):
-                for member in all_ids(stmt.body):
-                    edges.add((nid(stmt.node), member, "control"))
-                walk(stmt.body)
-            elif isinstance(stmt, ForStmt):
-                governed = all_ids(stmt.body)
-                if stmt.update is not None:
-                    governed.append(nid(stmt.update))
-                for member in governed:
-                    edges.add((nid(stmt.node), member, "control"))
-                walk(stmt.body)
-
-    walk(fn_ir.body)
-    return edges
+def intraprocedural_edges(graph):
+    return {edge for edge in graph.edges if edge[2] in ("data", "control")}
 
 
-def intraprocedural_edges(graph, function):
-    return {
-        (src, dst, kind)
-        for src, dst, kind in graph.edges
-        if kind in ("data", "control")
-        and graph.node(src).function == function
-        and graph.node(dst).function == function
-    }
+def brute_force_edges(program):
+    """Every data and control edge of a one-file program, by the two oracles."""
+    ((file, text),) = program.files
+    expected = syntactic_control_edges(file, text)
+    for flow in program.flows:
+        expected |= brute_force_data_edges(flow)
+    return expected
 
 
 def test_single_def_use_pair():
@@ -143,11 +86,23 @@ def test_single_governed_statement():
 def test_fixture_edges_match_brute_force_oracle(fixtures_dir, fixture):
     source = (fixtures_dir / fixture).read_text()
     program = parse_program([(fixture, source)])
-    graph = build_sdg(program)
-    for fn_ir in parse_ir(program.files):
-        flow = build_function_flow(fn_ir)
-        expected = brute_force_data_edges(flow) | brute_force_control_edges(fn_ir, flow)
-        assert intraprocedural_edges(graph, fn_ir.name) == expected
+    assert intraprocedural_edges(build_sdg(program)) == brute_force_edges(program)
+
+
+def test_scope_corner_cases_match_brute_force_oracle():
+    source = (
+        "int f(int n, int *p){\n"
+        "    int a = g(n, 1), b[4], c;\n"
+        "    for (int i = 0; i < n; i = i + 1) { if (i > 2) a = a + 1; else { b[i] = 0; ; } }\n"
+        "    for (; a < n;) a++;\n"
+        "    for (c = 0; c < n; ) { if (c) { while (n > 0) --n; } else if (a) c++; }\n"
+        "    if (n) ; else return a;\n"
+        "    while (a) { if (b[0]) { return c; } a = a - 1; }\n"
+        "    return c;\n"
+        "}\n"
+    )
+    program = parse_program([("k.c", source)])
+    assert intraprocedural_edges(build_sdg(program)) == brute_force_edges(program)
 
 
 def test_loop_carried_dependence_includes_self_edge():
@@ -316,14 +271,7 @@ def test_random_programs_match_brute_force_oracle():
     for _ in range(40):
         source = _random_mini_c(rng)
         program = parse_program([("r.c", source)])
-        graph = build_sdg(program)
-        for fn_ir in parse_ir(program.files):
-            flow = build_function_flow(fn_ir)
-            expected = brute_force_data_edges(flow) | brute_force_control_edges(
-                fn_ir, flow
-            )
-            got = intraprocedural_edges(graph, fn_ir.name)
-            assert got == expected, source
+        assert intraprocedural_edges(build_sdg(program)) == brute_force_edges(program), source
 
 
 def reaching_definitions(flow):
@@ -368,17 +316,15 @@ def test_reaching_definitions_equal_the_set_based_fixed_point(fixtures_dir):
                for f in ("jsi_like.c", "idx_read.c", "null_use.c")]
     sources += [(f"r{i}.c", _random_mini_c(rng)) for i in range(40)]
     for name, source in sources:
-        for fn_ir in parse_ir(parse_program([(name, source)]).files):
-            flow = build_function_flow(fn_ir)
+        for flow in parse_program([(name, source)]).flows:
             assert reaching_definitions(flow) == set_based_reaching_definitions(flow), (
-                name, fn_ir.name)
+                name, flow.name)
 
 
 def test_use_of_a_never_defined_variable_gets_no_data_edge():
     source = "int f(int a){int c; c = zz; c = c + a; while(a){a = zz + 1;} return c;}"
     program = parse_program([("u.c", source)])
-    (fn_ir,) = parse_ir(program.files)
-    flow = build_function_flow(fn_ir)
+    (flow,) = program.flows
     in_sets = reaching_definitions(flow)
     assert in_sets == set_based_reaching_definitions(flow)
     assert all(var != "zz" for facts in in_sets.values() for _, var in facts)

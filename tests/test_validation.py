@@ -15,8 +15,7 @@ SPEC = VulnSpec(vulnerable_lines=(("f.c", 1),), cwe_ids=("CWE-787",))
 
 
 def patch(ordinal=1):
-    return CandidatePatch(ordinal=ordinal, diff=f"diff-{ordinal}",
-                          raw_block="", prompt_digest="d")
+    return CandidatePatch(ordinal=ordinal, diff=f"diff-{ordinal}", prompt_digest="d")
 
 
 def test_affirmative_first_token():
