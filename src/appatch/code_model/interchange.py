@@ -5,14 +5,20 @@ One document, two arrays::
     {"nodes": [{"id", "file", "function", "line", "text", "kind"}, ...],
      "edges": [{"src", "dst", "kind"}, ...]}
 
-Validation failures carry the JSON path of the offending field.
+Every field is required with its exact JSON type; ``line`` is an integer
+>= 1 and node ids are distinct.  Extra keys anywhere are ignored.
+Validation failures carry the JSON path of the offending field; the first
+bad record is the one reported, every node before any edge.  Within a
+node its first bad field in the order above wins; within an edge a missing
+or mistyped field or a bad kind wins over a dangling ``src``, then ``dst``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Tuple
+from operator import itemgetter
+from typing import Any, Dict, List, NoReturn, Tuple
 
 from .model import (
     EDGE_KINDS,
@@ -24,6 +30,7 @@ from .model import (
     StatementNode,
     infer_entry_function,
 )
+from .parser import CHAR_LITERAL, STRING_LITERAL
 
 
 def export_graph(graph: DependenceGraph) -> Dict[str, Any]:
@@ -63,6 +70,13 @@ def _field(obj: Dict[str, Any], name: str, typ, path: str, describe: str) -> Any
     return _require(obj[name], typ, f"{path}.{name}", describe)
 
 
+_NODE_KINDS = frozenset(STATEMENT_KINDS)
+_EDGE_KINDS = frozenset(EDGE_KINDS)
+_node_fields = itemgetter("id", "file", "function", "line", "text", "kind")
+_edge_fields = itemgetter("src", "dst", "kind")
+_NO_FLOW = (frozenset(), frozenset(), ())   # an imported node's defs, uses, calls
+
+
 def import_graph(document: Any) -> Tuple[Program, DependenceGraph]:
     """Validate an interchange document and rebuild (Program, graph).
 
@@ -78,57 +92,89 @@ def import_graph(document: Any) -> Tuple[Program, DependenceGraph]:
     raw_nodes = _field(document, "nodes", list, "$", "an array")
     raw_edges = _field(document, "edges", list, "$", "an array")
 
-    nodes: List[StatementNode] = []
-    seen = set()
-    for i, item in enumerate(raw_nodes):
-        path = f"$.nodes[{i}]"
-        _require(item, dict, path, "an object")
-        node_id = _field(item, "id", str, path, "a string")
-        if node_id in seen:
-            raise GraphFormatError(f"duplicate node id {node_id!r}", f"{path}.id")
-        seen.add(node_id)
-        file = _field(item, "file", str, path, "a string")
-        function = _field(item, "function", str, path, "a string")
-        line = _field(item, "line", int, path, "an integer")
-        if line < 1:
-            raise GraphFormatError("line must be >= 1", f"{path}.line")
-        text = _field(item, "text", str, path, "a string")
-        kind = _field(item, "kind", str, path, "a string")
-        if kind not in STATEMENT_KINDS:
-            raise GraphFormatError(
-                f"kind must be one of {', '.join(STATEMENT_KINDS)}", f"{path}.kind"
-            )
-        nodes.append(StatementNode(
-            id=node_id, file=file, function=function,
-            line=line, text=text, kind=kind,
-        ))
+    # One predicate per record; only a record that fails it is walked again,
+    # field by field, to name the error.  A record's index is the count of
+    # records accepted before it.
+    nodes: Dict[str, StatementNode] = {}
+    for item in raw_nodes:
+        if type(item) is not dict:
+            _reject_node(item, len(nodes), nodes)
+        try:
+            fields = _node_fields(item)
+        except KeyError:
+            _reject_node(item, len(nodes), nodes)
+        node_id, file, function, line, text, kind = fields
+        if not (type(node_id) is str and type(file) is str and type(function) is str
+                and type(line) is int and line >= 1 and type(text) is str
+                and type(kind) is str and kind in _NODE_KINDS and node_id not in nodes):
+            _reject_node(item, len(nodes), nodes)
+        nodes[node_id] = StatementNode._make(fields + _NO_FLOW)
 
-    edges = []
-    for i, item in enumerate(raw_edges):
-        path = f"$.edges[{i}]"
-        _require(item, dict, path, "an object")
-        src = _field(item, "src", str, path, "a string")
-        dst = _field(item, "dst", str, path, "a string")
-        kind = _field(item, "kind", str, path, "a string")
-        if kind not in EDGE_KINDS:
-            raise GraphFormatError(
-                f"kind must be one of {'|'.join(EDGE_KINDS)}", f"{path}.kind"
-            )
-        if src not in seen:
-            raise GraphFormatError(f"dangling edge: unknown node {src!r}", f"{path}.src")
-        if dst not in seen:
-            raise GraphFormatError(f"dangling edge: unknown node {dst!r}", f"{path}.dst")
-        edges.append((src, dst, kind))
+    edges: List[Tuple[str, str, str]] = []
+    for item in raw_edges:
+        if type(item) is not dict:
+            _reject_edge(item, len(edges), nodes)
+        try:
+            edge = _edge_fields(item)
+        except KeyError:
+            _reject_edge(item, len(edges), nodes)
+        src, dst, kind = edge
+        if not (type(src) is str and type(dst) is str and type(kind) is str
+                and kind in _EDGE_KINDS and src in nodes and dst in nodes):
+            _reject_edge(item, len(edges), nodes)
+        edges.append(edge)
 
-    graph = DependenceGraph.build(nodes, edges)
+    # Ids are distinct by the check above, so ``DependenceGraph.build`` has
+    # nothing left to check.
+    graph = DependenceGraph(nodes=nodes, edges=frozenset(edges))
     program = _reconstruct_program(graph)
     return program, graph
 
 
+def _reject_node(item: Any, i: int, nodes: Dict[str, StatementNode]) -> NoReturn:
+    """Raise the error for node ``i``, which failed the record check."""
+    path = f"$.nodes[{i}]"
+    _require(item, dict, path, "an object")
+    node_id = _field(item, "id", str, path, "a string")
+    if node_id in nodes:
+        raise GraphFormatError(f"duplicate node id {node_id!r}", f"{path}.id")
+    _field(item, "file", str, path, "a string")
+    _field(item, "function", str, path, "a string")
+    if _field(item, "line", int, path, "an integer") < 1:
+        raise GraphFormatError("line must be >= 1", f"{path}.line")
+    _field(item, "text", str, path, "a string")
+    if _field(item, "kind", str, path, "a string") not in _NODE_KINDS:
+        raise GraphFormatError(
+            f"kind must be one of {', '.join(STATEMENT_KINDS)}", f"{path}.kind"
+        )
+    raise AssertionError(f"{path} failed the record check but names no error")
+
+
+def _reject_edge(item: Any, i: int, nodes: Dict[str, StatementNode]) -> NoReturn:
+    """Raise the error for edge ``i``, which failed the record check."""
+    path = f"$.edges[{i}]"
+    _require(item, dict, path, "an object")
+    src = _field(item, "src", str, path, "a string")
+    dst = _field(item, "dst", str, path, "a string")
+    if _field(item, "kind", str, path, "a string") not in _EDGE_KINDS:
+        raise GraphFormatError(
+            f"kind must be one of {'|'.join(EDGE_KINDS)}", f"{path}.kind"
+        )
+    if src not in nodes:
+        raise GraphFormatError(f"dangling edge: unknown node {src!r}", f"{path}.src")
+    if dst not in nodes:
+        raise GraphFormatError(f"dangling edge: unknown node {dst!r}", f"{path}.dst")
+    raise AssertionError(f"{path} failed the record check but names no error")
+
+
 # Call edges only exist for callees defined in the graph; callsites of
-# library functions are recovered from the statement text.
-_CALL_RE = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\s*\(")
-_NON_CALLS = frozenset({"if", "while", "for", "return", "sizeof", "switch"})
+# library functions are recovered from the statement text.  A string or
+# char literal, or a block comment, matches as a whole with an empty name,
+# so no call inside one is found.
+_CALL_RE = re.compile(
+    rf"{STRING_LITERAL}|{CHAR_LITERAL}|/\*.*?\*/|\b([A-Za-z_][A-Za-z0-9_]*)\s*\("
+)
+_NON_CALLS = frozenset({"", "if", "while", "for", "return", "sizeof", "switch"})
 
 
 def _reconstruct_program(graph: DependenceGraph) -> Program:
@@ -138,38 +184,48 @@ def _reconstruct_program(graph: DependenceGraph) -> Program:
     for slice rendering; callsites come from call edges and, for callees
     the graph does not define, from the statement text.
     """
+    nodes = graph.nodes
     calls_at: Dict[str, List[str]] = {}
     for src, dst in sorted((src, dst) for src, dst, kind in graph.edges if kind == "call"):
-        callee = graph.nodes[dst]
+        callee = nodes[dst]
         if callee.kind == "entry":
             calls_at.setdefault(src, []).append(callee.function)
 
-    members: Dict[str, List[StatementNode]] = {}
-    callsites: Dict[str, List[Tuple[str, str]]] = {}
+    # function -> (its nodes, its callsites); file -> line -> text
+    members: Dict[str, Tuple[List[StatementNode], List[Tuple[str, str]]]] = {}
     lines: Dict[str, Dict[int, str]] = {}
     for nid in graph.sorted_node_ids():
-        node = graph.nodes[nid]
-        members.setdefault(node.function, []).append(node)
-        lines.setdefault(node.file, {}).setdefault(node.line, node.text)
-        callees = calls_at.get(nid, [])
-        if node.kind not in ("entry", "param-def"):
-            for name in _CALL_RE.findall(node.text):
-                if name not in _NON_CALLS and name not in callees:
-                    callees.append(name)
-        callsites.setdefault(node.function, []).extend(
-            (callee, nid) for callee in callees
-        )
+        node = nodes[nid]
+        group = members.get(node.function)
+        if group is None:
+            group = members[node.function] = ([], [])
+        group[0].append(node)
+        texts = lines.get(node.file)
+        if texts is None:
+            texts = lines[node.file] = {}
+        text = node.text
+        texts.setdefault(node.line, text)
+        callees = calls_at.get(nid)
+        if "(" in text and node.kind not in ("entry", "param-def"):
+            for name in _CALL_RE.findall(text):
+                if name not in _NON_CALLS:
+                    if callees is None:
+                        callees = [name]
+                    elif name not in callees:
+                        callees.append(name)
+        if callees:
+            group[1].extend([(callee, nid) for callee in callees])
 
     functions = [
         FunctionDef(
             name=name,
-            file=nodes[0].file,
-            statements=tuple(node.id for node in nodes),
-            callsites=tuple(callsites[name]),
-            start_line=min(node.line for node in nodes),
-            end_line=max(node.line for node in nodes),
+            file=fn_nodes[0].file,
+            statements=tuple(node.id for node in fn_nodes),
+            callsites=tuple(sites),
+            start_line=min(node.line for node in fn_nodes),
+            end_line=max(node.line for node in fn_nodes),
         )
-        for name, nodes in sorted(members.items())
+        for name, (fn_nodes, sites) in sorted(members.items())
     ]
     files = tuple(
         (path, "\n".join(texts.get(i, "") for i in range(1, max(texts) + 1)))

@@ -208,7 +208,8 @@ class DependenceGraph:
 
     nodes: Mapping[str, StatementNode]
     edges: FrozenSet[Tuple[str, str, str]]
-    # node id -> neighbour ids; an edge's kind is kept in ``edges`` only
+    # node id -> neighbour ids, for nodes that have any; an edge's kind is
+    # kept in ``edges`` only
     _succ: Dict[str, List[str]] = field(init=False, repr=False, compare=False)
     _pred: Dict[str, List[str]] = field(init=False, repr=False, compare=False)
     # (file, line) -> node ids on that line, in column order, ties in
@@ -218,21 +219,31 @@ class DependenceGraph:
     )
 
     def __post_init__(self):
-        succ: Dict[str, List[str]] = {nid: [] for nid in self.nodes}
-        pred: Dict[str, List[str]] = {nid: [] for nid in self.nodes}
+        succ: Dict[str, List[str]] = {}
+        pred: Dict[str, List[str]] = {}
         # Adjacency order is unobservable: every walk over it is set-based.
         for src, dst, _kind in self.edges:
-            succ[src].append(dst)
-            pred[dst].append(src)
+            targets = succ.get(src)
+            if targets is None:
+                succ[src] = [dst]
+            else:
+                targets.append(dst)
+            sources = pred.get(dst)
+            if sources is None:
+                pred[dst] = [src]
+            else:
+                sources.append(src)
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
-        at: Dict[Tuple[str, int], List[str]] = {}
+        at: Dict[Tuple[str, int], Tuple[str, ...]] = {}
         for node in self.nodes.values():
-            at.setdefault((node.file, node.line), []).append(node.id)
-        object.__setattr__(self, "_at", {
-            key: tuple(ids) if len(ids) == 1 else tuple(sorted(ids, key=_column))
-            for key, ids in at.items()
-        })
+            key = (node.file, node.line)
+            ids = at.get(key)
+            at[key] = (node.id,) if ids is None else ids + (node.id,)
+        for key, ids in at.items():
+            if len(ids) > 1:
+                at[key] = tuple(sorted(ids, key=_column))
+        object.__setattr__(self, "_at", at)
 
     @classmethod
     def build(

@@ -72,6 +72,8 @@ class Token(NamedTuple):
 # with disjoint characters except ``/``, where the comments come first, and
 # ``_PUNCT`` is already ordered longest match first.
 _BLANKS = r"[ \t\r\f\v]*"
+STRING_LITERAL = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
+CHAR_LITERAL = r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'"
 _TOKEN_RE = re.compile(_BLANKS + "(?:" + "|".join([
     r"(?P<newline>\n)",
     r"(?P<skip>//[^\n]*)",
@@ -81,8 +83,8 @@ _TOKEN_RE = re.compile(_BLANKS + "(?:" + "|".join([
     # A start outside ASCII that \d does not take: str.isalpha and
     # str.isdigit decide below (``²1`` is a number, ``½`` starts nothing).
     r"(?P<word>[^\W\d][\w.]*)",
-    r'(?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*")',
-    r"(?P<char>'[^'\\\n]*(?:\\.[^'\\\n]*)*')",
+    f"(?P<string>{STRING_LITERAL})",
+    f"(?P<char>{CHAR_LITERAL})",
     "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")",
 ]) + ")")
 _BLANKS_RE = re.compile(_BLANKS)

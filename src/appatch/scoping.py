@@ -81,13 +81,14 @@ class RenderedSlice:
 def reach(step: Mapping[str, Sequence[str]], starts: Iterable[str]) -> Set[str]:
     """Every node reachable from ``starts`` along ``step``, starts included.
 
-    ``step`` maps a node to its neighbours: the graph's successor map
-    walks forward, its predecessor map backward.
+    ``step`` maps a node to its neighbours, and leaves out a node without
+    any: the graph's successor map walks forward, its predecessor map
+    backward.
     """
     seen = set(starts)
     stack = list(seen)
     while stack:
-        for neighbour in step[stack.pop()]:
+        for neighbour in step.get(stack.pop(), ()):
             if neighbour not in seen:
                 seen.add(neighbour)
                 stack.append(neighbour)
