@@ -38,9 +38,11 @@ from .exemplars import (
 )
 from .files import write_text_atomic
 from .gateway import (
+    CachedProvider,
     ConfigurationError,
     Exchange,
     Provider,
+    ScriptedProvider,
     accounting_report,
     load_providers,
 )
@@ -288,6 +290,17 @@ def cmd_slice(args: argparse.Namespace) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     provider = config.provider(args.provider)
+    if args.jobs > 1:
+        # A script replays in call order, and concurrent samples call in
+        # thread order: each would get (and cache) another sample's answer.
+        replayed = provider
+        while isinstance(replayed, CachedProvider):
+            replayed = replayed.inner
+        if isinstance(replayed, ScriptedProvider):
+            raise UsageError(
+                f"provider {args.provider!r} replays the script of {replayed.id!r} "
+                f"in call order; mine with it at --jobs 1, not --jobs {args.jobs}"
+            )
     text, dataset_digest = _read_input(args.dataset, "dataset file")
     dataset = load_dataset(text, Path(args.dataset))
 

@@ -124,8 +124,6 @@ def import_graph(document: Any) -> Tuple[Program, DependenceGraph]:
             _reject_edge(item, len(edges), nodes)
         edges.append(edge)
 
-    # Ids are distinct by the check above, so ``DependenceGraph.build`` has
-    # nothing left to check.
     graph = DependenceGraph(nodes=nodes, edges=frozenset(edges))
     program = _reconstruct_program(graph)
     return program, graph
@@ -220,7 +218,7 @@ def _reconstruct_program(graph: DependenceGraph) -> Program:
         FunctionDef(
             name=name,
             file=fn_nodes[0].file,
-            statements=tuple(node.id for node in fn_nodes),
+            nodes=tuple(fn_nodes),
             callsites=tuple(sites),
             start_line=min(node.line for node in fn_nodes),
             end_line=max(node.line for node in fn_nodes),

@@ -6,11 +6,8 @@ parses of the same sources always produce the same graph.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import (
-    Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
-)
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 STATEMENT_KINDS = (
     "assign",
@@ -105,32 +102,30 @@ class StatementNode(NamedTuple):
     def col(self) -> int:
         return _column(self.id)
 
-    @property
-    def is_return(self) -> bool:
-        return self.kind == "return"
-
 
 @dataclass(frozen=True)
 class FunctionDef:
-    """A parsed function: its statement nodes plus call-graph info."""
+    """One function: its graph nodes, its callsites and, from the parser, its control flow.
+
+    ``nodes`` are in source order, entry first.  ``cfg_succ`` and
+    ``control_scopes`` stay empty in a function an imported graph rebuilds
+    or that is made by hand; :func:`build_sdg` needs them filled in.
+    """
 
     name: str
     file: str
-    statements: Tuple[str, ...]          # node ids owned by this function
+    nodes: Tuple[StatementNode, ...]
     callsites: Tuple[Tuple[str, str], ...]  # (callee name, node id)
     start_line: int
     end_line: int
-
-
-@dataclass(frozen=True)
-class FunctionFlow:
-    """One function's nodes and control flow, wired by the parser as it parsed them."""
-
-    name: str
-    node_ids: Tuple[str, ...]                    # source order, entry first
-    cfg_succ: Mapping[str, Tuple[str, ...]]
-    control_scopes: Mapping[str, Tuple[str, ...]]  # header id -> governed ids
-    infos: Mapping[str, StatementNode]             # node id -> node, source order
+    # node id -> CFG successor ids, one entry per node
+    cfg_succ: Mapping[str, Tuple[str, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    # branch or loop header id -> ids of the statements it governs
+    control_scopes: Mapping[str, Tuple[str, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def infer_entry_function(functions: Sequence[FunctionDef]) -> Optional[str]:
@@ -149,8 +144,6 @@ class Program:
     files: Tuple[Tuple[str, str], ...]   # (path, source text)
     functions: Tuple[FunctionDef, ...]
     entry_function: Optional[str] = None
-    # One per function, in order; only ``parse_program`` fills them in.
-    flows: Tuple[FunctionFlow, ...] = field(default=(), compare=False, repr=False)
     # Lookup indexes, built once from the fields above.
     _lines: Dict[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _by_name: Dict[str, FunctionDef] = field(init=False, repr=False, compare=False)
@@ -244,24 +237,6 @@ class DependenceGraph:
             if len(ids) > 1:
                 at[key] = tuple(sorted(ids, key=_column))
         object.__setattr__(self, "_at", at)
-
-    @classmethod
-    def build(
-        cls,
-        nodes: Iterable[StatementNode],
-        edges: Iterable[Tuple[str, str, str]],
-    ) -> "DependenceGraph":
-        """The graph of ``nodes`` and ``edges``; node ids must be distinct.
-
-        Edge kinds and endpoints are the producer's to check:
-        :func:`import_graph` checks them in outside documents.
-        """
-        nodes = tuple(nodes)
-        node_map = {node.id: node for node in nodes}
-        if len(node_map) != len(nodes):
-            dup = next(nid for nid, n in Counter(node.id for node in nodes).items() if n > 1)
-            raise ValueError(f"duplicate node id: {dup}")
-        return cls(nodes=node_map, edges=frozenset(edges))
 
     def node(self, node_id: str) -> StatementNode:
         try:

@@ -7,8 +7,8 @@ Anything richer has to come in through the graph-interchange importer.
 
 There is no syntax tree.  Expressions parse straight to their statement's
 flow facts, and each statement, as it is parsed, becomes a graph node wired
-into its function's control-flow graph; ``parse_program`` hands each
-function over with its finished :class:`FunctionFlow`.
+into its function's control-flow graph; each function comes out as one
+:class:`FunctionDef` that holds its nodes, CFG and branch scopes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequen
 from .model import (
     CallFact,
     FunctionDef,
-    FunctionFlow,
     ParseError,
     Program,
     StatementNode,
@@ -171,8 +170,7 @@ class _FileParser:
         self.pos = 0
         self.function = ""   # name of the function being parsed
         # That function's nodes and control flow, wired as it is parsed.
-        self.order: List[str] = []                  # node ids, source order
-        self.infos: Dict[str, StatementNode] = {}
+        self.nodes: List[StatementNode] = []        # source order
         self.succ: Dict[str, Set[str]] = {}
         self.scopes: Dict[str, Tuple[str, ...]] = {}   # header id -> governed ids
         # Flow facts of the statement being parsed (see ``Shape`` above).
@@ -226,13 +224,13 @@ class _FileParser:
 
     # grammar -------------------------------------------------------------
 
-    def parse_file(self) -> List[Tuple[FunctionDef, FunctionFlow]]:
-        functions: List[Tuple[FunctionDef, FunctionFlow]] = []
+    def parse_file(self) -> List[FunctionDef]:
+        functions: List[FunctionDef] = []
         while self.peek().kind != "eof":
             functions.extend(self.parse_top_level())
         return functions
 
-    def parse_top_level(self) -> List[Tuple[FunctionDef, FunctionFlow]]:
+    def parse_top_level(self) -> List[FunctionDef]:
         tok = self.peek()
         if not self.at_type():
             raise ParseError(f"expected a declaration, found {tok.value!r}",
@@ -265,9 +263,7 @@ class _FileParser:
         while self.peek().value == "*":
             self.advance()
 
-    def parse_function(
-        self, start_tok: Token, name_tok: Token,
-    ) -> Tuple[FunctionDef, FunctionFlow]:
+    def parse_function(self, start_tok: Token, name_tok: Token) -> FunctionDef:
         self.expect("(")
         params = []   # (first token, name token, array-size uses, array-size calls)
         if self.peek().value != ")":
@@ -285,7 +281,7 @@ class _FileParser:
                     break
         close = self.expect(")")
         self.function = name = name_tok.value
-        self.order, self.infos, self.succ, self.scopes = [], {}, {}, {}
+        self.nodes, self.succ, self.scopes = [], {}, {}
         # entry -> param defs -> body
         preds = [self.add(self.node("entry", name_tok, self.excerpt(start_tok, close)), ())]
         for p_start, p_name, uses, calls in params:
@@ -294,25 +290,16 @@ class _FileParser:
         self.expect("{")
         self.parse_block(preds)
         end_tok = self.expect("}")
-        infos = self.infos
-        node_ids = tuple(self.order)
-        return (
-            FunctionDef(
-                name=name,
-                file=self.file,
-                statements=node_ids,
-                callsites=tuple((callee, nid) for nid, node in infos.items()
-                                for callee, _ in node.calls),
-                start_line=start_tok.line,
-                end_line=end_tok.line,
-            ),
-            FunctionFlow(
-                name=name,
-                node_ids=node_ids,
-                cfg_succ={nid: tuple(sorted(targets)) for nid, targets in self.succ.items()},
-                control_scopes=self.scopes,
-                infos=infos,
-            ),
+        nodes = self.nodes
+        return FunctionDef(
+            name=name,
+            file=self.file,
+            nodes=tuple(nodes),
+            callsites=tuple((callee, node.id) for node in nodes for callee, _ in node.calls),
+            start_line=start_tok.line,
+            end_line=end_tok.line,
+            cfg_succ={nid: tuple(sorted(targets)) for nid, targets in self.succ.items()},
+            control_scopes=self.scopes,
         )
 
     def node(
@@ -332,14 +319,13 @@ class _FileParser:
     #
     # Each statement parser takes ``preds``, the ids control reaches it
     # from, and returns the ids control leaves it by (none after a
-    # ``return``).  Nodes are added in source order, so the ids a branch or
-    # loop header governs are the slice of ``order`` that its body added.
+    # ``return``).  Nodes are added in source order, so the nodes a branch
+    # or loop header governs are the slice of ``nodes`` that its body added.
 
     def add(self, node: StatementNode, preds: Iterable[str]) -> str:
         """Add ``node`` to the function, reached from ``preds``; its id."""
         nid = node.id
-        self.infos[nid] = node
-        self.order.append(nid)
+        self.nodes.append(node)
         self.succ[nid] = set()
         self.link(preds, nid)
         return nid
@@ -348,6 +334,10 @@ class _FileParser:
         succ = self.succ
         for pred in preds:
             succ[pred].add(target)
+
+    def governed(self, mark: int) -> Tuple[str, ...]:
+        """Ids of the nodes added since there were ``mark`` of them."""
+        return tuple([node.id for node in self.nodes[mark:]])
 
     def parse_block(self, preds: List[str]) -> List[str]:
         while self.peek().value != "}":
@@ -393,14 +383,14 @@ class _FileParser:
         close = self.expect(")")
         nid = self.add(self.node("branch", start, self.excerpt(start, close), _EMPTY, uses, calls),
                        preds)
-        mark = len(self.order)
+        mark = len(self.nodes)
         leave = self.parse_stmt([nid])
         if self.peek().value == "else":
             self.advance()
             leave = leave + self.parse_stmt([nid])
         else:
             leave = leave + [nid]
-        self.scopes[nid] = tuple(self.order[mark:])
+        self.scopes[nid] = self.governed(mark)
         return leave
 
     def parse_while(self, preds: List[str]) -> List[str]:
@@ -410,9 +400,9 @@ class _FileParser:
         close = self.expect(")")
         nid = self.add(self.node("loop-header", start, self.excerpt(start, close),
                                  _EMPTY, uses, calls), preds)
-        mark = len(self.order)
+        mark = len(self.nodes)
         self.link(self.parse_stmt([nid]), nid)
-        self.scopes[nid] = tuple(self.order[mark:])
+        self.scopes[nid] = self.governed(mark)
         return [nid]
 
     def parse_for(self, preds: List[str]) -> List[str]:
@@ -445,9 +435,9 @@ class _FileParser:
             back = self.add(update, ())
             self.link([back], nid)
             tail = (back,)
-        mark = len(self.order)
+        mark = len(self.nodes)
         self.link(self.parse_stmt([nid]), back)
-        self.scopes[nid] = tuple(self.order[mark:]) + tail
+        self.scopes[nid] = self.governed(mark) + tail
         return [nid]
 
     def parse_return(self, preds: List[str]) -> List[str]:
@@ -676,12 +666,12 @@ def parse_program(
     sources: Sequence[Tuple[str, str]],
     entry: Optional[str] = None,
 ) -> Program:
-    """Parse mini-C sources into a :class:`Program`, each function's flow included.
+    """Parse mini-C sources into a :class:`Program`, each function's CFG included.
 
     ``entry`` overrides entry-point inference; the inferred default is
     ``main`` when present, else the unique function nobody calls.
     """
-    parsed: List[Tuple[FunctionDef, FunctionFlow]] = []
+    parsed: List[FunctionDef] = []
     seen: Set[str] = set()
     for path, text in sources:
         # Node ids are ``path:line:col``, so one path parsed twice would
@@ -690,9 +680,8 @@ def parse_program(
             raise ParseError(f"duplicate source path: {path}", path, 1, 1)
         seen.add(path)
         parsed.extend(_FileParser(path, text).parse_file())
-    defs = tuple(fn for fn, _ in parsed)
-    counts = Counter(fn.name for fn in defs)
-    for fn in defs:
+    counts = Counter(fn.name for fn in parsed)
+    for fn in parsed:
         if counts[fn.name] > 1:
             raise ParseError(f"duplicate function name: {fn.name}",
                              fn.file, fn.start_line, 1)
@@ -701,10 +690,9 @@ def parse_program(
             raise ParseError(f"entry function not defined: {entry}", "<entry>", 1, 1)
         entry_name = entry
     else:
-        entry_name = infer_entry_function(defs)
+        entry_name = infer_entry_function(parsed)
     return Program(
         files=tuple(sources),
-        functions=defs,
+        functions=tuple(parsed),
         entry_function=entry_name,
-        flows=tuple(flow for _, flow in parsed),
     )

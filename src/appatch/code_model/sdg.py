@@ -1,20 +1,20 @@
 """System dependence graph construction over the parsed program model.
 
 The parser wires each function's control-flow graph and branch scopes
-as it parses, and hands them over with the function's nodes.  Per
-function: reaching definitions over the CFG (solved on int bitsets, one
-bit per def fact), data edges for surviving def-use pairs, and control
-edges from each branch or loop header to the statements in its syntactic
-scope.  Across functions: call edges from callsites to callee entries and
-param edges from the statements defining each argument to the callee's
-param-def nodes.
+as it parses, and keeps them on the function's :class:`FunctionDef` next
+to its nodes.  Per function: reaching definitions over the CFG (solved
+on int bitsets, one bit per def fact), data edges for surviving def-use
+pairs, and control edges from each branch or loop header to the
+statements in its syntactic scope.  Across functions: call edges from
+callsites to callee entries and param edges from the statements defining
+each argument to the callee's param-def nodes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .model import DependenceGraph, ExternalInputSet, FunctionFlow, Program
+from .model import DependenceGraph, ExternalInputSet, FunctionDef, Program
 
 # Curated call targets that introduce externally controlled data or state.
 # Extendable through configuration; this is only the default.
@@ -37,29 +37,29 @@ class _ReachingDefs:
 
     __slots__ = ("facts", "var_mask", "in_bits")
 
-    def __init__(self, flow: FunctionFlow):
-        order = flow.node_ids
-        index = {nid: i for i, nid in enumerate(order)}
+    def __init__(self, fn: FunctionDef):
+        order = fn.nodes
+        index = {node.id: i for i, node in enumerate(order)}
         facts: List[Tuple[str, str]] = []
         var_mask: Dict[str, int] = {}
         gen: List[int] = []
-        for nid in order:
+        for node in order:
             bits = 0
-            for var in flow.infos[nid].defs:
+            for var in node.defs:
                 bit = 1 << len(facts)
-                facts.append((nid, var))
+                facts.append((node.id, var))
                 bits |= bit
                 var_mask[var] = var_mask.get(var, 0) | bit
             gen.append(bits)
         keep: List[int] = []
-        for nid in order:
+        for node in order:
             killed = 0
-            for var in flow.infos[nid].defs:
+            for var in node.defs:
                 killed |= var_mask[var]
             keep.append(~killed)
 
         preds: List[List[int]] = [[] for _ in order]
-        for src, targets in flow.cfg_succ.items():
+        for src, targets in fn.cfg_succ.items():
             for dst in targets:
                 preds[index[dst]].append(index[src])
 
@@ -100,24 +100,27 @@ def build_sdg(program: Program) -> DependenceGraph:
     """Assemble the interprocedural dependence graph of a program that
     :func:`parse_program` built; the graph's nodes are the parser's own.
 
-    Calls to functions not defined in the program get no call or param
-    edges; their return values act as plain definitions at the callsite.
+    Every function must carry its CFG, which only the parser records: an
+    imported or hand-made program is refused.  The parser makes each node
+    id from its own token, so ids are distinct without a check.  Calls to
+    functions not defined in the program get no call or param edges;
+    their return values act as plain definitions at the callsite.
     """
-    flows = program.flows
-    if len(flows) != len(program.functions):
+    functions = program.functions
+    if not all(fn.cfg_succ for fn in functions):
         raise ValueError("build_sdg needs a program from parse_program, "
                          "which records each function's flow")
 
     edges: Set[Tuple[str, str, str]] = set()
-    entry_ids = {flow.name: flow.node_ids[0] for flow in flows}
+    entry_ids = {fn.name: fn.nodes[0].id for fn in functions}
     param_ids = {
-        flow.name: [node.id for node in flow.infos.values() if node.kind == "param-def"]
-        for flow in flows
+        fn.name: [node.id for node in fn.nodes if node.kind == "param-def"]
+        for fn in functions
     }
 
-    for flow in flows:
-        reaching = _ReachingDefs(flow)
-        for i, node in enumerate(flow.infos.values()):
+    for fn in functions:
+        reaching = _ReachingDefs(fn)
+        for i, node in enumerate(fn.nodes):
             nid = node.id
             for var in node.uses:
                 for def_id in reaching.def_ids(i, var):
@@ -134,12 +137,12 @@ def build_sdg(program: Program) -> DependenceGraph:
                     for var in used:
                         for def_id in reaching.def_ids(i, var):
                             edges.add((def_id, formals[position], "param"))
-        for header, governed in flow.control_scopes.items():
+        for header, governed in fn.control_scopes.items():
             for target in governed:
                 edges.add((header, target, "control"))
 
-    nodes = (node for flow in flows for node in flow.infos.values())
-    return DependenceGraph.build(nodes, edges)
+    nodes = {node.id: node for fn in functions for node in fn.nodes}
+    return DependenceGraph(nodes=nodes, edges=frozenset(edges))
 
 
 def identify_external_inputs(
@@ -148,7 +151,12 @@ def identify_external_inputs(
     external_functions: Optional[FrozenSet[str]] = None,
 ) -> ExternalInputSet:
     """Callsites of curated external functions plus entry-point parameter
-    definitions; the program entry point stands in for its input sites."""
+    definitions; the program entry point stands in for its input sites.
+
+    Both are read off ``program``; the sites are node ids of ``graph``, its
+    dependence graph, which :func:`vulnerability_semantics` checks them
+    against.
+    """
     if external_functions is None:
         external_functions = DEFAULT_EXTERNAL_FUNCTIONS
     reasons: Dict[str, str] = {}
@@ -158,7 +166,7 @@ def identify_external_inputs(
                 reasons[node_id] = "external-call"
     if program.entry_function is not None:
         entry_fn = program.function(program.entry_function)
-        for node_id in entry_fn.statements:
-            if graph.node(node_id).kind == "param-def":
-                reasons[node_id] = "program-input-param"
+        for node in entry_fn.nodes:
+            if node.kind == "param-def":
+                reasons[node.id] = "program-input-param"
     return ExternalInputSet(reasons=reasons)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .diffs import ApplyError, DiffError, apply_patch  # noqa: F401  (module surface)
+from .diffs import ApplyError, DiffError, apply_patch
 from .files import write_text_atomic
 
 log = logging.getLogger(__name__)
@@ -44,14 +44,6 @@ class PatchLabel:
             raise ValueError(f"bad category: {self.category!r}")
         if self.source not in LABEL_SOURCES:
             raise ValueError(f"bad label source: {self.source!r}")
-
-    def to_document(self) -> Dict[str, Any]:
-        return {
-            "sample_id": self.sample_id,
-            "ordinal": self.ordinal,
-            "category": self.category,
-            "source": self.source,
-        }
 
     @classmethod
     def from_document(cls, doc: Mapping[str, Any]) -> "PatchLabel":

@@ -104,26 +104,6 @@ class DatasetSample:
             entry=doc.get("entry"),
         )
 
-    def to_document(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {
-            "id": self.id,
-            "vuln": {
-                "lines": [[file, line] for file, line in self.vuln.vulnerable_lines],
-                "cwes": list(self.vuln.cwe_ids),
-            },
-        }
-        if self.sources is not None:
-            doc["sources"] = [[path, text] for path, text in self.sources]
-        if self.graph_document is not None:
-            doc["graph"] = self.graph_document
-        if self.ground_truth_patch is not None:
-            doc["ground_truth_patch"] = self.ground_truth_patch
-        if self.provenance:
-            doc["provenance"] = self.provenance
-        if self.entry is not None:
-            doc["entry"] = self.entry
-        return doc
-
     def materialize(self) -> Tuple[Program, DependenceGraph]:
         if self.graph_document is not None:
             return import_graph(self.graph_document)

@@ -99,8 +99,6 @@ class Exchange:
 class Provider:
     """Shared retry/pacing/accounting shell around a concrete transport."""
 
-    kind = "abstract"
-
     def __init__(
         self,
         provider_id: str,
@@ -188,8 +186,6 @@ class ScriptedProvider(Provider):
     scriptable.  An exhausted queue fails loudly.
     """
 
-    kind = "scripted"
-
     def __init__(self, provider_id: str, responses: Sequence[Union[str, Mapping]],
                  model: str = "scripted", **kwargs):
         super().__init__(provider_id, model, **kwargs)
@@ -214,8 +210,6 @@ class HttpChatProvider(Provider):
     ``{"model", "messages", "temperature", "max_tokens"}`` and answer with
     ``choices[0].message.content``; header differences live in config.
     """
-
-    kind = "http-chat"
 
     def __init__(
         self,
@@ -285,10 +279,10 @@ class CachedProvider(Provider):
 
     Entries live at ``<cache>/<digest[:2]>/<digest>.json`` keyed by
     (inner provider id, model, prompt bytes) and are written via
-    temp-file-then-rename so concurrent writers stay safe.
+    temp-file-then-rename so concurrent writers stay safe.  A hit is
+    served only if the entry records that same request; any other entry at
+    its path is a :class:`ConfigurationError`, never an answer.
     """
-
-    kind = "cached"
 
     def __init__(self, provider_id: str, inner: Provider, cache_dir: Union[str, Path]):
         super().__init__(provider_id, inner.model, attempts=1, backoff=0.0)
@@ -303,7 +297,16 @@ class CachedProvider(Provider):
         path = self._entry_path(digest)
         if path.exists():
             with open(path, "r", encoding="utf-8") as handle:
-                return self._record(Exchange.from_document(json.load(handle)))
+                stored = Exchange.from_document(json.load(handle))
+            if (stored.prompt, stored.provider_id, stored.model) != (
+                prompt, self.inner.id, self.inner.model,
+            ):
+                raise ConfigurationError(
+                    f"cache entry {path} does not record this request (provider "
+                    f"{self.inner.id!r}, model {self.inner.model!r}, this prompt); "
+                    "it is not served"
+                )
+            return self._record(stored)
         exchange = self.inner.complete(prompt)
         write_text_atomic(path, json.dumps(exchange.to_document(), indent=2, sort_keys=True))
         return self._record(exchange)

@@ -83,7 +83,7 @@ def random_dag(
         for j in range(i + 1, node_count):
             if rng.random() < density:
                 edges.add((ids[i], ids[j], "data"))
-    graph = DependenceGraph.build(nodes, edges)
+    graph = DependenceGraph(nodes={n.id: n for n in nodes}, edges=frozenset(edges))
     sv = frozenset(rng.sample(ids, rng.randint(1, min(max_sv, node_count))))
     ei = frozenset(rng.sample(ids, rng.randint(0, min(max_ei, node_count))))
     return graph, sv, ei

@@ -146,6 +146,25 @@ def test_mine_unknown_provider_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["scripted", "cached-scripted"])
+def test_mine_refuses_scripted_replay_with_jobs(tmp_path, capsys, cached):
+    """Three samples, three distinct scripted answers: handed out in thread
+    order, one sample could take (and cache) another's answer."""
+    script = json.loads((FIXTURES / "scripted" / "mine.json").read_text())
+    assert len(set(map(json.dumps, script))) == 3
+    config = write_config(tmp_path, cached=cached)
+    pool_path = tmp_path / "pool.jsonl"
+    code = main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"),
+                 "--provider", "miner", "--pool", str(pool_path),
+                 "--config", str(config), "--jobs", "3"])
+    assert code == 2
+    replayed = "miner-raw" if cached else "miner"
+    assert (f"provider 'miner' replays the script of {replayed!r}"
+            in capsys.readouterr().err)
+    assert not pool_path.exists()
+    assert not (tmp_path / "cache").exists()
+
+
 def test_config_via_environment(tmp_path, monkeypatch):
     config = write_config(tmp_path)
     monkeypatch.setenv("APPATCH_CONFIG", str(config))

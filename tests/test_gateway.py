@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -75,6 +76,32 @@ def test_cache_hit_returns_identical_exchange(tmp_path):
     assert entry.is_file()
     stored = json.loads(entry.read_text())
     assert stored["response"] == "cached answer"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("prompt", "another prompt"),
+    ("provider_id", "another-provider"),
+    ("model", "another-model"),
+])
+def test_cache_hit_for_another_request_is_refused(tmp_path, field, value):
+    """An entry at the request's digest path that records another request
+    (a collision, a hand edit, a stale layout) is never served."""
+    inner = scripted(["fresh answer"])
+    provider = CachedProvider("c", inner, tmp_path / "cache")
+    digest = exchange_digest(inner.id, inner.model, "the prompt")
+    entry = tmp_path / "cache" / digest[:2] / f"{digest}.json"
+    entry.parent.mkdir(parents=True)
+    planted = {
+        "provider_id": inner.id, "model": inner.model, "prompt": "the prompt",
+        "response": "planted answer", "prompt_digest": digest,
+        "input_tokens": 2, "output_tokens": 2, "estimated": True,
+    }
+    planted[field] = value
+    entry.write_text(json.dumps(planted))
+    with pytest.raises(ConfigurationError, match=re.escape(f"cache entry {entry} does not record")):
+        provider.complete("the prompt")
+    assert provider.history == [] and inner.history == []
+    assert json.loads(entry.read_text()) == planted
 
 
 def test_cache_distinguishes_prompts(tmp_path):

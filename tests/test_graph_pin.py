@@ -67,12 +67,12 @@ def _flow_facts(sources):
     program = parse_program(sources)
     facts = [["callsites", fn.name, [list(site) for site in fn.callsites]]
              for fn in program.functions]
-    for flow in program.flows:
-        for nid, info in flow.infos.items():
+    for fn in program.functions:
+        for info in fn.nodes:
             facts.append([
-                nid, info.kind, sorted(info.defs), sorted(info.uses),
+                info.id, info.kind, sorted(info.defs), sorted(info.uses),
                 [[callee, [sorted(used) for used in args]] for callee, args in info.calls],
-                info.is_return,
+                info.kind == "return",
             ])
     return facts
 
@@ -89,10 +89,10 @@ def test_flow_facts_of_fixtures_and_benchmark_program_are_pinned(fixtures_dir):
 def _cfg(sources):
     """Per function: its CFG successors and its branch scopes, keys and values sorted."""
     return [
-        [flow.name,
-         sorted([nid, sorted(targets)] for nid, targets in flow.cfg_succ.items()),
-         sorted([nid, sorted(ids)] for nid, ids in flow.control_scopes.items())]
-        for flow in parse_program(sources).flows
+        [fn.name,
+         sorted([nid, sorted(targets)] for nid, targets in fn.cfg_succ.items()),
+         sorted([nid, sorted(ids)] for nid, ids in fn.control_scopes.items())]
+        for fn in parse_program(sources).functions
     ]
 
 
@@ -107,8 +107,8 @@ def test_cfg_and_scopes_of_fixtures_and_benchmark_program_are_pinned(fixtures_di
 
 def _statement_facts(statement):
     source = f"int t(int a, int i, int *p, int x){{\n{statement}\nreturn 0;}}\n"
-    (flow,) = parse_program([("e.c", source)]).flows
-    info = next(n for n in flow.infos.values() if n.line == 2)
+    (fn,) = parse_program([("e.c", source)]).functions
+    info = next(n for n in fn.nodes if n.line == 2)
     calls = [(callee, [sorted(used) for used in args]) for callee, args in info.calls]
     return info.kind, sorted(info.defs), sorted(info.uses), calls
 

@@ -257,7 +257,7 @@ def _rebuilt(program):
     return {
         "files": [list(entry) for entry in program.files],
         "functions": [
-            [fn.name, fn.file, list(fn.statements),
+            [fn.name, fn.file, [node.id for node in fn.nodes],
              [list(site) for site in fn.callsites], fn.start_line, fn.end_line]
             for fn in program.functions
         ],
@@ -339,7 +339,8 @@ def test_imported_program_agrees_with_the_parsed_one(fixtures_dir, sources):
             == identify_external_inputs(parsed, parsed_graph).reasons)
 
     def by_name(program):
-        return {fn.name: (fn.callsites, set(fn.statements)) for fn in program.functions}
+        return {fn.name: (fn.callsites, {node.id for node in fn.nodes})
+                for fn in program.functions}
 
     assert by_name(imported) == by_name(parsed)
     assert imported.entry_function == parsed.entry_function

@@ -21,11 +21,9 @@ def _node(node_id: str, line: int) -> StatementNode:
 
 def test_nodes_at_orders_by_column_and_misses_empty_lines():
     # inserted out of order; "15" sorts before "2" as a string
-    graph = DependenceGraph.build(
-        [_node("m.c:3:9", 3), _node("m.c:3:15", 3), _node("m.c:3:2", 3),
-         _node("m.c:1:1", 1)],
-        [],
-    )
+    nodes = [_node("m.c:3:9", 3), _node("m.c:3:15", 3), _node("m.c:3:2", 3),
+             _node("m.c:1:1", 1)]
+    graph = DependenceGraph(nodes={n.id: n for n in nodes}, edges=frozenset())
     assert graph.nodes_at("m.c", 3) == ["m.c:3:2", "m.c:3:9", "m.c:3:15"]
     assert graph.nodes_at("m.c", 1) == ["m.c:1:1"]
     assert graph.nodes_at("m.c", 2) == []
@@ -33,15 +31,9 @@ def test_nodes_at_orders_by_column_and_misses_empty_lines():
     assert graph.sorted_node_ids() == ["m.c:1:1", "m.c:3:2", "m.c:3:9", "m.c:3:15"]
 
 
-def test_build_names_a_duplicate_node_id():
-    nodes = [_node("m.c:1:1", 1), _node("m.c:2:5", 2), _node("m.c:1:1", 1)]
-    with pytest.raises(ValueError, match="^duplicate node id: m.c:1:1$"):
-        DependenceGraph.build(iter(nodes), [("m.c:1:1", "m.c:2:5", "data")])
-
-
 def _function(name: str, callees, start: int) -> FunctionDef:
     return FunctionDef(
-        name=name, file="p.c", statements=(),
+        name=name, file="p.c", nodes=(),
         callsites=tuple((callee, f"p.c:{start}:{i + 1}") for i, callee in enumerate(callees)),
         start_line=start, end_line=start,
     )

@@ -19,7 +19,7 @@ def test_minimal_function():
     from appatch.code_model import build_sdg
 
     graph = build_sdg(program)
-    kinds = sorted(graph.node(nid).kind for nid in program.functions[0].statements)
+    kinds = sorted(graph.node(node.id).kind for node in program.functions[0].nodes)
     assert kinds == ["entry", "return"]
 
 
@@ -28,7 +28,7 @@ def test_fixture_parses_with_three_functions(jsi_program, jsi_graph):
         "jsi_strlen", "format_value", "jsi_strcpy",
     ]
     assert jsi_program.entry_function == "format_value"
-    nodes = [jsi_graph.node(nid) for nid in jsi_program.function("format_value").statements]
+    nodes = [jsi_graph.node(node.id) for node in jsi_program.function("format_value").nodes]
     params = tuple(name for node in nodes if node.kind == "param-def" for name in node.defs)
     assert params == ("dStr", "quoted")
 
@@ -265,7 +265,7 @@ def test_parameter_array_size_uses_flow_into_the_param_def():
 
     program = parse_program([("p.c", "int f(int n, int a[n+1]){return a[0];}")])
     graph = build_sdg(program)
-    n_def, a_def = program.functions[0].statements[1:3]
+    n_def, a_def = (node.id for node in program.functions[0].nodes[1:3])
     assert graph.node(a_def).text == "int a"
     assert graph.node(a_def).uses == frozenset({"n"})
     assert (n_def, a_def, "data") in graph.edges

@@ -23,7 +23,7 @@ def chain_graph():
         for i, n in enumerate(["A", "B", "C", "D"])
     ]
     edges = [("A", "B", "data"), ("B", "C", "data"), ("D", "B", "data")]
-    return DependenceGraph.build(nodes, edges)
+    return DependenceGraph(nodes={n.id: n for n in nodes}, edges=frozenset(edges))
 
 
 def pair_slice(graph, sv, ei):
@@ -116,7 +116,7 @@ def graph_instances(draw):
         for i in range(node_count)
     ]
     edges = {(ids[i], ids[j], "data") for i, j in chosen}
-    graph = DependenceGraph.build(nodes, edges)
+    graph = DependenceGraph(nodes={n.id: n for n in nodes}, edges=frozenset(edges))
     sv = draw(st.sets(st.sampled_from(ids), min_size=1, max_size=3))
     ei_small = draw(st.sets(st.sampled_from(ids), max_size=2))
     ei_extra = draw(st.sets(st.sampled_from(ids), max_size=2))

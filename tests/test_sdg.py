@@ -15,22 +15,18 @@ from appatch.code_model.sdg import _ReachingDefs
 from oracles import syntactic_control_edges
 
 
-def brute_force_data_edges(flow):
+def brute_force_data_edges(fn):
     """Every (def, use) pair with a redefinition-free CFG path between them."""
-    preds = {nid: [] for nid in flow.node_ids}
-    for src, targets in flow.cfg_succ.items():
-        for dst in targets:
-            preds[dst].append(src)
-
+    infos = {node.id: node for node in fn.nodes}
     edges = set()
-    for def_id in flow.node_ids:
-        for var in flow.infos[def_id].defs:
-            for use_id in flow.node_ids:
-                if var not in flow.infos[use_id].uses:
+    for def_id in infos:
+        for var in infos[def_id].defs:
+            for use_id in infos:
+                if var not in infos[use_id].uses:
                     continue
                 # DFS from def_id successors to use_id, skipping nodes that
                 # redefine var (endpoints excluded from the interior check).
-                stack = list(flow.cfg_succ[def_id])
+                stack = list(fn.cfg_succ[def_id])
                 seen = set()
                 found = False
                 while stack:
@@ -41,9 +37,9 @@ def brute_force_data_edges(flow):
                     if node in seen:
                         continue
                     seen.add(node)
-                    if var in flow.infos[node].defs:
+                    if var in infos[node].defs:
                         continue  # path is cut by the redefinition
-                    stack.extend(flow.cfg_succ[node])
+                    stack.extend(fn.cfg_succ[node])
                 if found:
                     edges.add((def_id, use_id, "data"))
     return edges
@@ -57,8 +53,8 @@ def brute_force_edges(program):
     """Every data and control edge of a one-file program, by the two oracles."""
     ((file, text),) = program.files
     expected = syntactic_control_edges(file, text)
-    for flow in program.flows:
-        expected |= brute_force_data_edges(flow)
+    for fn in program.functions:
+        expected |= brute_force_data_edges(fn)
     return expected
 
 
@@ -274,33 +270,34 @@ def test_random_programs_match_brute_force_oracle():
         assert intraprocedural_edges(build_sdg(program)) == brute_force_edges(program), source
 
 
-def reaching_definitions(flow):
+def reaching_definitions(fn):
     """IN sets decoded from the builder's bitset solver."""
-    solved = _ReachingDefs(flow)
+    solved = _ReachingDefs(fn)
     return {
-        nid: frozenset(solved.facts_in(bits))
-        for nid, bits in zip(flow.node_ids, solved.in_bits)
+        node.id: frozenset(solved.facts_in(bits))
+        for node, bits in zip(fn.nodes, solved.in_bits)
     }
 
 
-def set_based_reaching_definitions(flow):
+def set_based_reaching_definitions(fn):
     """IN sets by round-robin over Python sets of (node id, var) facts."""
-    gen = {nid: {(nid, var) for var in flow.infos[nid].defs} for nid in flow.node_ids}
-    preds = {nid: [] for nid in flow.node_ids}
-    for src, targets in flow.cfg_succ.items():
+    infos = {node.id: node for node in fn.nodes}
+    gen = {nid: {(nid, var) for var in node.defs} for nid, node in infos.items()}
+    preds = {nid: [] for nid in infos}
+    for src, targets in fn.cfg_succ.items():
         for dst in targets:
             preds[dst].append(src)
-    in_sets = {nid: set() for nid in flow.node_ids}
-    out_sets = {nid: set(gen[nid]) for nid in flow.node_ids}
+    in_sets = {nid: set() for nid in infos}
+    out_sets = {nid: set(gen[nid]) for nid in infos}
     changed = True
     while changed:
         changed = False
-        for nid in flow.node_ids:
+        for nid in infos:
             new_in = set()
             for pred in preds[nid]:
                 new_in |= out_sets[pred]
             in_sets[nid] = new_in
-            killed = flow.infos[nid].defs
+            killed = infos[nid].defs
             new_out = gen[nid] | {fact for fact in new_in if fact[1] not in killed}
             if new_out != out_sets[nid]:
                 out_sets[nid] = new_out
@@ -316,17 +313,17 @@ def test_reaching_definitions_equal_the_set_based_fixed_point(fixtures_dir):
                for f in ("jsi_like.c", "idx_read.c", "null_use.c")]
     sources += [(f"r{i}.c", _random_mini_c(rng)) for i in range(40)]
     for name, source in sources:
-        for flow in parse_program([(name, source)]).flows:
-            assert reaching_definitions(flow) == set_based_reaching_definitions(flow), (
-                name, flow.name)
+        for fn in parse_program([(name, source)]).functions:
+            assert reaching_definitions(fn) == set_based_reaching_definitions(fn), (
+                name, fn.name)
 
 
 def test_use_of_a_never_defined_variable_gets_no_data_edge():
     source = "int f(int a){int c; c = zz; c = c + a; while(a){a = zz + 1;} return c;}"
     program = parse_program([("u.c", source)])
-    (flow,) = program.flows
-    in_sets = reaching_definitions(flow)
-    assert in_sets == set_based_reaching_definitions(flow)
+    (fn,) = program.functions
+    in_sets = reaching_definitions(fn)
+    assert in_sets == set_based_reaching_definitions(fn)
     assert all(var != "zz" for facts in in_sets.values() for _, var in facts)
     graph = build_sdg(program)
     data_into = {}
@@ -355,7 +352,7 @@ def test_calls_inside_an_assignment_target_are_callsites():
     )
     ei = identify_external_inputs(program, graph)
     assert ei.reasons["t.c:4:5"] == "external-call"
-    entry_g, param_g = program.function("g").statements[:2]
+    entry_g, param_g = (node.id for node in program.function("g").nodes[:2])
     assert ("t.c:5:5", entry_g, "call") in graph.edges
     param_sources = {src for src, dst, kind in graph.edges
                      if kind == "param" and dst == param_g}
@@ -373,21 +370,46 @@ def test_calls_in_an_array_size_are_callsites():
 
 
 def test_graph_holds_the_parsers_nodes(jsi_program, jsi_graph):
-    for flow in jsi_program.flows:
-        for nid, node in flow.infos.items():
-            assert jsi_graph.nodes[nid] is node
+    for fn in jsi_program.functions:
+        for node in fn.nodes:
+            assert jsi_graph.nodes[node.id] is node
 
 
-def test_build_sdg_needs_a_program_from_parse_program(jsi_graph):
+def test_parser_gives_every_node_its_own_id(fixtures_dir):
+    """The graph keys nodes by id, so a repeated id would lose a node."""
+    import random
+
+    from test_graph_pin import _benchmark_program
+
+    target = _benchmark_program()
+    rng = random.Random(424242)
+    sources = [[(f, (fixtures_dir / f).read_text(encoding="utf-8"))]
+               for f in ("jsi_like.c", "idx_read.c", "null_use.c")]
+    sources.append([(target.file, target.text)])
+    sources += [[("r.c", _random_mini_c(rng))] for _ in range(40)]
+    for source in sources:
+        program = parse_program(source)
+        graph = build_sdg(program)
+        assert len(graph.nodes) == sum(len(fn.nodes) for fn in program.functions), source[0][0]
+
+
+def test_build_sdg_needs_a_program_from_parse_program(jsi_program, jsi_graph):
     from appatch.code_model import dump_graph, import_graph
     from appatch.code_model.model import FunctionDef, Program
 
+    needs_parse = "build_sdg needs a program from parse_program"
     imported, _ = import_graph(dump_graph(jsi_graph))
-    with pytest.raises(ValueError, match="build_sdg needs a program from parse_program"):
+    assert [len(fn.nodes) for fn in imported.functions] == [
+        len(jsi_program.function(fn.name).nodes) for fn in imported.functions
+    ]
+    assert not any(fn.cfg_succ or fn.control_scopes for fn in imported.functions)
+    with pytest.raises(ValueError, match=needs_parse):
         build_sdg(imported)
-    by_hand = Program(files=(("h.c", "int f(){return 0;}"),), functions=(
-        FunctionDef(name="f", file="h.c", statements=(), callsites=(),
-                    start_line=1, end_line=1),
+    f = jsi_program.function("jsi_strlen")
+    by_hand = Program(files=jsi_program.files, functions=(
+        FunctionDef(name=f.name, file=f.file, nodes=f.nodes, callsites=f.callsites,
+                    start_line=f.start_line, end_line=f.end_line),
     ))
-    with pytest.raises(ValueError, match="build_sdg needs a program from parse_program"):
+    assert by_hand.functions[0] == f     # the CFG is not part of a function's value
+    with pytest.raises(ValueError, match=needs_parse):
         build_sdg(by_hand)
