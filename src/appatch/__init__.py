@@ -37,7 +37,6 @@ from .exemplars import (
 )
 from .prompting import (
     CandidatePatch,
-    ContextDemand,
     RootCause,
     generate_patches,
     generate_root_cause,

@@ -205,12 +205,12 @@ def _reconstruct_program(graph: DependenceGraph) -> Program:
         texts.setdefault(node.line, text)
         callees = calls_at.get(nid)
         if "(" in text and node.kind not in ("entry", "param-def"):
-            for name in _CALL_RE.findall(text):
-                if name not in _NON_CALLS:
-                    if callees is None:
-                        callees = [name]
-                    elif name not in callees:
-                        callees.append(name)
+            # The text's calls in order, repeats kept, as the parser lists
+            # them; then any callee that only a call edge names.
+            names = [name for name in _CALL_RE.findall(text) if name not in _NON_CALLS]
+            if callees:
+                names += [callee for callee in callees if callee not in names]
+            callees = names
         if callees:
             group[1].extend([(callee, nid) for callee in callees])
 

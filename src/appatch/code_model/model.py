@@ -107,9 +107,12 @@ class StatementNode(NamedTuple):
 class FunctionDef:
     """One function: its graph nodes, its callsites and, from the parser, its control flow.
 
-    ``nodes`` are in source order, entry first.  ``cfg_succ`` and
-    ``control_scopes`` stay empty in a function an imported graph rebuilds
-    or that is made by hand; :func:`build_sdg` needs them filled in.
+    ``nodes`` are in source order, entry first.  The control flow refers
+    to nodes by position in ``nodes``: ``cfg_preds[i]`` holds the CFG
+    predecessors of node ``i``, and each ``(header, start, end)`` of
+    ``control_scopes`` says that branch or loop header ``header`` governs
+    ``nodes[start:end]``.  Both stay empty in a function an imported graph
+    rebuilds or that is made by hand; :func:`build_sdg` needs them filled in.
     """
 
     name: str
@@ -118,13 +121,9 @@ class FunctionDef:
     callsites: Tuple[Tuple[str, str], ...]  # (callee name, node id)
     start_line: int
     end_line: int
-    # node id -> CFG successor ids, one entry per node
-    cfg_succ: Mapping[str, Tuple[str, ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    # branch or loop header id -> ids of the statements it governs
-    control_scopes: Mapping[str, Tuple[str, ...]] = field(
-        default_factory=dict, compare=False, repr=False
+    cfg_preds: Tuple[Tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
+    control_scopes: Tuple[Tuple[int, int, int], ...] = field(
+        default=(), compare=False, repr=False
     )
 
 

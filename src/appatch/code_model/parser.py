@@ -14,8 +14,10 @@ into its function's control-flow graph; each function comes out as one
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .model import (
     CallFact,
@@ -148,6 +150,7 @@ def tokenize(file: str, text: str) -> List[Token]:
 
 
 _EMPTY: FrozenSet[str] = frozenset()
+_START = attrgetter("start")
 
 # Expressions are parsed straight into their statement's flow facts: every
 # variable read goes into ``_FileParser.uses`` and every call into
@@ -169,10 +172,11 @@ class _FileParser:
         self.tokens = tokenize(file, text)
         self.pos = 0
         self.function = ""   # name of the function being parsed
-        # That function's nodes and control flow, wired as it is parsed.
+        # That function's nodes and control flow, wired as it is parsed;
+        # see ``FunctionDef`` for the shape of ``preds`` and ``scopes``.
         self.nodes: List[StatementNode] = []        # source order
-        self.succ: Dict[str, Set[str]] = {}
-        self.scopes: Dict[str, Tuple[str, ...]] = {}   # header id -> governed ids
+        self.preds: List[Tuple[int, ...]] = []
+        self.scopes: List[Tuple[int, int, int]] = []
         # Flow facts of the statement being parsed (see ``Shape`` above).
         self.uses: Set[str] = set()
         self.calls: List[Optional[CallFact]] = []
@@ -213,11 +217,26 @@ class _FileParser:
         return tok.kind == "ident" and tok.value in TYPE_KEYWORDS
 
     def excerpt(self, start_tok: Token, end_tok: Token) -> str:
-        """Source from one token to another, its lines joined by one space."""
-        raw = self.text[start_tok.start : end_tok.end]
-        if "\n" not in raw:
-            return raw
-        return " ".join(part.strip() for part in raw.split("\n") if part.strip())
+        """Source from one token to another; a gap between two of its tokens
+        that holds a line break, comments included, becomes one space."""
+        text = self.text
+        start, end = start_tok.start, end_tok.end
+        if text.find("\n", start, end) < 0:
+            return text[start:end]
+        tokens = self.tokens
+        i = bisect_left(tokens, start, key=_START)
+        runs = []   # the verbatim runs between line-breaking gaps
+        run = start
+        prev = start_tok.end
+        while prev < end:
+            i += 1
+            tok = tokens[i]
+            if text.find("\n", prev, tok.start) >= 0:
+                runs.append(text[run:prev])
+                run = tok.start
+            prev = tok.end
+        runs.append(text[run:end])
+        return " ".join(runs)
 
     def unsupported(self, construct: str, tok: Token):
         raise UnsupportedConstructError(construct, self.file, tok.line, tok.col)
@@ -281,12 +300,12 @@ class _FileParser:
                     break
         close = self.expect(")")
         self.function = name = name_tok.value
-        self.nodes, self.succ, self.scopes = [], {}, {}
+        self.nodes, self.preds, self.scopes = [], [], []
         # entry -> param defs -> body
-        preds = [self.add(self.node("entry", name_tok, self.excerpt(start_tok, close)), ())]
+        preds = (self.add(self.node("entry", name_tok, self.excerpt(start_tok, close)), ()),)
         for p_start, p_name, uses, calls in params:
-            preds = [self.add(self.node("param-def", p_name, self.excerpt(p_start, p_name),
-                                        frozenset([p_name.value]), uses, calls), preds)]
+            preds = (self.add(self.node("param-def", p_name, self.excerpt(p_start, p_name),
+                                        frozenset([p_name.value]), uses, calls), preds),)
         self.expect("{")
         self.parse_block(preds)
         end_tok = self.expect("}")
@@ -298,8 +317,8 @@ class _FileParser:
             callsites=tuple((callee, node.id) for node in nodes for callee, _ in node.calls),
             start_line=start_tok.line,
             end_line=end_tok.line,
-            cfg_succ={nid: tuple(sorted(targets)) for nid, targets in self.succ.items()},
-            control_scopes=self.scopes,
+            cfg_preds=tuple(self.preds),
+            control_scopes=tuple(self.scopes),
         )
 
     def node(
@@ -317,29 +336,22 @@ class _FileParser:
 
     # control flow ----------------------------------------------------------
     #
-    # Each statement parser takes ``preds``, the ids control reaches it
-    # from, and returns the ids control leaves it by (none after a
-    # ``return``).  Nodes are added in source order, so the nodes a branch
-    # or loop header governs are the slice of ``nodes`` that its body added.
+    # Each statement parser takes ``preds``, the positions in ``nodes``
+    # control reaches it from, and returns the positions control leaves it
+    # by (none after a ``return``).  Nodes are added in source order, so
+    # the nodes a branch or loop header governs are the run of ``nodes``
+    # that its body added.
 
-    def add(self, node: StatementNode, preds: Iterable[str]) -> str:
-        """Add ``node`` to the function, reached from ``preds``; its id."""
-        nid = node.id
+    def add(self, node: StatementNode, preds: Tuple[int, ...]) -> int:
+        """Add ``node`` to the function, reached from ``preds``; its position."""
         self.nodes.append(node)
-        self.succ[nid] = set()
-        self.link(preds, nid)
-        return nid
+        self.preds.append(preds)
+        return len(self.preds) - 1
 
-    def link(self, preds: Iterable[str], target: str) -> None:
-        succ = self.succ
-        for pred in preds:
-            succ[pred].add(target)
+    def link(self, preds: Tuple[int, ...], target: int) -> None:
+        self.preds[target] += preds
 
-    def governed(self, mark: int) -> Tuple[str, ...]:
-        """Ids of the nodes added since there were ``mark`` of them."""
-        return tuple([node.id for node in self.nodes[mark:]])
-
-    def parse_block(self, preds: List[str]) -> List[str]:
+    def parse_block(self, preds: Tuple[int, ...]) -> Tuple[int, ...]:
         while self.peek().value != "}":
             if self.peek().kind == "eof":
                 tok = self.peek()
@@ -348,7 +360,7 @@ class _FileParser:
             preds = self.parse_stmt(preds)
         return preds
 
-    def parse_stmt(self, preds: List[str]) -> List[str]:
+    def parse_stmt(self, preds: Tuple[int, ...]) -> Tuple[int, ...]:
         tok = self.peek()
         if tok.value == ";":
             self.advance()
@@ -370,42 +382,40 @@ class _FileParser:
             raise ParseError("'else' without matching 'if'", self.file, tok.line, tok.col)
         if self.at_type():
             for node in self.parse_declaration():
-                preds = [self.add(node, preds)]
+                preds = (self.add(node, preds),)
             return preds
         node = self.parse_simple()
         self.expect(";")
-        return [self.add(node, preds)]
+        return (self.add(node, preds),)
 
-    def parse_if(self, preds: List[str]) -> List[str]:
+    def parse_if(self, preds: Tuple[int, ...]) -> Tuple[int, ...]:
         start = self.expect("if")
         self.expect("(")
         uses, calls = self.parse_value()
         close = self.expect(")")
-        nid = self.add(self.node("branch", start, self.excerpt(start, close), _EMPTY, uses, calls),
-                       preds)
-        mark = len(self.nodes)
-        leave = self.parse_stmt([nid])
+        at = self.add(self.node("branch", start, self.excerpt(start, close), _EMPTY, uses, calls),
+                      preds)
+        leave = self.parse_stmt((at,))
         if self.peek().value == "else":
             self.advance()
-            leave = leave + self.parse_stmt([nid])
+            leave += self.parse_stmt((at,))
         else:
-            leave = leave + [nid]
-        self.scopes[nid] = self.governed(mark)
+            leave += (at,)
+        self.scopes.append((at, at + 1, len(self.nodes)))
         return leave
 
-    def parse_while(self, preds: List[str]) -> List[str]:
+    def parse_while(self, preds: Tuple[int, ...]) -> Tuple[int, ...]:
         start = self.expect("while")
         self.expect("(")
         uses, calls = self.parse_value()
         close = self.expect(")")
-        nid = self.add(self.node("loop-header", start, self.excerpt(start, close),
-                                 _EMPTY, uses, calls), preds)
-        mark = len(self.nodes)
-        self.link(self.parse_stmt([nid]), nid)
-        self.scopes[nid] = self.governed(mark)
-        return [nid]
+        at = self.add(self.node("loop-header", start, self.excerpt(start, close),
+                                _EMPTY, uses, calls), preds)
+        self.link(self.parse_stmt((at,)), at)
+        self.scopes.append((at, at + 1, len(self.nodes)))
+        return (at,)
 
-    def parse_for(self, preds: List[str]) -> List[str]:
+    def parse_for(self, preds: Tuple[int, ...]) -> Tuple[int, ...]:
         start = self.expect("for")
         self.expect("(")
         if self.peek().value != ";":
@@ -416,7 +426,7 @@ class _FileParser:
                 init = decls[0]
             else:
                 init = self.parse_simple()
-            preds = [self.add(init, preds)]
+            preds = (self.add(init, preds),)
         self.expect(";")
         uses: FrozenSet[str] = _EMPTY
         calls: Tuple[CallFact, ...] = ()
@@ -427,20 +437,19 @@ class _FileParser:
         if self.peek().value != ")":
             update = self.parse_simple()
         close = self.expect(")")
-        # The header's text ends after the update, but the header comes first.
-        nid = self.add(self.node("loop-header", start, self.excerpt(start, close),
-                                 _EMPTY, uses, calls), preds)
-        back, tail = nid, ()   # where the body loops back to; the update, governed last
+        # The header's text ends after the update, but the header comes first,
+        # then the update, which the header governs with the body.
+        at = self.add(self.node("loop-header", start, self.excerpt(start, close),
+                                _EMPTY, uses, calls), preds)
+        back = at   # where the body loops back to
         if update is not None:
             back = self.add(update, ())
-            self.link([back], nid)
-            tail = (back,)
-        mark = len(self.nodes)
-        self.link(self.parse_stmt([nid]), back)
-        self.scopes[nid] = self.governed(mark) + tail
-        return [nid]
+            self.link((back,), at)
+        self.link(self.parse_stmt((at,)), back)
+        self.scopes.append((at, at + 1, len(self.nodes)))
+        return (at,)
 
-    def parse_return(self, preds: List[str]) -> List[str]:
+    def parse_return(self, preds: Tuple[int, ...]) -> Tuple[int, ...]:
         start = self.expect("return")
         uses: FrozenSet[str] = _EMPTY
         calls: Tuple[CallFact, ...] = ()
@@ -449,7 +458,7 @@ class _FileParser:
         semi = self.expect(";")
         self.add(self.node("return", start, self.excerpt(start, semi), _EMPTY, uses, calls),
                  preds)
-        return []
+        return ()
 
     def parse_declaration(self, consume_semicolon: bool = True) -> List[StatementNode]:
         start = self.peek()

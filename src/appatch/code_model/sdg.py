@@ -39,7 +39,6 @@ class _ReachingDefs:
 
     def __init__(self, fn: FunctionDef):
         order = fn.nodes
-        index = {node.id: i for i, node in enumerate(order)}
         facts: List[Tuple[str, str]] = []
         var_mask: Dict[str, int] = {}
         gen: List[int] = []
@@ -58,17 +57,12 @@ class _ReachingDefs:
                 killed |= var_mask[var]
             keep.append(~killed)
 
-        preds: List[List[int]] = [[] for _ in order]
-        for src, targets in fn.cfg_succ.items():
-            for dst in targets:
-                preds[index[dst]].append(index[src])
-
         in_bits = [0] * len(order)
         out_bits = list(gen)
         changed = True
         while changed:
             changed = False
-            for i, node_preds in enumerate(preds):
+            for i, node_preds in enumerate(fn.cfg_preds):
                 new_in = 0
                 for pred in node_preds:
                     new_in |= out_bits[pred]
@@ -107,7 +101,7 @@ def build_sdg(program: Program) -> DependenceGraph:
     their return values act as plain definitions at the callsite.
     """
     functions = program.functions
-    if not all(fn.cfg_succ for fn in functions):
+    if not all(fn.cfg_preds for fn in functions):
         raise ValueError("build_sdg needs a program from parse_program, "
                          "which records each function's flow")
 
@@ -137,9 +131,10 @@ def build_sdg(program: Program) -> DependenceGraph:
                     for var in used:
                         for def_id in reaching.def_ids(i, var):
                             edges.add((def_id, formals[position], "param"))
-        for header, governed in fn.control_scopes.items():
-            for target in governed:
-                edges.add((header, target, "control"))
+        for header, start, end in fn.control_scopes:
+            header_id = fn.nodes[header].id
+            for node in fn.nodes[start:end]:
+                edges.add((header_id, node.id, "control"))
 
     nodes = {node.id: node for fn in functions for node in fn.nodes}
     return DependenceGraph(nodes=nodes, edges=frozenset(edges))

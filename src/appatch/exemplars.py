@@ -69,7 +69,6 @@ class DatasetSample:
     sources: Optional[Tuple[Tuple[str, str], ...]] = None
     graph_document: Optional[Mapping[str, Any]] = None
     ground_truth_patch: Optional[str] = None
-    provenance: str = ""
     entry: Optional[str] = None
 
     def __post_init__(self):
@@ -100,7 +99,6 @@ class DatasetSample:
             sources=sources,
             graph_document=doc.get("graph"),
             ground_truth_patch=doc.get("ground_truth_patch"),
-            provenance=str(doc.get("provenance", "")),
             entry=doc.get("entry"),
         )
 

@@ -53,13 +53,6 @@ class NoPatchesError(PromptingError):
 
 
 @dataclass(frozen=True)
-class ContextDemand:
-    """Functions the model asked for, after placeholder resolution."""
-
-    requested: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class RootCause:
     """Final reasoning text plus the expansion history that produced it."""
 
@@ -83,11 +76,8 @@ class CandidatePatch:
     prompt_digest: str
 
 
-def parse_context_demand(
-    response: str,
-    program: Program,
-) -> Optional[ContextDemand]:
-    """Extract the first ``{"context_funcs": [...]}`` object, if any.
+def parse_context_demand(response: str, program: Program) -> Optional[Tuple[str, ...]]:
+    """The function names of the first ``{"context_funcs": [...]}`` object, if any.
 
     ``CALLER_of_<name>`` placeholders resolve to every caller of ``name``
     in the call graph; a malformed object yields no demand.
@@ -117,7 +107,7 @@ def parse_context_demand(
                     requested.append(caller)
         elif name not in requested:
             requested.append(name)
-    return ContextDemand(requested=tuple(requested))
+    return tuple(requested)
 
 
 def generate_root_cause(
@@ -168,7 +158,7 @@ def generate_root_cause(
                 "forcing the last answer"
             )
             break
-        for name in demand.requested:
+        for name in demand:
             if name not in all_functions:
                 log.warning("demanded function %r is not defined; skipping", name)
             elif name not in functions:

@@ -31,6 +31,7 @@ from appatch.code_model import (  # noqa: E402
     parse_program,
 )
 from appatch.code_model.parser import tokenize  # noqa: E402
+from test_sdg import successors_by_id  # noqa: E402
 
 TOKENS_SHA256 = "b4867fd07fc13b6dfde1a9a404450b9f117c22f94a6d92e1c3c5e099bf4b7add"
 GRAPH_SHA256 = "863fe69f2894368eac848f508d2cd72e2851f35db269cc9ef035bd315f5cf54a"
@@ -87,13 +88,18 @@ def test_flow_facts_of_fixtures_and_benchmark_program_are_pinned(fixtures_dir):
 
 
 def _cfg(sources):
-    """Per function: its CFG successors and its branch scopes, keys and values sorted."""
-    return [
-        [fn.name,
-         sorted([nid, sorted(targets)] for nid, targets in fn.cfg_succ.items()),
-         sorted([nid, sorted(ids)] for nid, ids in fn.control_scopes.items())]
-        for fn in parse_program(sources).functions
-    ]
+    """Per function: its CFG successors and its branch scopes by node id,
+    keys and values sorted."""
+    cfgs = []
+    for fn in parse_program(sources).functions:
+        ids = [node.id for node in fn.nodes]
+        cfgs.append([
+            fn.name,
+            sorted([nid, sorted(targets)] for nid, targets in successors_by_id(fn).items()),
+            sorted([ids[header], sorted(ids[start:end])]
+                   for header, start, end in fn.control_scopes),
+        ])
+    return cfgs
 
 
 def test_cfg_and_scopes_of_fixtures_and_benchmark_program_are_pinned(fixtures_dir):

@@ -321,9 +321,17 @@ def _inline(text):
     # nor one inside a block comment, whose quotes delimit nothing
     _inline("int main(int n){int x; x = n /* recv(n) */ + 1; return x;}"),
     _inline("int main(int n){int x; x = f(n /* it's */, g(n), 'q'); return x;}"),
+    # calls listed in pre-order with repeats, defined callees among them
+    _inline("int g(int n){return n;}\nint main(int n){int y; y = g(g(n)); return y;}"),
+    _inline("int f(int n){return n;}\nint main(int n){int x; x = recv(f(n), 1); return x;}"),
+    # a line comment inside a multi-line statement ends at its line
+    _inline("int main(int n){int x; x = f(n, // recv(n)\n 1); return x;}"),
+    _inline("int main(int n){int x; x = f(n, // it's\n g(n), 'q'); return x;}"),
+    _inline("int main(int n){int x; x = f(n, // note\n g(n)); return x;}"),
 ], ids=["idx_read", "jsi_like", "null_use", "generated-300", "generated-900",
         "benchmark-2000", "string-literal", "escaped-quote", "char-literal",
-        "comment", "quote-in-comment"])
+        "comment", "quote-in-comment", "repeated-call", "call-order",
+        "line-comment-call", "line-comment-quote", "line-comment"])
 def test_imported_program_agrees_with_the_parsed_one(fixtures_dir, sources):
     """Parsed and imported programs agree on EIs, callsites, statements and entry.
 

@@ -260,6 +260,20 @@ def test_node_text_joins_only_newline_separated_lines():
     assert graph.node("n.c:2:3").text == "x = a + 1 + 2"
 
 
+@pytest.mark.parametrize("statement,text", [
+    ("x = f(n, // recv(n)\n 1);", "x = f(n, 1)"),
+    ("x = f(n, // it's\n g(n), 'q');", "x = f(n, g(n), 'q')"),
+    ("x = f(n, /* a\n b */ g(n));", "x = f(n, g(n))"),
+    ("x = f(n,  /* kept */\tg(n));", "x = f(n,  /* kept */\tg(n))"),
+])
+def test_node_text_turns_each_line_breaking_gap_into_one_space(statement, text):
+    from appatch.code_model import build_sdg
+
+    source = f"int f(int n){{int x;\n  {statement}\n  return x;}}"
+    graph = build_sdg(parse_program([("c.c", source)]))
+    assert graph.node("c.c:2:3").text == text
+
+
 def test_parameter_array_size_uses_flow_into_the_param_def():
     from appatch.code_model import build_sdg
 

@@ -51,7 +51,7 @@ def test_demand_direct_extraction(jsi_program):
     demand = parse_context_demand(
         'text before {"context_funcs":["a","b"]} text after', jsi_program,
     )
-    assert demand.requested == ("a", "b")
+    assert demand == ("a", "b")
 
 
 def test_demand_absent(jsi_program):
@@ -71,7 +71,7 @@ def test_demand_caller_placeholder_resolves_to_all_callers():
         "int n(){return g(2);}\n",
     )])
     demand = parse_context_demand('{"context_funcs":["CALLER_of_g"]}', program)
-    assert demand.requested == ("m", "n")
+    assert demand == ("m", "n")
 
 
 def test_demand_deduplicates(jsi_program):
@@ -79,7 +79,7 @@ def test_demand_deduplicates(jsi_program):
         '{"context_funcs":["jsi_strlen","jsi_strlen","CALLER_of_jsi_strlen"]}',
         jsi_program,
     )
-    assert demand.requested == ("jsi_strlen", "format_value")
+    assert demand == ("jsi_strlen", "format_value")
 
 
 # ── progressive root-cause generation ────────────────────────────────────

@@ -15,9 +15,20 @@ from appatch.code_model.sdg import _ReachingDefs
 from oracles import syntactic_control_edges
 
 
+def successors_by_id(fn):
+    """Node id -> ids of its CFG successors, rebuilt from ``fn.cfg_preds``."""
+    nodes = fn.nodes
+    succ = {node.id: set() for node in nodes}
+    for node, preds in zip(nodes, fn.cfg_preds):
+        for pred in preds:
+            succ[nodes[pred].id].add(node.id)
+    return succ
+
+
 def brute_force_data_edges(fn):
     """Every (def, use) pair with a redefinition-free CFG path between them."""
     infos = {node.id: node for node in fn.nodes}
+    succ = successors_by_id(fn)
     edges = set()
     for def_id in infos:
         for var in infos[def_id].defs:
@@ -26,7 +37,7 @@ def brute_force_data_edges(fn):
                     continue
                 # DFS from def_id successors to use_id, skipping nodes that
                 # redefine var (endpoints excluded from the interior check).
-                stack = list(fn.cfg_succ[def_id])
+                stack = list(succ[def_id])
                 seen = set()
                 found = False
                 while stack:
@@ -39,7 +50,7 @@ def brute_force_data_edges(fn):
                     seen.add(node)
                     if var in infos[node].defs:
                         continue  # path is cut by the redefinition
-                    stack.extend(fn.cfg_succ[node])
+                    stack.extend(succ[node])
                 if found:
                     edges.add((def_id, use_id, "data"))
     return edges
@@ -85,19 +96,21 @@ def test_fixture_edges_match_brute_force_oracle(fixtures_dir, fixture):
     assert intraprocedural_edges(build_sdg(program)) == brute_force_edges(program)
 
 
+SCOPE_CORNER_CASES = (
+    "int f(int n, int *p){\n"
+    "    int a = g(n, 1), b[4], c;\n"
+    "    for (int i = 0; i < n; i = i + 1) { if (i > 2) a = a + 1; else { b[i] = 0; ; } }\n"
+    "    for (; a < n;) a++;\n"
+    "    for (c = 0; c < n; ) { if (c) { while (n > 0) --n; } else if (a) c++; }\n"
+    "    if (n) ; else return a;\n"
+    "    while (a) { if (b[0]) { return c; } a = a - 1; }\n"
+    "    return c;\n"
+    "}\n"
+)
+
+
 def test_scope_corner_cases_match_brute_force_oracle():
-    source = (
-        "int f(int n, int *p){\n"
-        "    int a = g(n, 1), b[4], c;\n"
-        "    for (int i = 0; i < n; i = i + 1) { if (i > 2) a = a + 1; else { b[i] = 0; ; } }\n"
-        "    for (; a < n;) a++;\n"
-        "    for (c = 0; c < n; ) { if (c) { while (n > 0) --n; } else if (a) c++; }\n"
-        "    if (n) ; else return a;\n"
-        "    while (a) { if (b[0]) { return c; } a = a - 1; }\n"
-        "    return c;\n"
-        "}\n"
-    )
-    program = parse_program([("k.c", source)])
+    program = parse_program([("k.c", SCOPE_CORNER_CASES)])
     assert intraprocedural_edges(build_sdg(program)) == brute_force_edges(program)
 
 
@@ -159,7 +172,7 @@ def test_build_is_deterministic(jsi_source):
     assert build() == build()
 
 
-def test_else_branch_is_governed():
+def test_else_branch_is_in_the_branch_scope():
     program = parse_program([
         ("a.c", "int f(int c){int x; if(c){x = 1;} else {x = 2;} return x;}"),
     ])
@@ -284,7 +297,7 @@ def set_based_reaching_definitions(fn):
     infos = {node.id: node for node in fn.nodes}
     gen = {nid: {(nid, var) for var in node.defs} for nid, node in infos.items()}
     preds = {nid: [] for nid in infos}
-    for src, targets in fn.cfg_succ.items():
+    for src, targets in successors_by_id(fn).items():
         for dst in targets:
             preds[dst].append(src)
     in_sets = {nid: set() for nid in infos}
@@ -402,7 +415,7 @@ def test_build_sdg_needs_a_program_from_parse_program(jsi_program, jsi_graph):
     assert [len(fn.nodes) for fn in imported.functions] == [
         len(jsi_program.function(fn.name).nodes) for fn in imported.functions
     ]
-    assert not any(fn.cfg_succ or fn.control_scopes for fn in imported.functions)
+    assert not any(fn.cfg_preds or fn.control_scopes for fn in imported.functions)
     with pytest.raises(ValueError, match=needs_parse):
         build_sdg(imported)
     f = jsi_program.function("jsi_strlen")
@@ -413,3 +426,34 @@ def test_build_sdg_needs_a_program_from_parse_program(jsi_program, jsi_graph):
     assert by_hand.functions[0] == f     # the CFG is not part of a function's value
     with pytest.raises(ValueError, match=needs_parse):
         build_sdg(by_hand)
+
+
+def test_cfg_and_scopes_are_kept_by_node_position(fixtures_dir):
+    """``cfg_preds`` has one entry per node, every position is in range, each
+    scope is a run after its header, and a ``for`` header's run starts at
+    its update, which loops back to the header."""
+    import random
+
+    rng = random.Random(424242)
+    sources = [(f, (fixtures_dir / f).read_text(encoding="utf-8"))
+               for f in ("jsi_like.c", "idx_read.c", "null_use.c")]
+    sources.append(("k.c", SCOPE_CORNER_CASES))
+    sources += [(f"r{i}.c", _random_mini_c(rng)) for i in range(40)]
+    updates = 0
+    for name, source in sources:
+        for fn in parse_program([(name, source)]).functions:
+            count = len(fn.nodes)
+            assert len(fn.cfg_preds) == count, (name, fn.name)
+            assert all(0 <= pred < count for preds in fn.cfg_preds for pred in preds)
+            for header, start, end in fn.control_scopes:
+                assert header < start <= end <= count, (name, fn.name)
+                assert fn.nodes[header].kind in ("branch", "loop-header")
+                text = fn.nodes[header].text
+                if not text.startswith("for"):
+                    continue
+                update = text[text.rindex(";") + 1:text.rindex(")")].strip()
+                if update:
+                    assert fn.nodes[start].text == update, (name, text)
+                    assert start in fn.cfg_preds[header]
+                    updates += 1
+    assert updates == 2   # jsi_like.c's loop and the first corner-case loop
