@@ -36,7 +36,9 @@ from .exemplars import (
     load_pool,
     save_pool,
 )
-from .files import write_text_atomic
+from .files import (
+    array_of, checked, is_int, is_object, is_str, json_object, optional, write_text_atomic,
+)
 from .gateway import (
     CachedProvider,
     ConfigurationError,
@@ -77,11 +79,6 @@ class PipelineError(Exception):
 
 def _write_json_atomic(path: Path, doc: Any) -> None:
     write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _is_int(value: Any) -> bool:
-    """An integer in a JSON document; ``true`` and ``false`` are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _read_input(path_text: Union[str, Path], what: str) -> Tuple[str, str]:
@@ -131,32 +128,23 @@ def load_config(path_text: Optional[str]) -> Config:
         return Config()
     text, digest = _read_input(resolved, "config file")
     path = Path(resolved)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path}: not valid JSON: {exc.msg}")
-    if not isinstance(doc, dict):
-        raise UsageError(f"config file {path}: top level must be an object")
-    entries = doc.get("providers", [])
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+    doc = json_object(text, f"config file {path}", UsageError)
+    entries = doc.get("providers")
+    if not optional(array_of(is_object))(entries):
         raise UsageError(f"config file {path}: providers must be an array of objects")
     try:
-        providers = load_providers(entries, base_dir=path.parent)
+        providers = load_providers(entries or [], base_dir=path.parent)
     except ConfigurationError as exc:
         raise UsageError(f"config file {path}: {exc}")
     external = doc.get("external_functions")
-    if external is None:
-        external_set = DEFAULT_EXTERNAL_FUNCTIONS
-    elif isinstance(external, list) and all(isinstance(n, str) for n in external):
-        external_set = frozenset(external)
-    else:
+    if not optional(array_of(is_str))(external):
         raise UsageError(f"config file {path}: external_functions must be an array of strings")
-    rounds = doc.get("demand_rounds", DEFAULT_DEMAND_ROUNDS)
-    if not _is_int(rounds) or rounds < 1:
+    rounds = DEFAULT_DEMAND_ROUNDS if doc.get("demand_rounds") is None else doc["demand_rounds"]
+    if not is_int(rounds) or rounds < 1:
         raise UsageError(f"config file {path}: demand_rounds must be a positive integer")
     return Config(
         providers=providers,
-        external_functions=external_set,
+        external_functions=DEFAULT_EXTERNAL_FUNCTIONS if external is None else frozenset(external),
         demand_rounds=rounds,
         digest=digest,
     )
@@ -186,15 +174,6 @@ def _write_manifest(
 
 
 # ── shared loaders ───────────────────────────────────────────────────────
-
-def _load_sample_file(text: str, path: Path) -> DatasetSample:
-    try:
-        sample = DatasetSample.from_document(json.loads(text))
-    except (json.JSONDecodeError, DatasetError) as exc:
-        raise UsageError(f"sample file {path}: {exc}")
-    sample.check_patch_applies()
-    return sample
-
 
 def _materialize(sample: DatasetSample):
     try:
@@ -348,7 +327,9 @@ def cmd_patch(args: argparse.Namespace) -> int:
 
     sample_text, sample_digest = _read_input(args.sample, "sample file")
     pool_text, pool_digest = _read_input(args.pool, "pool file")
-    sample = _load_sample_file(sample_text, Path(args.sample))
+    where = f"sample file {args.sample}"
+    sample = DatasetSample.from_document(json_object(sample_text, where, DatasetError), where)
+    sample.check_patch_applies()
     pool = load_pool(pool_text, Path(args.pool))
 
     program, graph = _materialize(sample)
@@ -443,6 +424,15 @@ def cmd_patch(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# What ``eval`` reads of a ``result.json`` that ``patch`` wrote.
+_RESULT_KEYS = (
+    ("retained", optional(array_of(is_int)), "an array of integers"),
+    ("candidates", optional(array_of(
+        lambda c: is_object(c) and is_int(c.get("ordinal")) and is_str(c.get("file")))),
+     "an array of objects with an integer 'ordinal' and a string 'file'"),
+)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     results_dir = Path(args.results)
     if not results_dir.is_dir():
@@ -467,25 +457,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not result_path.is_file():
             continue
         text, _ = _read_input(result_path, "result file")
-        try:
-            result_doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{result_path}: not valid JSON: {exc.msg}")
-        if not isinstance(result_doc, dict):
-            raise UsageError(f"{result_path}: top level must be an object")
-        ordinals = result_doc.get("retained", [])
-        if not isinstance(ordinals, list) or not all(map(_is_int, ordinals)):
-            raise UsageError(f"{result_path}: 'retained' must be a list of integers")
-        entries = result_doc.get("candidates", [])
-        if not isinstance(entries, list) or not all(
-            isinstance(c, dict) and _is_int(c.get("ordinal")) and isinstance(c.get("file"), str)
-            for c in entries
-        ):
-            raise UsageError(
-                f"{result_path}: every candidate needs an integer 'ordinal' and a string 'file'"
-            )
-        candidates = {c["ordinal"]: c["file"] for c in entries}
-        retained = set(ordinals)
+        where = str(result_path)
+        fields = checked(json_object(text, where, UsageError), where, _RESULT_KEYS, UsageError)
+        candidates = {c["ordinal"]: c["file"] for c in fields.get("candidates", [])}
+        retained = set(fields.get("retained", []))
         generated[sample.id] = len(retained)
         retained_sets[sample.id] = retained
         for ordinal in sorted(retained):

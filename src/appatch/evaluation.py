@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .diffs import ApplyError, DiffError, apply_patch
-from .files import write_text_atomic
+from .files import checked, is_int, is_str, json_lines, optional, write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -37,40 +36,27 @@ class PatchLabel:
     sample_id: str
     ordinal: int
     category: str
-    source: str
+    source: str = "human"
 
-    def __post_init__(self):
-        if self.category not in CATEGORIES:
-            raise ValueError(f"bad category: {self.category!r}")
-        if self.source not in LABEL_SOURCES:
-            raise ValueError(f"bad label source: {self.source!r}")
 
-    @classmethod
-    def from_document(cls, doc: Mapping[str, Any]) -> "PatchLabel":
-        return cls(
-            sample_id=str(doc["sample_id"]),
-            ordinal=int(doc["ordinal"]),
-            category=str(doc["category"]),
-            source=str(doc.get("source", "human")),
-        )
+_LABEL_FIELDS = (
+    ("sample_id", is_str, "a string"),
+    ("ordinal", is_int, "an integer"),
+    ("category", CATEGORIES.__contains__, f"one of {', '.join(CATEGORIES)}"),
+    ("source", optional(LABEL_SOURCES.__contains__), f"one of {', '.join(LABEL_SOURCES)}"),
+)
 
 
 def load_labels(text: str, path: Union[str, Path]) -> List[PatchLabel]:
     """Parse a JSON-lines labels file; ``path`` names it in error messages only."""
     labels: List[PatchLabel] = []
     seen: set = set()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            label = PatchLabel.from_document(json.loads(raw))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise EvaluationError(f"{path}, line {lineno}: bad label: {exc}")
+    for where, doc in json_lines(text, path, EvaluationError):
+        label = PatchLabel(**checked(doc, where, _LABEL_FIELDS, EvaluationError))
         key = (label.sample_id, label.ordinal)
         if key in seen:
             raise EvaluationError(
-                f"{path}, line {lineno}: duplicate label for "
+                f"{where}: duplicate label for "
                 f"sample {label.sample_id!r} patch {label.ordinal}"
             )
         seen.add(key)

@@ -11,7 +11,7 @@ import json
 import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -19,7 +19,9 @@ from . import diffs
 from .code_model import CodeModelError, build_sdg, import_graph, parse_program
 from .code_model.model import DependenceGraph, Program
 from .code_model.sdg import identify_external_inputs
-from .files import write_text_atomic
+from .files import (
+    array_of, checked, is_int, is_object, is_str, json_lines, optional, pair_of, write_text_atomic,
+)
 from .gateway import Provider, ProviderError, prompt_sha
 from .prompts import (
     build_mining_prompt,
@@ -48,6 +50,36 @@ class DatasetError(Exception):
     """A dataset record is malformed or inconsistent."""
 
 
+_is_line = pair_of(is_str, is_int)
+
+
+def _is_text(value: Any) -> bool:
+    return is_str(value) and value.strip() != ""
+
+
+_SAMPLE_FIELDS = (
+    ("id", is_str, "a string"),
+    ("vuln.lines", array_of(_is_line), "an array of [file, line] pairs"),
+    ("vuln.cwes", optional(array_of(is_str)), "an array of strings"),
+    ("sources", optional(array_of(pair_of(is_str, is_str))), "an array of [path, text] pairs"),
+    ("graph", optional(is_object), "an object"),
+    ("ground_truth_patch", optional(is_str), "a string"),
+    ("entry", optional(is_str), "a string"),
+)
+
+_EXEMPLAR_FIELDS = (
+    ("sample_id", is_str, "a string"),
+    ("slice_text", is_str, "a string"),
+    ("cwe_ids", array_of(is_str), "an array of strings"),
+    ("vulnerable_lines", array_of(_is_line), "an array of [file, line] pairs"),
+    ("root_cause", _is_text, "a non-blank string"),
+    ("fixing_strategy", _is_text, "a non-blank string"),
+    ("ground_truth_patch", is_str, "a string"),
+    ("provider_id", is_str, "a string"),
+    ("prompt_digest", is_str, "a string"),
+)
+
+
 class MiningError(Exception):
     """Mining one sample failed; carries the sample id."""
 
@@ -71,36 +103,26 @@ class DatasetSample:
     ground_truth_patch: Optional[str] = None
     entry: Optional[str] = None
 
-    def __post_init__(self):
-        if (self.sources is None) == (self.graph_document is None):
-            raise DatasetError(
-                f"sample {self.id!r} needs exactly one of 'sources' or 'graph'"
-            )
-
     @classmethod
-    def from_document(cls, doc: Mapping[str, Any]) -> "DatasetSample":
+    def from_document(cls, doc: Mapping[str, Any], where: str) -> "DatasetSample":
+        """Read a dataset record; ``where`` names it in error messages."""
+        fields = checked(doc, where, _SAMPLE_FIELDS, DatasetError)
+        if ("sources" in fields) == ("graph" in fields):
+            raise DatasetError(f"{where}: needs exactly one of 'sources' or 'graph'")
         try:
-            sample_id = doc["id"]
-            vuln_doc = doc["vuln"]
-            vuln = VulnSpec(
-                vulnerable_lines=tuple(
-                    (str(file), int(line)) for file, line in vuln_doc["lines"]
+            return cls(
+                id=fields["id"],
+                vuln=VulnSpec(
+                    vulnerable_lines=tuple(map(tuple, fields["vuln.lines"])),
+                    cwe_ids=tuple(fields.get("vuln.cwes", ())),
                 ),
-                cwe_ids=tuple(vuln_doc.get("cwes", ())),
+                sources=tuple(map(tuple, fields["sources"])) if "sources" in fields else None,
+                graph_document=fields.get("graph"),
+                ground_truth_patch=fields.get("ground_truth_patch"),
+                entry=fields.get("entry"),
             )
-            sources = doc.get("sources")
-            if sources is not None:
-                sources = tuple((str(path), str(text)) for path, text in sources)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"bad sample record: {exc}") from exc
-        return cls(
-            id=str(sample_id),
-            vuln=vuln,
-            sources=sources,
-            graph_document=doc.get("graph"),
-            ground_truth_patch=doc.get("ground_truth_patch"),
-            entry=doc.get("entry"),
-        )
+        except ValueError as exc:   # no vulnerable line, or a bad CWE id
+            raise DatasetError(f"{where}: {exc}") from exc
 
     def materialize(self) -> Tuple[Program, DependenceGraph]:
         if self.graph_document is not None:
@@ -129,19 +151,10 @@ def load_dataset(text: str, path: Union[str, Path]) -> List[DatasetSample]:
     ``path`` names the file in error messages only.
     """
     samples: List[DatasetSample] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}, line {lineno}: not valid JSON: {exc.msg}")
-        sample = DatasetSample.from_document(doc)
+    for where, doc in json_lines(text, path, DatasetError):
+        sample = DatasetSample.from_document(doc, where)
         if sample.ground_truth_patch is None:
-            raise DatasetError(
-                f"{path}, line {lineno}: sample {sample.id!r} has no ground-truth patch"
-            )
+            raise DatasetError(f"{where}: sample {sample.id!r} has no ground-truth patch")
         sample.check_patch_applies()
         samples.append(sample)
     ids = [s.id for s in samples]
@@ -164,38 +177,8 @@ class Exemplar:
     provider_id: str
     prompt_digest: str
 
-    def __post_init__(self):
-        if not self.root_cause.strip():
-            raise ValueError("root_cause must be non-empty")
-        if not self.fixing_strategy.strip():
-            raise ValueError("fixing_strategy must be non-empty")
-
     def to_document(self) -> Dict[str, Any]:
-        return {
-            "sample_id": self.sample_id,
-            "slice_text": self.slice_text,
-            "cwe_ids": list(self.cwe_ids),
-            "vulnerable_lines": [[f, l] for f, l in self.vulnerable_lines],
-            "root_cause": self.root_cause,
-            "fixing_strategy": self.fixing_strategy,
-            "ground_truth_patch": self.ground_truth_patch,
-            "provider_id": self.provider_id,
-            "prompt_digest": self.prompt_digest,
-        }
-
-    @classmethod
-    def from_document(cls, doc: Mapping[str, Any]) -> "Exemplar":
-        return cls(
-            sample_id=doc["sample_id"],
-            slice_text=doc["slice_text"],
-            cwe_ids=tuple(doc["cwe_ids"]),
-            vulnerable_lines=tuple((f, int(l)) for f, l in doc["vulnerable_lines"]),
-            root_cause=doc["root_cause"],
-            fixing_strategy=doc["fixing_strategy"],
-            ground_truth_patch=doc["ground_truth_patch"],
-            provider_id=doc["provider_id"],
-            prompt_digest=doc["prompt_digest"],
-        )
+        return asdict(self)
 
 
 class ExemplarPool:
@@ -365,12 +348,12 @@ def save_pool(pool: ExemplarPool, path: Union[str, Path]) -> None:
 def load_pool(text: str, path: Union[str, Path]) -> ExemplarPool:
     """Parse a JSON-lines pool; ``path`` names the file in error messages only."""
     pool = ExemplarPool()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
+    for where, doc in json_lines(text, path, DatasetError):
+        fields = checked(doc, where, _EXEMPLAR_FIELDS, DatasetError)
+        fields.update(cwe_ids=tuple(fields["cwe_ids"]),
+                      vulnerable_lines=tuple(map(tuple, fields["vulnerable_lines"])))
         try:
-            pool.add(Exemplar.from_document(json.loads(raw)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"{path}, line {lineno}: bad exemplar record: {exc}")
+            pool.add(Exemplar(**fields))
+        except ValueError as exc:   # a repeated sample id
+            raise DatasetError(f"{where}: {exc}") from exc
     return pool

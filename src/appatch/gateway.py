@@ -13,11 +13,14 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .files import write_text_atomic
+from .files import (
+    array_of, checked, is_bool, is_int, is_number, is_object, is_str, json_object, optional,
+    write_text_atomic,
+)
 
 log = logging.getLogger(__name__)
 
@@ -76,24 +79,17 @@ class Exchange:
     output_tokens: int
     estimated: bool = False   # token counts are estimates, not provider-reported
 
-    def to_document(self) -> Dict[str, Any]:
-        return {
-            "provider_id": self.provider_id,
-            "model": self.model,
-            "prompt": self.prompt,
-            "response": self.response,
-            "prompt_digest": self.prompt_digest,
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "estimated": self.estimated,
-        }
-
-    @classmethod
-    def from_document(cls, doc: Mapping[str, Any]) -> "Exchange":
-        return cls(**{k: doc[k] for k in (
-            "provider_id", "model", "prompt", "response", "prompt_digest",
-            "input_tokens", "output_tokens", "estimated",
-        )})
+# A cache entry is an ``Exchange`` as ``dataclasses.asdict`` writes it.
+_EXCHANGE_FIELDS = (
+    ("provider_id", is_str, "a string"),
+    ("model", is_str, "a string"),
+    ("prompt", is_str, "a string"),
+    ("response", is_str, "a string"),
+    ("prompt_digest", is_str, "a string"),
+    ("input_tokens", is_int, "an integer"),
+    ("output_tokens", is_int, "an integer"),
+    ("estimated", is_bool, "a boolean"),
+)
 
 
 class Provider:
@@ -198,8 +194,8 @@ class ScriptedProvider(Provider):
                 raise ScriptExhaustedError(self.id)
             entry = self._queue.pop(0)
         if isinstance(entry, Mapping):
-            raise ProviderError(str(entry.get("error", "scripted failure")),
-                                transient=bool(entry.get("transient", True)))
+            raise ProviderError(entry.get("error", "scripted failure"),
+                                transient=entry.get("transient", True))
         return entry, None, None
 
 
@@ -268,10 +264,12 @@ class HttpChatProvider(Provider):
             content = doc["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed completion response: {exc}") from exc
-        usage = doc.get("usage") or {}
-        tokens_in = usage.get("prompt_tokens")
-        tokens_out = usage.get("completion_tokens")
-        return content, tokens_in, tokens_out
+        if not is_str(content):
+            raise ProviderError("malformed completion response: content is not a string")
+        # A count that is no integer is estimated instead, so a cache entry reads back.
+        usage = doc.get("usage") if is_object(doc.get("usage")) else {}
+        counts = usage.get("prompt_tokens"), usage.get("completion_tokens")
+        return (content, *(n if is_int(n) else None for n in counts))
 
 
 class CachedProvider(Provider):
@@ -296,8 +294,9 @@ class CachedProvider(Provider):
         digest = exchange_digest(self.inner.id, self.inner.model, prompt)
         path = self._entry_path(digest)
         if path.exists():
-            with open(path, "r", encoding="utf-8") as handle:
-                stored = Exchange.from_document(json.load(handle))
+            where = f"cache entry {path}"
+            doc = json_object(path.read_text(encoding="utf-8"), where, ConfigurationError)
+            stored = Exchange(**checked(doc, where, _EXCHANGE_FIELDS, ConfigurationError))
             if (stored.prompt, stored.provider_id, stored.model) != (
                 prompt, self.inner.id, self.inner.model,
             ):
@@ -308,7 +307,7 @@ class CachedProvider(Provider):
                 )
             return self._record(stored)
         exchange = self.inner.complete(prompt)
-        write_text_atomic(path, json.dumps(exchange.to_document(), indent=2, sort_keys=True))
+        write_text_atomic(path, json.dumps(asdict(exchange), indent=2, sort_keys=True))
         return self._record(exchange)
 
 
@@ -331,54 +330,63 @@ def accounting_report(exchanges: Sequence[Exchange]) -> Dict[str, Dict[str, Any]
 
 # ── configuration ───────────────────────────────────────────────────────
 
+def _is_name(value: Any) -> bool:
+    return is_str(value) and value != ""
+
+
+def _is_response(value: Any) -> bool:
+    """A scripted response: a string, or ``{"error": ...}`` to script a failure."""
+    return is_str(value) or (is_object(value) and is_str(value.get("error"))
+                             and optional(is_bool)(value.get("transient")))
+
+
+_ID_KEY = (("id", _is_name, "a non-empty string"),)
+
 # Retry and pacing keys that scripted and http-chat entries share, with their types.
 _SHELL_KEYS = (
-    ("attempts", int, "an integer"),
-    ("rpm_limit", int, "an integer"),
-    ("max_concurrency", int, "an integer"),
-    ("backoff", (int, float), "a number"),
+    ("attempts", optional(is_int), "an integer"),
+    ("rpm_limit", optional(is_int), "an integer"),
+    ("max_concurrency", optional(is_int), "an integer"),
+    ("backoff", optional(is_number), "a number"),
 )
 
-# Request keys of http-chat entries, named as ``HttpChatProvider`` takes them.
+_SCRIPTED_KEYS = (
+    ("model", optional(is_str), "a string"),
+    ("script", optional(is_str), "a string"),
+)
+
+# Keys of http-chat entries, named as ``HttpChatProvider`` takes them but for ``headers``.
 _HTTP_CHAT_KEYS = (
-    ("timeout", (int, float), "a number"),
-    ("temperature", (int, float), "a number"),
-    ("max_tokens", int, "an integer"),
-    ("auth_env", str, "a string"),
+    ("endpoint", _is_name, "a non-empty string"),
+    ("model", _is_name, "a non-empty string"),
+    ("headers", optional(lambda value: is_object(value) and all(map(is_str, value.values()))),
+     "an object of strings"),
+    ("timeout", optional(is_number), "a number"),
+    ("temperature", optional(is_number), "a number"),
+    ("max_tokens", optional(is_int), "an integer"),
+    ("auth_env", optional(is_str), "a string"),
+)
+
+_CACHED_KEYS = (
+    ("inner", is_str, "a string"),
+    ("cache_dir", _is_name, "a non-empty string"),
 )
 
 
-def _typed_keys(entry: Mapping[str, Any], provider_id: str, keys) -> Dict[str, Any]:
-    """The entry's values for those of ``keys`` it sets, each checked for type."""
-    found = {}
-    for key, types, describe in keys:
-        if key in entry:
-            value = entry[key]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ConfigurationError(
-                    f"provider {provider_id!r}: {key!r} must be {describe}"
-                )
-            found[key] = value
-    return found
-
-
-def _build_one(entry: Mapping[str, Any], base_dir: Optional[Path]) -> Provider:
+def _build_one(entry: Mapping[str, Any], provider_id: str, base_dir: Path) -> Provider:
     kind = entry.get("kind")
-    provider_id = entry.get("id")
-    if not provider_id or not isinstance(provider_id, str):
-        raise ConfigurationError("provider entry needs a string 'id'")
-    common = _typed_keys(entry, provider_id, _SHELL_KEYS)
+    where = f"provider {provider_id!r}"
+    common = checked(entry, where, _SHELL_KEYS, ConfigurationError)
     if kind == "scripted":
+        fields = checked(entry, where, _SCRIPTED_KEYS, ConfigurationError)
         responses = entry.get("responses")
         if responses is None:
-            script = entry.get("script")
+            script = fields.get("script")
             if not script:
                 raise ConfigurationError(
                     f"scripted provider {provider_id!r} needs 'responses' or 'script'"
                 )
-            script_path = Path(script)
-            if base_dir is not None and not script_path.is_absolute():
-                script_path = base_dir / script_path
+            script_path = base_dir / script   # an absolute script stays as it is
             try:
                 responses = json.loads(script_path.read_text(encoding="utf-8"))
             except OSError as exc:
@@ -390,31 +398,17 @@ def _build_one(entry: Mapping[str, Any], base_dir: Optional[Path]) -> Provider:
                     f"scripted provider {provider_id!r}: script {script_path} "
                     f"is not valid JSON: {exc}"
                 ) from exc
-        if not isinstance(responses, list):
+        if not array_of(_is_response)(responses):
             raise ConfigurationError(
-                f"scripted provider {provider_id!r}: responses must be a JSON array"
+                f"scripted provider {provider_id!r}: responses must be a JSON array "
+                'of strings and {"error": string} objects'
             )
         return ScriptedProvider(provider_id, responses,
-                                model=entry.get("model", "scripted"), **common)
+                                model=fields.get("model", "scripted"), **common)
     if kind == "http-chat":
-        endpoint = entry.get("endpoint")
-        model = entry.get("model")
-        if not endpoint or not model:
-            raise ConfigurationError(
-                f"http-chat provider {provider_id!r} needs 'endpoint' and 'model'"
-            )
-        headers = entry.get("headers", {})
-        if not isinstance(headers, dict) or not all(
-            isinstance(name, str) and isinstance(value, str)
-            for name, value in headers.items()
-        ):
-            raise ConfigurationError(
-                f"provider {provider_id!r}: 'headers' must be an object of strings"
-            )
-        return HttpChatProvider(
-            provider_id, model, endpoint, extra_headers=headers,
-            **_typed_keys(entry, provider_id, _HTTP_CHAT_KEYS), **common,
-        )
+        fields = checked(entry, where, _HTTP_CHAT_KEYS, ConfigurationError)
+        return HttpChatProvider(provider_id, extra_headers=fields.pop("headers", None),
+                                **fields, **common)
     raise ConfigurationError(f"unknown provider kind: {kind!r}")
 
 
@@ -428,32 +422,24 @@ def load_providers(
     and may appear in any order; relative script/cache paths resolve
     against ``base_dir``.
     """
-    base = Path(base_dir) if base_dir is not None else None
+    base = Path(base_dir or "")
     providers: Dict[str, Provider] = {}
-    pending: List[Mapping[str, Any]] = []
-    seen_ids = set()
+    pending: Dict[str, Mapping[str, Any]] = {}   # cached entries, built last
     for entry in config:
-        entry_id = entry.get("id")
-        if entry_id in seen_ids:
-            raise ConfigurationError(f"duplicate provider id: {entry_id!r}")
-        seen_ids.add(entry_id)
+        provider_id = checked(entry, "provider entry", _ID_KEY, ConfigurationError)["id"]
+        if provider_id in providers or provider_id in pending:
+            raise ConfigurationError(f"duplicate provider id: {provider_id!r}")
         if entry.get("kind") == "cached":
-            pending.append(entry)
+            pending[provider_id] = entry
         else:
-            providers[entry["id"]] = _build_one(entry, base)
-    for entry in pending:
-        inner_id = entry.get("inner")
+            providers[provider_id] = _build_one(entry, provider_id, base)
+    for provider_id, entry in pending.items():
+        fields = checked(entry, f"provider {provider_id!r}", _CACHED_KEYS, ConfigurationError)
+        inner_id = fields["inner"]
         if inner_id not in providers:
             raise ConfigurationError(
-                f"cached provider {entry.get('id')!r}: unknown inner provider {inner_id!r}"
+                f"cached provider {provider_id!r}: unknown inner provider {inner_id!r}"
             )
-        cache_dir = entry.get("cache_dir")
-        if not cache_dir:
-            raise ConfigurationError(
-                f"cached provider {entry.get('id')!r} needs 'cache_dir'"
-            )
-        cache_path = Path(cache_dir)
-        if base is not None and not cache_path.is_absolute():
-            cache_path = base / cache_path
-        providers[entry["id"]] = CachedProvider(entry["id"], providers[inner_id], cache_path)
+        providers[provider_id] = CachedProvider(provider_id, providers[inner_id],
+                                                base / fields["cache_dir"])
     return providers

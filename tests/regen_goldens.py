@@ -54,7 +54,7 @@ def collect_prompts():
 
     # Phase 2 on the zero-day-style sample
     sample = DatasetSample.from_document(
-        json.loads((FIXTURES / "sample_e2e.json").read_text())
+        json.loads((FIXTURES / "sample_e2e.json").read_text()), "sample_e2e.json"
     )
     program, graph = sample.materialize()
     ei = identify_external_inputs(program, graph)

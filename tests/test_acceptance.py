@@ -222,7 +222,7 @@ def test_criterion_4_exemplar_cap_and_order():
 
 def _e2e_context():
     sample = DatasetSample.from_document(
-        json.loads((FIXTURES / "sample_e2e.json").read_text())
+        json.loads((FIXTURES / "sample_e2e.json").read_text()), "sample_e2e.json"
     )
     program, graph = sample.materialize()
     ei = identify_external_inputs(program, graph)

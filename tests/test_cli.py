@@ -701,7 +701,7 @@ def test_sources_entry_without_text_is_usage_error(tmp_path, mined_pool, capsys,
                  "--report", str(tmp_path / "report-short.json")],
     }[command]
     assert main(argv) == 2
-    assert "bad sample record: not enough values to unpack" in capsys.readouterr().err
+    assert "'sources' must be an array of [path, text] pairs" in capsys.readouterr().err
 
 
 def test_slice_vuln_line_of_superscript_digits_is_usage_error(tmp_path, capsys):
@@ -743,6 +743,14 @@ def _http_chat_key(key, value):
     return mutate
 
 
+def _cached_key(key, value):
+    """Add a cached provider ``front`` in front of ``miner`` with one key set."""
+    def mutate(doc):
+        entry = {"id": "front", "kind": "cached", "inner": "miner", "cache_dir": "cache/front"}
+        doc["providers"].append(dict(entry, **{key: value}))
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_providers_as_object, "providers must be an array of objects"),
     (_provider_entry_not_an_object, "providers must be an array of objects"),
@@ -764,10 +772,19 @@ def _http_chat_key(key, value):
     (_http_chat_key("headers", {"X-Retries": 3}),
      "provider 'chat': 'headers' must be an object of strings"),
     (_http_chat_key("auth_env", 7), "provider 'chat': 'auth_env' must be a string"),
+    (_cached_key("inner", ["x"]), "provider 'front': 'inner' must be a string"),
+    (_cached_key("cache_dir", 5), "provider 'front': 'cache_dir' must be a non-empty string"),
+    (_miner_key("id", ["x"]), "provider entry: 'id' must be a non-empty string"),
+    (_miner_key("model", 5), "provider 'miner': 'model' must be a string"),
+    (_miner_key("responses", [5]),
+     "scripted provider 'miner': responses must be a JSON array "
+     'of strings and {"error": string} objects'),
+    (_http_chat_key("endpoint", 5), "provider 'chat': 'endpoint' must be a non-empty string"),
 ], ids=["providers-object", "provider-entry", "external-functions", "demand-rounds-bool",
         "attempts", "rpm-limit", "max-concurrency", "backoff", "http-timeout",
         "http-temperature", "http-max-tokens", "http-max-tokens-bool", "http-headers-array",
-        "http-headers-value", "http-auth-env"])
+        "http-headers-value", "http-auth-env", "cached-inner", "cached-cache-dir", "id",
+        "scripted-model", "scripted-response", "http-endpoint"])
 def test_config_of_the_wrong_shape_is_usage_error(tmp_path, capsys, mutate, message):
     config = write_config(tmp_path)
     doc = json.loads(config.read_text())
@@ -779,3 +796,87 @@ def test_config_of_the_wrong_shape_is_usage_error(tmp_path, capsys, mutate, mess
     assert code == 2
     assert f"config file {config}: {message}" in capsys.readouterr().err
     assert not pool_path.exists()
+
+
+# ── every input record: exact JSON types, errors that name file, line and field ──
+
+def _fixture_record(**changes):
+    record = json.loads((FIXTURES / "dataset.jsonl").read_text().splitlines()[0])
+    record.update(changes)
+    return {key: value for key, value in record.items() if value is not None}
+
+
+@pytest.mark.parametrize("record, field", [
+    (_fixture_record(vuln={"lines": [["jsi_like.c", 2.7]], "cwes": []}), "vuln.lines"),
+    (_fixture_record(vuln={"lines": [["jsi_like.c", True]], "cwes": []}), "vuln.lines"),
+    (_fixture_record(ground_truth_patch=5), "ground_truth_patch"),
+    (_fixture_record(sources=None, graph="x"), "graph"),
+], ids=["line-float", "line-true", "patch-number", "graph-string"])
+def test_mine_dataset_record_of_the_wrong_type_is_usage_error(tmp_path, capsys, record, field):
+    dataset = tmp_path / "dataset.jsonl"
+    first = (FIXTURES / "dataset.jsonl").read_text().splitlines()[1]
+    dataset.write_text(first + "\n" + json.dumps(record) + "\n")
+    pool_path = tmp_path / "pool.jsonl"
+    code = main(["mine", "--dataset", str(dataset), "--provider", "miner",
+                 "--pool", str(pool_path), "--config", str(write_config(tmp_path))])
+    assert code == 2
+    assert f"{dataset}, line 2: {field!r} must be" in capsys.readouterr().err
+    assert not pool_path.exists()
+
+
+def test_patch_sample_file_of_the_wrong_type_is_usage_error(tmp_path, mined_pool, capsys):
+    config, pool_path = mined_pool
+    doc = json.loads((FIXTURES / "sample_e2e.json").read_text())
+    doc["ground_truth_patch"] = 5
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out-typed"
+    code = main(["patch", "--sample", str(sample), "--pool", str(pool_path),
+                 "--provider", "gen", "--out", str(out_dir), "--config", str(config)])
+    assert code == 2
+    assert (f"sample file {sample}: 'ground_truth_patch' must be a string"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("root_cause", 5),
+    ("cwe_ids", "CWE-1"),
+])
+def test_patch_pool_record_of_the_wrong_type_is_usage_error(tmp_path, mined_pool, capsys,
+                                                            field, value):
+    config, pool_path = mined_pool
+    lines = pool_path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[field] = value
+    lines[1] = json.dumps(record)
+    pool = tmp_path / "typed-pool.jsonl"
+    pool.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "out-typed"
+    code = main(["patch", "--sample", str(FIXTURES / "sample_e2e.json"), "--pool", str(pool),
+                 "--provider", "gen", "--out", str(out_dir), "--config", str(config)])
+    assert code == 2
+    assert f"{pool}, line 2: {field!r} must be" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("[1, 2]", "top level must be an object"),
+    ('{"sample_id": "jsi-strcpy-zero-day", "ordinal": [1], "category": "SemEq"}',
+     "'ordinal' must be an integer"),
+    ('{"sample_id": "jsi-strcpy-zero-day", "ordinal": 1.9, "category": "SemEq"}',
+     "'ordinal' must be an integer"),
+    ('{"sample_id": "jsi-strcpy-zero-day", "ordinal": true, "category": "SemEq"}',
+     "'ordinal' must be an integer"),
+], ids=["array", "ordinal-array", "ordinal-float", "ordinal-true"])
+def test_eval_label_of_the_wrong_type_is_usage_error(tmp_path, patched_results, capsys,
+                                                     line, problem):
+    results, gt_path = patched_results
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text((FIXTURES / "labels.jsonl").read_text() + "\n" + line + "\n")
+    report = tmp_path / "report.json"
+    code = main(["eval", "--results", str(results), "--ground-truth", str(gt_path),
+                 "--labels", str(labels), "--report", str(report)])
+    assert code == 2
+    assert f"{labels}, line 3: {problem}" in capsys.readouterr().err
+    assert not report.exists()

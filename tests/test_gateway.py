@@ -104,6 +104,26 @@ def test_cache_hit_for_another_request_is_refused(tmp_path, field, value):
     assert json.loads(entry.read_text()) == planted
 
 
+@pytest.mark.parametrize("stored, problem", [
+    ('{"prompt": "hello"', "not valid JSON"),             # torn
+    ("[1]", "top level must be an object"),
+    ('{"prompt": "hello"}', "'provider_id' must be a string"),
+], ids=["torn", "not-an-object", "missing-field"])
+def test_corrupt_cache_entry_is_refused(tmp_path, stored, problem):
+    """An entry the cache cannot read is a configuration error naming it,
+    never a traceback and never an answer."""
+    inner = scripted(["fresh answer"])
+    provider = CachedProvider("c", inner, tmp_path / "cache")
+    digest = exchange_digest(inner.id, inner.model, "hello")
+    entry = tmp_path / "cache" / digest[:2] / f"{digest}.json"
+    entry.parent.mkdir(parents=True)
+    entry.write_text(stored)
+    with pytest.raises(ConfigurationError, match=re.escape(f"cache entry {entry}: {problem}")):
+        provider.complete("hello")
+    assert provider.history == [] and inner.history == []
+    assert entry.read_text() == stored
+
+
 def test_cache_distinguishes_prompts(tmp_path):
     inner = scripted(["one", "two"])
     provider = CachedProvider("c", inner, tmp_path / "cache")
@@ -197,6 +217,29 @@ def test_http_chat_retries_transient_failures(stub_server):
     provider = HttpChatProvider("h", "test-model", stub_server,
                                 attempts=3, backoff=0.0)
     assert provider.complete("hello").response == "stub says hello"
+
+
+def test_http_chat_answer_without_text_is_a_provider_error(stub_server, monkeypatch):
+    _StubHandler.failures_left = 0
+    monkeypatch.setattr(_StubHandler, "body", {"choices": [{"message": {"content": None}}]})
+    provider = HttpChatProvider("h", "m", stub_server, attempts=1, backoff=0.0)
+    with pytest.raises(ProviderError, match="content is not a string"):
+        provider.complete("hello")
+
+
+def test_http_chat_token_counts_that_are_not_integers_are_estimated(stub_server, monkeypatch,
+                                                                    tmp_path):
+    """Only integer counts are recorded, so the cache can read its entry back."""
+    _StubHandler.failures_left = 0
+    monkeypatch.setattr(_StubHandler, "body", {
+        "choices": [{"message": {"content": "two words"}}],
+        "usage": {"prompt_tokens": 7.0, "completion_tokens": "3"},
+    })
+    provider = CachedProvider("c", HttpChatProvider("h", "m", stub_server, backoff=0.0),
+                              tmp_path / "cache")
+    first = provider.complete("one two three")
+    assert (first.input_tokens, first.output_tokens, first.estimated) == (3, 2, True)
+    assert provider.complete("one two three") == first   # served from the entry
 
 
 def test_http_chat_missing_auth_names_the_env_var(stub_server, monkeypatch):

@@ -23,7 +23,7 @@ def e2e_setup(fixtures_dir):
     from appatch.exemplars import DatasetSample
 
     sample = DatasetSample.from_document(
-        json.loads((fixtures_dir / "sample_e2e.json").read_text())
+        json.loads((fixtures_dir / "sample_e2e.json").read_text()), "sample_e2e.json"
     )
     program, graph = sample.materialize()
     ei = identify_external_inputs(program, graph)
