@@ -463,6 +463,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         retained = set(fields.get("retained", []))
         generated[sample.id] = len(retained)
         retained_sets[sample.id] = retained
+        sources = truth = None   # the ground truth is applied at most once, on demand
         for ordinal in sorted(retained):
             file_name = candidates.get(ordinal)
             if file_name is None:
@@ -475,8 +476,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
                             sample.id)
                 auto_syneq[(sample.id, ordinal)] = False
                 continue
+            if truth is None:
+                sources = dict(sample.sources)
+                truth = evaluation.normalized_ground_truth(sources, sample.ground_truth_patch)
             is_syneq, note = evaluation.classify_syneq(
-                dict(sample.sources), diff_text, sample.ground_truth_patch,
+                sources, diff_text, sample.ground_truth_patch, truth,
             )
             if note:
                 log.info("sample %s patch %d: %s", sample.id, ordinal, note)

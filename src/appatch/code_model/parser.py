@@ -5,6 +5,13 @@ scalar/pointer/array declarations, assignments, calls, if/else, while/for,
 return, string literals.  No preprocessor, no structs, no typedefs.
 Anything richer has to come in through the graph-interchange importer.
 
+The lexer is one regular-expression scan into two flat lists, each
+token's text and its start offset, with no record per token.  The parser
+walks them by token index and works out a line and column, from a table of
+line starts, only where a node id, a function's line range or an error
+needs one.  :func:`tokenize` is a view of the same scan as :class:`Token`
+records.
+
 There is no syntax tree.  Expressions parse straight to their statement's
 flow facts, and each statement, as it is parsed, becomes a graph node wired
 into its function's control-flow graph; each function comes out as one
@@ -14,9 +21,8 @@ into its function's control-flow graph; each function comes out as one
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import Counter
-from operator import attrgetter
 from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .model import (
@@ -68,30 +74,50 @@ class Token(NamedTuple):
     end: int
 
 
-# A run of blanks, then one alternation in lexing order; ``lastgroup``
-# names the token kind and its group's span is the token.  Branches start
-# with disjoint characters except ``/``, where the comments come first, and
-# ``_PUNCT`` is already ordered longest match first.
-_BLANKS = r"[ \t\r\f\v]*"
+# One match per token: a gap of blanks, line breaks and closed comments,
+# then one alternation in lexing order.  Group 2 is a token (``_PUNCT`` is
+# already ordered longest match first); the other groups are the rare paths
+# ``_scan`` handles itself.  Every position matches, a lone character or the
+# end of text at worst, so a scan skips no text and never backtracks into
+# the gap.
 STRING_LITERAL = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
 CHAR_LITERAL = r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'"
-_TOKEN_RE = re.compile(_BLANKS + "(?:" + "|".join([
-    r"(?P<newline>\n)",
-    r"(?P<skip>//[^\n]*)",
-    r"(?P<comment>/\*)",
-    r"(?P<ident>[A-Za-z_]\w*)",
-    r"(?P<num>\d[\w.]*)",
-    # A start outside ASCII that \d does not take: str.isalpha and
-    # str.isdigit decide below (``²1`` is a number, ``½`` starts nothing).
-    r"(?P<word>[^\W\d][\w.]*)",
-    f"(?P<string>{STRING_LITERAL})",
-    f"(?P<char>{CHAR_LITERAL})",
-    "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")",
-]) + ")")
-_BLANKS_RE = re.compile(_BLANKS)
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\f\v\n]+|//[^\n]*|/\*(?s:.*?)\*/)*(?:"
+    r"(/\*)"                                         # 1: a comment never closed
+    "|(" + "|".join([                                # 2: a token
+        r"[A-Za-z_]\w*",
+        r"\d[\w.]*",
+        STRING_LITERAL,
+        CHAR_LITERAL,
+        *map(re.escape, _PUNCT),
+    ]) + ")"
+    # 3: a start outside ASCII that \d does not take: str.isalpha and
+    # str.isdigit decide (``²1`` is a number, ``½`` starts nothing).
+    r"|([^\W\d][\w.]*)"
+    r"|(?s:(.))"                                      # 4: any other character
+    r"|\Z)"
+)
+_NEWLINE_RE = re.compile("\n")
 
 
-def _lex_error(file: str, ch: str, line: int, col: int) -> ParseError:
+def _line_starts(text: str) -> List[int]:
+    """The offset of each line's first character."""
+    return [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
+
+
+def _position(line_starts: Sequence[int], offset: int) -> Tuple[int, int]:
+    """Line and column of ``offset``, both from 1."""
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
+
+
+def _lex_error(file: str, text: str, offset: int) -> ParseError:
+    """The error for the text at ``offset``, which starts no token."""
+    ch = text[offset]
+    line, col = _position(_line_starts(text), offset)
+    if text.startswith("/*", offset):
+        return ParseError("unterminated comment", file, line, col)
     if ch == "#":
         return UnsupportedConstructError("preprocessor directive", file, line, col)
     if ch in "\"'":
@@ -99,58 +125,73 @@ def _lex_error(file: str, ch: str, line: int, col: int) -> ParseError:
     return ParseError(f"unexpected character {ch!r}", file, line, col)
 
 
-def tokenize(file: str, text: str) -> List[Token]:
-    tokens: List[Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    n = len(text)
-    match = _TOKEN_RE.match
-    new = tuple.__new__     # no Python-level __new__ per token
-    append = tokens.append
-    while pos < n:
-        m = match(text, pos)
-        if m is None:
-            # Only blanks left, or no token after them.
-            pos = _BLANKS_RE.match(text, pos).end()
-            if pos == n:
+def _scan(file: str, text: str) -> Tuple[List[str], List[int]]:
+    """Each token's text and start offset, in order, then ``""`` at
+    ``len(text)`` for the end of input."""
+    values: List[str] = []
+    starts: List[int] = []
+    append, mark = values.append, starts.append
+    resume: Optional[int] = 0
+    while resume is not None:
+        matches = _TOKEN_RE.finditer(text, resume)
+        resume = None
+        for m in matches:
+            value = m.group(2)
+            if value is not None:
+                append(value)
+                mark(m.start(2))
+                continue
+            branch = m.lastindex
+            if branch is None:      # the end of text
                 break
-            raise _lex_error(file, text[pos], line, pos - line_start + 1)
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        if kind == "newline":
-            line += 1
-            line_start = end
-        elif kind == "comment":
-            close = text.find("*/", end)
-            if close < 0:
-                raise ParseError("unterminated comment", file, line, start - line_start + 1)
-            nl = text.rfind("\n", start, close)
-            if nl >= 0:
-                line += text.count("\n", start, close)
-                line_start = nl + 1
-            end = close + 2
-        elif kind != "skip":
-            if kind == "word":
-                ch = text[start]
-                if ch.isalpha():
-                    kind = "ident"
-                    dot = text.find(".", start, end)
-                    if dot >= 0:
-                        end = dot
-                elif ch.isdigit():
-                    kind = "num"
-                else:
-                    raise _lex_error(file, ch, line, start - line_start + 1)
-            append(new(Token, (kind, text[start:end], line, start - line_start + 1, start, end)))
-        pos = end
+            start = m.start(branch)
+            value = m.group(branch)
+            if branch != 3 or not (value[0].isalpha() or value[0].isdigit()):
+                raise _lex_error(file, text, start)
+            if value[0].isalpha():
+                dot = value.find(".")
+                if dot >= 0:        # an identifier ends at a dot: lex on from there
+                    value = value[:dot]
+                    resume = start + dot
+            append(value)
+            mark(start)
+            if resume is not None:
+                break
+    append("")
+    mark(len(text))
+    return values, starts
 
-    tokens.append(Token("eof", "", line, max(1, n - line_start + 1), n, n))
-    return tokens
+
+def _is_ident(value: str) -> bool:
+    ch = value[:1]
+    return ch.isalpha() or ch == "_"
+
+
+_KINDS = {"": "eof", '"': "string", "'": "char"}
+
+
+def _kind(value: str) -> str:
+    """A token's kind, read off its first character."""
+    if _is_ident(value):
+        return "ident"
+    if value[:1].isdigit():
+        return "num"
+    return _KINDS.get(value[:1], "punct")
+
+
+def tokenize(file: str, text: str) -> List[Token]:
+    """The scan as :class:`Token` records, end of input last.
+
+    A view for tools and tests: the parser reads the scan's flat arrays and
+    makes no record per token.
+    """
+    values, starts = _scan(file, text)
+    lines = _line_starts(text)
+    return [Token(_kind(value), value, *_position(lines, start), start, start + len(value))
+            for value, start in zip(values, starts)]
 
 
 _EMPTY: FrozenSet[str] = frozenset()
-_START = attrgetter("start")
 
 # Expressions are parsed straight into their statement's flow facts: every
 # variable read goes into ``_FileParser.uses`` and every call into
@@ -166,10 +207,15 @@ _OTHER: Shape = ("other", "")
 
 
 class _FileParser:
+    """Parses one file by token index: token ``i`` is ``values[i]``, which
+    starts at offset ``starts[i]``; the last token, ``""``, is the end of
+    input."""
+
     def __init__(self, file: str, text: str):
         self.file = file
         self.text = text
-        self.tokens = tokenize(file, text)
+        self.values, self.starts = _scan(file, text)
+        self.line_starts = _line_starts(text)
         self.pos = 0
         self.function = ""   # name of the function being parsed
         # That function's nodes and control flow, wired as it is parsed;
@@ -183,140 +229,138 @@ class _FileParser:
 
     # token helpers -------------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        # ``advance`` never moves ``pos`` past the final ``eof`` token.
+    def peek(self, offset: int = 0) -> str:
+        # ``advance`` never moves ``pos`` past the end of input.
         if offset:
-            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-        return self.tokens[self.pos]
+            return self.values[min(self.pos + offset, len(self.values) - 1)]
+        return self.values[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def advance(self) -> int:
+        """Step past the current token, unless it is the end of input; its index."""
+        pos = self.pos
+        if self.values[pos]:
+            self.pos = pos + 1
+        return pos
 
-    def expect(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "eof":
-            raise ParseError(f"expected {value!r}, found end of input",
-                             self.file, tok.line, tok.col)
-        if tok.value != value:
-            raise ParseError(f"expected {value!r}, found {tok.value!r}",
-                             self.file, tok.line, tok.col)
-        return self.advance()
+    def expect(self, value: str) -> int:
+        found = self.values[self.pos]
+        if found != value:
+            if not found:
+                raise self.error(f"expected {value!r}, found end of input", self.pos)
+            raise self.error(f"expected {value!r}, found {found!r}", self.pos)
+        self.pos += 1
+        return self.pos - 1
 
-    def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value in TYPE_KEYWORDS or tok.value in CONTROL_KEYWORDS:
-            raise ParseError(f"expected identifier, found {tok.value or 'end of input'!r}",
-                             self.file, tok.line, tok.col)
-        return self.advance()
+    def expect_ident(self) -> int:
+        value = self.values[self.pos]
+        if not _is_ident(value) or value in TYPE_KEYWORDS or value in CONTROL_KEYWORDS:
+            raise self.error(f"expected identifier, found {value or 'end of input'!r}",
+                             self.pos)
+        self.pos += 1
+        return self.pos - 1
 
     def at_type(self) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value in TYPE_KEYWORDS
+        return self.values[self.pos] in TYPE_KEYWORDS
 
-    def excerpt(self, start_tok: Token, end_tok: Token) -> str:
-        """Source from one token to another; a gap between two of its tokens
-        that holds a line break, comments included, becomes one space."""
-        text = self.text
-        start, end = start_tok.start, end_tok.end
+    def where(self, at: int) -> Tuple[int, int]:
+        """Line and column of token ``at``."""
+        return _position(self.line_starts, self.starts[at])
+
+    def error(self, message: str, at: int) -> ParseError:
+        return ParseError(message, self.file, *self.where(at))
+
+    def excerpt(self, first: int, last: int) -> str:
+        """Source from token ``first`` to token ``last``; a gap between two of
+        its tokens that holds a line break, comments included, becomes one
+        space."""
+        text, values, starts = self.text, self.values, self.starts
+        start, end = starts[first], starts[last] + len(values[last])
         if text.find("\n", start, end) < 0:
             return text[start:end]
-        tokens = self.tokens
-        i = bisect_left(tokens, start, key=_START)
         runs = []   # the verbatim runs between line-breaking gaps
         run = start
-        prev = start_tok.end
-        while prev < end:
-            i += 1
-            tok = tokens[i]
-            if text.find("\n", prev, tok.start) >= 0:
+        for i in range(first, last):
+            prev, nxt = starts[i] + len(values[i]), starts[i + 1]
+            if text.find("\n", prev, nxt) >= 0:
                 runs.append(text[run:prev])
-                run = tok.start
-            prev = tok.end
+                run = nxt
         runs.append(text[run:end])
         return " ".join(runs)
 
-    def unsupported(self, construct: str, tok: Token):
-        raise UnsupportedConstructError(construct, self.file, tok.line, tok.col)
+    def unsupported(self, construct: str, at: int):
+        raise UnsupportedConstructError(construct, self.file, *self.where(at))
 
     # grammar -------------------------------------------------------------
 
     def parse_file(self) -> List[FunctionDef]:
         functions: List[FunctionDef] = []
-        while self.peek().kind != "eof":
+        while self.peek():
             functions.extend(self.parse_top_level())
         return functions
 
     def parse_top_level(self) -> List[FunctionDef]:
-        tok = self.peek()
         if not self.at_type():
-            raise ParseError(f"expected a declaration, found {tok.value!r}",
-                             self.file, tok.line, tok.col)
-        start_tok = tok
+            raise self.error(f"expected a declaration, found {self.peek()!r}", self.pos)
+        first = self.pos
         self.parse_type()
-        name_tok = self.expect_ident()
-        if self.peek().value == "(":
-            return [self.parse_function(start_tok, name_tok)]
+        name_at = self.expect_ident()
+        if self.peek() == "(":
+            return [self.parse_function(first, name_at)]
         # Global declaration: accepted for completeness but contributes no
         # nodes; globals behave as function-local names downstream.
-        while self.peek().value != ";":
-            nxt = self.peek()
-            if nxt.kind == "eof":
-                raise ParseError("expected ';', found end of input",
-                                 self.file, nxt.line, nxt.col)
-            if nxt.value == "{":
-                self.unsupported("brace initializer", nxt)
+        while self.peek() != ";":
+            if not self.peek():
+                raise self.error("expected ';', found end of input", self.pos)
+            if self.peek() == "{":
+                self.unsupported("brace initializer", self.pos)
             self.advance()
         self.expect(";")
         return []
 
     def parse_type(self) -> None:
         if not self.at_type():
-            tok = self.peek()
-            raise ParseError(f"expected a type, found {tok.value!r}",
-                             self.file, tok.line, tok.col)
+            raise self.error(f"expected a type, found {self.peek()!r}", self.pos)
         while self.at_type():
             self.advance()
-        while self.peek().value == "*":
+        while self.peek() == "*":
             self.advance()
 
-    def parse_function(self, start_tok: Token, name_tok: Token) -> FunctionDef:
+    def parse_function(self, first: int, name_at: int) -> FunctionDef:
         self.expect("(")
         params = []   # (first token, name token, array-size uses, array-size calls)
-        if self.peek().value != ")":
-            if self.peek().value == "void" and self.peek(1).value == ")":
+        if self.peek() != ")":
+            if self.peek() == "void" and self.peek(1) == ")":
                 self.advance()
             else:
                 while True:
-                    p_start = self.peek()
+                    p_first = self.pos
                     self.parse_type()
                     p_name = self.expect_ident()
-                    params.append((p_start, p_name, *self.parse_array_sizes()))
-                    if self.peek().value == ",":
+                    params.append((p_first, p_name, *self.parse_array_sizes()))
+                    if self.peek() == ",":
                         self.advance()
                         continue
                     break
         close = self.expect(")")
-        self.function = name = name_tok.value
+        self.function = name = self.values[name_at]
         self.nodes, self.preds, self.scopes = [], [], []
         # entry -> param defs -> body
-        preds = (self.add(self.node("entry", name_tok, self.excerpt(start_tok, close)), ()),)
-        for p_start, p_name, uses, calls in params:
-            preds = (self.add(self.node("param-def", p_name, self.excerpt(p_start, p_name),
-                                        frozenset([p_name.value]), uses, calls), preds),)
+        preds = (self.add(self.node("entry", name_at, self.excerpt(first, close)), ()),)
+        for p_first, p_name, uses, calls in params:
+            preds = (self.add(self.node("param-def", p_name, self.excerpt(p_first, p_name),
+                                        frozenset([self.values[p_name]]), uses, calls),
+                              preds),)
         self.expect("{")
         self.parse_block(preds)
-        end_tok = self.expect("}")
+        last = self.expect("}")
         nodes = self.nodes
         return FunctionDef(
             name=name,
             file=self.file,
             nodes=tuple(nodes),
             callsites=tuple((callee, node.id) for node in nodes for callee, _ in node.calls),
-            start_line=start_tok.line,
-            end_line=end_tok.line,
+            start_line=self.where(first)[0],
+            end_line=self.where(last)[0],
             cfg_preds=tuple(self.preds),
             control_scopes=tuple(self.scopes),
         )
@@ -324,15 +368,16 @@ class _FileParser:
     def node(
         self,
         kind: str,
-        at: Token,
+        at: int,
         text: str,
         defs: FrozenSet[str] = _EMPTY,
         uses: FrozenSet[str] = _EMPTY,
         calls: Tuple[CallFact, ...] = (),
     ) -> StatementNode:
         """The graph node at token ``at``; its ``file:line:col`` id is made here, once."""
-        return StatementNode(node_id_for(self.file, at.line, at.col), self.file,
-                             self.function, at.line, text, kind, defs, uses, calls)
+        line, col = self.where(at)
+        return StatementNode(node_id_for(self.file, line, col), self.file,
+                             self.function, line, text, kind, defs, uses, calls)
 
     # control flow ----------------------------------------------------------
     #
@@ -352,34 +397,33 @@ class _FileParser:
         self.preds[target] += preds
 
     def parse_block(self, preds: Tuple[int, ...]) -> Tuple[int, ...]:
-        while self.peek().value != "}":
-            if self.peek().kind == "eof":
-                tok = self.peek()
-                raise ParseError("expected '}', found end of input",
-                                 self.file, tok.line, tok.col)
+        values = self.values
+        while (value := values[self.pos]) != "}":
+            if not value:
+                raise self.error("expected '}', found end of input", self.pos)
             preds = self.parse_stmt(preds)
         return preds
 
     def parse_stmt(self, preds: Tuple[int, ...]) -> Tuple[int, ...]:
-        tok = self.peek()
-        if tok.value == ";":
+        value = self.values[self.pos]
+        if value == ";":
             self.advance()
             return preds
-        if tok.value == "{":
+        if value == "{":
             self.advance()
             preds = self.parse_block(preds)
             self.expect("}")
             return preds
-        if tok.value == "if":
+        if value == "if":
             return self.parse_if(preds)
-        if tok.value == "while":
+        if value == "while":
             return self.parse_while(preds)
-        if tok.value == "for":
+        if value == "for":
             return self.parse_for(preds)
-        if tok.value == "return":
+        if value == "return":
             return self.parse_return(preds)
-        if tok.value == "else":
-            raise ParseError("'else' without matching 'if'", self.file, tok.line, tok.col)
+        if value == "else":
+            raise self.error("'else' without matching 'if'", self.pos)
         if self.at_type():
             for node in self.parse_declaration():
                 preds = (self.add(node, preds),)
@@ -389,14 +433,14 @@ class _FileParser:
         return (self.add(node, preds),)
 
     def parse_if(self, preds: Tuple[int, ...]) -> Tuple[int, ...]:
-        start = self.expect("if")
+        first = self.expect("if")
         self.expect("(")
         uses, calls = self.parse_value()
         close = self.expect(")")
-        at = self.add(self.node("branch", start, self.excerpt(start, close), _EMPTY, uses, calls),
+        at = self.add(self.node("branch", first, self.excerpt(first, close), _EMPTY, uses, calls),
                       preds)
         leave = self.parse_stmt((at,))
-        if self.peek().value == "else":
+        if self.peek() == "else":
             self.advance()
             leave += self.parse_stmt((at,))
         else:
@@ -405,24 +449,24 @@ class _FileParser:
         return leave
 
     def parse_while(self, preds: Tuple[int, ...]) -> Tuple[int, ...]:
-        start = self.expect("while")
+        first = self.expect("while")
         self.expect("(")
         uses, calls = self.parse_value()
         close = self.expect(")")
-        at = self.add(self.node("loop-header", start, self.excerpt(start, close),
+        at = self.add(self.node("loop-header", first, self.excerpt(first, close),
                                 _EMPTY, uses, calls), preds)
         self.link(self.parse_stmt((at,)), at)
         self.scopes.append((at, at + 1, len(self.nodes)))
         return (at,)
 
     def parse_for(self, preds: Tuple[int, ...]) -> Tuple[int, ...]:
-        start = self.expect("for")
+        first = self.expect("for")
         self.expect("(")
-        if self.peek().value != ";":
+        if self.peek() != ";":
             if self.at_type():
                 decls = self.parse_declaration(consume_semicolon=False)
                 if len(decls) != 1:
-                    self.unsupported("multiple declarators in for-init", start)
+                    self.unsupported("multiple declarators in for-init", first)
                 init = decls[0]
             else:
                 init = self.parse_simple()
@@ -430,16 +474,16 @@ class _FileParser:
         self.expect(";")
         uses: FrozenSet[str] = _EMPTY
         calls: Tuple[CallFact, ...] = ()
-        if self.peek().value != ";":
+        if self.peek() != ";":
             uses, calls = self.parse_value()
         self.expect(";")
         update: Optional[StatementNode] = None
-        if self.peek().value != ")":
+        if self.peek() != ")":
             update = self.parse_simple()
         close = self.expect(")")
         # The header's text ends after the update, but the header comes first,
         # then the update, which the header governs with the body.
-        at = self.add(self.node("loop-header", start, self.excerpt(start, close),
+        at = self.add(self.node("loop-header", first, self.excerpt(first, close),
                                 _EMPTY, uses, calls), preds)
         back = at   # where the body loops back to
         if update is not None:
@@ -450,51 +494,48 @@ class _FileParser:
         return (at,)
 
     def parse_return(self, preds: Tuple[int, ...]) -> Tuple[int, ...]:
-        start = self.expect("return")
+        first = self.expect("return")
         uses: FrozenSet[str] = _EMPTY
         calls: Tuple[CallFact, ...] = ()
-        if self.peek().value != ";":
+        if self.peek() != ";":
             uses, calls = self.parse_value()
         semi = self.expect(";")
-        self.add(self.node("return", start, self.excerpt(start, semi), _EMPTY, uses, calls),
+        self.add(self.node("return", first, self.excerpt(first, semi), _EMPTY, uses, calls),
                  preds)
         return ()
 
     def parse_declaration(self, consume_semicolon: bool = True) -> List[StatementNode]:
-        start = self.peek()
+        first = self.pos
         self.parse_type()
         declarators = []   # (name token, uses, calls)
         while True:
-            name_tok = self.expect_ident()
+            name_at = self.expect_ident()
             # Array sizes, then the initializer, in source order.
             uses, calls = self.parse_array_sizes()
-            if self.peek().value == "=":
+            if self.peek() == "=":
                 self.advance()
-                if self.peek().value == "{":
-                    self.unsupported("brace initializer", self.peek())
+                if self.peek() == "{":
+                    self.unsupported("brace initializer", self.pos)
                 init_uses, init_calls = self.parse_value()
                 uses |= init_uses
                 calls += init_calls
-            declarators.append((name_tok, uses, calls))
-            if self.peek().value == ",":
+            declarators.append((name_at, uses, calls))
+            if self.peek() == ",":
                 self.advance()
                 continue
             break
-        if consume_semicolon:
-            last = self.expect(";")
-        else:
-            last = self.tokens[self.pos - 1]
-        text = self.excerpt(start, last)
-        return [self.node("decl", name_tok, text, frozenset([name_tok.value]), uses, calls)
-                for name_tok, uses, calls in declarators]
+        last = self.expect(";") if consume_semicolon else self.pos - 1
+        text = self.excerpt(first, last)
+        return [self.node("decl", name_at, text, frozenset([self.values[name_at]]), uses, calls)
+                for name_at, uses, calls in declarators]
 
     def parse_array_sizes(self) -> Tuple[FrozenSet[str], Tuple[CallFact, ...]]:
         """The ``[size]`` suffixes after a declared name: their uses and calls."""
         uses: FrozenSet[str] = _EMPTY
         calls: Tuple[CallFact, ...] = ()
-        while self.peek().value == "[":
+        while self.peek() == "[":
             self.advance()
-            if self.peek().value != "]":
+            if self.peek() != "]":
                 size_uses, size_calls = self.parse_value()
                 uses |= size_uses
                 calls += size_calls
@@ -503,39 +544,39 @@ class _FileParser:
 
     def parse_simple(self) -> StatementNode:
         """One assignment, call, or increment/decrement, without its ';'."""
-        start = self.peek()
-        if start.value in ("++", "--"):
+        first = self.pos
+        if self.values[first] in ("++", "--"):
             self.advance()
-            name_tok = self.expect_ident()
-            var = frozenset([name_tok.value])
-            return self.node("assign", start, self.excerpt(start, name_tok), var, var)
+            name_at = self.expect_ident()
+            var = frozenset([self.values[name_at]])
+            return self.node("assign", first, self.excerpt(first, name_at), var, var)
         self.uses = uses = set()
         self.calls = calls = []
         kind, name = self.parse_unary()
-        nxt = self.peek()
-        if nxt.value in ("++", "--"):
-            self.advance()
+        op = self.values[self.pos]
+        if op in ("++", "--"):
+            last = self.advance()
             if kind != "name":
-                self.unsupported("increment of a non-variable", start)
+                self.unsupported("increment of a non-variable", first)
             var = frozenset([name])
-            return self.node("assign", start, self.excerpt(start, nxt), var, var)
-        if nxt.value in _ASSIGN_OPS:
+            return self.node("assign", first, self.excerpt(first, last), var, var)
+        if op in _ASSIGN_OPS:
             # Writes through pointers and into array cells are weak updates
             # of the root variable, so an lvalue's root is already a use.
             if kind != "name" and kind != "lvalue":
-                self.unsupported("assignment target", start)
+                self.unsupported("assignment target", first)
             self.advance()
             rhs = self.parse_expr()
             if rhs[0] == "name":
                 uses.add(rhs[1])
-            if nxt.value != "=":
+            if op != "=":
                 uses.add(name)
-            return self.node("assign", start, self.excerpt(start, self.tokens[self.pos - 1]),
+            return self.node("assign", first, self.excerpt(first, self.pos - 1),
                              frozenset([name]), frozenset(uses), tuple(calls))
         if kind == "call":
-            return self.node("call", start, self.excerpt(start, self.tokens[self.pos - 1]),
+            return self.node("call", first, self.excerpt(first, self.pos - 1),
                              _EMPTY, frozenset(uses), tuple(calls))
-        self.unsupported("expression statement", start)
+        self.unsupported("expression statement", first)
 
     # expressions ----------------------------------------------------------
 
@@ -550,14 +591,14 @@ class _FileParser:
 
     def parse_expr(self, min_prec: int = 1) -> Shape:
         left = self.parse_unary()
-        tokens = self.tokens
+        values = self.values
         while True:
-            tok = tokens[self.pos]
-            if tok.value == "?":
-                self.unsupported("ternary operator", tok)
-            if tok.value == "=":
-                self.unsupported("nested assignment", tok)
-            prec = _BINARY_PRECEDENCE.get(tok.value)
+            op = values[self.pos]
+            if op == "?":
+                self.unsupported("ternary operator", self.pos)
+            if op == "=":
+                self.unsupported("nested assignment", self.pos)
+            prec = _BINARY_PRECEDENCE.get(op)
             if prec is None or prec < min_prec:
                 return left
             self.pos += 1
@@ -569,7 +610,7 @@ class _FileParser:
             left = _OTHER
 
     def parse_unary(self) -> Shape:
-        op = self.tokens[self.pos].value
+        op = self.values[self.pos]
         if op not in _UNARY_OPS:
             return self.parse_postfix()
         self.pos += 1
@@ -581,18 +622,18 @@ class _FileParser:
 
     def parse_postfix(self) -> Shape:
         shape = self.parse_primary()
-        tokens = self.tokens
+        values = self.values
         while True:
-            tok = tokens[self.pos]
-            if tok.value == "(":
+            op = values[self.pos]
+            if op == "(":
                 if shape[0] != "name":
-                    self.unsupported("function-pointer call", tok)
+                    self.unsupported("function-pointer call", self.pos)
                 self.pos += 1
                 calls = self.calls
                 slot = len(calls)
                 calls.append(None)
                 args: List[FrozenSet[str]] = []
-                if tokens[self.pos].value != ")":
+                if values[self.pos] != ")":
                     outer = self.uses
                     while True:
                         self.uses = used = set()
@@ -601,14 +642,14 @@ class _FileParser:
                             used.add(name)
                         args.append(frozenset(used))
                         outer |= used
-                        if tokens[self.pos].value != ",":
+                        if values[self.pos] != ",":
                             break
                         self.pos += 1
                     self.uses = outer
                 self.expect(")")
                 calls[slot] = (shape[1], tuple(args))
                 shape = _CALL
-            elif tok.value == "[":
+            elif op == "[":
                 self.pos += 1
                 kind, name = shape
                 if kind == "name":
@@ -620,35 +661,39 @@ class _FileParser:
                 if kind == "name":
                     self.uses.add(name)
                 self.expect("]")
-            elif tok.value in (".", "->"):
-                self.unsupported("member access", tok)
+            elif op == "." or op == "->":
+                self.unsupported("member access", self.pos)
             else:
                 return shape
 
     def parse_primary(self) -> Shape:
-        tok = self.peek()
-        if tok.kind in ("num", "string", "char"):
-            self.advance()
+        value = self.values[self.pos]
+        ch = value[:1]
+        if ch.isalpha() or ch == "_":
+            if value not in TYPE_KEYWORDS and value not in CONTROL_KEYWORDS:
+                self.pos += 1
+                return ("name", value)
+        elif ch.isdigit() or ch == '"' or ch == "'":
+            self.pos += 1
             return _OTHER
-        if tok.value == "sizeof":
+        if value == "sizeof":
             self.advance()
             self.expect("(")
             depth = 1
             while depth > 0:
-                inner = self.advance()
-                if inner.kind == "eof":
-                    raise ParseError("expected ')', found end of input",
-                                     self.file, inner.line, inner.col)
-                if inner.value == "(":
+                inner = self.values[self.advance()]
+                if not inner:
+                    raise self.error("expected ')', found end of input", self.pos)
+                if inner == "(":
                     depth += 1
-                elif inner.value == ")":
+                elif inner == ")":
                     depth -= 1
-                elif (inner.kind == "ident" and inner.value not in TYPE_KEYWORDS
-                      and self.tokens[self.pos].value != "("):   # a callee is no use
-                    self.uses.add(inner.value)
+                elif (_is_ident(inner) and inner not in TYPE_KEYWORDS
+                      and self.values[self.pos] != "("):   # a callee is no use
+                    self.uses.add(inner)
             return _OTHER
-        if tok.value == "(":
-            if self.peek(1).kind == "ident" and self.peek(1).value in TYPE_KEYWORDS:
+        if value == "(":
+            if self.peek(1) in TYPE_KEYWORDS:
                 self.advance()
                 self.parse_type()
                 self.expect(")")
@@ -660,13 +705,7 @@ class _FileParser:
             shape = self.parse_expr()
             self.expect(")")
             return shape
-        if tok.kind == "ident" and tok.value not in TYPE_KEYWORDS and tok.value not in CONTROL_KEYWORDS:
-            self.advance()
-            return ("name", tok.value)
-        raise ParseError(
-            f"expected an expression, found {tok.value or 'end of input'!r}",
-            self.file, tok.line, tok.col,
-        )
+        raise self.error(f"expected an expression, found {value or 'end of input'!r}", self.pos)
 
 
 # ── public entry point ──────────────────────────────────────────────────

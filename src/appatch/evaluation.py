@@ -90,31 +90,36 @@ def _strip_comments(text: str) -> str:
 
 def normalize_code(text: str) -> str:
     """Comment-free text with whitespace runs collapsed and blank lines dropped."""
-    stripped = _strip_comments(text)
-    lines = []
-    for line in stripped.split("\n"):
-        collapsed = _BLANKS_RE.sub(" ", line).strip()
-        if collapsed:
-            lines.append(collapsed)
-    return "\n".join(lines)
+    collapsed = _BLANKS_RE.sub(" ", _strip_comments(text))   # no run spans a line break
+    return "\n".join(filter(None, map(str.strip, collapsed.split("\n"))))
+
+
+def normalized_ground_truth(sources: Mapping[str, str], ground_truth_diff: str) -> Dict[str, str]:
+    """Every file the ground-truth patch yields, as :func:`normalize_code` gives it."""
+    try:
+        truth = apply_patch(sources, ground_truth_diff)
+    except (ApplyError, DiffError) as exc:
+        raise EvaluationError(f"ground-truth patch does not apply: {exc}") from exc
+    return {path: normalize_code(text) for path, text in truth.items()}
 
 
 def classify_syneq(
     sources: Mapping[str, str] | Sequence[Tuple[str, str]],
     patch_diff: str,
     ground_truth_diff: str,
+    truth: Optional[Mapping[str, str]] = None,
 ) -> Tuple[bool, Optional[str]]:
     """Whether two diffs yield the same program text after normalization.
 
     Returns (equivalent, note); a patch that fails to apply is not
-    equivalent and the note says why.
+    equivalent and the note says why.  A caller that checks several patches
+    against one ground truth passes its :func:`normalized_ground_truth` as
+    ``truth``, which then stands for ``ground_truth_diff``.
     """
     if not isinstance(sources, Mapping):
         sources = dict(sources)
-    try:
-        truth = apply_patch(sources, ground_truth_diff)
-    except (ApplyError, DiffError) as exc:
-        raise EvaluationError(f"ground-truth patch does not apply: {exc}") from exc
+    if truth is None:
+        truth = normalized_ground_truth(sources, ground_truth_diff)
     try:
         patched = apply_patch(sources, patch_diff)
     except (ApplyError, DiffError) as exc:
@@ -122,7 +127,7 @@ def classify_syneq(
     if set(patched) != set(truth):
         return False, "patched file sets differ"
     for path in sorted(truth):
-        if normalize_code(patched[path]) != normalize_code(truth[path]):
+        if normalize_code(patched[path]) != truth[path]:
             return False, None
     return True, None
 

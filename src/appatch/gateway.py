@@ -295,7 +295,11 @@ class CachedProvider(Provider):
         path = self._entry_path(digest)
         if path.exists():
             where = f"cache entry {path}"
-            doc = json_object(path.read_text(encoding="utf-8"), where, ConfigurationError)
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigurationError(f"{where}: not valid UTF-8 at byte {exc.start}") from exc
+            doc = json_object(text, where, ConfigurationError)
             stored = Exchange(**checked(doc, where, _EXCHANGE_FIELDS, ConfigurationError))
             if (stored.prompt, stored.provider_id, stored.model) != (
                 prompt, self.inner.id, self.inner.model,

@@ -544,6 +544,18 @@ def test_input_that_is_not_utf8_is_usage_error(tmp_path, capsys):
     assert f"source file {source}: not valid UTF-8" in capsys.readouterr().err
 
 
+def test_cache_entry_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path, cached=True)
+    args = ["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "miner",
+            "--pool", str(tmp_path / "pool.jsonl"), "--config", str(config)]
+    assert main(args) == 0
+    entry = sorted((tmp_path / "cache" / "miner").rglob("*.json"))[0]
+    entry.write_bytes(b'{"prompt": "\xff"}')
+    capsys.readouterr()
+    assert main(args) == 2
+    assert f"cache entry {entry}: not valid UTF-8 at byte 12" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("script_bytes, problem", [
     (None, "No such file or directory"),
     (b'["unterminated"', "is not valid JSON"),

@@ -13,6 +13,7 @@ from appatch.evaluation import (
     load_labels,
     merge_labels,
     normalize_code,
+    normalized_ground_truth,
     _strip_comments,
 )
 
@@ -101,6 +102,19 @@ def test_syneq_is_symmetric(jsi_sources):
     assert a == b is False
     c, _ = classify_syneq(jsi_sources, GT_DIFF, GT_DIFF)
     assert c is True
+
+
+def test_ground_truth_normalized_once_gives_the_same_answers(jsi_sources):
+    truth = normalized_ground_truth(jsi_sources, GT_DIFF)
+    assert truth["jsi_like.c"] == normalize_code(truth["jsi_like.c"])
+    broken = GT_DIFF.replace("-    p = malloc(cnt + 1);", "-    nope;")
+    for diff in (GT_DIFF, STRNCPY_DIFF, broken, GT_DIFF.replace("use) + 1);", "use)+1); // x")):
+        assert classify_syneq(jsi_sources, diff, GT_DIFF, truth) == classify_syneq(
+            jsi_sources, diff, GT_DIFF)
+    for call in (lambda: normalized_ground_truth(jsi_sources, broken),
+                 lambda: classify_syneq(jsi_sources, GT_DIFF, broken)):
+        with pytest.raises(EvaluationError, match="ground-truth patch does not apply"):
+            call()
 
 
 def test_failing_apply_is_false_with_note(jsi_sources):

@@ -124,6 +124,19 @@ def test_corrupt_cache_entry_is_refused(tmp_path, stored, problem):
     assert entry.read_text() == stored
 
 
+def test_cache_entry_that_is_not_utf8_is_refused(tmp_path):
+    inner = scripted(["fresh answer"])
+    provider = CachedProvider("c", inner, tmp_path / "cache")
+    digest = exchange_digest(inner.id, inner.model, "hello")
+    entry = tmp_path / "cache" / digest[:2] / f"{digest}.json"
+    entry.parent.mkdir(parents=True)
+    entry.write_bytes(b'{"prompt": "\xff"}')
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"cache entry {entry}: not valid UTF-8 at byte 12")):
+        provider.complete("hello")
+    assert provider.history == [] and inner.history == []
+
+
 def test_cache_distinguishes_prompts(tmp_path):
     inner = scripted(["one", "two"])
     provider = CachedProvider("c", inner, tmp_path / "cache")

@@ -209,15 +209,63 @@ def test_tokens_are_immutable_records_that_compare_by_value():
 
 def test_peek_and_advance_stop_at_eof():
     parser = _FileParser("t.c", "x ;")
-    assert parser.advance().value == "x"
-    assert parser.peek().value == ";"
-    assert parser.peek(1).kind == "eof"
-    parser.advance()
-    eof = parser.peek()
-    assert eof.kind == "eof"
-    assert parser.advance() is eof and parser.advance() is eof
-    assert parser.pos == len(parser.tokens) - 1
-    assert parser.peek() is eof and parser.peek(1) is eof
+    assert parser.advance() == 0
+    assert parser.peek() == ";"
+    assert parser.peek(1) == ""
+    assert parser.advance() == 1
+    assert parser.peek() == ""
+    assert parser.advance() == 2 and parser.advance() == 2
+    assert parser.pos == len(parser.values) - 1 == 2
+    assert parser.peek() == "" and parser.peek(1) == ""
+    with pytest.raises(ParseError) as err:
+        parser.expect(";")
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "expected ';', found end of input", 1, 4,
+    )
+
+
+def test_non_ascii_identifier_ends_at_a_dot():
+    tokens = tokenize("u.c", "\u00e9t\u00e9.x.y")
+    assert [(t.kind, t.value, t.col, t.start, t.end) for t in tokens] == [
+        ("ident", "\u00e9t\u00e9", 1, 0, 3), ("punct", ".", 4, 3, 4), ("ident", "x", 5, 4, 5),
+        ("punct", ".", 6, 5, 6), ("ident", "y", 7, 6, 7), ("eof", "", 8, 7, 7),
+    ]
+
+
+@pytest.mark.parametrize("source,values,eof", [
+    ("x = 1; /* done */", ["x", "=", "1", ";"], (1, 18, 17)),
+    ("x = 1; // done", ["x", "=", "1", ";"], (1, 15, 14)),
+    ("x\n  /* a\n */", ["x"], (3, 4, 12)),
+])
+def test_text_may_end_in_a_comment(source, values, eof):
+    tokens = tokenize("c.c", source)
+    assert [t.value for t in tokens[:-1]] == values
+    assert (tokens[-1].kind, tokens[-1].line, tokens[-1].col, tokens[-1].start) == ("eof", *eof)
+
+
+@pytest.mark.parametrize("source,line,col", [
+    ("int x;\n  \t/*  ", 2, 4),
+    ("a /* b", 1, 3),
+    ("/*/", 1, 1),
+])
+def test_unterminated_comment_at_end_of_text_is_located(source, line, col):
+    with pytest.raises(ParseError) as err:
+        tokenize("c.c", source)
+    assert (type(err.value), err.value.message, err.value.line, err.value.col) == (
+        ParseError, "unterminated comment", line, col,
+    )
+
+
+@pytest.mark.parametrize("source,ids", [
+    ("int f(int a){\r\n  int x;\r\n  x = a;\r\n  return x;\r\n}\r\n",
+     ["n.c:1:5", "n.c:1:11", "n.c:2:7", "n.c:3:3", "n.c:4:3"]),
+    ("int f(int a){ /* one\n two\n */ int x; x = a; /* c\n */\n  return x;}",
+     ["n.c:1:5", "n.c:1:11", "n.c:3:9", "n.c:3:12", "n.c:5:3"]),
+])
+def test_node_ids_count_lines_across_crlf_and_comments(source, ids):
+    function = parse_program([("n.c", source)]).functions[0]
+    assert [node.id for node in function.nodes] == ids
+    assert (function.start_line, function.end_line) == (1, 5)
 
 
 _MINI_C = "ab_19 \t\r\n\n/*+-<>=!&|.;(){}[]\"'\\#@\u00b2\u00e9\f"
