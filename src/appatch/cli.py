@@ -75,11 +75,7 @@ class PipelineError(Exception):
     """The run itself failed (parse, slice, provider)."""
 
 
-# ── small file helpers ───────────────────────────────────────────────────
-
-def _write_json_atomic(path: Path, doc: Any) -> None:
-    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
+# ── reading inputs ───────────────────────────────────────────────────────
 
 def _read_input(path_text: Union[str, Path], what: str) -> Tuple[str, str]:
     """Read an input file once: its text and the sha256 of its bytes.
@@ -150,44 +146,64 @@ def load_config(path_text: Optional[str]) -> Config:
     )
 
 
-# ── manifest ─────────────────────────────────────────────────────────────
+# ── the run record ───────────────────────────────────────────────────────
 
-def _write_manifest(
-    path: Path,
-    command: str,
-    config_digest: Optional[str],
-    input_digests: Dict[str, str],
-    outputs: List[str],
-    accounting: Dict[str, Any],
-    flags: Dict[str, Any],
-) -> None:
-    """Record one run; every field is deterministic, so a warm-cache rerun
-    reproduces the manifest byte for byte."""
-    _write_json_atomic(path, {
-        "command": command,
-        "config_digest": config_digest,
-        "input_digests": input_digests,
-        "outputs": sorted(outputs),
-        "accounting": accounting,
-        "flags": flags,
-    })
+class _Run:
+    """One command's reads and writes, and the manifest that records them.
+
+    Every field of the manifest is deterministic, so a warm-cache rerun
+    reproduces it byte for byte.
+    """
+
+    def __init__(self, command: str, config_digest: Optional[str] = None):
+        self.command = command
+        self.config_digest = config_digest
+        self.input_digests: Dict[str, str] = {}
+        self.outputs: List[str] = []
+
+    def read(self, path: Union[str, Path], what: str, key: Optional[str] = None) -> str:
+        """The text of an input file; its digest is recorded under ``key``, if given."""
+        text, digest = _read_input(path, what)
+        if key is not None:
+            self.input_digests[key] = digest
+        return text
+
+    def output(self, path: Union[str, Path]) -> Path:
+        """``path``, recorded as an output for a writer that is not this record's."""
+        path = Path(path)
+        self.outputs.append(path.name)
+        return path
+
+    def write_text(self, path: Union[str, Path], text: str) -> None:
+        write_text_atomic(self.output(path), text)
+
+    def write_json(self, path: Union[str, Path], doc: Any) -> None:
+        self.write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+    def finish(self, path: Path, flags: Dict[str, Any],
+               exchanges: Sequence[Exchange] = ()) -> None:
+        write_text_atomic(path, json.dumps({
+            "command": self.command,
+            "config_digest": self.config_digest,
+            "input_digests": self.input_digests,
+            "outputs": sorted(self.outputs),
+            "accounting": accounting_report(exchanges),
+            "flags": flags,
+        }, indent=2, sort_keys=True) + "\n")
 
 
 # ── shared loaders ───────────────────────────────────────────────────────
 
-def _materialize(sample: DatasetSample):
-    try:
-        program, graph = sample.materialize()
-    except CodeModelError as exc:
-        raise PipelineError(f"cannot build the dependence graph: {exc}")
-    return program, graph
-
-
-def _external_functions(args: "argparse.Namespace", config: Config):
-    flag = getattr(args, "external_functions", None)
+def _external_functions(args: argparse.Namespace, config: Config):
+    flag = args.external_functions
     if flag:
         return frozenset(n.strip() for n in flag.split(",") if n.strip())
     return config.external_functions
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise UsageError("--jobs must be a positive integer")
 
 
 def _parse_vuln_arg(vuln: str) -> List[Tuple[str, int]]:
@@ -211,11 +227,10 @@ def cmd_slice(args: argparse.Namespace) -> int:
     from .scoping import VulnSpec
 
     config = load_config(args.config)
-    input_digests: Dict[str, str] = {}
+    run = _Run("slice", config.digest)
 
     if args.graph:
-        text, digest = _read_input(args.graph, "graph file")
-        input_digests[f"graph:{Path(args.graph).name}"] = digest
+        text = run.read(args.graph, "graph file", f"graph:{Path(args.graph).name}")
         try:
             program, graph = import_graph(text)
         except CodeModelError as exc:
@@ -223,10 +238,8 @@ def cmd_slice(args: argparse.Namespace) -> int:
     else:
         sources = []
         for source_text in args.source or []:
-            text, digest = _read_input(source_text, "source file")
             name = Path(source_text).name
-            sources.append((name, text))
-            input_digests[f"source:{name}"] = digest
+            sources.append((name, run.read(source_text, "source file", f"source:{name}")))
         if not sources:
             raise UsageError("either --source or --graph is required")
         try:
@@ -248,25 +261,17 @@ def cmd_slice(args: argparse.Namespace) -> int:
     rendered = render_slice(result, program, graph, functions)
 
     out_path = Path(args.out)
-    text_path = out_path.with_name(out_path.name + ".txt")
-    _write_json_atomic(out_path, result.to_document(graph))
-    write_text_atomic(text_path, rendered.text + "\n")
-
-    _write_manifest(
-        out_path.with_name(out_path.name + ".manifest.json"),
-        command="slice",
-        config_digest=config.digest,
-        input_digests=input_digests,
-        outputs=[out_path.name, text_path.name],
-        accounting={},
-        flags={"fallback": result.fallback},
-    )
+    run.write_json(out_path, result.to_document(graph))
+    run.write_text(out_path.with_name(out_path.name + ".txt"), rendered.text + "\n")
+    run.finish(out_path.with_name(out_path.name + ".manifest.json"),
+               {"fallback": result.fallback})
     print(f"slice: {len(result.node_ids)} nodes "
           f"({len(result.ei_ids)} external inputs, fallback={result.fallback})")
     return EXIT_OK
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    _check_jobs(args.jobs)
     config = load_config(args.config)
     provider = config.provider(args.provider)
     if args.jobs > 1:
@@ -280,39 +285,28 @@ def cmd_mine(args: argparse.Namespace) -> int:
                 f"provider {args.provider!r} replays the script of {replayed.id!r} "
                 f"in call order; mine with it at --jobs 1, not --jobs {args.jobs}"
             )
-    text, dataset_digest = _read_input(args.dataset, "dataset file")
-    dataset = load_dataset(text, Path(args.dataset))
+    run = _Run("mine", config.digest)
+    dataset = load_dataset(run.read(args.dataset, "dataset file", "dataset"), Path(args.dataset))
 
     pool, failures = build_pool(
         dataset, provider,
         external_functions=_external_functions(args, config),
         jobs=args.jobs,
     )
-    pool_path = Path(args.pool)
-    pool_path.parent.mkdir(parents=True, exist_ok=True)
+    pool_path = run.output(args.pool)
     save_pool(pool, pool_path)
-
-    _write_manifest(
-        pool_path.with_name(pool_path.name + ".manifest.json"),
-        command="mine",
-        config_digest=config.digest,
-        input_digests={"dataset": dataset_digest},
-        outputs=[pool_path.name],
-        accounting=accounting_report(provider.history),
-        flags={
-            "provider": args.provider,
-            "samples": len(dataset),
-            "mined": len(pool),
-            "errors": [
-                {"sample_id": f.sample_id, "message": f.message} for f in failures
-            ],
-        },
-    )
+    run.finish(pool_path.with_name(pool_path.name + ".manifest.json"), {
+        "provider": args.provider,
+        "samples": len(dataset),
+        "mined": len(pool),
+        "errors": [{"sample_id": f.sample_id, "message": f.message} for f in failures],
+    }, provider.history)
     print(f"mine: {len(pool)} exemplar(s), {len(failures)} failure(s)")
     return EXIT_OK
 
 
 def cmd_patch(args: argparse.Namespace) -> int:
+    _check_jobs(args.jobs)
     config = load_config(args.config)
     max_rounds = config.demand_rounds if args.max_rounds is None else args.max_rounds
     if max_rounds < 1:
@@ -325,14 +319,18 @@ def cmd_patch(args: argparse.Namespace) -> int:
         raise UsageError(f"--validators names {', '.join(repeated)} more than once")
     validators = [config.provider(v) for v in validator_ids]
 
-    sample_text, sample_digest = _read_input(args.sample, "sample file")
-    pool_text, pool_digest = _read_input(args.pool, "pool file")
+    run = _Run("patch", config.digest)
+    sample_text = run.read(args.sample, "sample file", "sample")
+    pool_text = run.read(args.pool, "pool file", "pool")
     where = f"sample file {args.sample}"
     sample = DatasetSample.from_document(json_object(sample_text, where, DatasetError), where)
     sample.check_patch_applies()
     pool = load_pool(pool_text, Path(args.pool))
 
-    program, graph = _materialize(sample)
+    try:
+        program, graph = sample.materialize()
+    except CodeModelError as exc:
+        raise PipelineError(f"cannot build the dependence graph: {exc}")
     ei = identify_external_inputs(program, graph, _external_functions(args, config))
     result = vulnerability_semantics(graph, sample.vuln, ei)
 
@@ -352,73 +350,48 @@ def cmd_patch(args: argparse.Namespace) -> int:
         retained, verdicts, val_exchanges = validate_all(
             patches, validators, rendered, sample.vuln, jobs=args.jobs,
         )
-        verdicts_doc = [
-            {
-                "ordinal": v.ordinal,
-                "answers": {pid: answer for pid, answer in v.answers},
-                "retained": v.retained,
-            }
-            for v in verdicts
-        ]
+        verdicts_doc = [{"ordinal": v.ordinal, "answers": dict(v.answers), "retained": v.retained}
+                        for v in verdicts]
     else:
         retained = list(patches)
         verdicts_doc = []
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: List[str] = []
-
-    def emit_text(name: str, text: str) -> None:
-        write_text_atomic(out_dir / name, text)
-        outputs.append(name)
-
-    def emit_json(name: str, doc: Any) -> None:
-        _write_json_atomic(out_dir / name, doc)
-        outputs.append(name)
-
-    emit_text("rendered_slice.txt", rendered.text + "\n")
-    emit_json("slice.json", result.to_document(graph))
-    emit_json("root_cause.json", {
+    run.write_text(out_dir / "rendered_slice.txt", rendered.text + "\n")
+    run.write_json(out_dir / "slice.json", result.to_document(graph))
+    run.write_json(out_dir / "root_cause.json", {
         "text": root_cause.text,
         "iterations": root_cause.iterations,
         "functions_used": sorted(root_cause.functions_used),
         "forced_final": root_cause.forced_final,
         "transcript": [list(pair) for pair in root_cause.transcript],
     })
-    emit_json("selected_exemplars.json", [ex.sample_id for ex in chosen])
+    run.write_json(out_dir / "selected_exemplars.json", [ex.sample_id for ex in chosen])
     candidate_files = []
     for patch in patches:
         name = f"candidate_{patch.ordinal}.diff"
-        emit_text(name, patch.diff if patch.diff.endswith("\n") else patch.diff + "\n")
+        run.write_text(out_dir / name,
+                       patch.diff if patch.diff.endswith("\n") else patch.diff + "\n")
         candidate_files.append({
             "ordinal": patch.ordinal,
             "file": name,
             "prompt_digest": patch.prompt_digest,
         })
-    emit_json("verdicts.json", verdicts_doc)
-    emit_json("result.json", {
+    run.write_json(out_dir / "verdicts.json", verdicts_doc)
+    run.write_json(out_dir / "result.json", {
         "sample_id": sample.id,
         "candidates": candidate_files,
         "retained": [p.ordinal for p in retained],
         "validated": bool(validators),
     })
 
-    all_exchanges = rc_exchanges + sel_exchanges + [gen_exchange] + val_exchanges
-    _write_manifest(
-        out_dir / "manifest.json",
-        command="patch",
-        config_digest=config.digest,
-        input_digests={"sample": sample_digest, "pool": pool_digest},
-        outputs=outputs,
-        accounting=accounting_report(all_exchanges),
-        flags={
-            "provider": args.provider,
-            "validators": validator_ids,
-            "no_validation": not validators,
-            "exemplars_selected": len(chosen),
-            "forced_final": root_cause.forced_final,
-        },
-    )
+    run.finish(out_dir / "manifest.json", {
+        "provider": args.provider,
+        "validators": validator_ids,
+        "no_validation": not validators,
+        "exemplars_selected": len(chosen),
+        "forced_final": root_cause.forced_final,
+    }, rc_exchanges + sel_exchanges + [gen_exchange] + val_exchanges)
     print(f"patch: {len(patches)} candidate(s), {len(retained)} retained "
           f"({'validated' if validators else 'no validation'})")
     return EXIT_OK
@@ -437,14 +410,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     results_dir = Path(args.results)
     if not results_dir.is_dir():
         raise UsageError(f"results directory not found: {results_dir}")
-    text, gt_digest = _read_input(args.ground_truth, "ground-truth file")
-    gt_samples = load_dataset(text, Path(args.ground_truth))
-    input_digests = {"ground_truth": gt_digest}
+    run = _Run("eval")
+    gt_samples = load_dataset(run.read(args.ground_truth, "ground-truth file", "ground_truth"),
+                              Path(args.ground_truth))
 
     human_labels = []
     if args.labels:
-        text, digest = _read_input(args.labels, "labels file")
-        input_digests["labels"] = digest
+        text = run.read(args.labels, "labels file", "labels")
         human_labels = evaluation.load_labels(text, Path(args.labels))
 
     auto_syneq: Dict[Tuple[str, int], bool] = {}
@@ -456,7 +428,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         result_path = results_dir / sample.id / "result.json"
         if not result_path.is_file():
             continue
-        text, _ = _read_input(result_path, "result file")
+        text = run.read(result_path, "result file")
         where = str(result_path)
         fields = checked(json_object(text, where, UsageError), where, _RESULT_KEYS, UsageError)
         candidates = {c["ordinal"]: c["file"] for c in fields.get("candidates", [])}
@@ -470,7 +442,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 raise UsageError(
                     f"{result_path}: retained ordinal {ordinal} has no candidate file"
                 )
-            diff_text, _ = _read_input(results_dir / sample.id / file_name, "candidate file")
+            diff_text = run.read(results_dir / sample.id / file_name, "candidate file")
             if sample.sources is None:
                 log.warning("sample %s is graph-backed; cannot auto-check SynEq",
                             sample.id)
@@ -499,21 +471,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluation.compute_metrics(len(gt_samples), labels, generated)
 
     report_path = Path(args.report)
-    _write_json_atomic(report_path, report.to_document())
-    outputs = [report_path.name]
+    run.write_json(report_path, report.to_document())
     if args.csv:
-        report.write_csv(args.csv)
-        outputs.append(Path(args.csv).name)
-
-    _write_manifest(
-        report_path.with_name(report_path.name + ".manifest.json"),
-        command="eval",
-        config_digest=None,
-        input_digests=input_digests,
-        outputs=outputs,
-        accounting={},
-        flags={"labels": bool(args.labels), "samples": len(gt_samples)},
-    )
+        report.write_csv(run.output(args.csv))
+    run.finish(report_path.with_name(report_path.name + ".manifest.json"),
+               {"labels": bool(args.labels), "samples": len(gt_samples)})
     correct = report.per_category["Correct"]
     print(f"eval: recall={correct.recall:.4f} precision={correct.precision:.4f} "
           f"f1={correct.f1:.4f} over {report.testing_samples} sample(s)")
@@ -528,8 +490,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Slice, mine, patch, and evaluate vulnerability fixes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # The flags of every command that builds a dependence graph.
+    graph_flags = argparse.ArgumentParser(add_help=False)
+    graph_flags.add_argument("--config", help="configuration file")
+    graph_flags.add_argument("--external-functions",
+                             help="override the external-function set, comma separated")
 
-    p_slice = sub.add_parser("slice", help="compute a vulnerability slice")
+    p_slice = sub.add_parser("slice", parents=[graph_flags],
+                             help="compute a vulnerability slice")
     p_slice.add_argument("--source", action="append",
                          help="mini-C source file (repeatable)")
     p_slice.add_argument("--graph", help="graph-interchange JSON file")
@@ -537,23 +505,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="vulnerable lines as file:line[,file:line...]")
     p_slice.add_argument("--cwe", default="", help="CWE ids, comma separated")
     p_slice.add_argument("--entry", help="entry function override")
-    p_slice.add_argument("--config", help="configuration file")
-    p_slice.add_argument("--external-functions",
-                         help="override the external-function set, comma separated")
     p_slice.add_argument("--out", required=True, help="slice JSON output path")
     p_slice.set_defaults(func=cmd_slice)
 
-    p_mine = sub.add_parser("mine", help="mine an exemplar pool from known patches")
+    p_mine = sub.add_parser("mine", parents=[graph_flags],
+                            help="mine an exemplar pool from known patches")
     p_mine.add_argument("--dataset", required=True, help="JSONL dataset")
     p_mine.add_argument("--provider", required=True, help="provider id")
     p_mine.add_argument("--pool", required=True, help="pool JSONL output path")
-    p_mine.add_argument("--config", help="configuration file")
-    p_mine.add_argument("--external-functions",
-                        help="override the external-function set, comma separated")
     p_mine.add_argument("--jobs", type=int, default=1, help="parallel samples")
     p_mine.set_defaults(func=cmd_mine)
 
-    p_patch = sub.add_parser("patch", help="generate and validate candidate patches")
+    p_patch = sub.add_parser("patch", parents=[graph_flags],
+                             help="generate and validate candidate patches")
     p_patch.add_argument("--sample", required=True, help="sample JSON file")
     p_patch.add_argument("--pool", required=True, help="exemplar pool JSONL")
     p_patch.add_argument("--provider", required=True, help="generating provider id")
@@ -561,9 +525,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="validating provider ids, comma separated; "
                               "omit to skip validation")
     p_patch.add_argument("--out", required=True, help="output directory")
-    p_patch.add_argument("--config", help="configuration file")
-    p_patch.add_argument("--external-functions",
-                         help="override the external-function set, comma separated")
     p_patch.add_argument("--cwe-filter", action="store_true",
                          help="pre-filter the pool to matching CWE ids")
     p_patch.add_argument("--max-rounds", type=int, default=None,

@@ -437,13 +437,25 @@ def load_providers(
             pending[provider_id] = entry
         else:
             providers[provider_id] = _build_one(entry, provider_id, base)
-    for provider_id, entry in pending.items():
-        fields = checked(entry, f"provider {provider_id!r}", _CACHED_KEYS, ConfigurationError)
-        inner_id = fields["inner"]
-        if inner_id not in providers:
-            raise ConfigurationError(
-                f"cached provider {provider_id!r}: unknown inner provider {inner_id!r}"
-            )
-        providers[provider_id] = CachedProvider(provider_id, providers[inner_id],
-                                                base / fields["cache_dir"])
+    cached = {provider_id: checked(entry, f"provider {provider_id!r}", _CACHED_KEYS,
+                                   ConfigurationError)
+              for provider_id, entry in pending.items()}
+    for provider_id in cached:
+        chain: List[str] = []   # cached ids down to a built provider, outermost first
+        inner_id = provider_id
+        while inner_id not in providers:
+            if inner_id in chain:
+                loop = chain[chain.index(inner_id):] + [inner_id]
+                raise ConfigurationError(f"cached provider {inner_id!r}: inner providers "
+                                         f"form a cycle: {' -> '.join(loop)}")
+            if inner_id not in cached:
+                raise ConfigurationError(
+                    f"cached provider {chain[-1]!r}: unknown inner provider {inner_id!r}"
+                )
+            chain.append(inner_id)
+            inner_id = cached[inner_id]["inner"]
+        for cached_id in reversed(chain):
+            fields = cached[cached_id]
+            providers[cached_id] = CachedProvider(cached_id, providers[fields["inner"]],
+                                                  base / fields["cache_dir"])
     return providers

@@ -159,7 +159,8 @@ def render_slice(
 
     Each included function contributes its signature line plus the slice
     lines it owns; external inputs outside the requested functions are
-    dropped from ``listed_ei``.
+    dropped from ``listed_ei``.  Every such line has source text: an
+    imported program's text is rebuilt from its nodes' lines.
     """
     wanted = frozenset(functions)
     if not wanted:
@@ -187,11 +188,7 @@ def render_slice(
     chunks: List[str] = []
     for file in sorted(by_file):
         for line in sorted(set(by_file[file])):
-            text = program.source_line(file, line)
-            if text is None:
-                candidates = graph.nodes_at(file, line)
-                text = graph.node(candidates[0]).text if candidates else ""
-            chunks.append(f"{line}: {text.rstrip()}")
+            chunks.append(f"{line}: {program.source_line(file, line).rstrip()}")
 
     listed_ei = frozenset(
         node_id for node_id in result.ei_ids

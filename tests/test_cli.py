@@ -642,6 +642,86 @@ def test_patch_max_rounds_below_one_is_usage_error(tmp_path, mined_pool, capsys,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", ["mine", "patch"])
+def test_jobs_below_one_is_usage_error(tmp_path, mined_pool, capsys, command, jobs):
+    config, pool_path = mined_pool
+    out = tmp_path / "out-jobs"
+    argv = {
+        "mine": ["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "miner",
+                 "--pool", str(out / "pool.jsonl")],
+        "patch": ["patch", "--sample", str(FIXTURES / "sample_e2e.json"), "--pool",
+                  str(pool_path), "--provider", "gen", "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--config", str(config), "--jobs", jobs]) == 2
+    assert "--jobs must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cached_providers_in_a_cycle_are_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"providers": [
+        {"id": "a", "kind": "cached", "inner": "b", "cache_dir": "cache/a"},
+        {"id": "b", "kind": "cached", "inner": "a", "cache_dir": "cache/b"},
+    ]}))
+    code = main(["slice", "--source", str(FIXTURES / "null_use.c"), "--vuln", "null_use.c:4",
+                 "--config", str(config), "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "cached provider 'a': inner providers form a cycle: a -> b -> a" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("case", ["slice-source", "slice-graph", "mine", "patch", "eval"])
+def test_manifest_names_each_output_and_input(tmp_path, mined_pool, jsi_graph, request, case):
+    """The manifest lists exactly the files written beside it, and the
+    sha256 of each input file's bytes under one key per input."""
+    from appatch.code_model import dump_graph
+
+    config, pool_path = mined_pool
+    out = tmp_path / "out"
+    with_config = ["--config", str(config)]
+    config_digest = hashlib.sha256(config.read_bytes()).hexdigest()
+    if case == "slice-source":
+        source = FIXTURES / "jsi_like.c"
+        argv = ["slice", "--source", str(source), "--vuln", "jsi_like.c:48",
+                "--out", str(out / "slice.json"), *with_config]
+        manifest_path, inputs = out / "slice.json.manifest.json", {"source:jsi_like.c": source}
+    elif case == "slice-graph":
+        graph_file = tmp_path / "graph.json"
+        graph_file.write_text(dump_graph(jsi_graph))
+        argv = ["slice", "--graph", str(graph_file), "--vuln", "jsi_like.c:48",
+                "--out", str(out / "slice.json"), *with_config]
+        manifest_path, inputs = out / "slice.json.manifest.json", {"graph:graph.json": graph_file}
+    elif case == "mine":
+        dataset = FIXTURES / "dataset.jsonl"
+        argv = ["mine", "--dataset", str(dataset), "--provider", "miner",
+                "--pool", str(out / "pool.jsonl"), *with_config]
+        manifest_path, inputs = out / "pool.jsonl.manifest.json", {"dataset": dataset}
+    elif case == "patch":
+        sample = FIXTURES / "sample_e2e.json"
+        argv = ["patch", "--sample", str(sample), "--pool", str(pool_path), "--provider", "gen",
+                "--validators", "v1,v2", "--out", str(out), *with_config]
+        manifest_path, inputs = out / "manifest.json", {"sample": sample, "pool": pool_path}
+    else:
+        results, gt_path = request.getfixturevalue("patched_results")
+        labels = FIXTURES / "labels.jsonl"
+        argv = ["eval", "--results", str(results), "--ground-truth", str(gt_path),
+                "--labels", str(labels), "--report", str(out / "report.json"),
+                "--csv", str(out / "report.csv")]
+        manifest_path, inputs = out / "report.json.manifest.json", {
+            "ground_truth": gt_path, "labels": labels}
+        config_digest = None
+    assert main(argv) == 0
+    manifest = json.loads(manifest_path.read_text())
+    written = sorted(p.name for p in out.iterdir() if p != manifest_path)
+    assert manifest["outputs"] == written
+    assert manifest["input_digests"] == {
+        key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in inputs.items()
+    }
+    assert manifest["config_digest"] == config_digest
+
+
 @pytest.mark.parametrize("result_text, named", [
     ("[1, 3, 4]", "result.json"),
     ('{"candidates": [{"ordinal": 1}], "retained": [1]}', "result.json"),

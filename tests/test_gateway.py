@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import threading
@@ -277,6 +278,41 @@ def test_load_providers_resolves_cached_inner(tmp_path):
     )
     assert providers["front"].complete("p").response == "a"
     assert (tmp_path / "cache").is_dir()
+
+
+_CHAIN = [
+    {"id": "c2", "kind": "cached", "inner": "c1", "cache_dir": "cache/c2"},
+    {"id": "c1", "kind": "cached", "inner": "raw", "cache_dir": "cache/c1"},
+    {"id": "raw", "kind": "scripted", "responses": ["a"]},
+]
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))),
+                         ids=lambda order: "-".join(_CHAIN[i]["id"] for i in order))
+def test_load_providers_resolves_cached_chains_in_any_order(tmp_path, order):
+    providers = load_providers([_CHAIN[i] for i in order], base_dir=tmp_path)
+    assert providers["c2"].inner is providers["c1"]
+    assert providers["c1"].inner is providers["raw"]
+    assert providers["c2"].complete("p").response == "a"
+
+
+def _cached(provider_id, inner):
+    return {"id": provider_id, "kind": "cached", "inner": inner, "cache_dir": provider_id}
+
+
+@pytest.mark.parametrize("config, message", [
+    ([_cached("c", "c")], "cached provider 'c': inner providers form a cycle: c -> c"),
+    ([_cached("a", "b"), _cached("b", "a")],
+     "cached provider 'a': inner providers form a cycle: a -> b -> a"),
+    ([_cached("x", "a"), _cached("a", "b"), _cached("b", "a")],
+     "cached provider 'a': inner providers form a cycle: a -> b -> a"),
+    ([_cached("a", "b"), _cached("b", "nope")],
+     "cached provider 'b': unknown inner provider 'nope'"),
+], ids=["self", "two", "behind-another", "unknown-at-depth"])
+def test_load_providers_rejects_cached_cycles_and_unknown_inners(tmp_path, config, message):
+    with pytest.raises(ConfigurationError) as err:
+        load_providers(config, base_dir=tmp_path)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("config,fragment", [
