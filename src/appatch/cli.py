@@ -425,10 +425,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for sample in gt_samples:
         generated[sample.id] = 0
         retained_sets[sample.id] = set()
+        # Each file scored is recorded under its path relative to --results.
         result_path = results_dir / sample.id / "result.json"
         if not result_path.is_file():
             continue
-        text = run.read(result_path, "result file")
+        text = run.read(result_path, "result file", f"{sample.id}/result.json")
         where = str(result_path)
         fields = checked(json_object(text, where, UsageError), where, _RESULT_KEYS, UsageError)
         candidates = {c["ordinal"]: c["file"] for c in fields.get("candidates", [])}
@@ -442,7 +443,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 raise UsageError(
                     f"{result_path}: retained ordinal {ordinal} has no candidate file"
                 )
-            diff_text = run.read(results_dir / sample.id / file_name, "candidate file")
+            diff_text = run.read(results_dir / sample.id / file_name, "candidate file",
+                                 f"{sample.id}/{file_name}")
             if sample.sources is None:
                 log.warning("sample %s is graph-backed; cannot auto-check SynEq",
                             sample.id)

@@ -74,7 +74,7 @@ _NODE_KINDS = frozenset(STATEMENT_KINDS)
 _EDGE_KINDS = frozenset(EDGE_KINDS)
 _node_fields = itemgetter("id", "file", "function", "line", "text", "kind")
 _edge_fields = itemgetter("src", "dst", "kind")
-_NO_FLOW = (frozenset(), frozenset(), ())   # an imported node's defs, uses, calls
+_NO_FLOW = ((), (), ())   # an imported node's defs, uses, calls
 
 
 def import_graph(document: Any) -> Tuple[Program, DependenceGraph]:

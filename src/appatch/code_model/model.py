@@ -78,14 +78,17 @@ def _column(node_id: str) -> int:
     return int(tail) if ":" in head and tail.isdecimal() else 0
 
 
-CallFact = Tuple[str, Tuple[FrozenSet[str], ...]]   # (callee, per-argument uses)
+Names = Tuple[str, ...]   # variable names, in first-read order, each once
+CallFact = Tuple[str, Tuple[Names, ...]]   # (callee, per-argument uses)
 
 
 class StatementNode(NamedTuple):
     """One statement-level vertex of the dependence graph.
 
-    The parser fills in the flow facts; an imported graph knows only the
-    structural fields, so its nodes keep the empty defaults.
+    The parser fills in the flow facts, each a tuple of names without
+    repeats, uses in the order the statement first reads them; an imported
+    graph knows only the structural fields, so its nodes keep the empty
+    defaults.
     """
 
     id: str          # file:line:col
@@ -94,8 +97,8 @@ class StatementNode(NamedTuple):
     line: int
     text: str
     kind: str
-    defs: FrozenSet[str] = frozenset()
-    uses: FrozenSet[str] = frozenset()
+    defs: Names = ()
+    uses: Names = ()
     calls: Tuple[CallFact, ...] = ()   # in pre-order: a call before its arguments
 
     @property

@@ -23,11 +23,12 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections import Counter
-from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .model import (
     CallFact,
     FunctionDef,
+    Names,
     ParseError,
     Program,
     StatementNode,
@@ -191,11 +192,14 @@ def tokenize(file: str, text: str) -> List[Token]:
             for value, start in zip(values, starts)]
 
 
-_EMPTY: FrozenSet[str] = frozenset()
+# A node is built as a plain tuple of its fields: the namedtuple's own
+# ``__new__`` is a Python-level frame per node.
+_new = tuple.__new__
 
 # Expressions are parsed straight into their statement's flow facts: every
-# variable read goes into ``_FileParser.uses`` and every call into
-# ``_FileParser.calls``, in pre-order (a call takes its slot before its
+# variable read goes into ``_FileParser.uses``, a dict used as an ordered
+# set, so the facts come out as tuples in first-read order; every call goes
+# into ``_FileParser.calls``, in pre-order (a call takes its slot before its
 # arguments).  An expression returns only its shape, which is all that its
 # statement checks: ``("name", ident)`` is a bare variable, not yet counted
 # as a use because it may still turn out to be a callee; ``("lvalue",
@@ -224,7 +228,7 @@ class _FileParser:
         self.preds: List[Tuple[int, ...]] = []
         self.scopes: List[Tuple[int, int, int]] = []
         # Flow facts of the statement being parsed (see ``Shape`` above).
-        self.uses: Set[str] = set()
+        self.uses: Dict[str, None] = {}
         self.calls: List[Optional[CallFact]] = []
 
     # token helpers -------------------------------------------------------
@@ -258,9 +262,6 @@ class _FileParser:
                              self.pos)
         self.pos += 1
         return self.pos - 1
-
-    def at_type(self) -> bool:
-        return self.values[self.pos] in TYPE_KEYWORDS
 
     def where(self, at: int) -> Tuple[int, int]:
         """Line and column of token ``at``."""
@@ -299,7 +300,7 @@ class _FileParser:
         return functions
 
     def parse_top_level(self) -> List[FunctionDef]:
-        if not self.at_type():
+        if self.peek() not in TYPE_KEYWORDS:
             raise self.error(f"expected a declaration, found {self.peek()!r}", self.pos)
         first = self.pos
         self.parse_type()
@@ -318,9 +319,9 @@ class _FileParser:
         return []
 
     def parse_type(self) -> None:
-        if not self.at_type():
+        if self.peek() not in TYPE_KEYWORDS:
             raise self.error(f"expected a type, found {self.peek()!r}", self.pos)
-        while self.at_type():
+        while self.peek() in TYPE_KEYWORDS:
             self.advance()
         while self.peek() == "*":
             self.advance()
@@ -336,7 +337,10 @@ class _FileParser:
                     p_first = self.pos
                     self.parse_type()
                     p_name = self.expect_ident()
-                    params.append((p_first, p_name, *self.parse_array_sizes()))
+                    self.uses = uses = {}
+                    self.calls = calls = []
+                    self.parse_array_sizes()
+                    params.append((p_first, p_name, tuple(uses), tuple(calls)))
                     if self.peek() == ",":
                         self.advance()
                         continue
@@ -348,7 +352,7 @@ class _FileParser:
         preds = (self.add(self.node("entry", name_at, self.excerpt(first, close)), ()),)
         for p_first, p_name, uses, calls in params:
             preds = (self.add(self.node("param-def", p_name, self.excerpt(p_first, p_name),
-                                        frozenset([self.values[p_name]]), uses, calls),
+                                        (self.values[p_name],), uses, calls),
                               preds),)
         self.expect("{")
         self.parse_block(preds)
@@ -370,14 +374,18 @@ class _FileParser:
         kind: str,
         at: int,
         text: str,
-        defs: FrozenSet[str] = _EMPTY,
-        uses: FrozenSet[str] = _EMPTY,
+        defs: Names = (),
+        uses: Names = (),
         calls: Tuple[CallFact, ...] = (),
     ) -> StatementNode:
         """The graph node at token ``at``; its ``file:line:col`` id is made here, once."""
-        line, col = self.where(at)
-        return StatementNode(node_id_for(self.file, line, col), self.file,
-                             self.function, line, text, kind, defs, uses, calls)
+        line_starts, file = self.line_starts, self.file
+        start = self.starts[at]
+        line = bisect_right(line_starts, start)   # as ``where`` does, without its frames
+        return _new(StatementNode, (
+            node_id_for(file, line, start - line_starts[line - 1] + 1), file,
+            self.function, line, text, kind, defs, uses, calls,
+        ))
 
     # control flow ----------------------------------------------------------
     #
@@ -424,7 +432,7 @@ class _FileParser:
             return self.parse_return(preds)
         if value == "else":
             raise self.error("'else' without matching 'if'", self.pos)
-        if self.at_type():
+        if value in TYPE_KEYWORDS:
             for node in self.parse_declaration():
                 preds = (self.add(node, preds),)
             return preds
@@ -437,7 +445,7 @@ class _FileParser:
         self.expect("(")
         uses, calls = self.parse_value()
         close = self.expect(")")
-        at = self.add(self.node("branch", first, self.excerpt(first, close), _EMPTY, uses, calls),
+        at = self.add(self.node("branch", first, self.excerpt(first, close), (), uses, calls),
                       preds)
         leave = self.parse_stmt((at,))
         if self.peek() == "else":
@@ -454,7 +462,7 @@ class _FileParser:
         uses, calls = self.parse_value()
         close = self.expect(")")
         at = self.add(self.node("loop-header", first, self.excerpt(first, close),
-                                _EMPTY, uses, calls), preds)
+                                (), uses, calls), preds)
         self.link(self.parse_stmt((at,)), at)
         self.scopes.append((at, at + 1, len(self.nodes)))
         return (at,)
@@ -463,7 +471,7 @@ class _FileParser:
         first = self.expect("for")
         self.expect("(")
         if self.peek() != ";":
-            if self.at_type():
+            if self.peek() in TYPE_KEYWORDS:
                 decls = self.parse_declaration(consume_semicolon=False)
                 if len(decls) != 1:
                     self.unsupported("multiple declarators in for-init", first)
@@ -472,7 +480,7 @@ class _FileParser:
                 init = self.parse_simple()
             preds = (self.add(init, preds),)
         self.expect(";")
-        uses: FrozenSet[str] = _EMPTY
+        uses: Names = ()
         calls: Tuple[CallFact, ...] = ()
         if self.peek() != ";":
             uses, calls = self.parse_value()
@@ -484,7 +492,7 @@ class _FileParser:
         # The header's text ends after the update, but the header comes first,
         # then the update, which the header governs with the body.
         at = self.add(self.node("loop-header", first, self.excerpt(first, close),
-                                _EMPTY, uses, calls), preds)
+                                (), uses, calls), preds)
         back = at   # where the body loops back to
         if update is not None:
             back = self.add(update, ())
@@ -495,12 +503,12 @@ class _FileParser:
 
     def parse_return(self, preds: Tuple[int, ...]) -> Tuple[int, ...]:
         first = self.expect("return")
-        uses: FrozenSet[str] = _EMPTY
+        uses: Names = ()
         calls: Tuple[CallFact, ...] = ()
         if self.peek() != ";":
             uses, calls = self.parse_value()
         semi = self.expect(";")
-        self.add(self.node("return", first, self.excerpt(first, semi), _EMPTY, uses, calls),
+        self.add(self.node("return", first, self.excerpt(first, semi), (), uses, calls),
                  preds)
         return ()
 
@@ -511,36 +519,31 @@ class _FileParser:
         while True:
             name_at = self.expect_ident()
             # Array sizes, then the initializer, in source order.
-            uses, calls = self.parse_array_sizes()
+            self.uses = uses = {}
+            self.calls = calls = []
+            self.parse_array_sizes()
             if self.peek() == "=":
                 self.advance()
                 if self.peek() == "{":
                     self.unsupported("brace initializer", self.pos)
-                init_uses, init_calls = self.parse_value()
-                uses |= init_uses
-                calls += init_calls
-            declarators.append((name_at, uses, calls))
+                self.parse_read()
+            declarators.append((name_at, tuple(uses), tuple(calls)))
             if self.peek() == ",":
                 self.advance()
                 continue
             break
         last = self.expect(";") if consume_semicolon else self.pos - 1
         text = self.excerpt(first, last)
-        return [self.node("decl", name_at, text, frozenset([self.values[name_at]]), uses, calls)
+        return [self.node("decl", name_at, text, (self.values[name_at],), uses, calls)
                 for name_at, uses, calls in declarators]
 
-    def parse_array_sizes(self) -> Tuple[FrozenSet[str], Tuple[CallFact, ...]]:
-        """The ``[size]`` suffixes after a declared name: their uses and calls."""
-        uses: FrozenSet[str] = _EMPTY
-        calls: Tuple[CallFact, ...] = ()
+    def parse_array_sizes(self) -> None:
+        """The ``[size]`` suffixes after a declared name, into the facts."""
         while self.peek() == "[":
             self.advance()
             if self.peek() != "]":
-                size_uses, size_calls = self.parse_value()
-                uses |= size_uses
-                calls += size_calls
+                self.parse_read()
             self.expect("]")
-        return uses, calls
 
     def parse_simple(self) -> StatementNode:
         """One assignment, call, or increment/decrement, without its ';'."""
@@ -548,9 +551,9 @@ class _FileParser:
         if self.values[first] in ("++", "--"):
             self.advance()
             name_at = self.expect_ident()
-            var = frozenset([self.values[name_at]])
+            var = (self.values[name_at],)
             return self.node("assign", first, self.excerpt(first, name_at), var, var)
-        self.uses = uses = set()
+        self.uses = uses = {}
         self.calls = calls = []
         kind, name = self.parse_unary()
         op = self.values[self.pos]
@@ -558,36 +561,38 @@ class _FileParser:
             last = self.advance()
             if kind != "name":
                 self.unsupported("increment of a non-variable", first)
-            var = frozenset([name])
+            var = (name,)
             return self.node("assign", first, self.excerpt(first, last), var, var)
         if op in _ASSIGN_OPS:
             # Writes through pointers and into array cells are weak updates
             # of the root variable, so an lvalue's root is already a use.
             if kind != "name" and kind != "lvalue":
                 self.unsupported("assignment target", first)
-            self.advance()
-            rhs = self.parse_expr()
-            if rhs[0] == "name":
-                uses.add(rhs[1])
             if op != "=":
-                uses.add(name)
+                uses[name] = None   # read before the right-hand side
+            self.advance()
+            self.parse_read()
             return self.node("assign", first, self.excerpt(first, self.pos - 1),
-                             frozenset([name]), frozenset(uses), tuple(calls))
+                             (name,), tuple(uses), tuple(calls))
         if kind == "call":
             return self.node("call", first, self.excerpt(first, self.pos - 1),
-                             _EMPTY, frozenset(uses), tuple(calls))
+                             (), tuple(uses), tuple(calls))
         self.unsupported("expression statement", first)
 
     # expressions ----------------------------------------------------------
 
-    def parse_value(self) -> Tuple[FrozenSet[str], Tuple[CallFact, ...]]:
-        """Parse one expression that is read whole: its uses and its calls."""
-        self.uses = uses = set()
-        self.calls = calls = []
+    def parse_read(self) -> None:
+        """Parse one expression that is read whole, into the facts being gathered."""
         kind, name = self.parse_expr()
         if kind == "name":
-            uses.add(name)
-        return frozenset(uses), tuple(calls)
+            self.uses[name] = None
+
+    def parse_value(self) -> Tuple[Names, Tuple[CallFact, ...]]:
+        """Parse one expression that is read whole: its uses and its calls."""
+        self.uses = uses = {}
+        self.calls = calls = []
+        self.parse_read()
+        return tuple(uses), tuple(calls)
 
     def parse_expr(self, min_prec: int = 1) -> Shape:
         left = self.parse_unary()
@@ -603,10 +608,10 @@ class _FileParser:
                 return left
             self.pos += 1
             if left[0] == "name":
-                self.uses.add(left[1])
+                self.uses[left[1]] = None
             right = self.parse_expr(prec + 1)
             if right[0] == "name":
-                self.uses.add(right[1])
+                self.uses[right[1]] = None
             left = _OTHER
 
     def parse_unary(self) -> Shape:
@@ -616,7 +621,7 @@ class _FileParser:
         self.pos += 1
         kind, name = operand = self.parse_unary()
         if kind == "name":
-            self.uses.add(name)
+            self.uses[name] = None
             return ("lvalue", name) if op == "*" else _OTHER
         return operand if op == "*" and kind == "lvalue" else _OTHER
 
@@ -632,16 +637,14 @@ class _FileParser:
                 calls = self.calls
                 slot = len(calls)
                 calls.append(None)
-                args: List[FrozenSet[str]] = []
+                args: List[Names] = []
                 if values[self.pos] != ")":
                     outer = self.uses
                     while True:
-                        self.uses = used = set()
-                        kind, name = self.parse_expr()
-                        if kind == "name":
-                            used.add(name)
-                        args.append(frozenset(used))
-                        outer |= used
+                        self.uses = used = {}
+                        self.parse_read()
+                        args.append(tuple(used))
+                        outer.update(used)
                         if values[self.pos] != ",":
                             break
                         self.pos += 1
@@ -653,13 +656,11 @@ class _FileParser:
                 self.pos += 1
                 kind, name = shape
                 if kind == "name":
-                    self.uses.add(name)
+                    self.uses[name] = None
                     shape = ("lvalue", name)
                 elif kind != "lvalue":
                     shape = _OTHER
-                kind, name = self.parse_expr()
-                if kind == "name":
-                    self.uses.add(name)
+                self.parse_read()
                 self.expect("]")
             elif op == "." or op == "->":
                 self.unsupported("member access", self.pos)
@@ -690,7 +691,7 @@ class _FileParser:
                     depth -= 1
                 elif (_is_ident(inner) and inner not in TYPE_KEYWORDS
                       and self.values[self.pos] != "("):   # a callee is no use
-                    self.uses.add(inner)
+                    self.uses[inner] = None
             return _OTHER
         if value == "(":
             if self.peek(1) in TYPE_KEYWORDS:
@@ -699,7 +700,7 @@ class _FileParser:
                 self.expect(")")
                 kind, name = self.parse_unary()   # a cast
                 if kind == "name":
-                    self.uses.add(name)
+                    self.uses[name] = None
                 return _OTHER
             self.advance()
             shape = self.parse_expr()

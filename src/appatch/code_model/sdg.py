@@ -85,10 +85,6 @@ class _ReachingDefs:
             bits ^= low
         return out
 
-    def def_ids(self, i: int, var: str) -> List[str]:
-        """Ids of the defs of ``var`` that reach node ``i`` (source order)."""
-        return [nid for nid, _ in self.facts_in(self.in_bits[i] & self.var_mask.get(var, 0))]
-
 
 def build_sdg(program: Program) -> DependenceGraph:
     """Assemble the interprocedural dependence graph of a program that
@@ -112,29 +108,36 @@ def build_sdg(program: Program) -> DependenceGraph:
         for fn in functions
     }
 
+    add = edges.add
     for fn in functions:
         reaching = _ReachingDefs(fn)
-        for i, node in enumerate(fn.nodes):
+        facts, var_mask = reaching.facts, reaching.var_mask
+        # The defs of ``var`` that reach a node are the set bits of
+        # ``in_bits & var_mask[var]``; each is read off as it is found.
+        for node, in_bits in zip(fn.nodes, reaching.in_bits):
             nid = node.id
             for var in node.uses:
-                for def_id in reaching.def_ids(i, var):
-                    edges.add((def_id, nid, "data"))
+                bits = in_bits & var_mask.get(var, 0)
+                while bits:
+                    low = bits & -bits
+                    add((facts[low.bit_length() - 1][0], nid, "data"))
+                    bits ^= low
             for callee, arg_uses in node.calls:
                 entry_id = entry_ids.get(callee)
                 if entry_id is None:
                     continue  # unresolved callsite: recorded, never an error
-                edges.add((nid, entry_id, "call"))
-                formals = param_ids[callee]
-                for position, used in enumerate(arg_uses):
-                    if position >= len(formals):
-                        break
+                add((nid, entry_id, "call"))
+                for formal, used in zip(param_ids[callee], arg_uses):
                     for var in used:
-                        for def_id in reaching.def_ids(i, var):
-                            edges.add((def_id, formals[position], "param"))
+                        bits = in_bits & var_mask.get(var, 0)
+                        while bits:
+                            low = bits & -bits
+                            add((facts[low.bit_length() - 1][0], formal, "param"))
+                            bits ^= low
         for header, start, end in fn.control_scopes:
             header_id = fn.nodes[header].id
             for node in fn.nodes[start:end]:
-                edges.add((header_id, node.id, "control"))
+                add((header_id, node.id, "control"))
 
     nodes = {node.id: node for fn in functions for node in fn.nodes}
     return DependenceGraph(nodes=nodes, edges=frozenset(edges))

@@ -73,7 +73,8 @@ _COMMENT_RE = re.compile(
     r"|//[^\n]*|/\*(.*?)\*/|/\*.*",
     re.DOTALL,
 )
-_BLANKS_RE = re.compile(r"[ \t]+")
+# A run of blanks inside a line that is not already one space.
+_BLANKS_RE = re.compile(r"\t[ \t]*| [ \t]+")
 
 
 def _replacement(match: re.Match) -> str:
@@ -90,8 +91,10 @@ def _strip_comments(text: str) -> str:
 
 def normalize_code(text: str) -> str:
     """Comment-free text with whitespace runs collapsed and blank lines dropped."""
-    collapsed = _BLANKS_RE.sub(" ", _strip_comments(text))   # no run spans a line break
-    return "\n".join(filter(None, map(str.strip, collapsed.split("\n"))))
+    # Stripping first leaves only the runs inside a line, and a lone space
+    # collapses to itself, so only the runs the substitution changes match.
+    lines = filter(None, map(str.strip, _strip_comments(text).split("\n")))
+    return _BLANKS_RE.sub(" ", "\n".join(lines))
 
 
 def normalized_ground_truth(sources: Mapping[str, str], ground_truth_diff: str) -> Dict[str, str]:

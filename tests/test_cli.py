@@ -711,6 +711,12 @@ def test_manifest_names_each_output_and_input(tmp_path, mined_pool, jsi_graph, r
                 "--csv", str(out / "report.csv")]
         manifest_path, inputs = out / "report.json.manifest.json", {
             "ground_truth": gt_path, "labels": labels}
+        # and each file scored, under its path relative to --results
+        sample_dir = results / "jsi-strcpy-zero-day"
+        result = json.loads((sample_dir / "result.json").read_text())
+        files = {c["ordinal"]: c["file"] for c in result["candidates"]}
+        for name in ["result.json", *(files[o] for o in result["retained"])]:
+            inputs[f"jsi-strcpy-zero-day/{name}"] = sample_dir / name
         config_digest = None
     assert main(argv) == 0
     manifest = json.loads(manifest_path.read_text())
@@ -720,6 +726,32 @@ def test_manifest_names_each_output_and_input(tmp_path, mined_pool, jsi_graph, r
         key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in inputs.items()
     }
     assert manifest["config_digest"] == config_digest
+
+
+def test_eval_manifests_differ_when_one_scored_candidate_differs(tmp_path, patched_results):
+    """Two results trees that differ only in one retained candidate's diff
+    give two different manifests for one ground truth."""
+    import shutil
+
+    results, gt_path = patched_results
+    other = tmp_path / "other"
+    shutil.copytree(results, other)
+    sample_dir = other / "jsi-strcpy-zero-day"
+    result = json.loads((sample_dir / "result.json").read_text())
+    files = {c["ordinal"]: c["file"] for c in result["candidates"]}
+    changed = sample_dir / files[min(result["retained"])]
+    changed.write_text(changed.read_text() + "\n")
+    manifests = []
+    for tree in (results, other):
+        report = tmp_path / tree.name / "report.json"
+        assert main(["eval", "--results", str(tree), "--ground-truth", str(gt_path),
+                     "--report", str(report)]) == 0
+        manifests.append(json.loads(report.with_name("report.json.manifest.json").read_text()))
+    first, second = (m["input_digests"] for m in manifests)
+    assert first.keys() == second.keys()
+    key = f"jsi-strcpy-zero-day/{changed.name}"
+    assert {k for k in first if first[k] != second[k]} == {key}
+    assert second[key] == hashlib.sha256(changed.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("result_text, named", [

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,20 @@ def test_double_quote_in_a_char_literal_opens_no_string():
 
 def test_closed_multi_line_comment_keeps_its_line_count():
     assert _strip_comments("a /* x\n\n y */ b\nc") == "a \n\n b\nc"
+
+
+def _reference_normalize(text):
+    """The two-line formula: collapse every blank run, then strip and filter lines."""
+    collapsed = re.sub(r"[ \t]+", " ", _strip_comments(text))
+    return "\n".join(filter(None, map(str.strip, collapsed.split("\n"))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from([" ", "  ", "\t", " \t", "\f", "\v", "\r", "\xa0", "a", "b",
+                                 '"', "'", "\\", "//", "/*", "*/", "\n"]), max_size=40))
+def test_normalize_equals_the_collapse_first_formula(pieces):
+    text = "".join(pieces)
+    assert normalize_code(text) == _reference_normalize(text)
 
 
 def test_identical_diffs_are_syneq(jsi_sources):

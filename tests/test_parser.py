@@ -329,10 +329,25 @@ def test_parameter_array_size_uses_flow_into_the_param_def():
     graph = build_sdg(program)
     n_def, a_def = (node.id for node in program.functions[0].nodes[1:3])
     assert graph.node(a_def).text == "int a"
-    assert graph.node(a_def).uses == frozenset({"n"})
+    assert graph.node(a_def).uses == ("n",)
     assert (n_def, a_def, "data") in graph.edges
 
 
 def test_call_in_a_parameter_array_size_is_a_callsite():
     program = parse_program([("p.c", "int f(int s, int a[recv(s, 1)]){return a[0];}")])
     assert program.functions[0].callsites == (("recv", "p.c:1:18"),)
+
+
+@pytest.mark.parametrize("statement, uses, calls", [
+    ("x = b + a * b;", ("b", "a"), ()),
+    ("x += b;", ("x", "b"), ()),
+    ("p[i] = b + p[a];", ("p", "i", "b", "a"), ()),
+    ("x = f(b, a + b) + g() + a;", ("b", "a"), (("f", (("b",), ("a", "b"))), ("g", ()))),
+    ("int y[b] = a + b;", ("b", "a"), ()),
+])
+def test_flow_facts_are_tuples_in_first_read_order(statement, uses, calls):
+    source = f"int t(int a, int b, int *p, int x, int i){{\n{statement}\nreturn 0;}}\n"
+    (fn,) = parse_program([("e.c", source)]).functions
+    (node,) = (n for n in fn.nodes if n.line == 2)
+    assert type(node.uses) is tuple and node.uses == uses
+    assert node.calls == calls

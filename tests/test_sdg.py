@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from appatch.code_model import build_sdg, parse_program
+from appatch.code_model.parser import CONTROL_KEYWORDS, TYPE_KEYWORDS, tokenize
 from appatch.code_model.sdg import _ReachingDefs
 from oracles import syntactic_control_edges
 
@@ -329,6 +330,95 @@ def test_reaching_definitions_equal_the_set_based_fixed_point(fixtures_dir):
         for fn in parse_program([(name, source)]).functions:
             assert reaching_definitions(fn) == set_based_reaching_definitions(fn), (
                 name, fn.name)
+
+
+def _split_top(tokens, sep):
+    """``tokens`` split at each ``sep`` outside parentheses and brackets."""
+    parts, depth = [[]], 0
+    for tok in tokens:
+        if tok == sep and depth == 0:
+            parts.append([])
+            continue
+        depth += (tok in "([") - (tok in ")]")
+        parts[-1].append(tok)
+    return parts
+
+
+def _reads(tokens):
+    """The names ``tokens`` read, in text order, first occurrence only: each
+    identifier that is no keyword and no callee."""
+    names = [tok for tok, nxt in zip(tokens, tokens[1:] + [""])
+             if (tok[:1].isalpha() or tok[:1] == "_") and nxt != "("
+             and tok not in TYPE_KEYWORDS and tok not in CONTROL_KEYWORDS]
+    return list(dict.fromkeys(names))
+
+
+def _read_region(node):
+    """The tokens of a node's text whose reads are the node's uses."""
+    if node.kind == "entry":
+        return []                                         # a signature reads nothing
+    tokens = [tok.value for tok in tokenize(node.file, node.text)][:-1]
+    if node.kind == "loop-header" and tokens[0] == "for":
+        return _split_top(tokens[2:-1], ";")[1]           # the condition
+    if node.kind in ("decl", "param-def"):
+        # the declarator of the defined name, after the name
+        for part in _split_top(tokens, ","):
+            rest = [tok for tok in part if tok not in TYPE_KEYWORDS]
+            while rest[0] == "*":
+                rest.pop(0)
+            if rest[0] == node.defs[0]:
+                return rest[1:]
+    if node.kind == "assign" and tokens[1] == "=":
+        return tokens[2:]                                 # the target is written, not read
+    return tokens
+
+
+def _argument_regions(tokens):
+    """Per callee token of ``tokens``, in text order (a call before its
+    arguments): the callee and the tokens of each of its arguments."""
+    calls = []
+    for at, (tok, nxt) in enumerate(zip(tokens, tokens[1:])):
+        if nxt != "(" or not (tok[:1].isalpha() or tok[:1] == "_") or tok in CONTROL_KEYWORDS:
+            continue
+        depth = 0
+        for end in range(at + 1, len(tokens)):
+            depth += (tokens[end] == "(") - (tokens[end] == ")")
+            if depth == 0:
+                break
+        inside = tokens[at + 2:end]
+        calls.append((tok, _split_top(inside, ",") if inside else []))
+    return calls
+
+
+def _is_ordered_fact(names, region):
+    return (type(names) is tuple and len(set(names)) == len(names)
+            and names == tuple(name for name in _reads(region) if name in names))
+
+
+def test_flow_facts_are_tuples_in_first_read_order(fixtures_dir):
+    """Every def, use and argument use is a tuple of distinct names, in the
+    order the statement's text first reads them."""
+    import random
+
+    rng = random.Random(424242)
+    sources = [(f, (fixtures_dir / f).read_text())
+               for f in ("jsi_like.c", "idx_read.c", "null_use.c")]
+    sources += [(f"r{i}.c", _random_mini_c(rng)) for i in range(40)]
+    checked = 0
+    for name, source in sources:
+        for fn in parse_program([(name, source)]).functions:
+            for node in fn.nodes:
+                assert type(node.defs) is tuple and len(node.defs) <= 1, node
+                region = _read_region(node)
+                assert _is_ordered_fact(node.uses, region), node
+                calls = _argument_regions(region)
+                assert [callee for callee, _ in node.calls] == [c for c, _ in calls], node
+                for (_, arg_uses), (_, arg_regions) in zip(node.calls, calls):
+                    assert type(arg_uses) is tuple and len(arg_uses) == len(arg_regions), node
+                    for used, arg in zip(arg_uses, arg_regions):
+                        assert _is_ordered_fact(used, arg), node
+                checked += 1
+    assert checked > 600
 
 
 def test_use_of_a_never_defined_variable_gets_no_data_edge():
