@@ -15,9 +15,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import evaluation
 from .code_model import (
@@ -40,11 +39,9 @@ from .files import (
     array_of, checked, is_int, is_object, is_str, json_object, optional, write_text_atomic,
 )
 from .gateway import (
-    CachedProvider,
     ConfigurationError,
     Exchange,
     Provider,
-    ScriptedProvider,
     accounting_report,
     load_providers,
 )
@@ -55,7 +52,9 @@ from .prompting import (
     generate_root_cause,
     select_exemplars,
 )
-from .scoping import ScopingError, functions_containing, render_slice, vulnerability_semantics
+from .scoping import (
+    ScopingError, VulnSpec, functions_containing, render_slice, vulnerability_semantics,
+)
 from .validation import validate_all
 
 log = logging.getLogger(__name__)
@@ -97,10 +96,9 @@ def _read_input(path_text: Union[str, Path], what: str) -> Tuple[str, str]:
 
 # ── configuration ────────────────────────────────────────────────────────
 
-@dataclass
-class Config:
-    providers: Dict[str, Provider] = field(default_factory=dict)
-    external_functions: frozenset = DEFAULT_EXTERNAL_FUNCTIONS
+class Config(NamedTuple):
+    providers: Dict[str, Provider]
+    external_functions: FrozenSet[str] = DEFAULT_EXTERNAL_FUNCTIONS
     demand_rounds: int = DEFAULT_DEMAND_ROUNDS
     digest: Optional[str] = None   # sha256 of the config file's bytes
 
@@ -121,7 +119,7 @@ def load_config(path_text: Optional[str]) -> Config:
     """
     resolved = path_text or os.environ.get(CONFIG_ENV_VAR)
     if resolved is None:
-        return Config()
+        return Config(providers={})
     text, digest = _read_input(resolved, "config file")
     path = Path(resolved)
     doc = json_object(text, f"config file {path}", UsageError)
@@ -224,8 +222,6 @@ def _parse_vuln_arg(vuln: str) -> List[Tuple[str, int]]:
 # ── subcommands ──────────────────────────────────────────────────────────
 
 def cmd_slice(args: argparse.Namespace) -> int:
-    from .scoping import VulnSpec
-
     config = load_config(args.config)
     run = _Run("slice", config.digest)
 
@@ -274,17 +270,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
     _check_jobs(args.jobs)
     config = load_config(args.config)
     provider = config.provider(args.provider)
-    if args.jobs > 1:
-        # A script replays in call order, and concurrent samples call in
-        # thread order: each would get (and cache) another sample's answer.
-        replayed = provider
-        while isinstance(replayed, CachedProvider):
-            replayed = replayed.inner
-        if isinstance(replayed, ScriptedProvider):
-            raise UsageError(
-                f"provider {args.provider!r} replays the script of {replayed.id!r} "
-                f"in call order; mine with it at --jobs 1, not --jobs {args.jobs}"
-            )
     run = _Run("mine", config.digest)
     dataset = load_dataset(run.read(args.dataset, "dataset file", "dataset"), Path(args.dataset))
 
@@ -436,7 +421,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         retained = set(fields.get("retained", []))
         generated[sample.id] = len(retained)
         retained_sets[sample.id] = retained
-        sources = truth = None   # the ground truth is applied at most once, on demand
+        sources = truth = None   # the ground truth is normalised at most once, on demand
         for ordinal in sorted(retained):
             file_name = candidates.get(ordinal)
             if file_name is None:
@@ -451,8 +436,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 auto_syneq[(sample.id, ordinal)] = False
                 continue
             if truth is None:
+                # load_dataset applied the ground truth already
                 sources = dict(sample.sources)
-                truth = evaluation.normalized_ground_truth(sources, sample.ground_truth_patch)
+                truth = {path: evaluation.normalize_code(text)
+                         for path, text in sample.fixed_sources}
             is_syneq, note = evaluation.classify_syneq(
                 sources, diff_text, sample.ground_truth_patch, truth,
             )

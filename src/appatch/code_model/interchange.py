@@ -108,7 +108,7 @@ def import_graph(document: Any) -> Tuple[Program, DependenceGraph]:
                 and type(line) is int and line >= 1 and type(text) is str
                 and type(kind) is str and kind in _NODE_KINDS and node_id not in nodes):
             _reject_node(item, len(nodes), nodes)
-        nodes[node_id] = StatementNode._make(fields + _NO_FLOW)
+        nodes[node_id] = tuple.__new__(StatementNode, fields + _NO_FLOW)
 
     edges: List[Tuple[str, str, str]] = []
     for item in raw_edges:

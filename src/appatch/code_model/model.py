@@ -6,7 +6,6 @@ parses of the same sources always produce the same graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 STATEMENT_KINDS = (
@@ -106,8 +105,32 @@ class StatementNode(NamedTuple):
         return _column(self.id)
 
 
-@dataclass(frozen=True)
-class FunctionDef:
+class ReadOnly:
+    """Mixin for a record that keeps state outside its tuple in ``__dict__``.
+
+    Its ``__new__`` sets that state up through ``vars(self)``; after that
+    no attribute can be assigned or deleted, fields or not.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+
+class _FunctionValue(NamedTuple):
+    name: str
+    file: str
+    nodes: Tuple[StatementNode, ...]
+    callsites: Tuple[Tuple[str, str], ...]  # (callee name, node id)
+    start_line: int
+    end_line: int
+
+
+class FunctionDef(ReadOnly, _FunctionValue):
     """One function: its graph nodes, its callsites and, from the parser, its control flow.
 
     ``nodes`` are in source order, entry first.  The control flow refers
@@ -116,18 +139,23 @@ class FunctionDef:
     ``control_scopes`` says that branch or loop header ``header`` governs
     ``nodes[start:end]``.  Both stay empty in a function an imported graph
     rebuilds or that is made by hand; :func:`build_sdg` needs them filled in.
+    They are kept outside the function's value, so equality ignores them.
     """
 
-    name: str
-    file: str
-    nodes: Tuple[StatementNode, ...]
-    callsites: Tuple[Tuple[str, str], ...]  # (callee name, node id)
-    start_line: int
-    end_line: int
-    cfg_preds: Tuple[Tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
-    control_scopes: Tuple[Tuple[int, int, int], ...] = field(
-        default=(), compare=False, repr=False
-    )
+    def __new__(
+        cls,
+        name: str,
+        file: str,
+        nodes: Tuple[StatementNode, ...],
+        callsites: Tuple[Tuple[str, str], ...],
+        start_line: int,
+        end_line: int,
+        cfg_preds: Tuple[Tuple[int, ...], ...] = (),
+        control_scopes: Tuple[Tuple[int, int, int], ...] = (),
+    ) -> "FunctionDef":
+        self = tuple.__new__(cls, (name, file, nodes, callsites, start_line, end_line))
+        vars(self).update(cfg_preds=cfg_preds, control_scopes=control_scopes)
+        return self
 
 
 def infer_entry_function(functions: Sequence[FunctionDef]) -> Optional[str]:
@@ -139,27 +167,32 @@ def infer_entry_function(functions: Sequence[FunctionDef]) -> Optional[str]:
     return roots[0] if len(roots) == 1 else None
 
 
-@dataclass(frozen=True)
-class Program:
-    """A set of source files and the functions parsed out of them."""
-
+class _ProgramValue(NamedTuple):
     files: Tuple[Tuple[str, str], ...]   # (path, source text)
     functions: Tuple[FunctionDef, ...]
-    entry_function: Optional[str] = None
-    # Lookup indexes, built once from the fields above.
-    _lines: Dict[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
-    _by_name: Dict[str, FunctionDef] = field(init=False, repr=False, compare=False)
-    _callers: Dict[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    entry_function: Optional[str]
 
-    def __post_init__(self):
-        names = [f.name for f in self.functions]
+
+class Program(ReadOnly, _ProgramValue):
+    """A set of source files and the functions parsed out of them.
+
+    Its lookup indexes are built once from the fields, outside its value.
+    """
+
+    def __new__(
+        cls,
+        files: Tuple[Tuple[str, str], ...],
+        functions: Tuple[FunctionDef, ...],
+        entry_function: Optional[str] = None,
+    ) -> "Program":
+        names = [f.name for f in functions]
         if len(names) != len(set(names)):
             dup = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate function names: {', '.join(dup)}")
         lines: Dict[str, Tuple[str, ...]] = {}
-        for path, text in self.files:
+        for path, text in files:
             lines.setdefault(path, tuple(text.split("\n")))
-        for fn in self.functions:
+        for fn in functions:
             table = lines.get(fn.file)
             if table is not None and fn.end_line > len(table):
                 raise ValueError(
@@ -167,14 +200,18 @@ class Program:
                     f"but {fn.file} has only {len(table)} lines"
                 )
         callers: Dict[str, List[str]] = {}
-        for fn in self.functions:
+        for fn in functions:
             for callee, _node in fn.callsites:
                 found = callers.setdefault(callee, [])
                 if not found or found[-1] != fn.name:
                     found.append(fn.name)
-        object.__setattr__(self, "_lines", lines)
-        object.__setattr__(self, "_by_name", {f.name: f for f in self.functions})
-        object.__setattr__(self, "_callers", {k: tuple(v) for k, v in callers.items()})
+        self = tuple.__new__(cls, (files, functions, entry_function))
+        vars(self).update(
+            _lines=lines,
+            _by_name={f.name: f for f in functions},
+            _callers={k: tuple(v) for k, v in callers.items()},
+        )
+        return self
 
     def function(self, name: str) -> FunctionDef:
         return self._by_name[name]
@@ -193,31 +230,33 @@ class Program:
         return lines[line - 1]
 
 
-@dataclass(frozen=True)
-class DependenceGraph:
+class _GraphValue(NamedTuple):
+    nodes: Mapping[str, StatementNode]
+    edges: FrozenSet[Tuple[str, str, str]]
+
+
+class DependenceGraph(ReadOnly, _GraphValue):
     """Statement nodes plus typed dependence edges.
 
     An edge ``(u, v, kind)`` means v depends on u; slicing walks edges
-    backward from the criterion and forward from the inputs.
+    backward from the criterion and forward from the inputs.  The indexes
+    below are built once from the fields, outside the graph's value:
+
+    * ``_succ`` / ``_pred``: node id -> neighbour ids, for nodes that have
+      any; an edge's kind is kept in ``edges`` only;
+    * ``_at``: (file, line) -> node ids on that line, in column order, ties
+      in document order.
     """
 
-    nodes: Mapping[str, StatementNode]
-    edges: FrozenSet[Tuple[str, str, str]]
-    # node id -> neighbour ids, for nodes that have any; an edge's kind is
-    # kept in ``edges`` only
-    _succ: Dict[str, List[str]] = field(init=False, repr=False, compare=False)
-    _pred: Dict[str, List[str]] = field(init=False, repr=False, compare=False)
-    # (file, line) -> node ids on that line, in column order, ties in
-    # document order
-    _at: Dict[Tuple[str, int], Tuple[str, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
+    def __new__(
+        cls,
+        nodes: Mapping[str, StatementNode],
+        edges: FrozenSet[Tuple[str, str, str]],
+    ) -> "DependenceGraph":
         succ: Dict[str, List[str]] = {}
         pred: Dict[str, List[str]] = {}
         # Adjacency order is unobservable: every walk over it is set-based.
-        for src, dst, _kind in self.edges:
+        for src, dst, _kind in edges:
             targets = succ.get(src)
             if targets is None:
                 succ[src] = [dst]
@@ -228,17 +267,17 @@ class DependenceGraph:
                 pred[dst] = [src]
             else:
                 sources.append(src)
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_pred", pred)
         at: Dict[Tuple[str, int], Tuple[str, ...]] = {}
-        for node in self.nodes.values():
+        for node in nodes.values():
             key = (node.file, node.line)
             ids = at.get(key)
             at[key] = (node.id,) if ids is None else ids + (node.id,)
         for key, ids in at.items():
             if len(ids) > 1:
                 at[key] = tuple(sorted(ids, key=_column))
-        object.__setattr__(self, "_at", at)
+        self = tuple.__new__(cls, (nodes, edges))
+        vars(self).update(_succ=succ, _pred=pred, _at=at)
+        return self
 
     def node(self, node_id: str) -> StatementNode:
         try:
@@ -260,16 +299,20 @@ class DependenceGraph:
         return list(self._at.get((file, line), ()))
 
 
-@dataclass(frozen=True)
-class ExternalInputSet:
-    """External-input sites: node id -> reason it qualifies."""
-
+class _EISetValue(NamedTuple):
     reasons: Mapping[str, str]
 
-    def __post_init__(self):
-        for node_id, reason in self.reasons.items():
+
+class ExternalInputSet(_EISetValue):
+    """External-input sites: node id -> reason it qualifies."""
+
+    __slots__ = ()
+
+    def __new__(cls, reasons: Mapping[str, str]) -> "ExternalInputSet":
+        for node_id, reason in reasons.items():
             if reason not in EI_REASONS:
                 raise ValueError(f"bad EI reason for {node_id}: {reason!r}")
+        return tuple.__new__(cls, (reasons,))
 
     @property
     def ids(self) -> FrozenSet[str]:

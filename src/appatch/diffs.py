@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
 
@@ -22,8 +21,7 @@ class ApplyError(Exception):
         self.hunk_index = hunk_index
 
 
-@dataclass(frozen=True)
-class Hunk:
+class Hunk(NamedTuple):
     old_start: int
     old_count: int
     new_start: int
@@ -38,8 +36,7 @@ class Hunk:
         return (self.old_start, self.old_start + self.old_count - 1)
 
 
-@dataclass(frozen=True)
-class FileDiff:
+class FileDiff(NamedTuple):
     path: str
     hunks: Tuple[Hunk, ...]
 

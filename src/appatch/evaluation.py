@@ -12,9 +12,8 @@ import csv
 import io
 import logging
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .diffs import ApplyError, DiffError, apply_patch
 from .files import checked, is_int, is_str, json_lines, optional, write_text_atomic
@@ -31,8 +30,7 @@ class EvaluationError(Exception):
     """Inconsistent labels or counts."""
 
 
-@dataclass(frozen=True)
-class PatchLabel:
+class PatchLabel(NamedTuple):
     sample_id: str
     ordinal: int
     category: str
@@ -144,15 +142,13 @@ def f1_score(recall: float, precision: float) -> float:
     return 2 * recall * precision / (recall + precision)
 
 
-@dataclass(frozen=True)
-class CategoryMetrics:
+class CategoryMetrics(NamedTuple):
     recall: float
     precision: float
     f1: float
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     per_category: Mapping[str, CategoryMetrics]   # SynEq/SemEq/Plausible/Correct
     testing_samples: int
     fixed_samples: int

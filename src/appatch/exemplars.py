@@ -11,18 +11,22 @@ import json
 import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from . import diffs
 from .code_model import CodeModelError, build_sdg, import_graph, parse_program
-from .code_model.model import DependenceGraph, Program
+from .code_model.model import DependenceGraph, Program, ReadOnly
 from .code_model.sdg import identify_external_inputs
 from .files import (
     array_of, checked, is_int, is_object, is_str, json_lines, optional, pair_of, write_text_atomic,
 )
-from .gateway import Provider, ProviderError, prompt_sha
+from .gateway import (
+    CachedProvider, ConfigurationError, Provider, ProviderError, ScriptedProvider, prompt_sha,
+)
 from .prompts import (
     build_mining_prompt,
     render_cwes,
@@ -92,16 +96,17 @@ class MalformedResponseError(MiningError):
     """The provider's answer lacked the required sections."""
 
 
-@dataclass(frozen=True)
-class DatasetSample:
-    """One vulnerable sample, with its fix when the dataset knows it."""
-
+class _SampleValue(NamedTuple):
     id: str
     vuln: VulnSpec
     sources: Optional[Tuple[Tuple[str, str], ...]] = None
     graph_document: Optional[Mapping[str, Any]] = None
     ground_truth_patch: Optional[str] = None
     entry: Optional[str] = None
+
+
+class DatasetSample(ReadOnly, _SampleValue):
+    """One vulnerable sample, with its fix when the dataset knows it."""
 
     @classmethod
     def from_document(cls, doc: Mapping[str, Any], where: str) -> "DatasetSample":
@@ -130,19 +135,28 @@ class DatasetSample:
         program = parse_program(self.sources, entry=self.entry)
         return program, build_sdg(program)
 
-    def check_patch_applies(self) -> None:
-        """Load-time invariant: the known fix must apply to the sources."""
-        if self.ground_truth_patch is None or not self.ground_truth_patch.strip():
-            return
-        if self.sources is None:
-            log.debug("sample %s: graph-backed, skipping patch apply check", self.id)
-            return
+    @cached_property
+    def fixed_sources(self) -> Optional[Tuple[Tuple[str, str], ...]]:
+        """Every ``(path, text)`` with the ground-truth patch applied, worked out once.
+
+        ``None`` for a graph-backed sample or one without a patch; a patch
+        that does not apply is a :class:`DatasetError`.  The result is kept
+        on the sample, outside its value.
+        """
+        if self.ground_truth_patch is None or self.sources is None:
+            return None
         try:
-            diffs.apply_patch(dict(self.sources), self.ground_truth_patch)
+            return tuple(diffs.apply_patch(self.sources, self.ground_truth_patch).items())
         except (diffs.ApplyError, diffs.DiffError) as exc:
             raise DatasetError(
                 f"sample {self.id!r}: ground-truth patch does not apply: {exc}"
             ) from exc
+
+    def check_patch_applies(self) -> None:
+        """Load-time invariant: the known fix must apply to the sources."""
+        if self.sources is None and (self.ground_truth_patch or "").strip():
+            log.debug("sample %s: graph-backed, skipping patch apply check", self.id)
+        self.fixed_sources   # raises when the patch does not apply
 
 
 def load_dataset(text: str, path: Union[str, Path]) -> List[DatasetSample]:
@@ -163,8 +177,7 @@ def load_dataset(text: str, path: Union[str, Path]) -> List[DatasetSample]:
     return samples
 
 
-@dataclass(frozen=True)
-class Exemplar:
+class Exemplar(NamedTuple):
     """A mined demonstration: slice, reasoning, strategy, and the real fix."""
 
     sample_id: str
@@ -178,7 +191,7 @@ class Exemplar:
     prompt_digest: str
 
     def to_document(self) -> Dict[str, Any]:
-        return asdict(self)
+        return self._asdict()
 
 
 class ExemplarPool:
@@ -297,8 +310,7 @@ def mine_exemplar(
     )
 
 
-@dataclass(frozen=True)
-class MiningFailure:
+class MiningFailure(NamedTuple):
     sample_id: str
     message: str
 
@@ -315,8 +327,20 @@ def build_pool(
     does not resolve, its provider fails or answers out of shape) is
     reported as a failure and the run goes on; any other exception is a
     defect and propagates.  Pool order follows dataset order regardless
-    of completion order.
+    of completion order.  A provider that replays a script, behind any
+    caches, is refused at ``jobs > 1``: the script answers in call order,
+    and concurrent samples call in thread order, so each would get (and
+    cache) another sample's answer.
     """
+    if jobs > 1:
+        replayed = provider
+        while isinstance(replayed, CachedProvider):
+            replayed = replayed.inner
+        if isinstance(replayed, ScriptedProvider):
+            raise ConfigurationError(
+                f"provider {provider.id!r} replays the script of {replayed.id!r} "
+                f"in call order; mine with it at --jobs 1, not --jobs {jobs}"
+            )
     results: List[Optional[Exemplar]] = [None] * len(dataset)
     failures: List[MiningFailure] = []
 

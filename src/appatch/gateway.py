@@ -13,9 +13,8 @@ import logging
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .files import (
     array_of, checked, is_bool, is_int, is_number, is_object, is_str, json_object, optional,
@@ -66,8 +65,7 @@ def estimate_tokens(text: str) -> int:
     return len(text.split())
 
 
-@dataclass(frozen=True)
-class Exchange:
+class Exchange(NamedTuple):
     """One prompt/response round trip with its accounting facts."""
 
     provider_id: str
@@ -79,7 +77,7 @@ class Exchange:
     output_tokens: int
     estimated: bool = False   # token counts are estimates, not provider-reported
 
-# A cache entry is an ``Exchange`` as ``dataclasses.asdict`` writes it.
+# A cache entry is an ``Exchange`` as its ``_asdict()`` writes it.
 _EXCHANGE_FIELDS = (
     ("provider_id", is_str, "a string"),
     ("model", is_str, "a string"),
@@ -311,7 +309,7 @@ class CachedProvider(Provider):
                 )
             return self._record(stored)
         exchange = self.inner.complete(prompt)
-        write_text_atomic(path, json.dumps(asdict(exchange), indent=2, sort_keys=True))
+        write_text_atomic(path, json.dumps(exchange._asdict(), indent=2, sort_keys=True))
         return self._record(exchange)
 
 

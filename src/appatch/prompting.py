@@ -10,8 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import diffs
 from .code_model.model import DependenceGraph, Program
@@ -52,23 +51,33 @@ class NoPatchesError(PromptingError):
     """The patch response contained no parseable patch block."""
 
 
-@dataclass(frozen=True)
-class RootCause:
-    """Final reasoning text plus the expansion history that produced it."""
-
+class _RootCauseValue(NamedTuple):
     text: str
     iterations: int
     functions_used: FrozenSet[str]
     transcript: Tuple[Tuple[str, str], ...]   # (prompt digest, response digest)
-    forced_final: bool = False
+    forced_final: bool
 
-    def __post_init__(self):
-        if self.iterations < 1:
+
+class RootCause(_RootCauseValue):
+    """Final reasoning text plus the expansion history that produced it."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        text: str,
+        iterations: int,
+        functions_used: FrozenSet[str],
+        transcript: Tuple[Tuple[str, str], ...],
+        forced_final: bool = False,
+    ) -> "RootCause":
+        if iterations < 1:
             raise ValueError("iterations must be >= 1")
+        return tuple.__new__(cls, (text, iterations, functions_used, transcript, forced_final))
 
 
-@dataclass(frozen=True)
-class CandidatePatch:
+class CandidatePatch(NamedTuple):
     """One model-proposed patch, as a diff against original file lines."""
 
     ordinal: int

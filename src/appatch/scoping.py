@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .code_model.model import DependenceGraph, ExternalInputSet, Program
 
@@ -26,35 +25,51 @@ class ScopingError(Exception):
     """Raised when slicing inputs do not resolve against the graph."""
 
 
-@dataclass(frozen=True)
-class VulnSpec:
-    """Where a vulnerability manifests and what kind it is."""
-
+class _VulnSpecValue(NamedTuple):
     vulnerable_lines: Tuple[Tuple[str, int], ...]   # (file, 1-based line)
     cwe_ids: Tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.vulnerable_lines:
+
+class VulnSpec(_VulnSpecValue):
+    """Where a vulnerability manifests and what kind it is."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, vulnerable_lines: Tuple[Tuple[str, int], ...], cwe_ids: Tuple[str, ...],
+    ) -> "VulnSpec":
+        if not vulnerable_lines:
             raise ValueError("at least one vulnerable line is required")
-        for cwe in self.cwe_ids:
+        for cwe in cwe_ids:
             if not _CWE_PATTERN.match(cwe):
                 raise ValueError(f"bad CWE id: {cwe!r}")
+        return tuple.__new__(cls, (vulnerable_lines, cwe_ids))
 
 
-@dataclass(frozen=True)
-class SliceResult:
-    """Union slice with the vulnerable nodes and external inputs inside it."""
-
+class _SliceValue(NamedTuple):
     node_ids: FrozenSet[str]
     sv_ids: FrozenSet[str]
     ei_ids: FrozenSet[str]           # external inputs inside the slice
-    fallback: bool = False
+    fallback: bool
 
-    def __post_init__(self):
-        if not self.sv_ids <= self.node_ids:
+
+class SliceResult(_SliceValue):
+    """Union slice with the vulnerable nodes and external inputs inside it."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        node_ids: FrozenSet[str],
+        sv_ids: FrozenSet[str],
+        ei_ids: FrozenSet[str],
+        fallback: bool = False,
+    ) -> "SliceResult":
+        if not sv_ids <= node_ids:
             raise ValueError("sv_ids must be a subset of node_ids")
-        if not self.ei_ids <= self.node_ids:
+        if not ei_ids <= node_ids:
             raise ValueError("ei_ids must be a subset of node_ids")
+        return tuple.__new__(cls, (node_ids, sv_ids, ei_ids, fallback))
 
     def to_document(self, graph: DependenceGraph) -> Dict[str, object]:
         return {
@@ -65,8 +80,7 @@ class SliceResult:
         }
 
 
-@dataclass(frozen=True)
-class RenderedSlice:
+class RenderedSlice(NamedTuple):
     """Slice text restricted to a demanded function set.
 
     ``text`` lists each surviving source line once, prefixed with its

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .gateway import Exchange, Provider, ProviderError
 from .prompting import CandidatePatch
@@ -23,20 +22,26 @@ log = logging.getLogger(__name__)
 _ANSWERS = ("yes", "no", "error")
 
 
-@dataclass(frozen=True)
-class ValidationVerdict:
-    """Per-provider answers for one candidate patch."""
-
+class _VerdictValue(NamedTuple):
     ordinal: int
     answers: Tuple[Tuple[str, str], ...]   # (provider id, "yes" | "no" | "error")
     retained: bool
 
-    def __post_init__(self):
-        for provider_id, answer in self.answers:
+
+class ValidationVerdict(_VerdictValue):
+    """Per-provider answers for one candidate patch."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, ordinal: int, answers: Tuple[Tuple[str, str], ...], retained: bool,
+    ) -> "ValidationVerdict":
+        for provider_id, answer in answers:
             if answer not in _ANSWERS:
                 raise ValueError(f"unknown answer {answer!r} from {provider_id}")
-        if self.retained != any(answer == "yes" for _, answer in self.answers):
+        if retained != any(answer == "yes" for _, answer in answers):
             raise ValueError("retained flag contradicts the answers")
+        return tuple.__new__(cls, (ordinal, answers, retained))
 
 
 def validate_patch(

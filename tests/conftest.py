@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from appatch.code_model import build_sdg, identify_external_inputs, parse_program
-from appatch.gateway import HttpChatProvider, ScriptedProvider
+from appatch.gateway import HttpChatProvider, Provider, ScriptedProvider
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -70,6 +70,17 @@ def unauthorised(monkeypatch):
 def scripted(responses, provider_id="scripted", **kwargs):
     kwargs.setdefault("backoff", 0.0)
     return ScriptedProvider(provider_id, responses, **kwargs)
+
+
+class FixedProvider(Provider):
+    """Answers every prompt with one response, whatever the call order."""
+
+    def __init__(self, response: str, provider_id: str = "fixed"):
+        super().__init__(provider_id, "fixed", backoff=0.0)
+        self.response = response
+
+    def _fetch(self, prompt):
+        return self.response, None, None
 
 
 def load_script(name: str):

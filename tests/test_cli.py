@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from appatch import diffs, evaluation
 from appatch.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -309,6 +310,23 @@ def test_eval_with_human_labels(tmp_path, patched_results):
     assert doc["categories"]["Plausible"]["precision"] == pytest.approx(1 / 3)
     csv_text = (tmp_path / "r.csv").read_text()
     assert csv_text.splitlines()[0] == "category,recall,precision,f1"
+
+
+def test_eval_applies_each_ground_truth_once(tmp_path, patched_results, monkeypatch):
+    results, gt_path = patched_results
+    applied, apply_patch = [], diffs.apply_patch
+
+    def counting(sources, diff_text):
+        applied.append(diff_text)
+        return apply_patch(sources, diff_text)
+
+    monkeypatch.setattr(diffs, "apply_patch", counting)
+    monkeypatch.setattr(evaluation, "apply_patch", counting)
+    assert main(["eval", "--results", str(results), "--ground-truth", str(gt_path),
+                 "--report", str(tmp_path / "report.json")]) == 0
+    # the load check applies the ground truth, then each of the three
+    # retained candidates is applied and scored against that text
+    assert len(applied) == 4
 
 
 def test_eval_conflicting_duplicate_label_is_usage_error(tmp_path, patched_results):

@@ -22,11 +22,11 @@ from appatch.exemplars import (
     save_pool,
     split_sections,
 )
-from appatch.gateway import CachedProvider, prompt_sha
+from appatch.gateway import CachedProvider, ConfigurationError, prompt_sha
 from appatch.prompts import build_mining_prompt, render_cwes, render_ei, render_lines
 from appatch.scoping import VulnSpec
 
-from conftest import load_script, scripted
+from conftest import FixedProvider, load_script, scripted
 from oracles import adjacency_maps, bfs, random_dag
 
 
@@ -252,9 +252,9 @@ def test_graph_backed_sample_skips_apply_check(jsi_graph):
 
 
 def test_concurrent_mining_preserves_dataset_order(dataset):
-    # identical responses make queue assignment order-independent
+    # one answer for every prompt makes the call order immaterial
     response = load_script("mine.json")[0]
-    pool, failures = build_pool(dataset, scripted([response] * 3), jobs=3)
+    pool, failures = build_pool(dataset, FixedProvider(response), jobs=3)
     assert not failures
     assert [ex.sample_id for ex in pool] == [s.id for s in dataset]
 
@@ -350,4 +350,24 @@ def test_defect_while_mining_propagates_out_of_build_pool(dataset, monkeypatch, 
     monkeypatch.setattr(exemplars, "mining_slice", defect)
     response = load_script("mine.json")[0]
     with pytest.raises(RuntimeError, match="defect in mining_slice"):
-        build_pool(dataset, scripted([response] * 3), jobs=jobs)
+        build_pool(dataset, FixedProvider(response), jobs=jobs)
+
+
+def test_build_pool_refuses_a_scripted_provider_at_more_than_one_job(dataset, tmp_path):
+    """A script answers in call order, which threads would scramble: the
+    refusal sees through any chain of caches, and one job still mines."""
+    responses = load_script("mine.json")
+    direct = scripted(responses)
+    behind = CachedProvider("outer", CachedProvider("inner", direct, tmp_path / "a"),
+                            tmp_path / "b")
+    for provider in (direct, behind):
+        with pytest.raises(ConfigurationError) as err:
+            build_pool(dataset, provider, jobs=2)
+        assert str(err.value) == (
+            f"provider {provider.id!r} replays the script of 'scripted' "
+            "in call order; mine with it at --jobs 1, not --jobs 2"
+        )
+    assert not direct.history and not list(tmp_path.iterdir())
+    pool, failures = build_pool(dataset, behind, jobs=1)
+    assert not failures
+    assert [ex.sample_id for ex in pool] == [s.id for s in dataset]
