@@ -421,7 +421,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         retained = set(fields.get("retained", []))
         generated[sample.id] = len(retained)
         retained_sets[sample.id] = retained
-        sources = truth = None   # the ground truth is normalised at most once, on demand
+        truth = None   # the ground truth is normalised at most once, on demand
         for ordinal in sorted(retained):
             file_name = candidates.get(ordinal)
             if file_name is None:
@@ -437,12 +437,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 continue
             if truth is None:
                 # load_dataset applied the ground truth already
-                sources = dict(sample.sources)
                 truth = {path: evaluation.normalize_code(text)
                          for path, text in sample.fixed_sources}
-            is_syneq, note = evaluation.classify_syneq(
-                sources, diff_text, sample.ground_truth_patch, truth,
-            )
+            is_syneq, note = evaluation.classify_syneq(sample.sources, diff_text, truth)
             if note:
                 log.info("sample %s patch %d: %s", sample.id, ordinal, note)
             auto_syneq[(sample.id, ordinal)] = is_syneq

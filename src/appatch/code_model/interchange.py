@@ -30,7 +30,7 @@ from .model import (
     StatementNode,
     infer_entry_function,
 )
-from .parser import CHAR_LITERAL, STRING_LITERAL
+from .parser import CHAR_LITERAL, STRING_LITERAL, TYPE_KEYWORDS
 
 
 def export_graph(graph: DependenceGraph) -> Dict[str, Any]:
@@ -166,13 +166,15 @@ def _reject_edge(item: Any, i: int, nodes: Dict[str, StatementNode]) -> NoReturn
 
 
 # Call edges only exist for callees defined in the graph; callsites of
-# library functions are recovered from the statement text.  A string or
-# char literal, or a block comment, matches as a whole with an empty name,
-# so no call inside one is found.
+# library functions are recovered from the statement text, the callee a
+# name or a parenthesised name, as in ``(recv)(n, 1)``.  A string or char
+# literal, or a block comment, matches as a whole with an empty name, so no
+# call inside one is found; a type name in parentheses is a cast.
 _CALL_RE = re.compile(
-    rf"{STRING_LITERAL}|{CHAR_LITERAL}|/\*.*?\*/|\b([A-Za-z_][A-Za-z0-9_]*)\s*\("
+    rf"{STRING_LITERAL}|{CHAR_LITERAL}|/\*.*?\*/"
+    r"|\b([A-Za-z_][A-Za-z0-9_]*)\s*\(|\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)\s*\("
 )
-_NON_CALLS = frozenset({"", "if", "while", "for", "return", "sizeof", "switch"})
+_NON_CALLS = frozenset({"", "if", "while", "for", "return", "sizeof", "switch"} | TYPE_KEYWORDS)
 
 
 def _reconstruct_program(graph: DependenceGraph) -> Program:
@@ -207,7 +209,8 @@ def _reconstruct_program(graph: DependenceGraph) -> Program:
         if "(" in text and node.kind not in ("entry", "param-def"):
             # The text's calls in order, repeats kept, as the parser lists
             # them; then any callee that only a call edge names.
-            names = [name for name in _CALL_RE.findall(text) if name not in _NON_CALLS]
+            names = [name for called, parenthesised in _CALL_RE.findall(text)
+                     if (name := called or parenthesised) not in _NON_CALLS]
             if callees:
                 names += [callee for callee in callees if callee not in names]
             callees = names

@@ -6,7 +6,9 @@ parses of the same sources always produce the same graph.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 STATEMENT_KINDS = (
     "assign",
@@ -99,10 +101,6 @@ class StatementNode(NamedTuple):
     defs: Names = ()
     uses: Names = ()
     calls: Tuple[CallFact, ...] = ()   # in pre-order: a call before its arguments
-
-    @property
-    def col(self) -> int:
-        return _column(self.id)
 
 
 class ReadOnly:
@@ -230,6 +228,18 @@ class Program(ReadOnly, _ProgramValue):
         return lines[line - 1]
 
 
+def _reach(step: Mapping[str, Sequence[str]], starts: Iterable[str]) -> Set[str]:
+    """Every node reachable from ``starts`` along ``step``, starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for neighbour in step.get(stack.pop(), ()):
+            if neighbour not in seen:
+                seen.add(neighbour)
+                stack.append(neighbour)
+    return seen
+
+
 class _GraphValue(NamedTuple):
     nodes: Mapping[str, StatementNode]
     edges: FrozenSet[Tuple[str, str, str]]
@@ -239,8 +249,9 @@ class DependenceGraph(ReadOnly, _GraphValue):
     """Statement nodes plus typed dependence edges.
 
     An edge ``(u, v, kind)`` means v depends on u; slicing walks edges
-    backward from the criterion and forward from the inputs.  The indexes
-    below are built once from the fields, outside the graph's value:
+    backward from the criterion and forward from the inputs, with
+    :meth:`forward` and :meth:`backward`.  The indexes below are built once
+    from the fields, outside the graph's value, and read by no other module:
 
     * ``_succ`` / ``_pred``: node id -> neighbour ids, for nodes that have
       any; an edge's kind is kept in ``edges`` only;
@@ -278,6 +289,14 @@ class DependenceGraph(ReadOnly, _GraphValue):
         self = tuple.__new__(cls, (nodes, edges))
         vars(self).update(_succ=succ, _pred=pred, _at=at)
         return self
+
+    def forward(self, starts: Iterable[str]) -> Set[str]:
+        """Every node some dependence path leads to from ``starts``, starts included."""
+        return _reach(self._succ, starts)
+
+    def backward(self, starts: Iterable[str]) -> Set[str]:
+        """Every node with a dependence path to ``starts``, starts included."""
+        return _reach(self._pred, starts)
 
     def node(self, node_id: str) -> StatementNode:
         try:

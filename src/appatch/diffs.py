@@ -129,8 +129,6 @@ def apply_patch(
 
     Returns a new ``{path: text}`` mapping; untouched files pass through.
     """
-    if not isinstance(sources, Mapping):
-        sources = dict(sources)
     result = dict(sources)
     if not diff_text.strip():
         return result
@@ -157,27 +155,21 @@ def apply_patch(
             cursor = anchor
             for raw in hunk.lines:
                 tag, content = raw[0], raw[1:]
+                if tag == "+":
+                    new_lines.append(content)
+                    continue
+                # a context or removed line must match the source exactly
+                if cursor >= len(old_lines) or old_lines[cursor] != content:
+                    found = old_lines[cursor] if cursor < len(old_lines) else "<eof>"
+                    what = "context" if tag == " " else "removed line"
+                    raise ApplyError(
+                        f"{what} mismatch at line {cursor + 1}: "
+                        f"expected {content!r}, found {found!r}",
+                        file_diff.path, index,
+                    )
                 if tag == " ":
-                    if cursor >= len(old_lines) or old_lines[cursor] != content:
-                        found = old_lines[cursor] if cursor < len(old_lines) else "<eof>"
-                        raise ApplyError(
-                            f"context mismatch at line {cursor + 1}: "
-                            f"expected {content!r}, found {found!r}",
-                            file_diff.path, index,
-                        )
                     new_lines.append(content)
-                    cursor += 1
-                elif tag == "-":
-                    if cursor >= len(old_lines) or old_lines[cursor] != content:
-                        found = old_lines[cursor] if cursor < len(old_lines) else "<eof>"
-                        raise ApplyError(
-                            f"removed line mismatch at line {cursor + 1}: "
-                            f"expected {content!r}, found {found!r}",
-                            file_diff.path, index,
-                        )
-                    cursor += 1
-                else:
-                    new_lines.append(content)
+                cursor += 1
         new_lines.extend(old_lines[cursor:])
         result[file_diff.path] = "\n".join(new_lines) + ("\n" if had_trailing_newline else "")
     return result

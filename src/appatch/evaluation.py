@@ -95,32 +95,19 @@ def normalize_code(text: str) -> str:
     return _BLANKS_RE.sub(" ", "\n".join(lines))
 
 
-def normalized_ground_truth(sources: Mapping[str, str], ground_truth_diff: str) -> Dict[str, str]:
-    """Every file the ground-truth patch yields, as :func:`normalize_code` gives it."""
-    try:
-        truth = apply_patch(sources, ground_truth_diff)
-    except (ApplyError, DiffError) as exc:
-        raise EvaluationError(f"ground-truth patch does not apply: {exc}") from exc
-    return {path: normalize_code(text) for path, text in truth.items()}
-
-
 def classify_syneq(
     sources: Mapping[str, str] | Sequence[Tuple[str, str]],
     patch_diff: str,
-    ground_truth_diff: str,
-    truth: Optional[Mapping[str, str]] = None,
+    truth: Mapping[str, str],
 ) -> Tuple[bool, Optional[str]]:
-    """Whether two diffs yield the same program text after normalization.
+    """Whether a diff yields the ground truth's program text after normalization.
 
-    Returns (equivalent, note); a patch that fails to apply is not
-    equivalent and the note says why.  A caller that checks several patches
-    against one ground truth passes its :func:`normalized_ground_truth` as
-    ``truth``, which then stands for ``ground_truth_diff``.
+    ``truth`` maps every file the ground-truth patch yields to its
+    :func:`normalize_code` text, so a caller checking several patches
+    against one ground truth normalizes it once.  Returns (equivalent,
+    note); a patch that fails to apply is not equivalent and the note says
+    why.
     """
-    if not isinstance(sources, Mapping):
-        sources = dict(sources)
-    if truth is None:
-        truth = normalized_ground_truth(sources, ground_truth_diff)
     try:
         patched = apply_patch(sources, patch_diff)
     except (ApplyError, DiffError) as exc:

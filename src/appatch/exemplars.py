@@ -37,7 +37,6 @@ from .scoping import (
     ScopingError,
     VulnSpec,
     functions_containing,
-    reach,
     render_slice,
     vulnerability_semantics,
 )
@@ -245,7 +244,7 @@ def mining_slice(
                     patch_nodes.update(graph.nodes_at(file, line))
 
     # An input reaches a patched node iff it lies in their backward closure.
-    reaching_ei = ei.ids & reach(graph._pred, patch_nodes)
+    reaching_ei = ei.ids & graph.backward(patch_nodes)
     if not reaching_ei:
         reaching_ei = result.ei_ids
 

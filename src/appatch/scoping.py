@@ -3,16 +3,16 @@
 The slice for a (vulnerable statement, external input) pair is the set of
 nodes lying on a dependence path from the input to the statement; the
 overall result unions these over every pair, so statements no external
-input can influence stay out of scope.  That union is computed with two
-traversals: the nodes reachable from some input that also reach some
-vulnerable statement.
+input can influence stay out of scope.  That union is computed with the
+graph's two walks: the nodes reachable from some input that also reach
+some vulnerable statement.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Set, Tuple
 
 from .code_model.model import DependenceGraph, ExternalInputSet, Program
 
@@ -92,23 +92,6 @@ class RenderedSlice(NamedTuple):
     listed_ei: FrozenSet[str]
 
 
-def reach(step: Mapping[str, Sequence[str]], starts: Iterable[str]) -> Set[str]:
-    """Every node reachable from ``starts`` along ``step``, starts included.
-
-    ``step`` maps a node to its neighbours, and leaves out a node without
-    any: the graph's successor map walks forward, its predecessor map
-    backward.
-    """
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        for neighbour in step.get(stack.pop(), ()):
-            if neighbour not in seen:
-                seen.add(neighbour)
-                stack.append(neighbour)
-    return seen
-
-
 def resolve_vulnerable_nodes(
     graph: DependenceGraph, spec: VulnSpec
 ) -> FrozenSet[str]:
@@ -143,8 +126,8 @@ def vulnerability_semantics(
     """
     sv_ids = resolve_vulnerable_nodes(graph, spec)
     ei.validate_against(graph)
-    backward = reach(graph._pred, sv_ids)
-    union = reach(graph._succ, ei.ids) & backward
+    backward = graph.backward(sv_ids)
+    union = graph.forward(ei.ids) & backward
 
     fallback = not union
     if fallback:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .gateway import Exchange, Provider, ProviderError
 from .prompting import CandidatePatch
@@ -88,30 +88,27 @@ def validate_all(
     if not providers:
         raise ValueError("at least one validating provider is required")
 
-    answers: Dict[Tuple[str, int], str] = {}
-    exchanges_by_provider: Dict[str, List[Exchange]] = {}
-
-    def judge(provider: Provider) -> None:
-        collected: List[Exchange] = []
+    def judge(provider: Provider) -> Tuple[List[str], List[Exchange]]:
+        """One judge's answers, in patch order, and its exchanges."""
+        answers: List[str] = []
+        exchanges: List[Exchange] = []
         for patch in patches:
             answer, exchange = validate_patch(rendered_slice, spec, patch, provider)
-            answers[(provider.id, patch.ordinal)] = answer
-            collected.extend(exchange)
-        exchanges_by_provider[provider.id] = collected
+            answers.append(answer)
+            exchanges.extend(exchange)
+        return answers, exchanges
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as executor:
-            list(executor.map(judge, providers))
+            judged = list(executor.map(judge, providers))
     else:
-        for provider in providers:
-            judge(provider)
+        judged = list(map(judge, providers))
 
     verdicts: List[ValidationVerdict] = []
     retained: List[CandidatePatch] = []
-    for patch in patches:
+    for index, patch in enumerate(patches):
         per_provider = tuple(
-            (provider.id, answers[(provider.id, patch.ordinal)])
-            for provider in providers
+            (provider.id, answers[index]) for provider, (answers, _) in zip(providers, judged)
         )
         keep = any(answer == "yes" for _, answer in per_provider)
         verdicts.append(ValidationVerdict(
@@ -120,7 +117,5 @@ def validate_all(
         if keep:
             retained.append(patch)
 
-    exchanges: List[Exchange] = []
-    for provider in providers:
-        exchanges.extend(exchanges_by_provider.get(provider.id, []))
+    exchanges = [exchange for _, collected in judged for exchange in collected]
     return retained, verdicts, exchanges

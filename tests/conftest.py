@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from appatch.code_model import build_sdg, identify_external_inputs, parse_program
+from appatch.diffs import apply_patch
+from appatch.evaluation import normalize_code
 from appatch.gateway import HttpChatProvider, Provider, ScriptedProvider
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -81,6 +83,12 @@ class FixedProvider(Provider):
 
     def _fetch(self, prompt):
         return self.response, None, None
+
+
+def syneq_truth(sources, ground_truth_diff):
+    """The ``truth`` that ``classify_syneq`` takes: every file the patch yields, normalised."""
+    return {path: normalize_code(text)
+            for path, text in apply_patch(sources, ground_truth_diff).items()}
 
 
 def load_script(name: str):

@@ -38,7 +38,7 @@ from appatch.prompting import generate_root_cause, select_exemplars
 from appatch.scoping import VulnSpec, vulnerability_semantics
 from appatch.validation import validate_all
 
-from conftest import scripted
+from conftest import scripted, syneq_truth
 from oracles import random_dag, union_slice_oracle
 from test_prompting import make_exemplar, fake_cause
 from test_validation import SLICE, SPEC, patch as make_patch
@@ -392,7 +392,8 @@ def _reformat(text: str, rng: random.Random) -> str:
 def test_criterion_8_syneq_classifier(jsi_source):
     sources = {"jsi_like.c": jsi_source}
 
-    reflexive_ok = classify_syneq(sources, GT_DIFF, GT_DIFF)[0] is True
+    truth = syneq_truth(sources, GT_DIFF)
+    reflexive_ok = classify_syneq(sources, GT_DIFF, truth)[0] is True
 
     truth_text = apply_patch(sources, GT_DIFF)["jsi_like.c"]
     rng = random.Random(99)
@@ -405,11 +406,11 @@ def test_criterion_8_syneq_classifier(jsi_source):
             mutated.splitlines(keepends=True),
             fromfile="a/jsi_like.c", tofile="b/jsi_like.c",
         ))
-        equal, _note = classify_syneq(sources, candidate, GT_DIFF)
+        equal, _note = classify_syneq(sources, candidate, truth)
         hits += equal
     mutation_ok = hits == mutations
 
-    pair_distinct = classify_syneq(sources, STRNCPY_DIFF, GT_DIFF)[0] is False
+    pair_distinct = classify_syneq(sources, STRNCPY_DIFF, truth)[0] is False
 
     ok = reflexive_ok and mutation_ok and pair_distinct
     verdict(8, ok,

@@ -329,6 +329,22 @@ def test_eval_applies_each_ground_truth_once(tmp_path, patched_results, monkeypa
     assert len(applied) == 4
 
 
+def test_eval_ground_truth_that_does_not_apply_names_the_sample(tmp_path, patched_results,
+                                                                capsys):
+    results, gt_path = patched_results
+    record = json.loads(gt_path.read_text())
+    record["ground_truth_patch"] = record["ground_truth_patch"].replace(
+        "-    p = malloc(cnt + 1);", "-    p = malloc(cnt);")
+    gt_path.write_text(json.dumps(record) + "\n")
+    report_path = tmp_path / "report.json"
+    assert main(["eval", "--results", str(results), "--ground-truth", str(gt_path),
+                 "--report", str(report_path)]) == 2
+    assert ("sample 'jsi-strcpy-zero-day': ground-truth patch does not apply: "
+            "jsi_like.c, hunk #1: removed line mismatch at line 24"
+            in capsys.readouterr().err)
+    assert not report_path.exists()
+
+
 def test_eval_conflicting_duplicate_label_is_usage_error(tmp_path, patched_results):
     results, gt_path = patched_results
     labels = tmp_path / "labels.jsonl"

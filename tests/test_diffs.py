@@ -51,6 +51,22 @@ def test_context_mismatch_names_the_hunk():
     assert "f.c" in str(err.value)
 
 
+@pytest.mark.parametrize("hunk,message", [
+    ("@@ -2,1 +2,2 @@\n wrong\n+new\n",
+     "context mismatch at line 2: expected 'wrong', found 'beta'"),
+    ("@@ -2,1 +2,1 @@\n-wrong\n+BETA\n",
+     "removed line mismatch at line 2: expected 'wrong', found 'beta'"),
+    ("@@ -4,2 +4,3 @@\n delta\n omega\n+new\n",
+     "context mismatch at line 5: expected 'omega', found '<eof>'"),
+    ("@@ -4,2 +4,2 @@\n delta\n-omega\n+new\n",
+     "removed line mismatch at line 5: expected 'omega', found '<eof>'"),
+])
+def test_mismatch_messages_name_the_line_kind(hunk, message):
+    with pytest.raises(ApplyError) as err:
+        apply_patch({"f.c": SOURCE}, "--- a/f.c\n+++ b/f.c\n" + hunk)
+    assert str(err.value) == "f.c, hunk #1: " + message
+
+
 def test_unknown_file_rejected():
     diff = "--- a/g.c\n+++ b/g.c\n@@ -1,1 +1,1 @@\n-alpha\n+ALPHA\n"
     with pytest.raises(ApplyError):

@@ -14,9 +14,10 @@ from appatch.evaluation import (
     load_labels,
     merge_labels,
     normalize_code,
-    normalized_ground_truth,
     _strip_comments,
 )
+
+from conftest import syneq_truth
 
 
 GT_DIFF = (
@@ -83,58 +84,50 @@ def test_normalize_equals_the_collapse_first_formula(pieces):
     assert normalize_code(text) == _reference_normalize(text)
 
 
-def test_identical_diffs_are_syneq(jsi_sources):
-    equal, note = classify_syneq(jsi_sources, GT_DIFF, GT_DIFF)
+@pytest.fixture(scope="module")
+def gt_truth(jsi_sources):
+    return syneq_truth(jsi_sources, GT_DIFF)
+
+
+def test_identical_diffs_are_syneq(jsi_sources, gt_truth):
+    equal, note = classify_syneq(jsi_sources, GT_DIFF, gt_truth)
     assert equal is True and note is None
 
 
-def test_indentation_only_difference_is_syneq(jsi_sources):
+def test_indentation_only_difference_is_syneq(jsi_sources, gt_truth):
     variant = GT_DIFF.replace(
         "+    p = malloc(jsi_strlen(use) + 1);",
         "+\tp =  malloc(jsi_strlen(use) + 1);",
     )
-    equal, _ = classify_syneq(jsi_sources, variant, GT_DIFF)
+    equal, _ = classify_syneq(jsi_sources, variant, gt_truth)
     assert equal is True
 
 
-def test_comment_only_difference_is_syneq(jsi_sources):
+def test_comment_only_difference_is_syneq(jsi_sources, gt_truth):
     variant = GT_DIFF.replace(
         "+    p = malloc(jsi_strlen(use) + 1);",
         "+    p = malloc(jsi_strlen(use) + 1); /* exact size */",
     )
-    equal, _ = classify_syneq(jsi_sources, variant, GT_DIFF)
+    equal, _ = classify_syneq(jsi_sources, variant, gt_truth)
     assert equal is True
 
 
-def test_bound_edit_differs_from_reallocation_edit(jsi_sources):
-    equal, _ = classify_syneq(jsi_sources, STRNCPY_DIFF, GT_DIFF)
+def test_bound_edit_differs_from_reallocation_edit(jsi_sources, gt_truth):
+    equal, _ = classify_syneq(jsi_sources, STRNCPY_DIFF, gt_truth)
     assert equal is False
 
 
-def test_syneq_is_symmetric(jsi_sources):
-    a, _ = classify_syneq(jsi_sources, STRNCPY_DIFF, GT_DIFF)
-    b, _ = classify_syneq(jsi_sources, GT_DIFF, STRNCPY_DIFF)
+def test_syneq_is_symmetric(jsi_sources, gt_truth):
+    a, _ = classify_syneq(jsi_sources, STRNCPY_DIFF, gt_truth)
+    b, _ = classify_syneq(jsi_sources, GT_DIFF, syneq_truth(jsi_sources, STRNCPY_DIFF))
     assert a == b is False
-    c, _ = classify_syneq(jsi_sources, GT_DIFF, GT_DIFF)
+    c, _ = classify_syneq(jsi_sources, GT_DIFF, gt_truth)
     assert c is True
 
 
-def test_ground_truth_normalized_once_gives_the_same_answers(jsi_sources):
-    truth = normalized_ground_truth(jsi_sources, GT_DIFF)
-    assert truth["jsi_like.c"] == normalize_code(truth["jsi_like.c"])
+def test_failing_apply_is_false_with_note(jsi_sources, gt_truth):
     broken = GT_DIFF.replace("-    p = malloc(cnt + 1);", "-    nope;")
-    for diff in (GT_DIFF, STRNCPY_DIFF, broken, GT_DIFF.replace("use) + 1);", "use)+1); // x")):
-        assert classify_syneq(jsi_sources, diff, GT_DIFF, truth) == classify_syneq(
-            jsi_sources, diff, GT_DIFF)
-    for call in (lambda: normalized_ground_truth(jsi_sources, broken),
-                 lambda: classify_syneq(jsi_sources, GT_DIFF, broken)):
-        with pytest.raises(EvaluationError, match="ground-truth patch does not apply"):
-            call()
-
-
-def test_failing_apply_is_false_with_note(jsi_sources):
-    broken = GT_DIFF.replace("-    p = malloc(cnt + 1);", "-    nope;")
-    equal, note = classify_syneq(jsi_sources, broken, GT_DIFF)
+    equal, note = classify_syneq(jsi_sources, broken, gt_truth)
     assert equal is False
     assert "does not apply" in note
 

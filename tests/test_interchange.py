@@ -328,10 +328,14 @@ def _inline(text):
     _inline("int main(int n){int x; x = f(n, // recv(n)\n 1); return x;}"),
     _inline("int main(int n){int x; x = f(n, // it's\n g(n), 'q'); return x;}"),
     _inline("int main(int n){int x; x = f(n, // note\n g(n)); return x;}"),
+    # a parenthesised callee is a callsite, a parenthesised type a cast
+    _inline("int main(int n){int x; x = (recv)(n, 1); return x;}"),
+    _inline("int main(int n){int x; x = (int)(n); return x;}"),
 ], ids=["idx_read", "jsi_like", "null_use", "generated-300", "generated-900",
         "benchmark-2000", "string-literal", "escaped-quote", "char-literal",
         "comment", "quote-in-comment", "repeated-call", "call-order",
-        "line-comment-call", "line-comment-quote", "line-comment"])
+        "line-comment-call", "line-comment-quote", "line-comment",
+        "parenthesised-callee", "cast"])
 def test_imported_program_agrees_with_the_parsed_one(fixtures_dir, sources):
     """Parsed and imported programs agree on EIs, callsites, statements and entry.
 

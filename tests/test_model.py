@@ -1,9 +1,14 @@
-"""Lookup indexes of the code model: same answers as a scan, built once."""
+"""Lookup indexes and walks of the code model: same answers as a scan, built once."""
 
 from __future__ import annotations
 
+import random
+import re
+from pathlib import Path
+
 import pytest
 
+import appatch
 from appatch.code_model import build_sdg, parse_program
 from appatch.code_model.model import (
     DependenceGraph,
@@ -12,6 +17,8 @@ from appatch.code_model.model import (
     StatementNode,
     infer_entry_function,
 )
+
+from oracles import random_dag
 
 
 def _node(node_id: str, line: int) -> StatementNode:
@@ -95,3 +102,60 @@ def test_two_parses_compare_equal(jsi_source):
     second = parse_program([("jsi_like.c", jsi_source)])
     assert first == second
     assert build_sdg(first) == build_sdg(second)
+
+
+def _closure(graph: DependenceGraph, starts, forward: bool):
+    """Grow ``starts`` over ``graph.edges`` until no edge adds a node."""
+    seen = set(starts)
+    grew = True
+    while grew:
+        grew = False
+        for src, dst, _kind in graph.edges:
+            near, far = (src, dst) if forward else (dst, src)
+            if near in seen and far not in seen:
+                seen.add(far)
+                grew = True
+    return seen
+
+
+def _assert_walks_match_the_closure(graph: DependenceGraph, start_sets):
+    for starts in start_sets:
+        assert graph.forward(starts) == _closure(graph, starts, forward=True)
+        assert graph.backward(starts) == _closure(graph, starts, forward=False)
+
+
+@pytest.mark.parametrize("name", ["idx_read.c", "jsi_like.c", "null_use.c"])
+def test_walks_match_a_closure_over_the_edges_on_the_fixtures(fixtures_dir, name):
+    graph = build_sdg(parse_program([(name, (fixtures_dir / name).read_text(encoding="utf-8"))]))
+    ids = sorted(graph.nodes)
+    rng = random.Random(name)
+    _assert_walks_match_the_closure(
+        graph, [[nid] for nid in ids] + [rng.sample(ids, 3) for _ in range(20)] + [[], ids],
+    )
+
+
+def test_walks_match_a_closure_over_the_edges_on_random_graphs():
+    rng = random.Random(20261019)
+    for _ in range(100):
+        graph, sv_ids, ei_ids = random_dag(rng)
+        _assert_walks_match_the_closure(graph, [sv_ids, ei_ids, sv_ids | ei_ids])
+
+
+def test_walks_keep_their_starts_and_follow_cycles():
+    nodes = [_node(f"m.c:{i}:1", i) for i in (1, 2, 3)]
+    edges = {("m.c:1:1", "m.c:2:1", "data"), ("m.c:2:1", "m.c:1:1", "control")}
+    graph = DependenceGraph(nodes={n.id: n for n in nodes}, edges=frozenset(edges))
+    assert graph.forward(["m.c:1:1"]) == graph.backward(["m.c:2:1"]) == {"m.c:1:1", "m.c:2:1"}
+    assert graph.forward(["m.c:3:1"]) == graph.backward(["m.c:3:1"]) == {"m.c:3:1"}
+    assert graph.forward([]) == graph.backward([]) == set()
+
+
+def test_only_the_model_reads_the_graph_indexes():
+    """Every walk over the adjacency goes through ``forward`` / ``backward``."""
+    package = Path(appatch.__file__).parent
+    readers = [
+        str(path.relative_to(package)) for path in sorted(package.rglob("*.py"))
+        if path != package / "code_model" / "model.py"
+        and re.search(r"\._(?:succ|pred|at)\b", path.read_text(encoding="utf-8"))
+    ]
+    assert readers == []

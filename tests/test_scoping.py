@@ -9,7 +9,6 @@ from appatch.code_model.model import DependenceGraph, ExternalInputSet, Statemen
 from appatch.scoping import (
     ScopingError,
     VulnSpec,
-    reach,
     render_slice,
     vulnerability_semantics,
 )
@@ -28,7 +27,7 @@ def chain_graph():
 
 def pair_slice(graph, sv, ei):
     """Nodes on some dependence path from ``ei`` to ``sv``."""
-    return reach(graph._succ, {ei}) & reach(graph._pred, {sv})
+    return graph.forward({ei}) & graph.backward({sv})
 
 
 def test_pair_slice_zero_length_path():
