@@ -167,12 +167,16 @@ def _reject_edge(item: Any, i: int, nodes: Dict[str, StatementNode]) -> NoReturn
 
 # Call edges only exist for callees defined in the graph; callsites of
 # library functions are recovered from the statement text, the callee a
-# name or a parenthesised name, as in ``(recv)(n, 1)``.  A string or char
-# literal, or a block comment, matches as a whole with an empty name, so no
-# call inside one is found; a type name in parentheses is a cast.
+# name or a parenthesised name, as in ``(recv)(n, 1)`` or ``((recv))(n, 1)``.
+# A parenthesised name is a callee only when no more parentheses close after
+# it than open just before it: in ``(a + (recv))(n)`` the call is through
+# ``a + (recv)``.  A string or char literal, or a block comment, matches as
+# a whole with an empty name, so no call inside one is found; a type name in
+# parentheses is a cast.
 _CALL_RE = re.compile(
     rf"{STRING_LITERAL}|{CHAR_LITERAL}|/\*.*?\*/"
-    r"|\b([A-Za-z_][A-Za-z0-9_]*)\s*\(|\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)\s*\("
+    r"|\b([A-Za-z_][A-Za-z0-9_]*)\s*\("
+    r"|((?:\(\s*)+)([A-Za-z_][A-Za-z0-9_]*)((?:\s*\))+)\s*\("
 )
 _NON_CALLS = frozenset({"", "if", "while", "for", "return", "sizeof", "switch"} | TYPE_KEYWORDS)
 
@@ -209,8 +213,9 @@ def _reconstruct_program(graph: DependenceGraph) -> Program:
         if "(" in text and node.kind not in ("entry", "param-def"):
             # The text's calls in order, repeats kept, as the parser lists
             # them; then any callee that only a call edge names.
-            names = [name for called, parenthesised in _CALL_RE.findall(text)
-                     if (name := called or parenthesised) not in _NON_CALLS]
+            names = [name for called, opens, parenthesised, closes in _CALL_RE.findall(text)
+                     if (name := called or parenthesised) not in _NON_CALLS
+                     and closes.count(")") <= opens.count("(")]
             if callees:
                 names += [callee for callee in callees if callee not in names]
             callees = names

@@ -256,7 +256,8 @@ class DependenceGraph(ReadOnly, _GraphValue):
     * ``_succ`` / ``_pred``: node id -> neighbour ids, for nodes that have
       any; an edge's kind is kept in ``edges`` only;
     * ``_at``: (file, line) -> node ids on that line, in column order, ties
-      in document order.
+      in document order;
+    * ``_place``: node id -> position in ``_at``, for nodes on a shared line.
     """
 
     def __new__(
@@ -268,26 +269,24 @@ class DependenceGraph(ReadOnly, _GraphValue):
         pred: Dict[str, List[str]] = {}
         # Adjacency order is unobservable: every walk over it is set-based.
         for src, dst, _kind in edges:
-            targets = succ.get(src)
-            if targets is None:
-                succ[src] = [dst]
-            else:
-                targets.append(dst)
-            sources = pred.get(dst)
-            if sources is None:
-                pred[dst] = [src]
-            else:
-                sources.append(src)
+            succ.setdefault(src, []).append(dst)
+            pred.setdefault(dst, []).append(src)
+        # Tuples, not lists: the collector stops tracking a tuple of strings.
         at: Dict[Tuple[str, int], Tuple[str, ...]] = {}
+        shared: Dict[Tuple[str, int], List[str]] = {}
         for node in nodes.values():
             key = (node.file, node.line)
-            ids = at.get(key)
-            at[key] = (node.id,) if ids is None else ids + (node.id,)
-        for key, ids in at.items():
-            if len(ids) > 1:
-                at[key] = tuple(sorted(ids, key=_column))
+            if key in at:
+                shared.setdefault(key, list(at[key])).append(node.id)
+            else:
+                at[key] = (node.id,)
+        place: Dict[str, int] = {}
+        for key, ids in shared.items():
+            ids.sort(key=_column)   # stable: ties stay in document order
+            at[key] = tuple(ids)
+            place.update(zip(ids, range(len(ids))))
         self = tuple.__new__(cls, (nodes, edges))
-        vars(self).update(_succ=succ, _pred=pred, _at=at)
+        vars(self).update(_succ=succ, _pred=pred, _at=at, _place=place)
         return self
 
     def forward(self, starts: Iterable[str]) -> Set[str]:
@@ -310,8 +309,7 @@ class DependenceGraph(ReadOnly, _GraphValue):
     def sort_key(self, node_id: str) -> Tuple[str, int, int]:
         """File, line, then the node's place in ``nodes_at`` order."""
         node = self.node(node_id)
-        on_line = self._at[(node.file, node.line)]
-        return (node.file, node.line, on_line.index(node_id) if len(on_line) > 1 else 0)
+        return (node.file, node.line, self._place.get(node_id, 0))
 
     def nodes_at(self, file: str, line: int) -> List[str]:
         """All node ids attributed to a source line, in column order."""

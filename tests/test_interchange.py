@@ -328,14 +328,17 @@ def _inline(text):
     _inline("int main(int n){int x; x = f(n, // recv(n)\n 1); return x;}"),
     _inline("int main(int n){int x; x = f(n, // it's\n g(n), 'q'); return x;}"),
     _inline("int main(int n){int x; x = f(n, // note\n g(n)); return x;}"),
-    # a parenthesised callee is a callsite, a parenthesised type a cast
+    # a parenthesised callee is a callsite, at any depth; a parenthesised type a cast
     _inline("int main(int n){int x; x = (recv)(n, 1); return x;}"),
+    _inline("int main(int n){int x; x = ((recv))(n, 1); return x;}"),
+    _inline("int main(int n){int x; x = ((recv)(n, 1)); return x;}"),
     _inline("int main(int n){int x; x = (int)(n); return x;}"),
 ], ids=["idx_read", "jsi_like", "null_use", "generated-300", "generated-900",
         "benchmark-2000", "string-literal", "escaped-quote", "char-literal",
         "comment", "quote-in-comment", "repeated-call", "call-order",
         "line-comment-call", "line-comment-quote", "line-comment",
-        "parenthesised-callee", "cast"])
+        "parenthesised-callee", "nested-parenthesised-callee", "parenthesised-call",
+        "cast"])
 def test_imported_program_agrees_with_the_parsed_one(fixtures_dir, sources):
     """Parsed and imported programs agree on EIs, callsites, statements and entry.
 
@@ -356,3 +359,14 @@ def test_imported_program_agrees_with_the_parsed_one(fixtures_dir, sources):
 
     assert by_name(imported) == by_name(parsed)
     assert imported.entry_function == parsed.entry_function
+
+
+def test_a_name_closed_by_more_parentheses_than_open_before_it_is_no_callee():
+    """``(a + (recv))(n)`` calls through ``a + (recv)``, which the parser rejects."""
+    def node(line, text):
+        return {"id": f"a.c:{line}:1", "file": "a.c", "function": "main", "line": line,
+                "text": text, "kind": "assign"}
+
+    program, _ = import_graph({"nodes": [node(1, "x = (a + (recv))(n);"),
+                                         node(2, "x = ((recv))(n, 1);")], "edges": []})
+    assert program.function("main").callsites == (("recv", "a.c:2:1"),)

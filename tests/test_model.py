@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
 
 import appatch
-from appatch.code_model import build_sdg, parse_program
+from appatch.code_model import build_sdg, identify_external_inputs, import_graph, parse_program
 from appatch.code_model.model import (
     DependenceGraph,
     FunctionDef,
@@ -17,6 +18,7 @@ from appatch.code_model.model import (
     StatementNode,
     infer_entry_function,
 )
+from appatch.scoping import VulnSpec, vulnerability_semantics
 
 from oracles import random_dag
 
@@ -36,6 +38,95 @@ def test_nodes_at_orders_by_column_and_misses_empty_lines():
     assert graph.nodes_at("m.c", 2) == []
     assert graph.nodes_at("other.c", 3) == []
     assert graph.sorted_node_ids() == ["m.c:1:1", "m.c:3:2", "m.c:3:9", "m.c:3:15"]
+
+
+# A line that holds n nodes may cost at most this many times what the same
+# nodes cost one per line.  The two cost about the same; a scan of the line
+# per node would make the crowded line 10-15 times dearer at these sizes.
+CROWDED_LINE_COST_BOUND = 4
+
+
+def _assert_crowding_costs_little(crowded, spread):
+    """Best CPU time of three runs each, taken in turn so a slow spell hits both."""
+    best = {crowded: float("inf"), spread: float("inf")}
+    for _ in range(3):
+        for work in best:
+            start = time.process_time()
+            work()
+            best[work] = min(best[work], time.process_time() - start)
+    assert best[crowded] <= CROWDED_LINE_COST_BOUND * best[spread]
+
+
+def _interchange(ids, lines):
+    return {"nodes": [{"id": nid, "file": "x.c", "function": "f", "line": line,
+                       "text": "x = 1;", "kind": "assign"} for nid, line in zip(ids, lines)],
+            "edges": []}
+
+
+def test_nodes_sharing_a_line_keep_column_order_then_document_order():
+    """Ids with a column among ids without one (column 0), many ties, one line.
+
+    Importing and sorting them costs about what it costs one node a line.
+    """
+    rng = random.Random(21)
+    columns = {}
+    for i in range(4000):
+        column = rng.randrange(50)
+        spelling = rng.randrange(3)
+        if spelling == 0:
+            columns[f"x.c:s{i}:{column}"] = column
+        else:
+            columns[f"x.c:f:s{i}" if spelling == 1 else f"entry{i}"] = 0
+    ids = list(columns)                       # document order
+    position = {nid: i for i, nid in enumerate(ids)}
+    expected = sorted(ids, key=lambda nid: (columns[nid], position[nid]))
+    _, graph = import_graph(_interchange(ids + ["x.c:9:1"], [1] * len(ids) + [2]))
+    assert graph.nodes_at("x.c", 1) == expected
+    assert graph.sorted_node_ids() == expected + ["x.c:9:1"]
+    shuffled = rng.sample(ids, len(ids))
+    assert sorted(shuffled + ["x.c:9:1"], key=graph.sort_key) == expected + ["x.c:9:1"]
+
+    def import_and_sort(lines):
+        document = _interchange(ids, lines)
+        return lambda: sorted(shuffled, key=import_graph(document)[1].sort_key)
+
+    _assert_crowding_costs_little(import_and_sort([1] * len(ids)),
+                                  import_and_sort(range(1, len(ids) + 1)))
+
+
+def _one_function(separator: str):
+    """6,000 statements, every hundredth a ``recv``, joined by ``separator``."""
+    statements = ["x = recv(n, 1);" if i % 100 == 0 else "x = x + 1;" for i in range(6000)]
+    text = "int main(int n){" + separator.join(["int x;"] + statements + ["return x;"]) + "}\n"
+    return parse_program([("a.c", text)]), text.count("\n")
+
+
+def _slice_every_line(program, lines):
+    graph = build_sdg(program)
+    spec = VulnSpec(tuple(("a.c", line) for line in range(1, lines + 1)), ())
+    return graph, vulnerability_semantics(graph, spec, identify_external_inputs(program, graph))
+
+
+def test_a_one_line_program_slices_in_parse_order():
+    """``slice.json``'s node, SV and EI lists follow the parser's statement order.
+
+    Slicing it costs about what the same statements cost one a line.
+    """
+    crowded, spread = _one_function(" "), _one_function("\n")
+    graph, result = _slice_every_line(*crowded)
+    in_parse_order = [node.id for node in crowded[0].function("main").nodes]
+    document = result.to_document(graph)
+    assert document["nodes"] == document["sv"] == in_parse_order
+    assert document["ei"] == [nid for nid in in_parse_order if nid in result.ei_ids]
+    assert len(document["nodes"]) == 6004 and len(document["ei"]) == 61   # n and 60 recvs
+
+    def slice_and_write(program, lines):
+        def work():
+            graph, result = _slice_every_line(program, lines)
+            result.to_document(graph)
+        return work
+
+    _assert_crowding_costs_little(slice_and_write(*crowded), slice_and_write(*spread))
 
 
 def _function(name: str, callees, start: int) -> FunctionDef:
@@ -156,6 +247,6 @@ def test_only_the_model_reads_the_graph_indexes():
     readers = [
         str(path.relative_to(package)) for path in sorted(package.rglob("*.py"))
         if path != package / "code_model" / "model.py"
-        and re.search(r"\._(?:succ|pred|at)\b", path.read_text(encoding="utf-8"))
+        and re.search(r"\._(?:succ|pred|at|place)\b", path.read_text(encoding="utf-8"))
     ]
     assert readers == []
