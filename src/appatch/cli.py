@@ -10,7 +10,6 @@ absolute path.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -36,7 +35,8 @@ from .exemplars import (
     save_pool,
 )
 from .files import (
-    array_of, checked, is_int, is_object, is_str, json_object, optional, write_text_atomic,
+    array_of, checked, is_int, is_object, is_str, json_object, optional, read_input,
+    write_text_atomic,
 )
 from .gateway import (
     ConfigurationError,
@@ -74,26 +74,6 @@ class PipelineError(Exception):
     """The run itself failed (parse, slice, provider)."""
 
 
-# ── reading inputs ───────────────────────────────────────────────────────
-
-def _read_input(path_text: Union[str, Path], what: str) -> Tuple[str, str]:
-    """Read an input file once: its text and the sha256 of its bytes.
-
-    The text is decoded as ``Path.read_text(encoding="utf-8")`` would, so
-    ``\\r\\n`` and a lone ``\\r`` read as ``\\n``; the digest is of the bytes
-    as they were, so a manifest names exactly what was parsed.
-    """
-    path = Path(path_text)
-    if not path.is_file():
-        raise UsageError(f"{what} not found: {path}")
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{what} {path}: not valid UTF-8 at byte {exc.start}")
-    return text.replace("\r\n", "\n").replace("\r", "\n"), hashlib.sha256(data).hexdigest()
-
-
 # ── configuration ────────────────────────────────────────────────────────
 
 class Config(NamedTuple):
@@ -120,22 +100,23 @@ def load_config(path_text: Optional[str]) -> Config:
     resolved = path_text or os.environ.get(CONFIG_ENV_VAR)
     if resolved is None:
         return Config(providers={})
-    text, digest = _read_input(resolved, "config file")
     path = Path(resolved)
-    doc = json_object(text, f"config file {path}", UsageError)
+    where = f"config file {path}"
+    text, digest = read_input(path, where, UsageError)
+    doc = json_object(text, where, UsageError)
     entries = doc.get("providers")
     if not optional(array_of(is_object))(entries):
-        raise UsageError(f"config file {path}: providers must be an array of objects")
+        raise UsageError(f"{where}: providers must be an array of objects")
     try:
         providers = load_providers(entries or [], base_dir=path.parent)
     except ConfigurationError as exc:
-        raise UsageError(f"config file {path}: {exc}")
+        raise UsageError(f"{where}: {exc}")
     external = doc.get("external_functions")
     if not optional(array_of(is_str))(external):
-        raise UsageError(f"config file {path}: external_functions must be an array of strings")
+        raise UsageError(f"{where}: external_functions must be an array of strings")
     rounds = DEFAULT_DEMAND_ROUNDS if doc.get("demand_rounds") is None else doc["demand_rounds"]
     if not is_int(rounds) or rounds < 1:
-        raise UsageError(f"config file {path}: demand_rounds must be a positive integer")
+        raise UsageError(f"{where}: demand_rounds must be a positive integer")
     return Config(
         providers=providers,
         external_functions=DEFAULT_EXTERNAL_FUNCTIONS if external is None else frozenset(external),
@@ -161,7 +142,7 @@ class _Run:
 
     def read(self, path: Union[str, Path], what: str, key: Optional[str] = None) -> str:
         """The text of an input file; its digest is recorded under ``key``, if given."""
-        text, digest = _read_input(path, what)
+        text, digest = read_input(path, f"{what} {path}", UsageError)
         if key is not None:
             self.input_digests[key] = digest
         return text
@@ -405,10 +386,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         human_labels = evaluation.load_labels(text, Path(args.labels))
 
     auto_syneq: Dict[Tuple[str, int], bool] = {}
-    generated: Dict[str, int] = {}
     retained_sets: Dict[str, set] = {}
     for sample in gt_samples:
-        generated[sample.id] = 0
         retained_sets[sample.id] = set()
         # Each file scored is recorded under its path relative to --results.
         result_path = results_dir / sample.id / "result.json"
@@ -419,7 +398,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         fields = checked(json_object(text, where, UsageError), where, _RESULT_KEYS, UsageError)
         candidates = {c["ordinal"]: c["file"] for c in fields.get("candidates", [])}
         retained = set(fields.get("retained", []))
-        generated[sample.id] = len(retained)
         retained_sets[sample.id] = retained
         truth = None   # the ground truth is normalised at most once, on demand
         for ordinal in sorted(retained):
@@ -454,6 +432,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             log.warning("label for %s patch %d ignored: not in the retained set",
                         label.sample_id, label.ordinal)
     labels = evaluation.merge_labels(auto_syneq, kept_labels)
+    generated = {sample_id: len(retained) for sample_id, retained in retained_sets.items()}
     report = evaluation.compute_metrics(len(gt_samples), labels, generated)
 
     report_path = Path(args.report)
@@ -539,10 +518,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # The one place an error becomes an exit code: bad input or
-    # configuration is a usage error, a failed stage a pipeline error.
+    # configuration, or a file that cannot be read or written, is a usage
+    # error; a failed stage is a pipeline error.
     try:
         return args.func(args)
-    except (UsageError, DatasetError, evaluation.EvaluationError, ConfigurationError) as exc:
+    except (UsageError, DatasetError, evaluation.EvaluationError, ConfigurationError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PipelineError, ScopingError, PromptingError) as exc:

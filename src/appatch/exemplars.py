@@ -8,7 +8,6 @@ The resulting pool feeds exemplar selection during patch generation.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
@@ -40,8 +39,6 @@ from .scoping import (
     render_slice,
     vulnerability_semantics,
 )
-
-log = logging.getLogger(__name__)
 
 _SECTION_RE = re.compile(
     r"ROOT CAUSE:\s*(?P<cause>.*?)\s*FIXING STRATEGY:\s*(?P<strategy>.*)\s*\Z",
@@ -153,8 +150,6 @@ class DatasetSample(ReadOnly, _SampleValue):
 
     def check_patch_applies(self) -> None:
         """Load-time invariant: the known fix must apply to the sources."""
-        if self.sources is None and (self.ground_truth_patch or "").strip():
-            log.debug("sample %s: graph-backed, skipping patch apply check", self.id)
         self.fixed_sources   # raises when the patch does not apply
 
 

@@ -1,4 +1,4 @@
-"""How appatch reads an input record and writes an output file.
+"""How appatch reads an input file or record and writes an output file.
 
 Records are read as the graph interchange is: exact JSON types (``true`` is
 no integer), an optional field absent or ``null``, extra keys ignored.
@@ -6,6 +6,7 @@ no integer), an optional field absent or ``null``, extra keys ignored.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -53,6 +54,27 @@ def checked(record: Any, where: str, fields: Sequence[Tuple[str, Test, str]],
         if value is not None:
             found[key] = value
     return found
+
+
+def read_input(path: Union[str, Path], where: str,
+               error: Callable[[str], Exception]) -> Tuple[str, str]:
+    """Read a file once: its text and the sha256 of its bytes.
+
+    The text is UTF-8 with ``\\r\\n`` and a lone ``\\r`` read as ``\\n``; the
+    digest is of the bytes as they were, so a manifest names exactly what
+    was parsed.  A file that cannot be read raises
+    ``error("<where>: <strerror>")``, a bad byte ``error("<where>: not valid
+    UTF-8 at byte <n>")``.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"{where}: {exc.strerror or exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not valid UTF-8 at byte {exc.start}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n"), hashlib.sha256(data).hexdigest()
 
 
 def json_object(text: str, where: str, error: Callable[[str], Exception]) -> Dict[str, Any]:

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tup
 
 from .files import (
     array_of, checked, is_bool, is_int, is_number, is_object, is_str, json_object, optional,
-    write_text_atomic,
+    read_input, write_text_atomic,
 )
 
 log = logging.getLogger(__name__)
@@ -293,10 +293,7 @@ class CachedProvider(Provider):
         path = self._entry_path(digest)
         if path.exists():
             where = f"cache entry {path}"
-            try:
-                text = path.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise ConfigurationError(f"{where}: not valid UTF-8 at byte {exc.start}") from exc
+            text, _ = read_input(path, where, ConfigurationError)
             doc = json_object(text, where, ConfigurationError)
             stored = Exchange(**checked(doc, where, _EXCHANGE_FIELDS, ConfigurationError))
             if (stored.prompt, stored.provider_id, stored.model) != (
@@ -342,14 +339,18 @@ def _is_response(value: Any) -> bool:
                              and optional(is_bool)(value.get("transient")))
 
 
+def _is_count(value: Any) -> bool:
+    return is_int(value) and value >= 1
+
+
 _ID_KEY = (("id", _is_name, "a non-empty string"),)
 
-# Retry and pacing keys that scripted and http-chat entries share, with their types.
+# Retry and pacing keys that scripted and http-chat entries share, with their ranges.
 _SHELL_KEYS = (
-    ("attempts", optional(is_int), "an integer"),
-    ("rpm_limit", optional(is_int), "an integer"),
-    ("max_concurrency", optional(is_int), "an integer"),
-    ("backoff", optional(is_number), "a number"),
+    ("attempts", optional(_is_count), "an integer >= 1"),
+    ("rpm_limit", optional(_is_count), "an integer >= 1"),
+    ("max_concurrency", optional(_is_count), "an integer >= 1"),
+    ("backoff", optional(lambda value: is_number(value) and value >= 0), "a number >= 0"),
 )
 
 _SCRIPTED_KEYS = (
@@ -363,7 +364,7 @@ _HTTP_CHAT_KEYS = (
     ("model", _is_name, "a non-empty string"),
     ("headers", optional(lambda value: is_object(value) and all(map(is_str, value.values()))),
      "an object of strings"),
-    ("timeout", optional(is_number), "a number"),
+    ("timeout", optional(lambda value: is_number(value) and value > 0), "a number > 0"),
     ("temperature", optional(is_number), "a number"),
     ("max_tokens", optional(is_int), "an integer"),
     ("auth_env", optional(is_str), "a string"),
@@ -389,17 +390,12 @@ def _build_one(entry: Mapping[str, Any], provider_id: str, base_dir: Path) -> Pr
                     f"scripted provider {provider_id!r} needs 'responses' or 'script'"
                 )
             script_path = base_dir / script   # an absolute script stays as it is
+            where = f"scripted provider {provider_id!r}: script {script_path}"
+            text, _ = read_input(script_path, where, ConfigurationError)
             try:
-                responses = json.loads(script_path.read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise ConfigurationError(
-                    f"scripted provider {provider_id!r}: script {script_path}: {exc.strerror}"
-                ) from exc
-            except ValueError as exc:   # not UTF-8, or not JSON
-                raise ConfigurationError(
-                    f"scripted provider {provider_id!r}: script {script_path} "
-                    f"is not valid JSON: {exc}"
-                ) from exc
+                responses = json.loads(text)
+            except ValueError as exc:
+                raise ConfigurationError(f"{where} is not valid JSON: {exc}") from exc
         if not array_of(_is_response)(responses):
             raise ConfigurationError(
                 f"scripted provider {provider_id!r}: responses must be a JSON array "

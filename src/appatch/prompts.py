@@ -40,14 +40,15 @@ COMPARISON_TEMPLATE = (
     "Please simply answer yes or no."
 )
 
-PATCH_TEMPLATE = (
-    "{exemplars}"
+# The patch request, asked of the testing sample and answered by each exemplar.
+PATCH_QUESTION = (
     "Q: Given the following code slice: {slice} which has a vulnerability "
     "among {cwes} and lines: {lines}, please generate five possible "
     "patches for the vulnerability.\n"
     "A: Step 1. {root_cause}\n"
-    "{format_instruction}"
 )
+
+PATCH_TEMPLATE = "{exemplars}" + PATCH_QUESTION + "{format_instruction}"
 
 PATCH_FORMAT_INSTRUCTION = (
     "Format each patch as a fenced code block headed 'Patch N:' "
@@ -126,15 +127,10 @@ def serialize_exemplar(
     fixing_strategy: str,
     ground_truth_patch: str,
 ) -> str:
-    """One worked example in the same shape the patch request uses."""
-    return (
-        f"Q: Given the following code slice: {block(slice_text)} which has "
-        f"a vulnerability among {cwes} and lines: {lines}, please generate "
-        "five possible patches for the vulnerability.\n"
-        f"A: Step 1. {root_cause.strip()}\n"
-        f"Step 2. {fixing_strategy.strip()}\n"
-        f"Step 3. {block(ground_truth_patch)}"
-    )
+    """One worked example: the patch question, answered in three steps."""
+    return PATCH_QUESTION.format(
+        slice=block(slice_text), cwes=cwes, lines=lines, root_cause=root_cause.strip(),
+    ) + f"Step 2. {fixing_strategy.strip()}\nStep 3. {block(ground_truth_patch)}"
 
 
 def build_patch_prompt(

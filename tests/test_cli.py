@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -593,6 +595,7 @@ def test_cache_entry_that_is_not_utf8_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("script_bytes, problem", [
     (None, "No such file or directory"),
     (b'["unterminated"', "is not valid JSON"),
+    (b'["caf\xe9"]', "not valid UTF-8 at byte 5"),
 ])
 def test_bad_script_file_is_usage_error(tmp_path, capsys, script_bytes, problem):
     script = tmp_path / "script.json"
@@ -609,6 +612,50 @@ def test_bad_script_file_is_usage_error(tmp_path, capsys, script_bytes, problem)
     err = capsys.readouterr().err
     assert "scripted provider 'miner'" in err
     assert f"script {script}" in err and problem in err
+
+
+def test_cache_entry_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    config = write_config(tmp_path, cached=True)
+    args = ["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "miner",
+            "--pool", str(tmp_path / "pool.jsonl"), "--config", str(config)]
+    assert main(args) == 0
+    entry = sorted((tmp_path / "cache" / "miner").rglob("*.json"))[0]
+    entry.unlink()
+    entry.mkdir()
+    capsys.readouterr()
+    assert main(args) == 2
+    assert f"error: cache entry {entry}: Is a directory" in capsys.readouterr().err
+
+
+def test_output_under_a_regular_file_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    code = main(["slice", "--source", str(FIXTURES / "jsi_like.c"), "--vuln", "jsi_like.c:48",
+                 "--out", str(blocker / "slice.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+    assert blocker.read_text() == "a file, not a directory\n"
+
+
+def test_input_that_cannot_be_read_is_usage_error(tmp_path, capsys, monkeypatch):
+    """File modes do not stop root, so the refusal is raised by the read itself."""
+    source = tmp_path / "locked.c"
+    source.write_text("int main(int n){return n;}\n")
+    read_bytes = Path.read_bytes
+
+    def refuse(path):
+        if path == source:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    code = main(["slice", "--source", str(source), "--vuln", "locked.c:1",
+                 "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert (f"error: source file {source}: {os.strerror(errno.EACCES)}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "s.json").exists()
 
 
 def with_remote_provider(config_path, monkeypatch):
@@ -938,11 +985,19 @@ def _cached_key(key, value):
      "scripted provider 'miner': responses must be a JSON array "
      'of strings and {"error": string} objects'),
     (_http_chat_key("endpoint", 5), "provider 'chat': 'endpoint' must be a non-empty string"),
+    (_miner_key("attempts", 0), "provider 'miner': 'attempts' must be an integer >= 1"),
+    (_miner_key("max_concurrency", -3),
+     "provider 'miner': 'max_concurrency' must be an integer >= 1"),
+    (_miner_key("rpm_limit", -5), "provider 'miner': 'rpm_limit' must be an integer >= 1"),
+    (_miner_key("backoff", -1), "provider 'miner': 'backoff' must be a number >= 0"),
+    (_http_chat_key("timeout", 0), "provider 'chat': 'timeout' must be a number > 0"),
 ], ids=["providers-object", "provider-entry", "external-functions", "demand-rounds-bool",
         "attempts", "rpm-limit", "max-concurrency", "backoff", "http-timeout",
         "http-temperature", "http-max-tokens", "http-max-tokens-bool", "http-headers-array",
         "http-headers-value", "http-auth-env", "cached-inner", "cached-cache-dir", "id",
-        "scripted-model", "scripted-response", "http-endpoint"])
+        "scripted-model", "scripted-response", "http-endpoint", "attempts-zero",
+        "max-concurrency-negative", "rpm-limit-negative", "backoff-negative",
+        "http-timeout-zero"])
 def test_config_of_the_wrong_shape_is_usage_error(tmp_path, capsys, mutate, message):
     config = write_config(tmp_path)
     doc = json.loads(config.read_text())

@@ -1,12 +1,14 @@
 import copy
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import appatch
 from appatch.evaluation import EvaluationError, load_labels
 from appatch.exemplars import DatasetError, DatasetSample, build_pool, load_dataset, load_pool
 from appatch.files import json_object, write_text_atomic
@@ -29,6 +31,17 @@ def test_new_file_mode_follows_the_umask(tmp_path, umask):
     assert path.read_bytes() == b"{}\r\n"
     assert [p.name for p in path.parent.iterdir()] == ["a.json"]
 
+
+
+def test_only_files_reads_a_file():
+    """Every input is read through ``files.read_input``, the one decode and error path."""
+    package = Path(appatch.__file__).parent
+    readers = [
+        str(path.relative_to(package)) for path in sorted(package.rglob("*.py"))
+        if path != package / "files.py"
+        and re.search(r"\b(?:read_text|read_bytes|open)\(", path.read_text(encoding="utf-8"))
+    ]
+    assert readers == []
 
 
 # ── every record reader: returns, or raises its own error class ─────────
