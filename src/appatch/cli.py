@@ -391,7 +391,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         retained_sets[sample.id] = set()
         # Each file scored is recorded under its path relative to --results.
         result_path = results_dir / sample.id / "result.json"
-        if not result_path.is_file():
+        if not result_path.exists():   # a sample with no result
             continue
         text = run.read(result_path, "result file", f"{sample.id}/result.json")
         where = str(result_path)

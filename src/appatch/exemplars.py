@@ -8,7 +8,6 @@ The resulting pool feeds exemplar selection during patch generation.
 from __future__ import annotations
 
 import json
-import re
 from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from pathlib import Path
@@ -26,12 +25,7 @@ from .files import (
 from .gateway import (
     CachedProvider, ConfigurationError, Provider, ProviderError, ScriptedProvider, prompt_sha,
 )
-from .prompts import (
-    build_mining_prompt,
-    render_cwes,
-    render_ei,
-    render_lines,
-)
+from .prompts import build_mining_prompt, render_ei, split_sections
 from .scoping import (
     ScopingError,
     VulnSpec,
@@ -39,12 +33,6 @@ from .scoping import (
     render_slice,
     vulnerability_semantics,
 )
-
-_SECTION_RE = re.compile(
-    r"ROOT CAUSE:\s*(?P<cause>.*?)\s*FIXING STRATEGY:\s*(?P<strategy>.*)\s*\Z",
-    re.DOTALL,
-)
-
 
 class DatasetError(Exception):
     """A dataset record is malformed or inconsistent."""
@@ -249,17 +237,6 @@ def mining_slice(
     return program, graph, result, rendered, reaching_ei
 
 
-def split_sections(response: str) -> Tuple[str, str]:
-    match = _SECTION_RE.search(response)
-    if not match:
-        raise ValueError("response lacks ROOT CAUSE / FIXING STRATEGY sections")
-    cause = match.group("cause").strip()
-    strategy = match.group("strategy").strip()
-    if not cause or not strategy:
-        raise ValueError("response sections are empty")
-    return cause, strategy
-
-
 def mine_exemplar(
     sample: DatasetSample,
     provider: Provider,
@@ -278,8 +255,7 @@ def mine_exemplar(
         raise MiningError(sample.id, str(exc)) from exc
     prompt = build_mining_prompt(
         slice_text=rendered.text,
-        cwes=render_cwes(sample.vuln.cwe_ids),
-        lines=render_lines(sample.vuln.vulnerable_lines),
+        spec=sample.vuln,
         patch=sample.ground_truth_patch,
         ei=render_ei(graph, reaching_ei),
     )

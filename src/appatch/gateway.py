@@ -14,7 +14,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .files import (
     array_of, checked, is_bool, is_int, is_number, is_object, is_str, json_object, optional,
@@ -90,6 +90,28 @@ _EXCHANGE_FIELDS = (
 )
 
 
+def _is_count(value: Any) -> bool:
+    return is_int(value) and value >= 1
+
+
+# The range of each retry, pacing and timeout setting a constructor takes.
+_RANGES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "attempts": (_is_count, "an integer >= 1"),
+    "rpm_limit": (optional(_is_count), "an integer >= 1"),
+    "max_concurrency": (_is_count, "an integer >= 1"),
+    "backoff": (lambda value: is_number(value) and value >= 0, "a number >= 0"),
+    "timeout": (lambda value: is_number(value) and value > 0, "a number > 0"),
+}
+
+
+def _check_ranges(provider_id: str, **settings: Any) -> None:
+    """Refuse a setting outside its range, in the words a config error uses."""
+    for key, value in settings.items():
+        test, description = _RANGES[key]
+        if not test(value):
+            raise ConfigurationError(f"provider {provider_id!r}: {key!r} must be {description}")
+
+
 class Provider:
     """Shared retry/pacing/accounting shell around a concrete transport."""
 
@@ -102,16 +124,18 @@ class Provider:
         rpm_limit: Optional[int] = None,
         max_concurrency: int = 4,
     ):
+        _check_ranges(provider_id, attempts=attempts, rpm_limit=rpm_limit,
+                      max_concurrency=max_concurrency, backoff=backoff)
         self.id = provider_id
         self.model = model
-        self.attempts = max(1, attempts)
+        self.attempts = attempts
         self.backoff = backoff
         self.rpm_limit = rpm_limit
         self.history: List[Exchange] = []
         self._history_lock = threading.Lock()
         self._pace_lock = threading.Lock()
         self._earliest_next = 0.0
-        self._slots = threading.Semaphore(max(1, max_concurrency))
+        self._slots = threading.Semaphore(max_concurrency)
 
     def _record(self, exchange: "Exchange") -> "Exchange":
         with self._history_lock:
@@ -218,6 +242,7 @@ class HttpChatProvider(Provider):
         **kwargs,
     ):
         super().__init__(provider_id, model, **kwargs)
+        _check_ranges(provider_id, timeout=timeout)
         self.endpoint = endpoint
         self.auth_env = auth_env
         self.temperature = temperature
@@ -339,19 +364,7 @@ def _is_response(value: Any) -> bool:
                              and optional(is_bool)(value.get("transient")))
 
 
-def _is_count(value: Any) -> bool:
-    return is_int(value) and value >= 1
-
-
 _ID_KEY = (("id", _is_name, "a non-empty string"),)
-
-# Retry and pacing keys that scripted and http-chat entries share, with their ranges.
-_SHELL_KEYS = (
-    ("attempts", optional(_is_count), "an integer >= 1"),
-    ("rpm_limit", optional(_is_count), "an integer >= 1"),
-    ("max_concurrency", optional(_is_count), "an integer >= 1"),
-    ("backoff", optional(lambda value: is_number(value) and value >= 0), "a number >= 0"),
-)
 
 _SCRIPTED_KEYS = (
     ("model", optional(is_str), "a string"),
@@ -364,7 +377,6 @@ _HTTP_CHAT_KEYS = (
     ("model", _is_name, "a non-empty string"),
     ("headers", optional(lambda value: is_object(value) and all(map(is_str, value.values()))),
      "an object of strings"),
-    ("timeout", optional(lambda value: is_number(value) and value > 0), "a number > 0"),
     ("temperature", optional(is_number), "a number"),
     ("max_tokens", optional(is_int), "an integer"),
     ("auth_env", optional(is_str), "a string"),
@@ -379,7 +391,9 @@ _CACHED_KEYS = (
 def _build_one(entry: Mapping[str, Any], provider_id: str, base_dir: Path) -> Provider:
     kind = entry.get("kind")
     where = f"provider {provider_id!r}"
-    common = checked(entry, where, _SHELL_KEYS, ConfigurationError)
+    # Passed on as given: the constructor refuses a setting outside its range.
+    common = {key: entry[key] for key in _RANGES
+              if entry.get(key) is not None and (key != "timeout" or kind == "http-chat")}
     if kind == "scripted":
         fields = checked(entry, where, _SCRIPTED_KEYS, ConfigurationError)
         responses = entry.get("responses")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import diffs
@@ -17,14 +16,15 @@ from .code_model.model import DependenceGraph, Program
 from .exemplars import Exemplar, ExemplarPool
 from .gateway import Exchange, Provider, ProviderError, prompt_sha
 from .prompts import (
+    CALLER_PREFIX,
+    DEMAND_KEY,
+    DEMAND_RE,
+    PATCH_BLOCK_RE,
     build_comparison_prompt,
     build_patch_prompt,
     build_root_cause_prompt,
     parse_verdict,
-    render_cwes,
     render_ei,
-    render_lines,
-    serialize_exemplar,
 )
 from .scoping import (
     RenderedSlice,
@@ -38,9 +38,6 @@ log = logging.getLogger(__name__)
 
 MAX_EXEMPLARS = 8
 DEFAULT_DEMAND_ROUNDS = 10
-
-_DEMAND_RE = re.compile(r"\{\s*\"context_funcs\"")
-_CALLER_PREFIX = "CALLER_of_"
 
 
 class PromptingError(Exception):
@@ -91,7 +88,7 @@ def parse_context_demand(response: str, program: Program) -> Optional[Tuple[str,
     ``CALLER_of_<name>`` placeholders resolve to every caller of ``name``
     in the call graph; a malformed object yields no demand.
     """
-    match = _DEMAND_RE.search(response)
+    match = DEMAND_RE.search(response)
     if not match:
         return None
     decoder = json.JSONDecoder()
@@ -100,14 +97,14 @@ def parse_context_demand(response: str, program: Program) -> Optional[Tuple[str,
     except json.JSONDecodeError:
         log.warning("context demand found but not parseable as JSON; ignoring")
         return None
-    names = obj.get("context_funcs")
+    names = obj.get(DEMAND_KEY)
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        log.warning("context_funcs is not a list of names; ignoring")
+        log.warning("%s is not a list of names; ignoring", DEMAND_KEY)
         return None
     requested: List[str] = []
     for name in names:
-        if name.startswith(_CALLER_PREFIX):
-            target = name[len(_CALLER_PREFIX):]
+        if name.startswith(CALLER_PREFIX):
+            target = name[len(CALLER_PREFIX):]
             callers = program.callers_of(target)
             if not callers:
                 log.warning("no callers known for %s; skipping placeholder", target)
@@ -146,8 +143,7 @@ def generate_root_cause(
         rendered = render_slice(result, program, graph, functions)
         prompt = build_root_cause_prompt(
             slice_text=rendered.text,
-            cwes=render_cwes(spec.cwe_ids),
-            lines=render_lines(spec.vulnerable_lines),
+            spec=spec,
             ei=render_ei(graph, rendered.listed_ei),
         )
         try:
@@ -219,12 +215,6 @@ def select_exemplars(
     return chosen, exchanges
 
 
-_PATCH_BLOCK_RE = re.compile(
-    r"Patch\s+(\d+)\s*:\s*```[^\n]*\n(.*?)```",
-    re.DOTALL,
-)
-
-
 def _function_line_ranges(program: Program, functions: FrozenSet[str]):
     ranges = {}
     for fn in program.functions:
@@ -259,22 +249,10 @@ def generate_patches(
     Blocks whose hunks stray outside the rendered functions are dropped;
     fewer than five survivors is a warning, zero is an error.
     """
-    serialized = [
-        serialize_exemplar(
-            slice_text=ex.slice_text,
-            cwes=render_cwes(ex.cwe_ids),
-            lines=render_lines(ex.vulnerable_lines),
-            root_cause=ex.root_cause,
-            fixing_strategy=ex.fixing_strategy,
-            ground_truth_patch=ex.ground_truth_patch,
-        )
-        for ex in exemplars
-    ]
     prompt = build_patch_prompt(
-        serialized_exemplars=serialized,
+        exemplars=exemplars,
         slice_text=rendered_slice.text,
-        cwes=render_cwes(spec.cwe_ids),
-        lines=render_lines(spec.vulnerable_lines),
+        spec=spec,
         root_cause=root_cause.text,
     )
     try:
@@ -286,7 +264,7 @@ def generate_patches(
     ranges = _function_line_ranges(program, rendered_slice.included_functions)
     patches: List[CandidatePatch] = []
     total_blocks = 0
-    for match in _PATCH_BLOCK_RE.finditer(exchange.response):
+    for match in PATCH_BLOCK_RE.finditer(exchange.response):
         total_blocks += 1
         if len(patches) == 5:
             continue   # only counted

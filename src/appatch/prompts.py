@@ -1,17 +1,25 @@
-"""The five prompt templates and their byte-exact instantiation.
+"""The five prompt templates, built from the pipeline's records, and the
+answer formats they ask for.
 
-Every prompt the pipeline sends is built here, so golden-file tests can
-pin the exact bytes in one place.  Multi-line values (slices, patches,
-reasoning) are framed with newlines by :func:`block`; the template
-sentences themselves stay intact.
+Every prompt the pipeline sends is built here, from the slice text and
+the records it frames (a ``VulnSpec``, an ``Exemplar``), so golden-file
+tests can pin the exact bytes in one place and no other module spells a
+CWE list, a vulnerable-line list or a worked example.  Each answer format
+sits beside the template that asks for it.  Multi-line values (slices,
+patches, reasoning) are framed with newlines by :func:`block`; the
+template sentences themselves stay intact.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple, Union
 
 from .code_model.model import DependenceGraph
+from .scoping import VulnSpec
+
+if TYPE_CHECKING:   # exemplars imports this module
+    from .exemplars import Exemplar
 
 MINING_TEMPLATE = (
     "Q: Given the following code slice {slice}, which has a vulnerability "
@@ -20,6 +28,11 @@ MINING_TEMPLATE = (
     "behavior step by step until the vulnerability is determined. "
     "Answer with two sections headed exactly 'ROOT CAUSE:' and "
     "'FIXING STRATEGY:'."
+)
+
+_SECTION_RE = re.compile(
+    r"ROOT CAUSE:\s*(?P<cause>.*?)\s*FIXING STRATEGY:\s*(?P<strategy>.*)\s*\Z",
+    re.DOTALL,
 )
 
 ROOT_CAUSE_TEMPLATE = (
@@ -32,6 +45,11 @@ ROOT_CAUSE_TEMPLATE = (
     '{{"context_funcs":[func_1,func_2,CALLER_of_func...]}} where '
     '"CALLER_of_func" is a placeholder for the caller of the given functions.'
 )
+
+# A demand for more context: the JSON object ROOT_CAUSE_TEMPLATE asks for.
+DEMAND_KEY = "context_funcs"
+DEMAND_RE = re.compile(r'\{\s*"' + DEMAND_KEY + '"')
+CALLER_PREFIX = "CALLER_of_"
 
 COMPARISON_TEMPLATE = (
     "Q: Are the following two root causes similar?\n"
@@ -55,6 +73,11 @@ PATCH_FORMAT_INSTRUCTION = (
     "containing a unified diff against the shown line numbers."
 )
 
+PATCH_BLOCK_RE = re.compile(
+    r"Patch\s+(\d+)\s*:\s*```[^\n]*\n(.*?)```",
+    re.DOTALL,
+)
+
 VALIDATION_TEMPLATE = (
     "Q: Given the following code slice: {slice} which has a vulnerability "
     "among {cwes} and lines: {lines}. "
@@ -69,12 +92,13 @@ def block(text: str) -> str:
     return "\n" + text.rstrip("\n") + "\n"
 
 
-def render_cwes(cwe_ids: Sequence[str]) -> str:
-    return ", ".join(cwe_ids) if cwe_ids else "(unspecified)"
-
-
-def render_lines(vulnerable_lines: Sequence[Tuple[str, int]]) -> str:
-    return ", ".join(f"{file}:{line}" for file, line in vulnerable_lines)
+def _question(slice_text: str, spec: Union[VulnSpec, Exemplar]) -> Dict[str, str]:
+    """The slice, CWE list and vulnerable lines every question names."""
+    return {
+        "slice": block(slice_text),
+        "cwes": ", ".join(spec.cwe_ids) if spec.cwe_ids else "(unspecified)",
+        "lines": ", ".join(f"{file}:{line}" for file, line in spec.vulnerable_lines),
+    }
 
 
 def render_ei(graph: DependenceGraph, ei_ids: Iterable[str]) -> str:
@@ -88,28 +112,24 @@ def render_ei(graph: DependenceGraph, ei_ids: Iterable[str]) -> str:
     return "; ".join(parts)
 
 
-def build_mining_prompt(
-    slice_text: str,
-    cwes: str,
-    lines: str,
-    patch: str,
-    ei: str,
-) -> str:
-    return MINING_TEMPLATE.format(
-        slice=block(slice_text), cwes=cwes, lines=lines,
-        patch=block(patch), ei=ei,
-    )
+def build_mining_prompt(slice_text: str, spec: VulnSpec, patch: str, ei: str) -> str:
+    return MINING_TEMPLATE.format(**_question(slice_text, spec), patch=block(patch), ei=ei)
 
 
-def build_root_cause_prompt(
-    slice_text: str,
-    cwes: str,
-    lines: str,
-    ei: str,
-) -> str:
-    return ROOT_CAUSE_TEMPLATE.format(
-        slice=block(slice_text), cwes=cwes, lines=lines, ei=ei,
-    )
+def split_sections(response: str) -> Tuple[str, str]:
+    """The root cause and fixing strategy of a mining answer."""
+    match = _SECTION_RE.search(response)
+    if not match:
+        raise ValueError("response lacks ROOT CAUSE / FIXING STRATEGY sections")
+    cause = match.group("cause").strip()
+    strategy = match.group("strategy").strip()
+    if not cause or not strategy:
+        raise ValueError("response sections are empty")
+    return cause, strategy
+
+
+def build_root_cause_prompt(slice_text: str, spec: VulnSpec, ei: str) -> str:
+    return ROOT_CAUSE_TEMPLATE.format(**_question(slice_text, spec), ei=ei)
 
 
 def build_comparison_prompt(exemplar_cause: str, testing_cause: str) -> str:
@@ -119,47 +139,30 @@ def build_comparison_prompt(exemplar_cause: str, testing_cause: str) -> str:
     )
 
 
-def serialize_exemplar(
-    slice_text: str,
-    cwes: str,
-    lines: str,
-    root_cause: str,
-    fixing_strategy: str,
-    ground_truth_patch: str,
-) -> str:
+def serialize_exemplar(exemplar: Exemplar) -> str:
     """One worked example: the patch question, answered in three steps."""
     return PATCH_QUESTION.format(
-        slice=block(slice_text), cwes=cwes, lines=lines, root_cause=root_cause.strip(),
-    ) + f"Step 2. {fixing_strategy.strip()}\nStep 3. {block(ground_truth_patch)}"
+        **_question(exemplar.slice_text, exemplar), root_cause=exemplar.root_cause.strip(),
+    ) + (f"Step 2. {exemplar.fixing_strategy.strip()}\n"
+         f"Step 3. {block(exemplar.ground_truth_patch)}")
 
 
 def build_patch_prompt(
-    serialized_exemplars: Sequence[str],
+    exemplars: Sequence[Exemplar],
     slice_text: str,
-    cwes: str,
-    lines: str,
+    spec: VulnSpec,
     root_cause: str,
 ) -> str:
-    exemplar_section = "".join(part + "\n\n" for part in serialized_exemplars)
     return PATCH_TEMPLATE.format(
-        exemplars=exemplar_section,
-        slice=block(slice_text),
-        cwes=cwes,
-        lines=lines,
+        exemplars="".join(serialize_exemplar(exemplar) + "\n\n" for exemplar in exemplars),
+        **_question(slice_text, spec),
         root_cause=root_cause.strip(),
         format_instruction=PATCH_FORMAT_INSTRUCTION,
     )
 
 
-def build_validation_prompt(
-    slice_text: str,
-    cwes: str,
-    lines: str,
-    patch: str,
-) -> str:
-    return VALIDATION_TEMPLATE.format(
-        slice=block(slice_text), cwes=cwes, lines=lines, patch=block(patch),
-    )
+def build_validation_prompt(slice_text: str, spec: VulnSpec, patch: str) -> str:
+    return VALIDATION_TEMPLATE.format(**_question(slice_text, spec), patch=block(patch))
 
 
 def parse_verdict(response: str) -> bool:

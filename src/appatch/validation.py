@@ -14,7 +14,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .gateway import Exchange, Provider, ProviderError
 from .prompting import CandidatePatch
-from .prompts import build_validation_prompt, parse_verdict, render_cwes, render_lines
+from .prompts import build_validation_prompt, parse_verdict
 from .scoping import RenderedSlice, VulnSpec
 
 log = logging.getLogger(__name__)
@@ -59,8 +59,7 @@ def validate_patch(
     """
     prompt = build_validation_prompt(
         slice_text=rendered_slice.text,
-        cwes=render_cwes(spec.cwe_ids),
-        lines=render_lines(spec.vulnerable_lines),
+        spec=spec,
         patch=patch.diff,
     )
     try:

@@ -28,11 +28,7 @@ def collect_prompts():
         generate_root_cause,
         select_exemplars,
     )
-    from appatch.prompts import (
-        build_validation_prompt,
-        render_cwes,
-        render_lines,
-    )
+    from appatch.prompts import build_validation_prompt
     from appatch.scoping import vulnerability_semantics
     from appatch.code_model.sdg import identify_external_inputs
 
@@ -79,8 +75,7 @@ def collect_prompts():
     for patch in patches:
         prompts[f"validation_{patch.ordinal}"] = build_validation_prompt(
             slice_text=rendered.text,
-            cwes=render_cwes(sample.vuln.cwe_ids),
-            lines=render_lines(sample.vuln.vulnerable_lines),
+            spec=sample.vuln,
             patch=patch.diff,
         )
     return prompts

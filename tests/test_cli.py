@@ -842,6 +842,7 @@ def test_eval_manifests_differ_when_one_scored_candidate_differs(tmp_path, patch
     ('{"retained": [[1]]}', "result.json"),
     ('{"candidates": [{"ordinal": 1, "file": 7}], "retained": [1]}', "result.json"),
     (None, "candidate_3.diff"),   # a retained candidate's diff is gone
+    ("/", "result.json"),   # result.json is a directory
 ])
 def test_eval_malformed_results_are_usage_errors(tmp_path, patched_results, capsys,
                                                  result_text, named):
@@ -849,6 +850,9 @@ def test_eval_malformed_results_are_usage_errors(tmp_path, patched_results, caps
     sample_dir = results / "jsi-strcpy-zero-day"
     if result_text is None:
         (sample_dir / "candidate_3.diff").unlink()
+    elif result_text == "/":
+        (sample_dir / "result.json").unlink()
+        (sample_dir / "result.json").mkdir()
     else:
         (sample_dir / "result.json").write_text(result_text)
     code = main(["eval", "--results", str(results), "--ground-truth", str(gt_path),

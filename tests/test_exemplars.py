@@ -20,10 +20,9 @@ from appatch.exemplars import (
     mine_exemplar,
     mining_slice,
     save_pool,
-    split_sections,
 )
 from appatch.gateway import CachedProvider, ConfigurationError, prompt_sha
-from appatch.prompts import build_mining_prompt, render_cwes, render_ei, render_lines
+from appatch.prompts import build_mining_prompt, render_ei, split_sections
 from appatch.scoping import VulnSpec
 
 from conftest import FixedProvider, load_script, scripted
@@ -78,8 +77,7 @@ def test_mine_exemplar_fills_sections_and_digest(dataset):
     _, graph, _, rendered, reaching_ei = mining_slice(sample)
     prompt = build_mining_prompt(
         slice_text=rendered.text,
-        cwes=render_cwes(sample.vuln.cwe_ids),
-        lines=render_lines(sample.vuln.vulnerable_lines),
+        spec=sample.vuln,
         patch=sample.ground_truth_patch,
         ei=render_ei(graph, reaching_ei),
     )

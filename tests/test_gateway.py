@@ -329,6 +329,24 @@ def test_load_providers_rejects_bad_config(config, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"attempts": 0}, "'attempts' must be an integer >= 1"),
+    ({"attempts": 2.0}, "'attempts' must be an integer >= 1"),
+    ({"max_concurrency": -3}, "'max_concurrency' must be an integer >= 1"),
+    ({"rpm_limit": -5}, "'rpm_limit' must be an integer >= 1"),
+    ({"rpm_limit": 0}, "'rpm_limit' must be an integer >= 1"),
+    ({"backoff": -1}, "'backoff' must be a number >= 0"),
+    ({"timeout": 0}, "'timeout' must be a number > 0"),
+    ({"timeout": "soon"}, "'timeout' must be a number > 0"),
+], ids=["attempts-zero", "attempts-float", "max-concurrency-negative", "rpm-limit-negative",
+        "rpm-limit-zero", "backoff-negative", "timeout-zero", "timeout-string"])
+def test_provider_refuses_settings_out_of_range(settings, message):
+    """The constructor holds the ranges a config is read with; nothing is clamped."""
+    with pytest.raises(ConfigurationError) as err:
+        HttpChatProvider("h", "m", "http://127.0.0.1:9/v1/chat/completions", **settings)
+    assert str(err.value) == f"provider 'h': {message}"
+
+
 def test_history_records_every_exchange(tmp_path):
     inner = scripted(["a", "b"])
     provider = CachedProvider("c", inner, tmp_path / "cache")

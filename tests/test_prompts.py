@@ -1,8 +1,11 @@
+import ast
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
 
+import appatch
 from appatch.prompts import (
     COMPARISON_TEMPLATE,
     MINING_TEMPLATE,
@@ -16,6 +19,7 @@ from appatch.prompts import (
     build_validation_prompt,
     parse_verdict,
 )
+from appatch.scoping import VulnSpec
 
 from regen_goldens import collect_prompts
 
@@ -45,18 +49,44 @@ def test_every_emitted_prompt_matches_its_golden_bytes(emitted):
         assert text == stored[name]
 
 
+# Words a prompt or its answer format spells out; a docstring may still name them.
+PROMPT_SPELLING = re.compile(
+    r"ROOT CAUSE|FIXING STRATEGY|context_funcs|CALLER_of_|\bPatch\b|\(unspecified\)"
+)
+
+
+def test_only_prompts_spells_a_prompt():
+    """Templates, the records they frame and the answers they ask for are ``prompts.py``'s."""
+    package = Path(appatch.__file__).parent
+    spellers = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "prompts.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            spelled = (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                       and id(node) not in docstrings and PROMPT_SPELLING.search(node.value))
+            imported = isinstance(node, ast.alias) and (
+                node.name.endswith("_TEMPLATE") or node.name == "serialize_exemplar")
+            if spelled or imported:
+                spellers.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert spellers == []
+
+
 def test_reasoning_sentence_is_verbatim_in_both_reasoning_templates():
     assert REASONING_SENTENCE in MINING_TEMPLATE
     assert REASONING_SENTENCE in ROOT_CAUSE_TEMPLATE
 
 
 def test_fixed_sentences_survive_instantiation():
-    mining = build_mining_prompt("s", "CWE-1", "f.c:1", "diff", "ei")
+    spec = VulnSpec((("f.c", 1),), ("CWE-1",))
+    mining = build_mining_prompt("s", spec, "diff", "ei")
     assert REASONING_SENTENCE in mining
     assert "Answer with two sections headed exactly 'ROOT CAUSE:' and "\
            "'FIXING STRATEGY:'." in mining
 
-    cause = build_root_cause_prompt("s", "CWE-1", "f.c:1", "ei")
+    cause = build_root_cause_prompt("s", spec, "ei")
     assert REASONING_SENTENCE in cause
     assert '{"context_funcs":[func_1,func_2,CALLER_of_func...]}' in cause
     assert '"CALLER_of_func" is a placeholder for the caller' in cause
@@ -65,7 +95,7 @@ def test_fixed_sentences_survive_instantiation():
     assert comparison.startswith("Q: Are the following two root causes similar?")
     assert comparison.endswith("Please simply answer yes or no.")
 
-    validation = build_validation_prompt("s", "CWE-1", "f.c:1", "d")
+    validation = build_validation_prompt("s", spec, "d")
     assert "fixes the vulnerability while keeping the functionality" in validation
     assert validation.endswith("Please simply answer yes or no.")
 
