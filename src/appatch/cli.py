@@ -254,7 +254,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     run = _Run("mine", config.digest)
     dataset = load_dataset(run.read(args.dataset, "dataset file", "dataset"), Path(args.dataset))
 
-    pool, failures = build_pool(
+    pool, failures, exchanges = build_pool(
         dataset, provider,
         external_functions=_external_functions(args, config),
         jobs=args.jobs,
@@ -266,7 +266,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         "samples": len(dataset),
         "mined": len(pool),
         "errors": [{"sample_id": f.sample_id, "message": f.message} for f in failures],
-    }, provider.history)
+    }, exchanges)
     print(f"mine: {len(pool)} exemplar(s), {len(failures)} failure(s)")
     return EXIT_OK
 
@@ -510,11 +510,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: every call parses into a fresh namespace.
+_PARSER = build_arg_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=os.environ.get("APPATCH_LOG", "WARNING"))
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     # The one place an error becomes an exit code: bad input or

@@ -8,7 +8,6 @@ lands in exactly one category, most specific first.
 
 from __future__ import annotations
 
-import csv
 import io
 import logging
 import re
@@ -65,9 +64,11 @@ def load_labels(text: str, path: Union[str, Path]) -> List[PatchLabel]:
 # ── SynEq classification ────────────────────────────────────────────────
 
 # A literal (kept whole, even unterminated), a // comment, a closed block
-# comment (its body is kept for its newlines) or an unterminated one.
+# comment (its body is kept for its newlines) or an unterminated one.  No
+# group spans the alternatives, so the scan jumps to the characters that
+# can start one.
 _COMMENT_RE = re.compile(
-    r'''("[^"\\]*(?:\\.[^"\\]*)*"?|'[^'\\]*(?:\\.[^'\\]*)*'?)'''
+    r'''"[^"\\]*(?:\\.[^"\\]*)*"?|'[^'\\]*(?:\\.[^'\\]*)*'?'''
     r"|//[^\n]*|/\*(.*?)\*/|/\*.*",
     re.DOTALL,
 )
@@ -76,9 +77,10 @@ _BLANKS_RE = re.compile(r"\t[ \t]*| [ \t]+")
 
 
 def _replacement(match: re.Match) -> str:
-    literal, body = match.group(1, 2)
-    if literal:
-        return literal
+    text = match.group()
+    if text[0] in "\"'":   # a literal
+        return text
+    body = match.group(1)
     return "\n" * body.count("\n") if body else ""
 
 
@@ -161,6 +163,8 @@ class MetricsReport(NamedTuple):
         }
 
     def write_csv(self, path: Union[str, Path]) -> None:
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(["category", "recall", "precision", "f1"])

@@ -8,7 +8,6 @@ The resulting pool feeds exemplar selection during patch generation.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from pathlib import Path
 from typing import (
@@ -23,7 +22,8 @@ from .files import (
     array_of, checked, is_int, is_object, is_str, json_lines, optional, pair_of, write_text_atomic,
 )
 from .gateway import (
-    CachedProvider, ConfigurationError, Provider, ProviderError, ScriptedProvider, prompt_sha,
+    CachedProvider, ConfigurationError, Exchange, Provider, ProviderError, ScriptedProvider,
+    prompt_sha,
 )
 from .prompts import build_mining_prompt, render_ei, split_sections
 from .scoping import (
@@ -69,11 +69,13 @@ _EXEMPLAR_FIELDS = (
 
 
 class MiningError(Exception):
-    """Mining one sample failed; carries the sample id."""
+    """Mining one sample failed; carries the sample id, and the exchange
+    when the provider answered."""
 
-    def __init__(self, sample_id: str, message: str):
+    def __init__(self, sample_id: str, message: str, exchange: Optional[Exchange] = None):
         super().__init__(f"sample {sample_id!r}: {message}")
         self.sample_id = sample_id
+        self.exchange = exchange
 
 
 class MalformedResponseError(MiningError):
@@ -241,8 +243,9 @@ def mine_exemplar(
     sample: DatasetSample,
     provider: Provider,
     external_functions: Optional[FrozenSet[str]] = None,
-) -> Exemplar:
-    """Phase-1 mining of one sample; the ground-truth patch rides along."""
+) -> Tuple[Exemplar, Exchange]:
+    """Phase-1 mining of one sample, and the exchange it made; the
+    ground-truth patch rides along."""
     if not sample.ground_truth_patch:
         raise MiningError(sample.id, "mining needs a ground-truth patch")
     try:
@@ -266,7 +269,7 @@ def mine_exemplar(
     try:
         root_cause, fixing_strategy = split_sections(exchange.response)
     except ValueError as exc:
-        raise MalformedResponseError(sample.id, str(exc)) from exc
+        raise MalformedResponseError(sample.id, str(exc), exchange) from exc
     return Exemplar(
         sample_id=sample.id,
         slice_text=rendered.text,
@@ -277,7 +280,7 @@ def mine_exemplar(
         ground_truth_patch=sample.ground_truth_patch,
         provider_id=provider.id,
         prompt_digest=prompt_sha(prompt),
-    )
+    ), exchange
 
 
 class MiningFailure(NamedTuple):
@@ -290,8 +293,8 @@ def build_pool(
     provider: Provider,
     external_functions: Optional[FrozenSet[str]] = None,
     jobs: int = 1,
-) -> Tuple[ExemplarPool, List[MiningFailure]]:
-    """Mine a whole dataset.
+) -> Tuple[ExemplarPool, List[MiningFailure], List[Exchange]]:
+    """Mine a whole dataset, with the exchanges made, in dataset order.
 
     A sample that cannot be mined (its graph does not build, its slice
     does not resolve, its provider fails or answers out of shape) is
@@ -312,16 +315,20 @@ def build_pool(
                 f"in call order; mine with it at --jobs 1, not --jobs {jobs}"
             )
     results: List[Optional[Exemplar]] = [None] * len(dataset)
+    exchanges: List[Optional[Exchange]] = [None] * len(dataset)
     failures: List[MiningFailure] = []
 
     def work(index: int) -> None:
         sample = dataset[index]
         try:
-            results[index] = mine_exemplar(sample, provider, external_functions)
+            results[index], exchanges[index] = mine_exemplar(sample, provider, external_functions)
         except MiningError as exc:
+            exchanges[index] = exc.exchange
             failures.append(MiningFailure(sample.id, str(exc)))
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as executor:
             list(executor.map(work, range(len(dataset))))
     else:
@@ -330,7 +337,7 @@ def build_pool(
 
     pool = ExemplarPool(e for e in results if e is not None)
     failures.sort(key=lambda f: f.sample_id)
-    return pool, failures
+    return pool, failures, [e for e in exchanges if e is not None]
 
 
 def save_pool(pool: ExemplarPool, path: Union[str, Path]) -> None:

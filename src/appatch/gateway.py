@@ -94,14 +94,18 @@ def _is_count(value: Any) -> bool:
     return is_int(value) and value >= 1
 
 
-# The range of each retry, pacing and timeout setting a constructor takes.
+# The range of each retry, pacing and request setting a constructor takes.
 _RANGES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
     "attempts": (_is_count, "an integer >= 1"),
     "rpm_limit": (optional(_is_count), "an integer >= 1"),
     "max_concurrency": (_is_count, "an integer >= 1"),
     "backoff": (lambda value: is_number(value) and value >= 0, "a number >= 0"),
     "timeout": (lambda value: is_number(value) and value > 0, "a number > 0"),
+    "max_tokens": (_is_count, "an integer >= 1"),
+    "temperature": (lambda value: is_number(value) and value >= 0, "a number >= 0"),
 }
+# The settings only ``HttpChatProvider`` takes.
+_HTTP_SETTINGS = ("timeout", "max_tokens", "temperature")
 
 
 def _check_ranges(provider_id: str, **settings: Any) -> None:
@@ -131,16 +135,9 @@ class Provider:
         self.attempts = attempts
         self.backoff = backoff
         self.rpm_limit = rpm_limit
-        self.history: List[Exchange] = []
-        self._history_lock = threading.Lock()
         self._pace_lock = threading.Lock()
         self._earliest_next = 0.0
         self._slots = threading.Semaphore(max_concurrency)
-
-    def _record(self, exchange: "Exchange") -> "Exchange":
-        with self._history_lock:
-            self.history.append(exchange)
-        return exchange
 
     # transport hook ------------------------------------------------------
 
@@ -180,7 +177,7 @@ class Provider:
                             time.sleep(delay)
                     continue
                 estimated = tokens_in is None or tokens_out is None
-                return self._record(Exchange(
+                return Exchange(
                     provider_id=self.id,
                     model=self.model,
                     prompt=prompt,
@@ -189,7 +186,7 @@ class Provider:
                     input_tokens=tokens_in if tokens_in is not None else estimate_tokens(prompt),
                     output_tokens=tokens_out if tokens_out is not None else estimate_tokens(response),
                     estimated=estimated,
-                ))
+                )
         raise ProviderError(
             f"provider {self.id!r} failed after {self.attempts} attempts: {last_error}",
             transient=False,
@@ -242,7 +239,8 @@ class HttpChatProvider(Provider):
         **kwargs,
     ):
         super().__init__(provider_id, model, **kwargs)
-        _check_ranges(provider_id, timeout=timeout)
+        _check_ranges(provider_id, timeout=timeout, max_tokens=max_tokens,
+                      temperature=temperature)
         self.endpoint = endpoint
         self.auth_env = auth_env
         self.temperature = temperature
@@ -329,10 +327,10 @@ class CachedProvider(Provider):
                     f"{self.inner.id!r}, model {self.inner.model!r}, this prompt); "
                     "it is not served"
                 )
-            return self._record(stored)
+            return stored
         exchange = self.inner.complete(prompt)
         write_text_atomic(path, json.dumps(exchange._asdict(), indent=2, sort_keys=True))
-        return self._record(exchange)
+        return exchange
 
 
 def accounting_report(exchanges: Sequence[Exchange]) -> Dict[str, Dict[str, Any]]:
@@ -377,8 +375,6 @@ _HTTP_CHAT_KEYS = (
     ("model", _is_name, "a non-empty string"),
     ("headers", optional(lambda value: is_object(value) and all(map(is_str, value.values()))),
      "an object of strings"),
-    ("temperature", optional(is_number), "a number"),
-    ("max_tokens", optional(is_int), "an integer"),
     ("auth_env", optional(is_str), "a string"),
 )
 
@@ -393,7 +389,7 @@ def _build_one(entry: Mapping[str, Any], provider_id: str, base_dir: Path) -> Pr
     where = f"provider {provider_id!r}"
     # Passed on as given: the constructor refuses a setting outside its range.
     common = {key: entry[key] for key in _RANGES
-              if entry.get(key) is not None and (key != "timeout" or kind == "http-chat")}
+              if entry.get(key) is not None and (key not in _HTTP_SETTINGS or kind == "http-chat")}
     if kind == "scripted":
         fields = checked(entry, where, _SCRIPTED_KEYS, ConfigurationError)
         responses = entry.get("responses")

@@ -83,19 +83,25 @@ class CandidatePatch(NamedTuple):
 
 
 def parse_context_demand(response: str, program: Program) -> Optional[Tuple[str, ...]]:
-    """The function names of the first ``{"context_funcs": [...]}`` object, if any.
+    """The function names of the first ``{"context_funcs": [...]}`` object
+    that decodes as JSON, if any.
 
-    ``CALLER_of_<name>`` placeholders resolve to every caller of ``name``
-    in the call graph; a malformed object yields no demand.
+    An object that does not decode (say, a quote of the template) is
+    passed over.  ``CALLER_of_<name>`` placeholders resolve to every caller
+    of ``name`` in the call graph; a first object whose value is not a list
+    of names yields no demand.
     """
-    match = DEMAND_RE.search(response)
-    if not match:
-        return None
+    starts = [match.start() for match in DEMAND_RE.finditer(response)]
     decoder = json.JSONDecoder()
-    try:
-        obj, _ = decoder.raw_decode(response, match.start())
-    except json.JSONDecodeError:
-        log.warning("context demand found but not parseable as JSON; ignoring")
+    for start in starts:
+        try:
+            obj, _ = decoder.raw_decode(response, start)
+            break
+        except json.JSONDecodeError:
+            continue
+    else:
+        if starts:
+            log.warning("context demand found but not parseable as JSON; ignoring")
         return None
     names = obj.get(DEMAND_KEY)
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):

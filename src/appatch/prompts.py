@@ -30,9 +30,11 @@ MINING_TEMPLATE = (
     "'FIXING STRATEGY:'."
 )
 
+# Each header starts a line, so an answer that first echoes the
+# instruction's quoted headers is read from its own.
 _SECTION_RE = re.compile(
-    r"ROOT CAUSE:\s*(?P<cause>.*?)\s*FIXING STRATEGY:\s*(?P<strategy>.*)\s*\Z",
-    re.DOTALL,
+    r"^[ \t]*ROOT CAUSE:\s*(?P<cause>.*?)\s*^[ \t]*FIXING STRATEGY:\s*(?P<strategy>.*)\s*\Z",
+    re.DOTALL | re.MULTILINE,
 )
 
 ROOT_CAUSE_TEMPLATE = (

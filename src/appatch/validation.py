@@ -9,7 +9,6 @@ stays distinguishable from a "no" in the verdicts.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .gateway import Exchange, Provider, ProviderError
@@ -98,6 +97,8 @@ def validate_all(
         return answers, exchanges
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as executor:
             judged = list(executor.map(judge, providers))
     else:

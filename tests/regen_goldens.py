@@ -41,10 +41,9 @@ def collect_prompts():
     # Phase 1: mining prompts for the three dataset samples
     dataset_path = FIXTURES / "dataset.jsonl"
     dataset = load_dataset(dataset_path.read_text(encoding="utf-8"), dataset_path)
-    miner = script("mine.json", "miner")
-    pool, failures = build_pool(dataset, miner)
+    pool, failures, exchanges = build_pool(dataset, script("mine.json", "miner"))
     assert not failures, failures
-    for sample, exchange in zip(dataset, miner.history):
+    for sample, exchange in zip(dataset, exchanges):
         short = sample.id.split("-")[0]
         prompts[f"mining_{short}"] = exchange.prompt
 

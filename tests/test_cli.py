@@ -54,6 +54,21 @@ def test_slice_fixture_line_48(tmp_path):
     assert manifest["flags"]["fallback"] is False
 
 
+def test_calls_in_one_process_parse_only_their_own_flags(tmp_path):
+    """The parser is built once per process: each call's --source list is
+    its own, and a usage error leaves the next call unaffected."""
+    def sliced(name, line):
+        out = tmp_path / name / "slice.json"
+        assert main(["slice", "--source", str(FIXTURES / name), "--vuln", f"{name}:{line}",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / name / "slice.json.manifest.json").read_text())
+        return sorted(manifest["input_digests"])
+
+    assert sliced("jsi_like.c", 48) == ["source:jsi_like.c"]
+    assert main(["slice", "--source", str(FIXTURES / "idx_read.c"), "--no-such-flag"]) == 2
+    assert sliced("null_use.c", 4) == ["source:null_use.c"]
+
+
 def test_slice_missing_file_is_usage_error(tmp_path):
     code = main([
         "slice", "--source", str(tmp_path / "absent.c"),
@@ -166,6 +181,28 @@ def test_mine_refuses_scripted_replay_with_jobs(tmp_path, capsys, cached):
             in capsys.readouterr().err)
     assert not pool_path.exists()
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("answered", [True, False], ids=["mined", "malformed"])
+def test_mine_accounts_every_answer_alike_at_any_jobs(tmp_path, monkeypatch, answered):
+    """A provider that answers in any order mines the same manifest at
+    --jobs 1 and 2, and an answer that is not mined is still accounted."""
+    from appatch import cli
+    from conftest import FixedProvider
+
+    response = json.loads((FIXTURES / "scripted" / "mine.json").read_text())[0]
+    fixed = FixedProvider(response if answered else "no sections here")
+    monkeypatch.setattr(cli, "load_config", lambda path: cli.Config({"fixed": fixed}))
+    manifests = []
+    for jobs in ("1", "2"):
+        pool_path = tmp_path / f"jobs{jobs}" / "pool.jsonl"
+        assert main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"),
+                     "--provider", "fixed", "--pool", str(pool_path), "--jobs", jobs]) == 0
+        manifests.append((tmp_path / f"jobs{jobs}" / "pool.jsonl.manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    manifest = json.loads(manifests[0])
+    assert manifest["accounting"]["fixed"]["calls"] == 3
+    assert len(manifest["flags"]["errors"]) == (0 if answered else 3)
 
 
 def test_config_via_environment(tmp_path, monkeypatch):
@@ -995,13 +1032,17 @@ def _cached_key(key, value):
     (_miner_key("rpm_limit", -5), "provider 'miner': 'rpm_limit' must be an integer >= 1"),
     (_miner_key("backoff", -1), "provider 'miner': 'backoff' must be a number >= 0"),
     (_http_chat_key("timeout", 0), "provider 'chat': 'timeout' must be a number > 0"),
+    (_http_chat_key("max_tokens", -1),
+     "provider 'chat': 'max_tokens' must be an integer >= 1"),
+    (_http_chat_key("temperature", -7),
+     "provider 'chat': 'temperature' must be a number >= 0"),
 ], ids=["providers-object", "provider-entry", "external-functions", "demand-rounds-bool",
         "attempts", "rpm-limit", "max-concurrency", "backoff", "http-timeout",
         "http-temperature", "http-max-tokens", "http-max-tokens-bool", "http-headers-array",
         "http-headers-value", "http-auth-env", "cached-inner", "cached-cache-dir", "id",
         "scripted-model", "scripted-response", "http-endpoint", "attempts-zero",
         "max-concurrency-negative", "rpm-limit-negative", "backoff-negative",
-        "http-timeout-zero"])
+        "http-timeout-zero", "http-max-tokens-negative", "http-temperature-negative"])
 def test_config_of_the_wrong_shape_is_usage_error(tmp_path, capsys, mutate, message):
     config = write_config(tmp_path)
     doc = json.loads(config.read_text())

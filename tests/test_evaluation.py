@@ -70,6 +70,33 @@ def test_closed_multi_line_comment_keeps_its_line_count():
     assert _strip_comments("a /* x\n\n y */ b\nc") == "a \n\n b\nc"
 
 
+# The pattern as it was with one group around both literals; kept as the
+# reference the grouping-free pattern must agree with.
+_GROUPED_COMMENT_RE = re.compile(
+    r'''("[^"\\]*(?:\\.[^"\\]*)*"?|'[^'\\]*(?:\\.[^'\\]*)*'?)'''
+    r"|//[^\n]*|/\*(.*?)\*/|/\*.*",
+    re.DOTALL,
+)
+
+
+def _grouped_strip(text):
+    def replacement(match):
+        literal, body = match.group(1, 2)
+        if literal:
+            return literal
+        return "\n" * body.count("\n") if body else ""
+    return _GROUPED_COMMENT_RE.sub(replacement, text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(['"', "'", "\\", "//", "/*", "*/", "\n", "a", " "]),
+                max_size=40))
+def test_strip_comments_agrees_with_the_grouped_pattern(pieces):
+    """Unterminated literals and comments included."""
+    text = "".join(pieces)
+    assert _strip_comments(text) == _grouped_strip(text)
+
+
 def _reference_normalize(text):
     """The two-line formula: collapse every blank run, then strip and filter lines."""
     collapsed = re.sub(r"[ \t]+", " ", _strip_comments(text))

@@ -67,7 +67,8 @@ def test_mining_restricts_ei_to_patch_reaching_inputs(dataset):
 def test_mine_exemplar_fills_sections_and_digest(dataset):
     sample = dataset[0]
     provider = scripted(load_script("mine.json")[:1], provider_id="miner")
-    exemplar = mine_exemplar(sample, provider)
+    exemplar, exchange = mine_exemplar(sample, provider)
+    assert exchange.response == load_script("mine.json")[0]
     assert exemplar.sample_id == sample.id
     assert exemplar.root_cause.startswith("The external input dStr")
     assert exemplar.fixing_strategy.startswith("Size the allocation")
@@ -81,7 +82,7 @@ def test_mine_exemplar_fills_sections_and_digest(dataset):
         patch=sample.ground_truth_patch,
         ei=render_ei(graph, reaching_ei),
     )
-    assert exemplar.prompt_digest == prompt_sha(prompt)
+    assert exemplar.prompt_digest == prompt_sha(prompt) == prompt_sha(exchange.prompt)
 
 
 def test_mining_does_not_mutate_the_sample(dataset):
@@ -92,8 +93,9 @@ def test_mining_does_not_mutate_the_sample(dataset):
 
 
 def test_empty_body_is_a_malformed_response(dataset):
-    with pytest.raises(MalformedResponseError):
+    with pytest.raises(MalformedResponseError) as err:
         mine_exemplar(dataset[0], scripted([""]))
+    assert err.value.exchange.response == ""   # the answer was made, so it is accounted
 
 
 def test_missing_strategy_section_is_malformed(dataset):
@@ -110,35 +112,48 @@ def test_split_sections_tolerates_leading_chatter():
     assert strategy == "bound the copy"
 
 
+def test_split_sections_passes_over_an_echoed_instruction():
+    """Headers count only where a line starts, so the instruction's quoted
+    headers are not read as the sections."""
+    assert split_sections(
+        "I will use the sections 'ROOT CAUSE:' and 'FIXING STRATEGY:'.\n"
+        "ROOT CAUSE: dStr overflows buf\n  FIXING STRATEGY: bound the copy"
+    ) == ("dStr overflows buf", "bound the copy")
+    with pytest.raises(ValueError):
+        split_sections("Use 'ROOT CAUSE:' then 'FIXING STRATEGY:' as headers.")
+
+
 def test_build_pool_mines_all_samples(dataset):
     provider = scripted(load_script("mine.json"), provider_id="miner")
-    pool, failures = build_pool(dataset, provider)
+    pool, failures, exchanges = build_pool(dataset, provider)
     assert not failures
     assert [ex.sample_id for ex in pool] == [s.id for s in dataset]
+    assert [e.response for e in exchanges] == load_script("mine.json")
 
 
 def test_build_pool_collects_failures(dataset):
     responses = load_script("mine.json")
     responses[1] = ""  # second sample answers with an empty body
-    pool, failures = build_pool(dataset, scripted(responses))
+    pool, failures, exchanges = build_pool(dataset, scripted(responses))
     assert [ex.sample_id for ex in pool] == ["jsi-strcpy-overflow", "null-deref-store"]
     assert [f.sample_id for f in failures] == ["idx-oob-read"]
+    assert [e.response for e in exchanges] == responses   # the malformed answer included
 
 
 def test_empty_dataset_builds_empty_pool():
-    pool, failures = build_pool([], scripted([]))
-    assert len(pool) == 0 and not failures
+    pool, failures, exchanges = build_pool([], scripted([]))
+    assert len(pool) == 0 and not failures and not exchanges
 
 
 def test_pool_round_trip(dataset, tmp_path):
-    pool, _ = build_pool(dataset, scripted(load_script("mine.json")))
+    pool, _, _ = build_pool(dataset, scripted(load_script("mine.json")))
     path = tmp_path / "pool.jsonl"
     save_pool(pool, path)
     assert load_pool(path.read_text(encoding="utf-8"), path) == pool
 
 
 def test_pool_iteration_order_survives_save_load(dataset, tmp_path):
-    pool, _ = build_pool(dataset, scripted(load_script("mine.json")))
+    pool, _, _ = build_pool(dataset, scripted(load_script("mine.json")))
     path = tmp_path / "pool.jsonl"
     save_pool(pool, path)
     loaded = load_pool(path.read_text(encoding="utf-8"), path)
@@ -146,7 +161,7 @@ def test_pool_iteration_order_survives_save_load(dataset, tmp_path):
 
 
 def test_truncated_pool_line_reports_line_number(dataset, tmp_path):
-    pool, _ = build_pool(dataset, scripted(load_script("mine.json")))
+    pool, _, _ = build_pool(dataset, scripted(load_script("mine.json")))
     path = tmp_path / "pool.jsonl"
     save_pool(pool, path)
     text = path.read_text().splitlines()
@@ -158,7 +173,7 @@ def test_truncated_pool_line_reports_line_number(dataset, tmp_path):
 
 
 def test_failed_save_leaves_previous_pool_intact(dataset, tmp_path, monkeypatch):
-    pool, _ = build_pool(dataset, scripted(load_script("mine.json")))
+    pool, _, _ = build_pool(dataset, scripted(load_script("mine.json")))
     assert len(pool) >= 2
     path = tmp_path / "pool.jsonl"
     save_pool(pool, path)
@@ -210,7 +225,7 @@ def test_mining_twice_with_cache_is_byte_identical(dataset, tmp_path):
     def run(cache_dir):
         inner = scripted(responses, provider_id="miner")
         provider = CachedProvider("cached-miner", inner, cache_dir)
-        pool, failures = build_pool(dataset, provider)
+        pool, failures, _ = build_pool(dataset, provider)
         assert not failures
         path = tmp_path / f"pool-{len(list(tmp_path.iterdir()))}.jsonl"
         save_pool(pool, path)
@@ -252,9 +267,11 @@ def test_graph_backed_sample_skips_apply_check(jsi_graph):
 def test_concurrent_mining_preserves_dataset_order(dataset):
     # one answer for every prompt makes the call order immaterial
     response = load_script("mine.json")[0]
-    pool, failures = build_pool(dataset, FixedProvider(response), jobs=3)
+    pool, failures, exchanges = build_pool(dataset, FixedProvider(response), jobs=3)
     assert not failures
     assert [ex.sample_id for ex in pool] == [s.id for s in dataset]
+    _, _, in_order = build_pool(dataset, FixedProvider(response), jobs=1)
+    assert exchanges == in_order
 
 
 def test_provider_failure_becomes_mining_error(dataset):
@@ -264,6 +281,7 @@ def test_provider_failure_becomes_mining_error(dataset):
     with pytest.raises(MiningError) as err:
         mine_exemplar(dataset[0], provider)
     assert err.value.sample_id == "jsi-strcpy-overflow"
+    assert err.value.exchange is None   # no answer, nothing to account
 
 
 # ── mining slice against a brute-force oracle ───────────────────────────
@@ -332,7 +350,7 @@ def test_sample_that_does_not_parse_is_a_reported_parse_failure():
         id="broken", vuln=VulnSpec((("bad.c", 1),), ("CWE-787",)),
         sources=(("bad.c", "int f(){"),), ground_truth_patch="unused",
     )
-    pool, failures = build_pool([broken], scripted([]))
+    pool, failures, _ = build_pool([broken], scripted([]))
     assert len(pool) == 0
     assert [f.message for f in failures] == [
         "sample 'broken': cannot build the dependence graph: "
@@ -365,7 +383,9 @@ def test_build_pool_refuses_a_scripted_provider_at_more_than_one_job(dataset, tm
             f"provider {provider.id!r} replays the script of 'scripted' "
             "in call order; mine with it at --jobs 1, not --jobs 2"
         )
-    assert not direct.history and not list(tmp_path.iterdir())
-    pool, failures = build_pool(dataset, behind, jobs=1)
+    assert not list(tmp_path.iterdir())
+    # The script holds one answer per sample, so a refused call that took
+    # one would leave a sample unanswered here.
+    pool, failures, _ = build_pool(dataset, behind, jobs=1)
     assert not failures
     assert [ex.sample_id for ex in pool] == [s.id for s in dataset]

@@ -100,8 +100,8 @@ def _cache_entry(text, cache_dir):
 
 def _mined_pool_line():
     path = FIXTURES / "dataset.jsonl"
-    pool, _ = build_pool(load_dataset(path.read_text(encoding="utf-8"), path),
-                         scripted(load_script("mine.json")))
+    pool, _, _ = build_pool(load_dataset(path.read_text(encoding="utf-8"), path),
+                            scripted(load_script("mine.json")))
     return next(iter(pool)).to_document()
 
 

@@ -63,6 +63,18 @@ def test_demand_malformed_is_absent(jsi_program):
     assert parse_context_demand('{"context_funcs":"name"}', jsi_program) is None
 
 
+def test_demand_after_a_quoted_template_is_found(jsi_program):
+    """The first object that decodes is the demand; a quote of the
+    template's placeholder format before it does not hide it."""
+    response = ('You asked for {"context_funcs":[func_1,func_2,CALLER_of_func...]}, so: '
+                '{"context_funcs":["jsi_strlen"]}')
+    assert parse_context_demand(response, jsi_program) == ("jsi_strlen",)
+    # a first decodable object that names no list still gives no demand
+    assert parse_context_demand(
+        '{"context_funcs":"jsi_strlen"} {"context_funcs":["jsi_strlen"]}', jsi_program,
+    ) is None
+
+
 def test_demand_caller_placeholder_resolves_to_all_callers():
     program = parse_program([(
         "a.c",
@@ -168,11 +180,11 @@ def test_empty_pool_selects_nothing():
 
 def test_all_affirmative_pool_of_twenty_keeps_first_eight():
     pool = ExemplarPool(make_exemplar(f"s{i:02d}") for i in range(20))
-    provider = scripted(["yes"] * 20)
+    provider = scripted(["yes"] * 8 + ["unasked"])
     chosen, exchanges = select_exemplars(fake_cause(), pool, provider)
     assert [e.sample_id for e in chosen] == [f"s{i:02d}" for i in range(8)]
-    assert len(exchanges) == 8  # early exit: no ninth comparison
-    assert len(provider.history) == 8
+    assert len(exchanges) == 8
+    assert provider.complete("next").response == "unasked"  # early exit: no ninth comparison
 
 
 def test_yes_no_yes_selects_first_and_third():

@@ -30,8 +30,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_importing_the_cli_loads_no_dataclass_machinery():
+    """Nor what only ``--jobs > 1`` (a thread pool) or ``eval --csv`` uses."""
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import appatch.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'concurrent.futures', 'csv'} "
+             "& set(sys.modules)))")
     child = subprocess.run([sys.executable, "-c", probe, str(SRC)],
                            capture_output=True, text=True, check=True)
     assert child.stdout.strip() == "[]"
