@@ -514,8 +514,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 _PARSER = build_arg_parser()
 
 
+def _log_level() -> str:
+    """$APPATCH_LOG, checked on every call: ``basicConfig`` applies only the first."""
+    level = os.environ.get("APPATCH_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level), int):
+        raise UsageError(f"APPATCH_LOG: unknown logging level {level!r}")
+    return level
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(level=os.environ.get("APPATCH_LOG", "WARNING"))
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
@@ -524,6 +531,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # configuration, or a file that cannot be read or written, is a usage
     # error; a failed stage is a pipeline error.
     try:
+        logging.basicConfig(level=_log_level())
         return args.func(args)
     except (UsageError, DatasetError, evaluation.EvaluationError, ConfigurationError,
             OSError) as exc:

@@ -255,7 +255,7 @@ class DependenceGraph(ReadOnly, _GraphValue):
 
     * ``_succ`` / ``_pred``: node id -> neighbour ids, for nodes that have
       any; an edge's kind is kept in ``edges`` only;
-    * ``_at``: (file, line) -> node ids on that line, in column order, ties
+    * ``_at``: file -> line -> node ids on that line, in column order, ties
       in document order;
     * ``_place``: node id -> position in ``_at``, for nodes on a shared line.
     """
@@ -272,18 +272,23 @@ class DependenceGraph(ReadOnly, _GraphValue):
             succ.setdefault(src, []).append(dst)
             pred.setdefault(dst, []).append(src)
         # Tuples, not lists: the collector stops tracking a tuple of strings.
-        at: Dict[Tuple[str, int], Tuple[str, ...]] = {}
+        # A file's table is looked up once per run of its nodes.
+        at: Dict[str, Dict[int, Tuple[str, ...]]] = {}
         shared: Dict[Tuple[str, int], List[str]] = {}
+        file = table = None
         for node in nodes.values():
-            key = (node.file, node.line)
-            if key in at:
-                shared.setdefault(key, list(at[key])).append(node.id)
+            if node.file != file:
+                file = node.file
+                table = at.setdefault(file, {})
+            line = node.line
+            if line in table:
+                shared.setdefault((file, line), list(table[line])).append(node.id)
             else:
-                at[key] = (node.id,)
+                table[line] = (node.id,)
         place: Dict[str, int] = {}
-        for key, ids in shared.items():
+        for (file, line), ids in shared.items():
             ids.sort(key=_column)   # stable: ties stay in document order
-            at[key] = tuple(ids)
+            at[file][line] = tuple(ids)
             place.update(zip(ids, range(len(ids))))
         self = tuple.__new__(cls, (nodes, edges))
         vars(self).update(_succ=succ, _pred=pred, _at=at, _place=place)
@@ -304,7 +309,12 @@ class DependenceGraph(ReadOnly, _GraphValue):
             raise UnknownNodeError(node_id) from None
 
     def sorted_node_ids(self) -> List[str]:
-        return [nid for key in sorted(self._at) for nid in self._at[key]]
+        ids: List[str] = []
+        for file in sorted(self._at):
+            table = self._at[file]
+            for line in sorted(table):
+                ids.extend(table[line])
+        return ids
 
     def sort_key(self, node_id: str) -> Tuple[str, int, int]:
         """File, line, then the node's place in ``nodes_at`` order."""
@@ -313,7 +323,7 @@ class DependenceGraph(ReadOnly, _GraphValue):
 
     def nodes_at(self, file: str, line: int) -> List[str]:
         """All node ids attributed to a source line, in column order."""
-        return list(self._at.get((file, line), ()))
+        return list(self._at.get(file, {}).get(line, ()))
 
 
 class _EISetValue(NamedTuple):

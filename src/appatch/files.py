@@ -74,7 +74,9 @@ def read_input(path: Union[str, Path], where: str,
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{where}: not valid UTF-8 at byte {exc.start}") from exc
-    return text.replace("\r\n", "\n").replace("\r", "\n"), hashlib.sha256(data).hexdigest()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def json_object(text: str, where: str, error: Callable[[str], Exception]) -> Dict[str, Any]:

@@ -2,6 +2,8 @@ import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,26 @@ def test_calls_in_one_process_parse_only_their_own_flags(tmp_path):
     assert sliced("jsi_like.c", 48) == ["source:jsi_like.c"]
     assert main(["slice", "--source", str(FIXTURES / "idx_read.c"), "--no-such-flag"]) == 2
     assert sliced("null_use.c", 4) == ["source:null_use.c"]
+
+
+def test_unknown_log_level_is_usage_error_on_every_call(tmp_path, capsys, monkeypatch):
+    """A fresh process would configure logging with it, a later call in one
+    process would not: both refuse the level before running the command."""
+    argv = ["slice", "--source", str(FIXTURES / "jsi_like.c"), "--vuln", "jsi_like.c:48",
+            "--out", str(tmp_path / "s.json")]
+    child = subprocess.run([sys.executable, "-m", "appatch.cli", *argv],
+                           env={**os.environ, "APPATCH_LOG": "bogus",
+                                "PYTHONPATH": str(FIXTURES.parents[1] / "src")},
+                           capture_output=True, text=True)
+    assert (child.returncode, child.stderr) == (
+        2, "error: APPATCH_LOG: unknown logging level 'bogus'\n")
+    monkeypatch.setenv("APPATCH_LOG", "debug")   # level names are upper case
+    for _ in range(2):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: APPATCH_LOG: unknown logging level 'debug'\n"
+    assert not (tmp_path / "s.json").exists()
+    monkeypatch.setenv("APPATCH_LOG", "ERROR")
+    assert main(argv) == 0
 
 
 def test_slice_missing_file_is_usage_error(tmp_path):
@@ -591,8 +613,10 @@ def test_crlf_and_cr_sources_slice_like_their_lf_copy(tmp_path):
     lf = (FIXTURES / "jsi_like.c").read_bytes()
     assert b"\r" not in lf
     runs = {}
+    lines = lf.split(b"\n")
+    mixed = b"".join(line + (b"\r\n", b"\r")[i % 2] for i, line in enumerate(lines[:-1]))
     for name, data in (("lf", lf), ("crlf", lf.replace(b"\n", b"\r\n")),
-                       ("cr", lf.replace(b"\n", b"\r"))):
+                       ("cr", lf.replace(b"\n", b"\r")), ("mixed", mixed + lines[-1])):
         root = tmp_path / name
         root.mkdir()
         (root / "jsi_like.c").write_bytes(data)
@@ -606,6 +630,7 @@ def test_crlf_and_cr_sources_slice_like_their_lf_copy(tmp_path):
         runs[name] = (out.read_bytes(), (root / "slice.json.txt").read_bytes())
     assert runs["crlf"] == runs["lf"]
     assert runs["cr"] == runs["lf"]
+    assert runs["mixed"] == runs["lf"]
 
 
 def test_input_that_is_not_utf8_is_usage_error(tmp_path, capsys):

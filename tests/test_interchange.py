@@ -252,6 +252,39 @@ def test_ids_without_a_numeric_column_keep_document_order(graph_without_columns)
     assert program.entry_function == "f"
 
 
+def test_records_that_alternate_between_files_index_like_grouped_ones():
+    """Each file's nodes come back to it after the other file's; a.c line 2
+    holds two nodes, the later column first in the document."""
+    def node(nid, function, line, text, kind):
+        return {"id": nid, "file": nid.split(":")[0], "function": function, "line": line,
+                "text": text, "kind": kind}
+
+    interleaved = [
+        node("a.c:2:9", "f", 2, "n = n + 1", "assign"),
+        node("b.c:1:1", "g", 1, "int g(int m)", "entry"),
+        node("a.c:1:1", "f", 1, "int f(int n)", "entry"),
+        node("b.c:3:5", "g", 3, "return m", "return"),
+        node("a.c:2:3", "f", 2, "n = 0", "assign"),
+        node("b.c:2:1", "g", 2, "m = f(m)", "call"),
+    ]
+    grouped = sorted(interleaved, key=lambda record: record["file"])   # stable
+    edges = [{"src": "a.c:2:3", "dst": "a.c:2:9", "kind": "data"},
+             {"src": "b.c:2:1", "dst": "a.c:1:1", "kind": "call"}]
+    (program, graph), (grouped_program, grouped_graph) = (
+        import_graph({"nodes": records, "edges": edges}) for records in (interleaved, grouped))
+    expected = ["a.c:1:1", "a.c:2:3", "a.c:2:9", "b.c:1:1", "b.c:2:1", "b.c:3:5"]
+    assert graph.sorted_node_ids() == grouped_graph.sorted_node_ids() == expected
+    assert graph.nodes_at("a.c", 2) == grouped_graph.nodes_at("a.c", 2) == ["a.c:2:3", "a.c:2:9"]
+    for file in ("a.c", "b.c", "c.c"):
+        for line in range(5):
+            assert graph.nodes_at(file, line) == grouped_graph.nodes_at(file, line)
+    for nid in expected:
+        assert graph.sort_key(nid) == grouped_graph.sort_key(nid)
+    assert sorted(reversed(expected), key=graph.sort_key) == expected
+    assert _rebuilt(program) == _rebuilt(grouped_program)
+    assert export_graph(graph) == export_graph(grouped_graph)
+
+
 def _rebuilt(program):
     """Files, functions (statements, callsites in order, line span) and entry."""
     return {
