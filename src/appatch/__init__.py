@@ -28,7 +28,6 @@ from .scoping import (
 from .exemplars import (
     DatasetSample,
     Exemplar,
-    ExemplarPool,
     build_pool,
     load_dataset,
     load_pool,

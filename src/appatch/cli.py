@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -343,6 +344,11 @@ def cmd_patch(args: argparse.Namespace) -> int:
             "file": name,
             "prompt_digest": patch.prompt_digest,
         })
+    # The candidate names are this command's: an earlier run's extra ones go.
+    written = {entry["file"] for entry in candidate_files}
+    for path in out_dir.glob("candidate_*.diff"):
+        if re.fullmatch(r"candidate_\d+\.diff", path.name) and path.name not in written:
+            path.unlink()
     run.write_json(out_dir / "verdicts.json", verdicts_doc)
     run.write_json(out_dir / "result.json", {
         "sample_id": sample.id,

@@ -9,8 +9,7 @@ The lexer is one regular-expression scan into two flat lists, each
 token's text and its start offset, with no record per token.  The parser
 walks them by token index and works out a line and column, from a table of
 line starts, only where a node id, a function's line range or an error
-needs one.  :func:`tokenize` is a view of the same scan as :class:`Token`
-records.
+needs one.
 
 There is no syntax tree.  Expressions parse straight to their statement's
 flow facts, and each statement, as it is parsed, becomes a graph node wired
@@ -23,7 +22,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections import Counter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .model import (
     CallFact,
@@ -64,15 +63,6 @@ _BINARY_PRECEDENCE = {
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
 _UNARY_OPS = {"!", "-", "+", "~", "*", "&"}
-
-
-class Token(NamedTuple):
-    kind: str        # ident | num | string | char | punct | eof
-    value: str
-    line: int
-    col: int
-    start: int       # offsets into the source text, for excerpting
-    end: int
 
 
 # One match per token: a gap of blanks, line breaks and closed comments,
@@ -166,30 +156,6 @@ def _scan(file: str, text: str) -> Tuple[List[str], List[int]]:
 def _is_ident(value: str) -> bool:
     ch = value[:1]
     return ch.isalpha() or ch == "_"
-
-
-_KINDS = {"": "eof", '"': "string", "'": "char"}
-
-
-def _kind(value: str) -> str:
-    """A token's kind, read off its first character."""
-    if _is_ident(value):
-        return "ident"
-    if value[:1].isdigit():
-        return "num"
-    return _KINDS.get(value[:1], "punct")
-
-
-def tokenize(file: str, text: str) -> List[Token]:
-    """The scan as :class:`Token` records, end of input last.
-
-    A view for tools and tests: the parser reads the scan's flat arrays and
-    makes no record per token.
-    """
-    values, starts = _scan(file, text)
-    lines = _line_starts(text)
-    return [Token(_kind(value), value, *_position(lines, start), start, start + len(value))
-            for value, start in zip(values, starts)]
 
 
 # A node is built as a plain tuple of its fields: the namedtuple's own

@@ -76,15 +76,6 @@ class _ReachingDefs:
         self.var_mask = var_mask
         self.in_bits = in_bits
 
-    def facts_in(self, bits: int) -> List[Tuple[str, str]]:
-        facts = self.facts
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(facts[low.bit_length() - 1])
-            bits ^= low
-        return out
-
 
 def build_sdg(program: Program) -> DependenceGraph:
     """Assemble the interprocedural dependence graph of a program that

@@ -33,7 +33,6 @@ class PatchLabel(NamedTuple):
     sample_id: str
     ordinal: int
     category: str
-    source: str = "human"
 
 
 _LABEL_FIELDS = (
@@ -49,7 +48,9 @@ def load_labels(text: str, path: Union[str, Path]) -> List[PatchLabel]:
     labels: List[PatchLabel] = []
     seen: set = set()
     for where, doc in json_lines(text, path, EvaluationError):
-        label = PatchLabel(**checked(doc, where, _LABEL_FIELDS, EvaluationError))
+        fields = checked(doc, where, _LABEL_FIELDS, EvaluationError)
+        fields.pop("source", None)   # checked, but no stage reads it
+        label = PatchLabel(**fields)
         key = (label.sample_id, label.ordinal)
         if key in seen:
             raise EvaluationError(
@@ -246,11 +247,11 @@ def merge_labels(
     merged: List[PatchLabel] = []
     for (sample_id, ordinal), is_syneq in sorted(auto_syneq.items()):
         if is_syneq:
-            merged.append(PatchLabel(sample_id, ordinal, "SynEq", "auto"))
+            merged.append(PatchLabel(sample_id, ordinal, "SynEq"))
         elif (sample_id, ordinal) in by_key:
             merged.append(by_key[(sample_id, ordinal)])
         else:
-            merged.append(PatchLabel(sample_id, ordinal, "Incorrect", "auto"))
+            merged.append(PatchLabel(sample_id, ordinal, "Incorrect"))
     for key, label in sorted(by_key.items()):
         if key not in auto_syneq:
             merged.append(label)

@@ -178,31 +178,6 @@ class Exemplar(NamedTuple):
         return self._asdict()
 
 
-class ExemplarPool:
-    """Insertion-ordered exemplar collection with unique sample ids."""
-
-    def __init__(self, exemplars: Sequence[Exemplar] = ()):
-        self._items: List[Exemplar] = []
-        self._ids: set = set()
-        for exemplar in exemplars:
-            self.add(exemplar)
-
-    def add(self, exemplar: Exemplar) -> None:
-        if exemplar.sample_id in self._ids:
-            raise ValueError(f"duplicate sample id in pool: {exemplar.sample_id!r}")
-        self._ids.add(exemplar.sample_id)
-        self._items.append(exemplar)
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExemplarPool) and self._items == other._items
-
-
 def mining_slice(
     sample: DatasetSample,
     external_functions: Optional[FrozenSet[str]] = None,
@@ -293,18 +268,24 @@ def build_pool(
     provider: Provider,
     external_functions: Optional[FrozenSet[str]] = None,
     jobs: int = 1,
-) -> Tuple[ExemplarPool, List[MiningFailure], List[Exchange]]:
+) -> Tuple[Tuple[Exemplar, ...], List[MiningFailure], List[Exchange]]:
     """Mine a whole dataset, with the exchanges made, in dataset order.
 
     A sample that cannot be mined (its graph does not build, its slice
     does not resolve, its provider fails or answers out of shape) is
     reported as a failure and the run goes on; any other exception is a
     defect and propagates.  Pool order follows dataset order regardless
-    of completion order.  A provider that replays a script, behind any
-    caches, is refused at ``jobs > 1``: the script answers in call order,
-    and concurrent samples call in thread order, so each would get (and
-    cache) another sample's answer.
+    of completion order.  A dataset that repeats a sample id is refused
+    before any call, and so is a provider that replays a script, behind
+    any caches, at ``jobs > 1``: the script answers in call order, and
+    concurrent samples call in thread order, so each would get (and cache)
+    another sample's answer.
     """
+    seen: set = set()
+    for sample in dataset:
+        if sample.id in seen:
+            raise ValueError(f"duplicate sample id in pool: {sample.id!r}")
+        seen.add(sample.id)
     if jobs > 1:
         replayed = provider
         while isinstance(replayed, CachedProvider):
@@ -335,26 +316,26 @@ def build_pool(
         for index in range(len(dataset)):
             work(index)
 
-    pool = ExemplarPool(e for e in results if e is not None)
+    pool = tuple(e for e in results if e is not None)
     failures.sort(key=lambda f: f.sample_id)
     return pool, failures, [e for e in exchanges if e is not None]
 
 
-def save_pool(pool: ExemplarPool, path: Union[str, Path]) -> None:
+def save_pool(pool: Sequence[Exemplar], path: Union[str, Path]) -> None:
     write_text_atomic(path, "".join(
         json.dumps(exemplar.to_document(), sort_keys=True) + "\n" for exemplar in pool
     ))
 
 
-def load_pool(text: str, path: Union[str, Path]) -> ExemplarPool:
+def load_pool(text: str, path: Union[str, Path]) -> Tuple[Exemplar, ...]:
     """Parse a JSON-lines pool; ``path`` names the file in error messages only."""
-    pool = ExemplarPool()
+    pool: Dict[str, Exemplar] = {}
     for where, doc in json_lines(text, path, DatasetError):
         fields = checked(doc, where, _EXEMPLAR_FIELDS, DatasetError)
+        sample_id = fields["sample_id"]
+        if sample_id in pool:
+            raise DatasetError(f"{where}: duplicate sample id in pool: {sample_id!r}")
         fields.update(cwe_ids=tuple(fields["cwe_ids"]),
                       vulnerable_lines=tuple(map(tuple, fields["vulnerable_lines"])))
-        try:
-            pool.add(Exemplar(**fields))
-        except ValueError as exc:   # a repeated sample id
-            raise DatasetError(f"{where}: {exc}") from exc
-    return pool
+        pool[sample_id] = Exemplar(**fields)
+    return tuple(pool.values())

@@ -13,7 +13,7 @@ from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import diffs
 from .code_model.model import DependenceGraph, Program
-from .exemplars import Exemplar, ExemplarPool
+from .exemplars import Exemplar
 from .gateway import Exchange, Provider, ProviderError, prompt_sha
 from .prompts import (
     CALLER_PREFIX,
@@ -189,7 +189,7 @@ def generate_root_cause(
 
 def select_exemplars(
     root_cause: RootCause,
-    pool: ExemplarPool,
+    pool: Sequence[Exemplar],
     provider: Provider,
     cwe_filter: bool = False,
     cwe_ids: Sequence[str] = (),

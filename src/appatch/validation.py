@@ -9,7 +9,7 @@ stays distinguishable from a "no" in the verdicts.
 from __future__ import annotations
 
 import logging
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .gateway import Exchange, Provider, ProviderError
 from .prompting import CandidatePatch
@@ -24,7 +24,6 @@ _ANSWERS = ("yes", "no", "error")
 class _VerdictValue(NamedTuple):
     ordinal: int
     answers: Tuple[Tuple[str, str], ...]   # (provider id, "yes" | "no" | "error")
-    retained: bool
 
 
 class ValidationVerdict(_VerdictValue):
@@ -33,14 +32,17 @@ class ValidationVerdict(_VerdictValue):
     __slots__ = ()
 
     def __new__(
-        cls, ordinal: int, answers: Tuple[Tuple[str, str], ...], retained: bool,
+        cls, ordinal: int, answers: Tuple[Tuple[str, str], ...],
     ) -> "ValidationVerdict":
         for provider_id, answer in answers:
             if answer not in _ANSWERS:
                 raise ValueError(f"unknown answer {answer!r} from {provider_id}")
-        if retained != any(answer == "yes" for _, answer in answers):
-            raise ValueError("retained flag contradicts the answers")
-        return tuple.__new__(cls, (ordinal, answers, retained))
+        return tuple.__new__(cls, (ordinal, answers))
+
+    @property
+    def retained(self) -> bool:
+        """Whether any judge affirmed the patch."""
+        return any(answer == "yes" for _, answer in self.answers)
 
 
 def validate_patch(
@@ -48,8 +50,8 @@ def validate_patch(
     spec: VulnSpec,
     patch: CandidatePatch,
     provider: Provider,
-) -> Tuple[str, List[Exchange]]:
-    """One judge, one patch: returns "yes", "no" or "error".
+) -> Tuple[str, Optional[Exchange]]:
+    """One judge, one patch: "yes", "no" or "error", and the exchange made.
 
     A provider failure answers "error": a flaky judge can only lose votes,
     never abort the run, and its silence is not recorded as a rejection.
@@ -66,8 +68,8 @@ def validate_patch(
     except ProviderError as exc:
         log.warning("validator %s failed on patch %d (%s); answering error",
                     provider.id, patch.ordinal, exc)
-        return "error", []
-    return ("yes" if parse_verdict(exchange.response) else "no"), [exchange]
+        return "error", None
+    return ("yes" if parse_verdict(exchange.response) else "no"), exchange
 
 
 def validate_all(
@@ -86,15 +88,9 @@ def validate_all(
     if not providers:
         raise ValueError("at least one validating provider is required")
 
-    def judge(provider: Provider) -> Tuple[List[str], List[Exchange]]:
-        """One judge's answers, in patch order, and its exchanges."""
-        answers: List[str] = []
-        exchanges: List[Exchange] = []
-        for patch in patches:
-            answer, exchange = validate_patch(rendered_slice, spec, patch, provider)
-            answers.append(answer)
-            exchanges.extend(exchange)
-        return answers, exchanges
+    def judge(provider: Provider) -> List[Tuple[str, Optional[Exchange]]]:
+        """One judge's answer and exchange for each patch, in patch order."""
+        return [validate_patch(rendered_slice, spec, patch, provider) for patch in patches]
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -104,18 +100,13 @@ def validate_all(
     else:
         judged = list(map(judge, providers))
 
-    verdicts: List[ValidationVerdict] = []
-    retained: List[CandidatePatch] = []
-    for index, patch in enumerate(patches):
-        per_provider = tuple(
-            (provider.id, answers[index]) for provider, (answers, _) in zip(providers, judged)
-        )
-        keep = any(answer == "yes" for _, answer in per_provider)
-        verdicts.append(ValidationVerdict(
-            ordinal=patch.ordinal, answers=per_provider, retained=keep,
+    verdicts = [
+        ValidationVerdict(patch.ordinal, tuple(
+            (provider.id, answers[index][0]) for provider, answers in zip(providers, judged)
         ))
-        if keep:
-            retained.append(patch)
-
-    exchanges = [exchange for _, collected in judged for exchange in collected]
+        for index, patch in enumerate(patches)
+    ]
+    retained = [patch for patch, verdict in zip(patches, verdicts) if verdict.retained]
+    exchanges = [exchange for answers in judged for _, exchange in answers
+                 if exchange is not None]
     return retained, verdicts, exchanges

@@ -2,16 +2,51 @@
 
 Everything here recomputes results with plain breadth-first set algebra,
 independent of the library's traversal code; control scopes are re-derived
-from the token stream alone, independent of the parser's grammar.
+from the token stream alone, independent of the parser's grammar.  The
+token stream is :func:`tokenize`, a record view of the parser's own scan.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Set, Tuple
 
 from appatch.code_model.model import DependenceGraph, StatementNode
-from appatch.code_model.parser import tokenize
+from appatch.code_model.parser import _line_starts, _position, _scan
+
+
+class Token(NamedTuple):
+    kind: str        # ident | num | string | char | punct | eof
+    value: str
+    line: int
+    col: int
+    start: int       # offsets into the source text, for excerpting
+    end: int
+
+
+_KINDS = {"": "eof", '"': "string", "'": "char"}
+
+
+def _kind(value: str) -> str:
+    """A token's kind, read off its first character."""
+    first = value[:1]
+    if first.isalpha() or first == "_":
+        return "ident"
+    if first.isdigit():
+        return "num"
+    return _KINDS.get(first, "punct")
+
+
+def tokenize(file: str, text: str) -> List[Token]:
+    """The parser's scan as :class:`Token` records, end of input last.
+
+    A view for tests: the parser reads the scan's flat arrays and makes no
+    record per token.  Lexer errors propagate as the parser raises them.
+    """
+    values, starts = _scan(file, text)
+    lines = _line_starts(text)
+    return [Token(_kind(value), value, *_position(lines, start), start, start + len(value))
+            for value, start in zip(values, starts)]
 
 
 def bfs(adjacency: Dict[str, List[str]], start: str) -> Set[str]:

@@ -32,7 +32,7 @@ from appatch.code_model import identify_external_inputs
 from appatch.code_model.model import ExternalInputSet
 from appatch.diffs import apply_patch
 from appatch.evaluation import classify_syneq, f1_score
-from appatch.exemplars import DatasetSample, ExemplarPool
+from appatch.exemplars import DatasetSample
 from appatch.gateway import prompt_sha
 from appatch.prompting import generate_root_cause, select_exemplars
 from appatch.scoping import VulnSpec, vulnerability_semantics
@@ -204,11 +204,11 @@ def test_criterion_3_validation_truth_table():
 # ── criterion 4: exemplar cap and order ─────────────────────────────────
 
 def test_criterion_4_exemplar_cap_and_order():
-    pool20 = ExemplarPool(make_exemplar(f"s{i:02d}") for i in range(20))
+    pool20 = tuple(make_exemplar(f"s{i:02d}") for i in range(20))
     chosen, _ = select_exemplars(fake_cause(), pool20, scripted(["yes"] * 20))
     first_eight = [e.sample_id for e in chosen] == [f"s{i:02d}" for i in range(8)]
 
-    pool3 = ExemplarPool(make_exemplar(f"e{i}") for i in range(3))
+    pool3 = tuple(make_exemplar(f"e{i}") for i in range(3))
     chosen3, _ = select_exemplars(fake_cause(), pool3, scripted(["yes", "no", "yes"]))
     picked_1_and_3 = [e.sample_id for e in chosen3] == ["e0", "e2"]
 

@@ -300,6 +300,36 @@ def test_patch_without_validators_retains_everything(tmp_path, mined_pool):
     assert json.loads((out_dir / "verdicts.json").read_text()) == []
 
 
+def test_patch_rerun_removes_the_earlier_runs_extra_candidates(tmp_path, mined_pool):
+    """A run whose answer holds 2 patch blocks, into the --out of one that
+    wrote 5 candidates, leaves only its own: the directory holds what its
+    manifest lists, plus files whose names are not candidate names."""
+    config, pool_path = mined_pool
+    out_dir = tmp_path / "out"
+    patch = ["patch", "--sample", str(FIXTURES / "sample_e2e.json"), "--pool", str(pool_path),
+             "--provider", "gen", "--out", str(out_dir)]
+    assert main([*patch, "--validators", "v1,v2", "--config", str(config)]) == 0
+    assert len(list(out_dir.glob("candidate_*.diff"))) == 5
+    bystanders = ["candidate_.diff", "candidate_2.diff.orig", "candidate_x.diff", "notes.txt"]
+    for name in bystanders:
+        (out_dir / name).write_text("kept\n")
+
+    script = json.loads((FIXTURES / "scripted" / "gen.json").read_text())
+    script[-1] = script[-1][:script[-1].index("\n\nPatch 3:")]
+    (tmp_path / "gen2.json").write_text(json.dumps(script))
+    config2 = tmp_path / "config2.json"
+    config2.write_text(json.dumps({"providers": [
+        {"id": "gen", "kind": "scripted", "script": str(tmp_path / "gen2.json")}]}))
+    assert main([*patch, "--config", str(config2)]) == 0
+
+    result = json.loads((out_dir / "result.json").read_text())
+    assert [c["file"] for c in result["candidates"]] == ["candidate_1.diff", "candidate_2.diff"]
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        [*manifest["outputs"], "manifest.json", *bystanders])
+    assert all((out_dir / name).read_text() == "kept\n" for name in bystanders)
+
+
 def test_patch_repeated_validator_is_usage_error(tmp_path, mined_pool):
     config, pool_path = mined_pool
     out_dir = tmp_path / "out-dup"
@@ -420,6 +450,20 @@ def test_eval_conflicting_duplicate_label_is_usage_error(tmp_path, patched_resul
                  "--labels", str(labels),
                  "--report", str(tmp_path / "report.json")])
     assert code == 2
+
+
+def test_eval_label_with_unknown_source_is_usage_error(tmp_path, patched_results, capsys):
+    results, gt_path = patched_results
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(json.dumps({"sample_id": "jsi-strcpy-zero-day", "ordinal": 4,
+                                  "category": "SemEq", "source": "robot"}) + "\n")
+    code = main(["eval", "--results", str(results),
+                 "--ground-truth", str(gt_path),
+                 "--labels", str(labels),
+                 "--report", str(tmp_path / "report.json")])
+    assert code == 2
+    assert "'source' must be one of auto, human" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_eval_reproduces_published_count_shape(tmp_path):

@@ -172,7 +172,7 @@ def test_f1_zero_guard():
 
 
 def test_two_sample_worked_example():
-    labels = [PatchLabel("s1", 1, "Plausible", "human")]
+    labels = [PatchLabel("s1", 1, "Plausible")]
     report = compute_metrics(2, labels, {"s1": 5, "s2": 5})
     correct = report.per_category["Correct"]
     assert correct.recall == pytest.approx(0.5)
@@ -183,7 +183,7 @@ def test_two_sample_worked_example():
 
 
 def test_csv_bytes_keep_crlf_row_endings(tmp_path):
-    labels = [PatchLabel("s1", 1, "Plausible", "human")]
+    labels = [PatchLabel("s1", 1, "Plausible")]
     report = compute_metrics(2, labels, {"s1": 5, "s2": 5})
     path = tmp_path / "report.csv"
     report.write_csv(path)
@@ -206,21 +206,21 @@ def test_zero_generated_patches_guarded():
 
 def test_unknown_sample_label_rejected():
     with pytest.raises(EvaluationError):
-        compute_metrics(1, [PatchLabel("ghost", 1, "SynEq", "auto")], {"s1": 5})
+        compute_metrics(1, [PatchLabel("ghost", 1, "SynEq")], {"s1": 5})
 
 
 def test_duplicate_label_rejected():
-    labels = [PatchLabel("s1", 1, "SynEq", "auto"),
-              PatchLabel("s1", 1, "SemEq", "human")]
+    labels = [PatchLabel("s1", 1, "SynEq"),
+              PatchLabel("s1", 1, "SemEq")]
     with pytest.raises(EvaluationError):
         compute_metrics(1, labels, {"s1": 5})
 
 
 def test_every_syneq_patch_is_correct():
     labels = [
-        PatchLabel("s1", 1, "SynEq", "auto"),
-        PatchLabel("s1", 2, "SemEq", "human"),
-        PatchLabel("s2", 1, "Incorrect", "human"),
+        PatchLabel("s1", 1, "SynEq"),
+        PatchLabel("s1", 2, "SemEq"),
+        PatchLabel("s2", 1, "Incorrect"),
     ]
     report = compute_metrics(2, labels, {"s1": 5, "s2": 5})
     syn = report.per_category["SynEq"]
@@ -257,7 +257,7 @@ def test_category_monotonicity_on_random_labelings(rows):
         generated[sample_id] = patch_count
         for ordinal in range(1, patch_count + 1):
             category = categories[(index + ordinal + _seed) % 4]
-            labels.append(PatchLabel(sample_id, ordinal, category, "human"))
+            labels.append(PatchLabel(sample_id, ordinal, category))
     report = compute_metrics(len(rows), labels, generated)
     syn = report.per_category["SynEq"]
     correct = report.per_category["Correct"]
@@ -280,10 +280,26 @@ def test_load_labels_rejects_duplicates(tmp_path):
     assert "duplicate" in str(err.value)
 
 
+def test_label_source_is_checked_but_not_kept(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    docs = [{"sample_id": "s1", "ordinal": 1, "category": "SemEq", "source": "human"},
+            {"sample_id": "s1", "ordinal": 2, "category": "SynEq", "source": "auto"},
+            {"sample_id": "s1", "ordinal": 3, "category": "Plausible"}]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    assert load_labels(path.read_text(encoding="utf-8"), path) == [
+        PatchLabel("s1", 1, "SemEq"), PatchLabel("s1", 2, "SynEq"),
+        PatchLabel("s1", 3, "Plausible"),
+    ]
+    path.write_text(json.dumps(dict(docs[0], source="robot")) + "\n")
+    with pytest.raises(EvaluationError) as err:
+        load_labels(path.read_text(encoding="utf-8"), path)
+    assert str(err.value) == f"{path}, line 1: 'source' must be one of auto, human"
+
+
 def test_merge_prefers_auto_syneq_over_human():
     auto = {("s1", 1): True, ("s1", 2): False}
-    human = [PatchLabel("s1", 1, "SemEq", "human"),
-             PatchLabel("s1", 2, "Plausible", "human")]
+    human = [PatchLabel("s1", 1, "SemEq"),
+             PatchLabel("s1", 2, "Plausible")]
     merged = {(l.sample_id, l.ordinal): l for l in merge_labels(auto, human)}
     assert merged[("s1", 1)].category == "SynEq"
     assert merged[("s1", 2)].category == "Plausible"

@@ -12,7 +12,6 @@ from appatch.exemplars import (
     DatasetError,
     DatasetSample,
     Exemplar,
-    ExemplarPool,
     MalformedResponseError,
     build_pool,
     load_dataset,
@@ -190,26 +189,24 @@ def test_failed_save_leaves_previous_pool_intact(dataset, tmp_path, monkeypatch)
 
     monkeypatch.setattr(Exemplar, "to_document", fails_on_second)
     with pytest.raises(RuntimeError):
-        save_pool(ExemplarPool(reversed(list(pool))), path)
+        save_pool(pool[::-1], path)
     assert len(calls) == 2
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["pool.jsonl"]
 
 
 def test_large_pool_loads_quickly(tmp_path):
-    pool = ExemplarPool()
-    for index in range(306):
-        pool.add(Exemplar(
-            sample_id=f"sample-{index:04d}",
-            slice_text="1: int x;\n2: x = source();\n3: sink(x);",
-            cwe_ids=("CWE-787",),
-            vulnerable_lines=(("f.c", 3),),
-            root_cause="The input flows from source to sink unchecked. " * 20,
-            fixing_strategy="Bound the value before the sink. " * 10,
-            ground_truth_patch="--- a/f.c\n+++ b/f.c\n@@ -3,1 +3,1 @@\n-sink(x);\n+sink(x & 7);\n",
-            provider_id="miner",
-            prompt_digest="0" * 64,
-        ))
+    pool = [Exemplar(
+        sample_id=f"sample-{index:04d}",
+        slice_text="1: int x;\n2: x = source();\n3: sink(x);",
+        cwe_ids=("CWE-787",),
+        vulnerable_lines=(("f.c", 3),),
+        root_cause="The input flows from source to sink unchecked. " * 20,
+        fixing_strategy="Bound the value before the sink. " * 10,
+        ground_truth_patch="--- a/f.c\n+++ b/f.c\n@@ -3,1 +3,1 @@\n-sink(x);\n+sink(x & 7);\n",
+        provider_id="miner",
+        prompt_digest="0" * 64,
+    ) for index in range(306)]
     path = tmp_path / "big.jsonl"
     save_pool(pool, path)
     started = time.monotonic()
@@ -237,15 +234,27 @@ def test_mining_twice_with_cache_is_byte_identical(dataset, tmp_path):
     assert first == second
 
 
-def test_duplicate_pool_ids_rejected():
+def test_load_pool_rejects_a_repeated_sample_id_naming_its_line(tmp_path):
     exemplar = Exemplar(
         sample_id="dup", slice_text="s", cwe_ids=(), vulnerable_lines=(("f.c", 1),),
         root_cause="r", fixing_strategy="s", ground_truth_patch="",
         provider_id="p", prompt_digest="d",
     )
-    pool = ExemplarPool([exemplar])
-    with pytest.raises(ValueError):
-        pool.add(exemplar)
+    path = tmp_path / "pool.jsonl"
+    save_pool([exemplar, exemplar._replace(sample_id="other"), exemplar], path)
+    with pytest.raises(DatasetError) as err:
+        load_pool(path.read_text(encoding="utf-8"), path)
+    assert str(err.value) == f"{path}, line 3: duplicate sample id in pool: 'dup'"
+
+
+def test_build_pool_rejects_a_repeated_sample_id_before_any_call(dataset):
+    class Unreachable(FixedProvider):
+        def _fetch(self, prompt):
+            raise AssertionError("the provider was called")
+
+    with pytest.raises(ValueError) as err:
+        build_pool([*dataset, dataset[1]], Unreachable(""))
+    assert str(err.value) == f"duplicate sample id in pool: {dataset[1].id!r}"
 
 
 def test_graph_backed_sample_skips_apply_check(jsi_graph):

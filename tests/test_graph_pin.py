@@ -30,7 +30,7 @@ from appatch.code_model import (  # noqa: E402
     dump_graph,
     parse_program,
 )
-from appatch.code_model.parser import tokenize  # noqa: E402
+from oracles import tokenize  # noqa: E402
 from test_sdg import successors_by_id  # noqa: E402
 
 TOKENS_SHA256 = "b4867fd07fc13b6dfde1a9a404450b9f117c22f94a6d92e1c3c5e099bf4b7add"

@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appatch.code_model import ParseError, UnsupportedConstructError, parse_program
-from appatch.code_model.parser import Token, _FileParser, tokenize
+from appatch.code_model.parser import _FileParser
+from oracles import Token, tokenize
 
 
 def kinds_of(program, graph_nodes=None):

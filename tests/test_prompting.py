@@ -3,7 +3,7 @@ import json
 import pytest
 
 from appatch.code_model import identify_external_inputs, parse_program
-from appatch.exemplars import Exemplar, ExemplarPool
+from appatch.exemplars import Exemplar
 from appatch.gateway import ConfigurationError
 from appatch.prompting import (
     NoPatchesError,
@@ -174,12 +174,12 @@ def fake_cause():
 
 
 def test_empty_pool_selects_nothing():
-    chosen, exchanges = select_exemplars(fake_cause(), ExemplarPool(), scripted([]))
+    chosen, exchanges = select_exemplars(fake_cause(), (), scripted([]))
     assert chosen == [] and exchanges == []
 
 
 def test_all_affirmative_pool_of_twenty_keeps_first_eight():
-    pool = ExemplarPool(make_exemplar(f"s{i:02d}") for i in range(20))
+    pool = tuple(make_exemplar(f"s{i:02d}") for i in range(20))
     provider = scripted(["yes"] * 8 + ["unasked"])
     chosen, exchanges = select_exemplars(fake_cause(), pool, provider)
     assert [e.sample_id for e in chosen] == [f"s{i:02d}" for i in range(8)]
@@ -188,23 +188,23 @@ def test_all_affirmative_pool_of_twenty_keeps_first_eight():
 
 
 def test_yes_no_yes_selects_first_and_third():
-    pool = ExemplarPool(make_exemplar(f"s{i}") for i in range(3))
+    pool = tuple(make_exemplar(f"s{i}") for i in range(3))
     chosen, _ = select_exemplars(fake_cause(), pool, scripted(["yes", "no", "yes"]))
     assert [e.sample_id for e in chosen] == ["s0", "s2"]
 
 
 def test_unparseable_verdict_counts_as_no():
-    pool = ExemplarPool([make_exemplar("s0"), make_exemplar("s1")])
+    pool = [make_exemplar("s0"), make_exemplar("s1")]
     chosen, _ = select_exemplars(fake_cause(), pool, scripted(["hmm?", "yes"]))
     assert [e.sample_id for e in chosen] == ["s1"]
 
 
 def test_cwe_filter_skips_other_categories():
-    pool = ExemplarPool([
+    pool = [
         make_exemplar("s0", cwes=("CWE-125",)),
         make_exemplar("s1", cwes=("CWE-787",)),
         make_exemplar("s2", cwes=("CWE-787", "CWE-125")),
-    ])
+    ]
     provider = scripted(["yes", "yes"])  # only two comparisons happen
     chosen, _ = select_exemplars(
         fake_cause(), pool, provider, cwe_filter=True, cwe_ids=("CWE-787",),
@@ -213,14 +213,14 @@ def test_cwe_filter_skips_other_categories():
 
 
 def test_comparison_failure_counts_as_no():
-    pool = ExemplarPool([make_exemplar("s0"), make_exemplar("s1")])
+    pool = [make_exemplar("s0"), make_exemplar("s1")]
     provider = scripted([{"error": "down", "transient": False}, "yes"])
     chosen, _ = select_exemplars(fake_cause(), pool, provider)
     assert [e.sample_id for e in chosen] == ["s1"]
 
 
 def test_comparison_with_missing_auth_raises(unauthorised):
-    pool = ExemplarPool([make_exemplar("s0")])
+    pool = [make_exemplar("s0")]
     with pytest.raises(ConfigurationError):
         select_exemplars(fake_cause(), pool, unauthorised)
 

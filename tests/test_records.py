@@ -69,8 +69,8 @@ RECORDS = [
      "path", True),
     ("PatchLabel",
      lambda: PatchLabel(sample_id="s", ordinal=1, category="SemEq"),
-     lambda: PatchLabel("s", 1, "SemEq", "human"),
-     lambda: PatchLabel("s", 1, "SynEq", "auto"),
+     lambda: PatchLabel("s", 1, "SemEq"),
+     lambda: PatchLabel("s", 1, "SynEq"),
      "category", True),
     ("CategoryMetrics",
      lambda: CategoryMetrics(recall=0.5, precision=0.25, f1=1 / 3),
@@ -137,11 +137,10 @@ RECORDS = [
      lambda: RenderedSlice("", frozenset({"f"}), frozenset()),
      "text", True),
     ("ValidationVerdict",
-     lambda: ValidationVerdict(ordinal=1, answers=(("v1", "yes"), ("v2", "no")),
-                               retained=True),
-     lambda: ValidationVerdict(1, (("v1", "yes"), ("v2", "no")), True),
-     lambda: ValidationVerdict(1, (("v1", "error"),), False),
-     "retained", True),
+     lambda: ValidationVerdict(ordinal=1, answers=(("v1", "yes"), ("v2", "no"))),
+     lambda: ValidationVerdict(1, (("v1", "yes"), ("v2", "no"))),
+     lambda: ValidationVerdict(1, (("v1", "error"),)),
+     "answers", True),
     ("FunctionDef",
      lambda: _function(cfg_preds=((),), control_scopes=()),
      lambda: FunctionDef("f", "a.c", (NODE,), (), 1, 3),   # no CFG: not part of the value
@@ -218,10 +217,8 @@ def test_state_outside_the_value_is_read_only_and_left_out_of_it(jsi_program):
                  "ei_ids must be a subset of node_ids", id="SliceResult-ei"),
     pytest.param(lambda: RootCause("t", 0, frozenset(), ()),
                  "iterations must be >= 1", id="RootCause-iterations"),
-    pytest.param(lambda: ValidationVerdict(1, (("v1", "maybe"),), False),
+    pytest.param(lambda: ValidationVerdict(1, (("v1", "maybe"),)),
                  "unknown answer 'maybe' from v1", id="ValidationVerdict-answer"),
-    pytest.param(lambda: ValidationVerdict(1, (("v1", "no"),), True),
-                 "retained flag contradicts the answers", id="ValidationVerdict-retained"),
     pytest.param(lambda: ExternalInputSet({"n": "file-read"}),
                  "bad EI reason for n: 'file-read'", id="ExternalInputSet-reason"),
     pytest.param(lambda: Program(FILES, (_function(), _function())),

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appatch.code_model import UnknownNodeError
+from appatch.code_model import (
+    UnknownNodeError,
+    build_sdg,
+    identify_external_inputs,
+    parse_program,
+)
 from appatch.code_model.model import DependenceGraph, ExternalInputSet, StatementNode
 from appatch.scoping import (
     ScopingError,
@@ -247,3 +252,107 @@ def test_vuln_spec_validates_cwe_pattern():
         VulnSpec(vulnerable_lines=(("f.c", 1),), cwe_ids=("CWE787",))
     with pytest.raises(ValueError):
         VulnSpec(vulnerable_lines=(("f.c", 1),), cwe_ids=("cwe-787",))
+
+
+# ── known slicing gaps ───────────────────────────────────────────────────
+# Each program has one statement per line.  Every case is a gap that the
+# ROADMAP item it names has yet to mend; the change that mends it sees its
+# strict xfail pass and drops the mark.
+
+def _gap(name, reason, source, vuln_line, ei_line, guard_line=None):
+    return pytest.param(source, vuln_line, ei_line, guard_line, id=name,
+                        marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                                reason=f"ROADMAP item {reason}"))
+
+
+GAPS = [
+    _gap("item-11-scanf-argument", "11: input through an argument defines nothing",
+         "int main(void) {\n"
+         "    char buf[8];\n"
+         "    int n;\n"
+         "    scanf(\"%d\", &n);\n"
+         "    buf[n] = 0;\n"
+         "    return 0;\n"
+         "}\n",
+         5, 4),
+    _gap("item-10-return-flow", "10: no edge from a callee's return to its callsite",
+         "int get(int s) {\n"
+         "    int x;\n"
+         "    x = recv(s, 4);\n"
+         "    return x;\n"
+         "}\n"
+         "int main(void) {\n"
+         "    char buf[8];\n"
+         "    int n;\n"
+         "    n = get(3);\n"
+         "    buf[n] = 0;\n"
+         "    return 0;\n"
+         "}\n",
+         10, 3),
+    _gap("item-15-global-flow", "15: globals carry no data across functions",
+         "int g;\n"
+         "void set(int k) {\n"
+         "    g = recv(k, 4);\n"
+         "}\n"
+         "int main(void) {\n"
+         "    char buf[8];\n"
+         "    set(3);\n"
+         "    buf[g] = 0;\n"
+         "    return 0;\n"
+         "}\n",
+         8, 3),
+    _gap("item-16-write-through-alias", "16: a write through a pointer misses its target",
+         "int main(void) {\n"
+         "    char buf[8];\n"
+         "    int n;\n"
+         "    int *p;\n"
+         "    p = &n;\n"
+         "    *p = recv(3, 4);\n"
+         "    buf[n] = 0;\n"
+         "    return 0;\n"
+         "}\n",
+         7, 6),
+    _gap("item-17-early-return-in-main", "17: an early-return guard governs nothing after it",
+         "int main(int argc) {\n"
+         "    char buf[8];\n"
+         "    int n;\n"
+         "    n = recv(3, 4);\n"
+         "    if (n > 8) {\n"
+         "        return 0;\n"
+         "    }\n"
+         "    buf[n] = 0;\n"
+         "    return 0;\n"
+         "}\n",
+         8, 4, 5),
+    _gap("item-17-early-return-in-callee", "17: an early-return guard governs nothing after it",
+         "int copy(char *dst, int len) {\n"
+         "    int i;\n"
+         "    if (len > 8) {\n"
+         "        return 0;\n"
+         "    }\n"
+         "    i = 0;\n"
+         "    dst[i] = 0;\n"
+         "    return 1;\n"
+         "}\n"
+         "int main(void) {\n"
+         "    char buf[8];\n"
+         "    int n;\n"
+         "    n = recv(3, 4);\n"
+         "    return copy(buf, n);\n"
+         "}\n",
+         7, 13, 3),
+]
+
+
+@pytest.mark.parametrize("source, vuln_line, ei_line, guard_line", GAPS)
+def test_known_gap_slice_reaches_its_input(source, vuln_line, ei_line, guard_line):
+    """The input's flow into the vulnerable write, and the guard that
+    bounds it, belong in the write's slice."""
+    program = parse_program([("gap.c", source)])
+    graph = build_sdg(program)
+    spec = VulnSpec(vulnerable_lines=(("gap.c", vuln_line),), cwe_ids=("CWE-787",))
+    result = vulnerability_semantics(graph, spec, identify_external_inputs(program, graph))
+    assert result.fallback is False
+    assert ei_line in {graph.node(n).line for n in result.ei_ids}
+    if guard_line is not None:
+        assert guard_line in {graph.node(n).line for n in result.node_ids}

@@ -11,9 +11,9 @@ from __future__ import annotations
 import pytest
 
 from appatch.code_model import build_sdg, parse_program
-from appatch.code_model.parser import CONTROL_KEYWORDS, TYPE_KEYWORDS, tokenize
+from appatch.code_model.parser import CONTROL_KEYWORDS, TYPE_KEYWORDS
 from appatch.code_model.sdg import _ReachingDefs
-from oracles import syntactic_control_edges
+from oracles import syntactic_control_edges, tokenize
 
 
 def successors_by_id(fn):
@@ -288,7 +288,7 @@ def reaching_definitions(fn):
     """IN sets decoded from the builder's bitset solver."""
     solved = _ReachingDefs(fn)
     return {
-        node.id: frozenset(solved.facts_in(bits))
+        node.id: frozenset(fact for bit, fact in enumerate(solved.facts) if bits >> bit & 1)
         for node, bits in zip(fn.nodes, solved.in_bits)
     }
 

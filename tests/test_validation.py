@@ -30,9 +30,15 @@ def test_negative_first_token():
 
 def test_provider_failure_answers_error():
     provider = scripted([{"error": "offline", "transient": False}])
-    answer, exchanges = validate_patch(SLICE, SPEC, patch(), provider)
+    answer, exchange = validate_patch(SLICE, SPEC, patch(), provider)
     assert answer == "error"
-    assert exchanges == []
+    assert exchange is None
+
+
+def test_answered_judge_returns_its_exchange():
+    answer, exchange = validate_patch(SLICE, SPEC, patch(), scripted(["No."], "v1"))
+    assert answer == "no"
+    assert (exchange.provider_id, exchange.response) == ("v1", "No.")
 
 
 def test_single_yes_retains_patch():
@@ -89,9 +95,16 @@ def test_adding_a_provider_never_removes_a_retained_patch():
     assert {p.ordinal for p in retained_before} <= {p.ordinal for p in retained_after}
 
 
-def test_verdict_consistency_enforced():
-    with pytest.raises(ValueError):
-        ValidationVerdict(ordinal=1, answers=(("v1", "no"),), retained=True)
+@pytest.mark.parametrize("answers,kept", [
+    ((("v1", "no"),), False),
+    ((("v1", "error"), ("v2", "yes")), True),
+    ((("v1", "error"), ("v2", "no")), False),
+    ((), False),
+])
+def test_retained_is_derived_from_the_answers(answers, kept):
+    verdict = ValidationVerdict(ordinal=1, answers=answers)
+    assert verdict.retained is kept
+    assert verdict._fields == ("ordinal", "answers")
 
 
 def test_requires_a_provider():
@@ -122,10 +135,7 @@ def test_failed_judge_is_recorded_as_error_and_casts_no_vote(other, kept):
 
 
 def test_verdict_accepts_error_and_rejects_unknown_answers():
-    verdict = ValidationVerdict(ordinal=1, answers=(("v1", "error"), ("v2", "yes")),
-                                retained=True)
+    verdict = ValidationVerdict(ordinal=1, answers=(("v1", "error"), ("v2", "yes")))
     assert verdict.retained
     with pytest.raises(ValueError):
-        ValidationVerdict(ordinal=1, answers=(("v1", "error"),), retained=True)
-    with pytest.raises(ValueError):
-        ValidationVerdict(ordinal=1, answers=(("v1", "maybe"),), retained=False)
+        ValidationVerdict(ordinal=1, answers=(("v1", "maybe"),))
