@@ -304,7 +304,7 @@ def cmd_patch(args: argparse.Namespace) -> int:
     root_cause, rendered, rc_exchanges = generate_root_cause(
         graph, program, sample.vuln, result, provider, max_rounds=max_rounds,
     )
-    chosen, sel_exchanges = select_exemplars(
+    chosen, sel_exchanges, comparisons_failed = select_exemplars(
         root_cause, pool, provider,
         cwe_filter=args.cwe_filter, cwe_ids=sample.vuln.cwe_ids,
     )
@@ -362,6 +362,7 @@ def cmd_patch(args: argparse.Namespace) -> int:
         "validators": validator_ids,
         "no_validation": not validators,
         "exemplars_selected": len(chosen),
+        "comparisons_failed": sorted(comparisons_failed),
         "forced_final": root_cause.forced_final,
     }, rc_exchanges + sel_exchanges + [gen_exchange] + val_exchanges)
     print(f"patch: {len(patches)} candidate(s), {len(retained)} retained "

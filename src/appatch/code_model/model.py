@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import (
     Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+    TypeVar,
 )
 
 STATEMENT_KINDS = (
@@ -133,11 +134,13 @@ class FunctionDef(ReadOnly, _FunctionValue):
 
     ``nodes`` are in source order, entry first.  The control flow refers
     to nodes by position in ``nodes``: ``cfg_preds[i]`` holds the CFG
-    predecessors of node ``i``, and each ``(header, start, end)`` of
-    ``control_scopes`` says that branch or loop header ``header`` governs
-    ``nodes[start:end]``.  Both stay empty in a function an imported graph
-    rebuilds or that is made by hand; :func:`build_sdg` needs them filled in.
-    They are kept outside the function's value, so equality ignores them.
+    predecessors of node ``i`` (a ``return`` is no node's predecessor),
+    and each ``(header, start, end)`` of ``control_scopes`` says that
+    ``nodes[start:end]`` is the syntactic scope of branch or loop header
+    ``header``.  :func:`build_sdg` derives control edges from both.  Both
+    stay empty in a function an imported graph rebuilds or that is made by
+    hand; :func:`build_sdg` needs them filled in.  They are kept outside
+    the function's value, so equality ignores them.
     """
 
     def __new__(
@@ -228,7 +231,10 @@ class Program(ReadOnly, _ProgramValue):
         return lines[line - 1]
 
 
-def _reach(step: Mapping[str, Sequence[str]], starts: Iterable[str]) -> Set[str]:
+_Node = TypeVar("_Node", str, int)   # a node id, or a position in a function's nodes
+
+
+def _reach(step: Mapping[_Node, Sequence[_Node]], starts: Iterable[_Node]) -> Set[_Node]:
     """Every node reachable from ``starts`` along ``step``, starts included."""
     seen = set(starts)
     stack = list(seen)

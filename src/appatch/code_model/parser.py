@@ -15,6 +15,11 @@ There is no syntax tree.  Expressions parse straight to their statement's
 flow facts, and each statement, as it is parsed, becomes a graph node wired
 into its function's control-flow graph; each function comes out as one
 :class:`FunctionDef` that holds its nodes, CFG and branch scopes.
+
+The SDG builder's control edges are exact only while ``return`` is the
+subset's one jump, so ``break``, ``continue``, ``goto``, labels,
+``do``-``while`` and ``switch`` are each refused as an unsupported
+construct that names it.
 """
 
 from __future__ import annotations
@@ -42,6 +47,12 @@ TYPE_KEYWORDS = {
 }
 
 CONTROL_KEYWORDS = {"if", "else", "while", "for", "return", "sizeof"}
+
+# The jumps besides ``return``, each refused by name (see the module docstring).
+_REFUSED_JUMPS = {
+    "break": "break statement", "continue": "continue statement",
+    "goto": "goto statement", "do": "do-while loop", "switch": "switch statement",
+}
 
 _PUNCT = [
     "<<=", ">>=",
@@ -402,6 +413,8 @@ class _FileParser:
             for node in self.parse_declaration():
                 preds = (self.add(node, preds),)
             return preds
+        if value in _REFUSED_JUMPS:
+            self.unsupported(_REFUSED_JUMPS[value], self.pos)
         node = self.parse_simple()
         self.expect(";")
         return (self.add(node, preds),)
@@ -543,6 +556,8 @@ class _FileParser:
         if kind == "call":
             return self.node("call", first, self.excerpt(first, self.pos - 1),
                              (), tuple(uses), tuple(calls))
+        if kind == "name" and op == ":":
+            self.unsupported("label", first)
         self.unsupported("expression statement", first)
 
     # expressions ----------------------------------------------------------

@@ -4,17 +4,23 @@ The parser wires each function's control-flow graph and branch scopes
 as it parses, and keeps them on the function's :class:`FunctionDef` next
 to its nodes.  Per function: reaching definitions over the CFG (solved
 on int bitsets, one bit per def fact), data edges for surviving def-use
-pairs, and control edges from each branch or loop header to the
-statements in its syntactic scope.  Across functions: call edges from
-callsites to callee entries and param edges from the statements defining
-each argument to the callee's param-def nodes.
+pairs, and control edges from each branch or loop header: to its
+syntactic scope or, when that scope holds a ``return``, to every node
+the CFG reaches from it up to and including the next such header.  Up
+to transitive closure, that is the control dependence of Ferrante,
+Ottenstein and Warren (TOPLAS 1987), because ``return`` is the subset's
+only jump: a header's immediate post-dominator is its join when its
+scope holds no ``return``, and the exit when it does.  Across functions:
+call edges from callsites to callee entries and param edges from the
+statements defining each argument to the callee's param-def nodes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .model import DependenceGraph, ExternalInputSet, FunctionDef, Program
+from .model import DependenceGraph, ExternalInputSet, FunctionDef, Program, _reach
 
 # Curated call targets that introduce externally controlled data or state.
 # Extendable through configuration; this is only the default.
@@ -125,9 +131,25 @@ def build_sdg(program: Program) -> DependenceGraph:
                             low = bits & -bits
                             add((facts[low.bit_length() - 1][0], formal, "param"))
                             bits ^= low
-        for header, start, end in fn.control_scopes:
-            header_id = fn.nodes[header].id
-            for node in fn.nodes[start:end]:
+        # A header whose scope holds a return governs what the CFG reaches
+        # from it, up to and including the next such header, whose walk
+        # goes on from there; every other header governs its scope.
+        nodes, scopes = fn.nodes, fn.control_scopes
+        returns = [i for i, node in enumerate(nodes) if node.kind == "return"]
+        returning = {header for header, start, end in scopes
+                     if bisect_left(returns, start) < bisect_left(returns, end)}
+        heads: Dict[int, List[int]] = {}   # a returning header's successors
+        succ: Dict[int, List[int]] = {}    # every other node's
+        if returning:
+            for i, preds in enumerate(fn.cfg_preds):
+                for pred in preds:
+                    (heads if pred in returning else succ).setdefault(pred, []).append(i)
+        for header, start, end in scopes:
+            governed = nodes[start:end]
+            if header in returning:
+                governed = [nodes[i] for i in _reach(succ, heads[header])]
+            header_id = nodes[header].id
+            for node in governed:
                 add((header_id, node.id, "control"))
 
     nodes = {node.id: node for fn in functions for node in fn.nodes}

@@ -193,15 +193,17 @@ def select_exemplars(
     provider: Provider,
     cwe_filter: bool = False,
     cwe_ids: Sequence[str] = (),
-) -> Tuple[List[Exemplar], List[Exchange]]:
+) -> Tuple[List[Exemplar], List[Exchange], List[str]]:
     """Scan the pool in insertion order, keeping pairwise-similar exemplars.
 
     Every candidate costs one yes/no comparison; the scan stops as soon as
     ``MAX_EXEMPLARS`` exemplars are chosen.  Anything but a leading "yes"
-    counts as no.
+    leaves the exemplar out, and so does a comparison the provider fails:
+    the sample ids of those come back third, in pool order.
     """
     chosen: List[Exemplar] = []
     exchanges: List[Exchange] = []
+    failed: List[str] = []
     wanted = set(cwe_ids)
     for exemplar in pool:
         if cwe_filter and wanted and not (set(exemplar.cwe_ids) & wanted):
@@ -210,15 +212,16 @@ def select_exemplars(
         try:
             exchange = provider.complete(prompt)
         except ProviderError as exc:
-            log.warning("comparison against %s failed (%s); treating as no",
+            log.warning("comparison against %s failed (%s); leaving it out",
                         exemplar.sample_id, exc)
+            failed.append(exemplar.sample_id)
             continue
         exchanges.append(exchange)
         if parse_verdict(exchange.response):
             chosen.append(exemplar)
             if len(chosen) >= MAX_EXEMPLARS:
                 break
-    return chosen, exchanges
+    return chosen, exchanges, failed
 
 
 def _function_line_ranges(program: Program, functions: FrozenSet[str]):

@@ -1,8 +1,9 @@
 """Brute-force reference implementations shared by the test suite.
 
 Everything here recomputes results with plain breadth-first set algebra,
-independent of the library's traversal code; control scopes are re-derived
-from the token stream alone, independent of the parser's grammar.  The
+independent of the library's traversal code; control dependence is
+re-derived from the token stream alone, independent of the parser's
+grammar and of the CFG it records.  The
 token stream is :func:`tokenize`, a record view of the parser's own scan.
 """
 
@@ -129,14 +130,32 @@ _TYPE_WORDS = {
     "unsigned", "signed", "const", "static", "size_t",
 }
 
+EXIT = "<exit>"
 
-def syntactic_control_edges(file: str, text: str) -> Set[Tuple[str, str, str]]:
-    """Header -> every statement node in its syntactic scope, from tokens alone.
 
-    Matching parentheses and braces delimit each statement.  An ``if``
-    governs its then and else branches, a ``while`` its body, a ``for`` its
-    body and its update.  A statement's node sits at its first token, a
-    declaration's at each declarator name.
+def control_closure(edges) -> Set[Tuple[str, str, str]]:
+    """``(h, v, "control")`` for each v that a chain of control edges leads
+    to from h, h itself left out: a node's dependence on itself moves no
+    slice."""
+    step: Dict[str, Set[str]] = {}
+    for src, dst, kind in edges:
+        if kind == "control":
+            step.setdefault(src, set()).add(dst)
+    return {(src, dst, "control") for src in step for dst in bfs(step, src) if dst != src}
+
+
+def control_dependence(file: str, text: str) -> Set[Tuple[str, str, str]]:
+    """Control dependence as Ferrante, Ottenstein and Warren define it, from
+    tokens alone, closed by :func:`control_closure`.
+
+    Each function's CFG is built here: matching parentheses and braces
+    delimit each statement, an ``if`` flows into its branches and past
+    them, a loop back to its header (a ``for`` through its update), and
+    each ``return`` and the body's end flow into a virtual exit.  v
+    post-dominates u iff u cannot reach the exit once v is removed.  Y
+    depends on header X iff Y post-dominates (or is) a successor of X and
+    does not strictly post-dominate X.  A statement's node sits at its
+    first token, a declaration's at each declarator name.
     """
     toks = tokenize(file, text)
     closer: Dict[int, int] = {}   # index of each ( { [ -> index of its match
@@ -156,18 +175,6 @@ def syntactic_control_edges(file: str, text: str) -> Set[Tuple[str, str, str]]:
             i = closer.get(i, i) + 1
         return i
 
-    def end(i: int) -> int:
-        """Index just past the statement that starts at token ``i``."""
-        head = toks[i].value
-        if head == "{":
-            return closer[i] + 1
-        if head in ("if", "while", "for"):
-            after = end(closer[i + 1] + 1)
-            if head == "if" and toks[after].value == "else":
-                after = end(after + 1)
-            return after
-        return skip_to(i, ";") + 1
-
     def simple(i: int) -> List[str]:
         """Nodes of the declaration or simple statement at ``i``."""
         if toks[i].value not in _TYPE_WORDS:
@@ -181,40 +188,75 @@ def syntactic_control_edges(file: str, text: str) -> Set[Tuple[str, str, str]]:
             i = closer.get(i, i) + 1
         return names
 
-    edges: Set[Tuple[str, str, str]] = set()
+    succ: Dict[str, Set[str]] = {}   # the function's CFG, exit included
+    headers: List[str] = []
 
-    def statements(i: int, stop: int) -> List[str]:
-        """Nodes of the statements in ``[i, stop)``; records each header's scope."""
-        found: List[str] = []
-        while i < stop:
-            head = toks[i].value
-            if head == "else":   # the rest of an ``if`` whose scope is being read
-                i += 1
-                continue
-            after = end(i)
-            if head == "{":
-                found += statements(i + 1, after - 1)
-            elif head in ("if", "while"):
-                governed = statements(closer[i + 1] + 1, after)
-                found += [node_id(i)] + governed
-                edges.update((node_id(i), g, "control") for g in governed)
-            elif head == "for":
-                close = closer[i + 1]
-                init_end = skip_to(i + 2, ";")
-                update_at = skip_to(init_end + 1, ";") + 1
-                init = [] if init_end == i + 2 else simple(i + 2)
-                update = [] if update_at == close else [node_id(update_at)]
-                body = statements(close + 1, after)
-                found += init + [node_id(i)] + update + body
-                edges.update((node_id(i), g, "control") for g in body + update)
-            elif head != ";":
-                found += simple(i)
-            i = after
-        return found
+    def flow(preds: List[str], target: str) -> List[str]:
+        succ.setdefault(target, set())
+        for pred in preds:
+            succ[pred].add(target)
+        return [target]
 
+    def statement(i: int, preds: List[str]) -> Tuple[int, List[str]]:
+        """Wires the statement at ``i`` after ``preds``: the index past it,
+        and the nodes control leaves it by."""
+        head = toks[i].value
+        if head == ";":
+            return i + 1, preds
+        if head == "{":
+            stop, i = closer[i], i + 1
+            while i < stop:
+                i, preds = statement(i, preds)
+            return stop + 1, preds
+        if head == "return":
+            flow(flow(preds, node_id(i)), EXIT)
+            return skip_to(i, ";") + 1, []
+        if head not in ("if", "while", "for"):
+            for nid in simple(i):
+                preds = flow(preds, nid)
+            return skip_to(i, ";") + 1, preds
+        close, back = closer[i + 1], node_id(i)
+        if head == "for":
+            init_end = skip_to(i + 2, ";")
+            if init_end > i + 2:
+                for nid in simple(i + 2):
+                    preds = flow(preds, nid)
+            update_at = skip_to(init_end + 1, ";") + 1
+            if update_at != close:
+                back = node_id(update_at)
+                flow(flow([], back), node_id(i))
+        header = flow(preds, node_id(i))
+        headers.extend(header)
+        after, leave = statement(close + 1, header)
+        if head != "if":
+            flow(leave, back)
+            return after, header
+        if toks[after].value == "else":
+            after, other = statement(after + 1, header)
+            return after, leave + other
+        return after, leave + header
+
+    direct: Set[Tuple[str, str, str]] = set()
     i = 0
     while toks[i].kind != "eof":   # function bodies are the top-level braces
         if toks[i].value == "{":
-            statements(i + 1, closer[i])
+            succ.clear()
+            headers.clear()
+            flow(statement(i, [])[1], EXIT)
+            pred: Dict[str, List[str]] = {}
+            for src, targets in succ.items():
+                for dst in targets:
+                    pred.setdefault(dst, []).append(src)
+            # escape[v]: the nodes that reach the exit once v is removed
+            escape = {}
+            for v in set(succ) - {EXIT}:
+                pred_without_v = {dst: [src for src in srcs if src != v]
+                                  for dst, srcs in pred.items() if dst != v}
+                escape[v] = bfs(pred_without_v, EXIT)
+            for x in headers:
+                for b in succ[x] - {EXIT}:
+                    direct.update((x, y, "control") for y in succ
+                                  if y != EXIT and (y == b or b not in escape[y])
+                                  and (y == x or x in escape[y]))
         i = closer.get(i, i) + 1
-    return edges
+    return control_closure(direct)

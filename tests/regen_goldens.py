@@ -62,7 +62,7 @@ def collect_prompts():
     for round_number, exchange in enumerate(rc_exchanges, start=1):
         prompts[f"root_cause_round{round_number}"] = exchange.prompt
 
-    chosen, sel_exchanges = select_exemplars(root_cause, pool, generator)
+    chosen, sel_exchanges, _ = select_exemplars(root_cause, pool, generator)
     for index, exchange in enumerate(sel_exchanges, start=1):
         prompts[f"comparison_{index}"] = exchange.prompt
 

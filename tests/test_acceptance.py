@@ -205,11 +205,11 @@ def test_criterion_3_validation_truth_table():
 
 def test_criterion_4_exemplar_cap_and_order():
     pool20 = tuple(make_exemplar(f"s{i:02d}") for i in range(20))
-    chosen, _ = select_exemplars(fake_cause(), pool20, scripted(["yes"] * 20))
+    chosen, _, _ = select_exemplars(fake_cause(), pool20, scripted(["yes"] * 20))
     first_eight = [e.sample_id for e in chosen] == [f"s{i:02d}" for i in range(8)]
 
     pool3 = tuple(make_exemplar(f"e{i}") for i in range(3))
-    chosen3, _ = select_exemplars(fake_cause(), pool3, scripted(["yes", "no", "yes"]))
+    chosen3, _, _ = select_exemplars(fake_cause(), pool3, scripted(["yes", "no", "yes"]))
     picked_1_and_3 = [e.sample_id for e in chosen3] == ["e0", "e2"]
 
     ok = first_eight and picked_1_and_3

@@ -145,6 +145,15 @@ def test_slice_parse_error_is_pipeline_error(tmp_path):
     assert code == 1
 
 
+def test_slice_of_a_refused_jump_is_pipeline_error_naming_it(tmp_path, capsys):
+    source = tmp_path / "jump.c"
+    source.write_text("int f(int n) {\n    while (n) { break; }\n    return n;\n}\n")
+    code = main(["slice", "--source", str(source), "--vuln", "jump.c:3",
+                 "--out", str(tmp_path / "s.json")])
+    assert code == 1
+    assert "jump.c:2:17: unsupported construct: break statement" in capsys.readouterr().err
+
+
 # ── mine ─────────────────────────────────────────────────────────────────
 
 def test_mine_fixture_dataset(tmp_path):
@@ -278,6 +287,7 @@ def test_patch_end_to_end_scripted(tmp_path, mined_pool):
 
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["flags"]["no_validation"] is False
+    assert manifest["flags"]["comparisons_failed"] == []
     assert manifest["accounting"]["gen"]["calls"] == 6
     assert manifest["accounting"]["v1"]["calls"] == 5
     assert manifest["accounting"]["v2"]["calls"] == 5
@@ -328,6 +338,28 @@ def test_patch_rerun_removes_the_earlier_runs_extra_candidates(tmp_path, mined_p
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(
         [*manifest["outputs"], "manifest.json", *bystanders])
     assert all((out_dir / name).read_text() == "kept\n" for name in bystanders)
+
+
+def test_patch_manifest_names_a_failed_comparison(tmp_path, mined_pool):
+    """A comparison the provider fails leaves its exemplar out, as the "no"
+    it replaces did, and the manifest names it."""
+    config, pool_path = mined_pool
+    script = json.loads((FIXTURES / "scripted" / "gen.json").read_text())
+    assert script[3].startswith("No.")   # the answer about the pool's second exemplar
+    script[3] = {"error": "comparison refused", "transient": False}
+    (tmp_path / "gen2.json").write_text(json.dumps(script))
+    config2 = tmp_path / "config2.json"
+    config2.write_text(json.dumps({"providers": [
+        {"id": "gen", "kind": "scripted", "script": str(tmp_path / "gen2.json")}]}))
+    out_dir = tmp_path / "out"
+    assert main(["patch", "--sample", str(FIXTURES / "sample_e2e.json"), "--pool", str(pool_path),
+                 "--provider", "gen", "--out", str(out_dir), "--config", str(config2)]) == 0
+
+    chosen = json.loads((out_dir / "selected_exemplars.json").read_text())
+    assert chosen == ["jsi-strcpy-overflow", "null-deref-store"]
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["flags"]["comparisons_failed"] == ["idx-oob-read"]
+    assert manifest["accounting"]["gen"]["calls"] == 5
 
 
 def test_patch_repeated_validator_is_usage_error(tmp_path, mined_pool):

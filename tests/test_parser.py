@@ -53,6 +53,13 @@ def test_syntax_error_carries_location():
     ("int f(int a){int b = a ? 1 : 2; return b;}", "ternary operator"),
     ("#include <stdio.h>\nint f(){return 0;}", "preprocessor directive"),
     ("int f(){int a[2] = {1, 2}; return 0;}", "brace initializer"),
+    # ``return`` is the one jump, which the control edges rely on.
+    ("int f(int n){while (n) { break; } return n;}", "break statement"),
+    ("int f(int n){while (n) { continue; } return n;}", "continue statement"),
+    ("int f(int n){goto out; return n;}", "goto statement"),
+    ("int f(int n){do { n = n - 1; } while (n); return n;}", "do-while loop"),
+    ("int f(int n){out: n = 1; return n;}", "label"),
+    ("int f(int n){switch (n) { case 1: n = 0; } return n;}", "switch statement"),
 ])
 def test_unsupported_constructs_are_named(source, construct):
     with pytest.raises(UnsupportedConstructError) as err:

@@ -174,14 +174,14 @@ def fake_cause():
 
 
 def test_empty_pool_selects_nothing():
-    chosen, exchanges = select_exemplars(fake_cause(), (), scripted([]))
-    assert chosen == [] and exchanges == []
+    chosen, exchanges, failed = select_exemplars(fake_cause(), (), scripted([]))
+    assert chosen == [] and exchanges == [] and failed == []
 
 
 def test_all_affirmative_pool_of_twenty_keeps_first_eight():
     pool = tuple(make_exemplar(f"s{i:02d}") for i in range(20))
     provider = scripted(["yes"] * 8 + ["unasked"])
-    chosen, exchanges = select_exemplars(fake_cause(), pool, provider)
+    chosen, exchanges, _ = select_exemplars(fake_cause(), pool, provider)
     assert [e.sample_id for e in chosen] == [f"s{i:02d}" for i in range(8)]
     assert len(exchanges) == 8
     assert provider.complete("next").response == "unasked"  # early exit: no ninth comparison
@@ -189,13 +189,13 @@ def test_all_affirmative_pool_of_twenty_keeps_first_eight():
 
 def test_yes_no_yes_selects_first_and_third():
     pool = tuple(make_exemplar(f"s{i}") for i in range(3))
-    chosen, _ = select_exemplars(fake_cause(), pool, scripted(["yes", "no", "yes"]))
+    chosen, _, _ = select_exemplars(fake_cause(), pool, scripted(["yes", "no", "yes"]))
     assert [e.sample_id for e in chosen] == ["s0", "s2"]
 
 
 def test_unparseable_verdict_counts_as_no():
     pool = [make_exemplar("s0"), make_exemplar("s1")]
-    chosen, _ = select_exemplars(fake_cause(), pool, scripted(["hmm?", "yes"]))
+    chosen, _, _ = select_exemplars(fake_cause(), pool, scripted(["hmm?", "yes"]))
     assert [e.sample_id for e in chosen] == ["s1"]
 
 
@@ -206,17 +206,21 @@ def test_cwe_filter_skips_other_categories():
         make_exemplar("s2", cwes=("CWE-787", "CWE-125")),
     ]
     provider = scripted(["yes", "yes"])  # only two comparisons happen
-    chosen, _ = select_exemplars(
+    chosen, _, _ = select_exemplars(
         fake_cause(), pool, provider, cwe_filter=True, cwe_ids=("CWE-787",),
     )
     assert [e.sample_id for e in chosen] == ["s1", "s2"]
 
 
 def test_comparison_failure_counts_as_no():
-    pool = [make_exemplar("s0"), make_exemplar("s1")]
-    provider = scripted([{"error": "down", "transient": False}, "yes"])
-    chosen, _ = select_exemplars(fake_cause(), pool, provider)
+    """A failed comparison leaves its exemplar out, as a "no" would, but is
+    reported apart from the answered ones."""
+    pool = [make_exemplar("s0"), make_exemplar("s1"), make_exemplar("s2")]
+    provider = scripted([{"error": "down", "transient": False}, "yes", "no"])
+    chosen, exchanges, failed = select_exemplars(fake_cause(), pool, provider)
     assert [e.sample_id for e in chosen] == ["s1"]
+    assert failed == ["s0"]
+    assert [e.response for e in exchanges] == ["yes", "no"]
 
 
 def test_comparison_with_missing_auth_raises(unauthorised):

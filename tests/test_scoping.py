@@ -83,8 +83,9 @@ def test_fixture_slice_matches_expected_context(jsi_program, jsi_graph, jsi_ei):
     result = vulnerability_semantics(jsi_graph, spec, jsi_ei)
     assert result.fallback is False
     lines = sorted({jsi_graph.node(n).line for n in result.node_ids})
-    # vulnerable call, allocation, length computation, and governing branches
-    assert lines == [12, 16, 17, 18, 19, 21, 22, 24, 48]
+    # vulnerable call, allocation, length computation, governing branches,
+    # and the null check that returns early
+    assert lines == [12, 16, 17, 18, 19, 21, 22, 24, 25, 48]
     assert result.sv_ids == {"jsi_like.c:48:5"}
     assert result.ei_ids == jsi_ei.ids  # every input participates here
     # the allocation is justified by at least the dStr pairing
@@ -255,9 +256,9 @@ def test_vuln_spec_validates_cwe_pattern():
 
 
 # ── known slicing gaps ───────────────────────────────────────────────────
-# Each program has one statement per line.  Every case is a gap that the
-# ROADMAP item it names has yet to mend; the change that mends it sees its
-# strict xfail pass and drops the mark.
+# Each program has one statement per line.  Every case made by ``_gap`` is
+# a gap that the ROADMAP item it names has yet to mend; the change that
+# mends it sees its strict xfail pass and drops the mark.
 
 def _gap(name, reason, source, vuln_line, ei_line, guard_line=None):
     return pytest.param(source, vuln_line, ei_line, guard_line, id=name,
@@ -312,35 +313,35 @@ GAPS = [
          "    return 0;\n"
          "}\n",
          7, 6),
-    _gap("item-17-early-return-in-main", "17: an early-return guard governs nothing after it",
-         "int main(int argc) {\n"
-         "    char buf[8];\n"
-         "    int n;\n"
-         "    n = recv(3, 4);\n"
-         "    if (n > 8) {\n"
-         "        return 0;\n"
-         "    }\n"
-         "    buf[n] = 0;\n"
-         "    return 0;\n"
-         "}\n",
-         8, 4, 5),
-    _gap("item-17-early-return-in-callee", "17: an early-return guard governs nothing after it",
-         "int copy(char *dst, int len) {\n"
-         "    int i;\n"
-         "    if (len > 8) {\n"
-         "        return 0;\n"
-         "    }\n"
-         "    i = 0;\n"
-         "    dst[i] = 0;\n"
-         "    return 1;\n"
-         "}\n"
-         "int main(void) {\n"
-         "    char buf[8];\n"
-         "    int n;\n"
-         "    n = recv(3, 4);\n"
-         "    return copy(buf, n);\n"
-         "}\n",
-         7, 13, 3),
+    pytest.param(
+        "int main(int argc) {\n"
+        "    char buf[8];\n"
+        "    int n;\n"
+        "    n = recv(3, 4);\n"
+        "    if (n > 8) {\n"
+        "        return 0;\n"
+        "    }\n"
+        "    buf[n] = 0;\n"
+        "    return 0;\n"
+        "}\n",
+        8, 4, 5, id="item-17-early-return-in-main"),
+    pytest.param(
+        "int copy(char *dst, int len) {\n"
+        "    int i;\n"
+        "    if (len > 8) {\n"
+        "        return 0;\n"
+        "    }\n"
+        "    i = 0;\n"
+        "    dst[i] = 0;\n"
+        "    return 1;\n"
+        "}\n"
+        "int main(void) {\n"
+        "    char buf[8];\n"
+        "    int n;\n"
+        "    n = recv(3, 4);\n"
+        "    return copy(buf, n);\n"
+        "}\n",
+        7, 13, 3, id="item-17-early-return-in-callee"),
 ]
 
 

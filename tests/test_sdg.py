@@ -2,8 +2,9 @@
 
 The oracle recomputes data edges by filtered path search over the CFG
 (one DFS per def-use pair, avoiding redefinitions), independently of the
-worklist dataflow used by the builder, and control edges from branch
-scopes that ``oracles.syntactic_control_edges`` reads off the token stream.
+worklist dataflow used by the builder.  Control edges are checked by
+their transitive closure, against the control dependence that
+``oracles.control_dependence`` derives from the token stream alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pytest
 from appatch.code_model import build_sdg, parse_program
 from appatch.code_model.parser import CONTROL_KEYWORDS, TYPE_KEYWORDS
 from appatch.code_model.sdg import _ReachingDefs
-from oracles import syntactic_control_edges, tokenize
+from oracles import control_closure, control_dependence, tokenize
 
 
 def successors_by_id(fn):
@@ -57,17 +58,14 @@ def brute_force_data_edges(fn):
     return edges
 
 
-def intraprocedural_edges(graph):
-    return {edge for edge in graph.edges if edge[2] in ("data", "control")}
-
-
-def brute_force_edges(program):
-    """Every data and control edge of a one-file program, by the two oracles."""
+def assert_edges_match_oracles(program):
+    """Data edges equal the brute-force ones; control edges close to the
+    control dependence of the program's one file."""
     ((file, text),) = program.files
-    expected = syntactic_control_edges(file, text)
-    for fn in program.functions:
-        expected |= brute_force_data_edges(fn)
-    return expected
+    graph = build_sdg(program)
+    data = {edge for edge in graph.edges if edge[2] == "data"}
+    assert data == set().union(*map(brute_force_data_edges, program.functions))
+    assert control_closure(graph.edges) == control_dependence(file, text)
 
 
 def test_single_def_use_pair():
@@ -93,8 +91,7 @@ def test_single_governed_statement():
 @pytest.mark.parametrize("fixture", ["jsi_like.c", "idx_read.c", "null_use.c"])
 def test_fixture_edges_match_brute_force_oracle(fixtures_dir, fixture):
     source = (fixtures_dir / fixture).read_text()
-    program = parse_program([(fixture, source)])
-    assert intraprocedural_edges(build_sdg(program)) == brute_force_edges(program)
+    assert_edges_match_oracles(parse_program([(fixture, source)]))
 
 
 SCOPE_CORNER_CASES = (
@@ -111,8 +108,7 @@ SCOPE_CORNER_CASES = (
 
 
 def test_scope_corner_cases_match_brute_force_oracle():
-    program = parse_program([("k.c", SCOPE_CORNER_CASES)])
-    assert intraprocedural_edges(build_sdg(program)) == brute_force_edges(program)
+    assert_edges_match_oracles(parse_program([("k.c", SCOPE_CORNER_CASES)]))
 
 
 def test_loop_carried_dependence_includes_self_edge():
@@ -222,9 +218,16 @@ def test_external_function_set_is_configurable():
     assert len(custom.ids) == 1
 
 
-def _random_mini_c(rng):
-    """Random straight/branchy/loopy function over a few scalar variables."""
+def _random_mini_c(rng, jumps=False):
+    """Random straight/branchy/loopy function over a few scalar variables.
+
+    With ``jumps``, it also returns from inside branches and loops, puts
+    statements after such a return, runs ``for`` loops with an update,
+    leaves branches empty, and may be a ``void`` function that falls off
+    its end.  Without, it draws from ``rng`` exactly as it always has.
+    """
     names = ["a", "b", "c", "d"]
+    void = jumps and rng.random() < 0.3
 
     def expr():
         pick = rng.random()
@@ -234,42 +237,69 @@ def _random_mini_c(rng):
             return rng.choice(names)
         return f"{rng.choice(names)} + {rng.choice(names)}"
 
-    lines = ["int f(int a, int b) {", "    int c;", "    int d;"]
+    def ret():
+        return "return;" if void else f"return {expr()};"
+
+    lines = [f"{'void' if void else 'int'} f(int a, int b) {{", "    int c;", "    int d;"]
     depth = 1
 
     def emit(text):
         lines.append("    " * depth + text)
 
-    def block(budget, depth_left):
+    def nested(budget, depth_left):
         nonlocal depth
+        depth += 1
+        block(budget, depth_left)
+        depth -= 1
+
+    def jump(depth_left):
+        """One statement of the kinds only ``jumps`` turns on."""
+        pick = rng.random()
+        if pick < 0.45 or depth_left == 0:
+            emit(ret())
+        elif pick < 0.75:
+            var = rng.choice(names)
+            if rng.random() < 0.5:
+                emit(f"for ({var} = 0; {var} < {rng.randint(1, 5)}; {var} = {var} + 1) {{")
+            else:
+                emit(f"for (; {var} < {rng.randint(1, 5)}; {var}++) {{")
+            nested(rng.randint(1, 2), depth_left - 1)
+            emit("}")
+        else:
+            emit(f"if ({rng.choice(names)} > {rng.randint(0, 5)}) {{")
+            if rng.random() < 0.5:
+                emit("} else {")
+                nested(rng.randint(1, 2), depth_left - 1)
+            emit("}")
+
+    def block(budget, depth_left):
         count = 0
         while count < budget:
+            if jumps and rng.random() < 0.25:
+                jump(depth_left)
+                count += 1
+                continue
             roll = rng.random()
             if roll < 0.55 or depth_left == 0:
                 emit(f"{rng.choice(names)} = {expr()};")
                 count += 1
             elif roll < 0.8:
                 emit(f"if ({rng.choice(names)} > {rng.randint(0, 5)}) {{")
-                depth += 1
-                block(rng.randint(1, 2), depth_left - 1)
-                depth -= 1
+                nested(rng.randint(1, 2), depth_left - 1)
                 if rng.random() < 0.4:
                     emit("} else {")
-                    depth += 1
-                    block(rng.randint(1, 2), depth_left - 1)
-                    depth -= 1
+                    nested(rng.randint(1, 2), depth_left - 1)
                 emit("}")
                 count += 2
             else:
                 emit(f"while ({rng.choice(names)} < {rng.randint(1, 5)}) {{")
-                depth += 1
-                block(rng.randint(1, 2), depth_left - 1)
-                depth -= 1
+                nested(rng.randint(1, 2), depth_left - 1)
                 emit("}")
                 count += 2
 
     block(rng.randint(4, 10), 2)
-    emit(f"return {rng.choice(names)};")
+    if not void:
+        emit(f"return {rng.choice(names)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -278,10 +308,27 @@ def test_random_programs_match_brute_force_oracle():
     import random
 
     rng = random.Random(424242)
-    for _ in range(40):
-        source = _random_mini_c(rng)
+    early = 0
+    for _ in range(300):
+        source = _random_mini_c(rng, jumps=True)
         program = parse_program([("r.c", source)])
-        assert intraprocedural_edges(build_sdg(program)) == brute_force_edges(program), source
+        assert_edges_match_oracles(program)
+        (fn,) = program.functions
+        early += any(node.kind == "return" for _, start, end in fn.control_scopes
+                     for node in fn.nodes[start:end])
+    assert early > 150   # most programs return early
+
+
+def test_sequential_guards_get_linearly_many_control_edges():
+    """Each guard governs its return, the statement after it and the next
+    guard, which governs the rest: a rule that let every guard govern all
+    it reaches would give 1,501,500 edges here."""
+    guards = 1000
+    source = ("int f(int n) {\n"
+              + "".join(f"    if (n > {k}) {{ return {k}; }} n = n - 1;\n" for k in range(guards))
+              + "    return n;\n}\n")
+    graph = build_sdg(parse_program([("g.c", source)]))
+    assert sum(kind == "control" for _, _, kind in graph.edges) <= 3 * guards
 
 
 def reaching_definitions(fn):
