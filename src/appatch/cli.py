@@ -1,15 +1,17 @@
 """Operator surface: slice, mine, patch, and eval over files.
 
 Exit codes: 0 success, 1 pipeline error (parse/provider failures),
-2 usage or configuration error.  Every run writes a manifest whose
-contents are reproducible under a warm cache: it holds digests, output
-names, token accounting and flags, never a wall-clock reading or an
-absolute path.
+2 usage or configuration error.  Each command removes its manifest before
+it reads anything and writes it last, so a command that fails leaves none.
+The manifest is reproducible under a warm cache: it holds the digests of
+inputs and outputs, token accounting and flags, never a wall-clock reading
+or an absolute path.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -129,17 +131,24 @@ def load_config(path_text: Optional[str]) -> Config:
 # ── the run record ───────────────────────────────────────────────────────
 
 class _Run:
-    """One command's reads and writes, and the manifest that records them.
+    """One command's reads and writes, and the manifest that commits them.
 
-    Every field of the manifest is deterministic, so a warm-cache rerun
-    reproduces it byte for byte.
+    The manifest is removed first, when the record is made (before even the
+    log level is read), and written last, after every output, so a run that
+    stops early leaves none: a manifest on disk says that each file it maps
+    to a sha256, by its path from the manifest's directory, is that run's
+    output.  Every field is deterministic, so a warm-cache rerun reproduces
+    it byte for byte.
     """
 
-    def __init__(self, command: str, config_digest: Optional[str] = None):
+    def __init__(self, command: str, manifest: Path):
         self.command = command
-        self.config_digest = config_digest
+        self.manifest = manifest
+        manifest.unlink(missing_ok=True)
+        logging.basicConfig(level=_log_level())
+        self.config_digest: Optional[str] = None
         self.input_digests: Dict[str, str] = {}
-        self.outputs: List[str] = []
+        self.outputs: Dict[str, str] = {}
 
     def read(self, path: Union[str, Path], what: str, key: Optional[str] = None) -> str:
         """The text of an input file; its digest is recorded under ``key``, if given."""
@@ -148,28 +157,29 @@ class _Run:
             self.input_digests[key] = digest
         return text
 
-    def output(self, path: Union[str, Path]) -> Path:
-        """``path``, recorded as an output for a writer that is not this record's."""
-        path = Path(path)
-        self.outputs.append(path.name)
-        return path
-
     def write_text(self, path: Union[str, Path], text: str) -> None:
-        write_text_atomic(self.output(path), text)
+        write_text_atomic(path, text)
+        self.outputs[os.path.relpath(path, self.manifest.parent)] = (
+            hashlib.sha256(text.encode("utf-8")).hexdigest())
 
     def write_json(self, path: Union[str, Path], doc: Any) -> None:
         self.write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
-    def finish(self, path: Path, flags: Dict[str, Any],
-               exchanges: Sequence[Exchange] = ()) -> None:
-        write_text_atomic(path, json.dumps({
+    def finish(self, flags: Dict[str, Any], exchanges: Sequence[Exchange] = ()) -> None:
+        write_text_atomic(self.manifest, json.dumps({
             "command": self.command,
             "config_digest": self.config_digest,
             "input_digests": self.input_digests,
-            "outputs": sorted(self.outputs),
+            "outputs": self.outputs,
             "accounting": accounting_report(exchanges),
             "flags": flags,
         }, indent=2, sort_keys=True) + "\n")
+
+
+def _beside(path_text: str) -> Path:
+    """The manifest of a command whose main output is ``path_text``."""
+    path = Path(path_text)
+    return path.with_name(path.name + ".manifest.json")
 
 
 # ── shared loaders ───────────────────────────────────────────────────────
@@ -204,8 +214,9 @@ def _parse_vuln_arg(vuln: str) -> List[Tuple[str, int]]:
 # ── subcommands ──────────────────────────────────────────────────────────
 
 def cmd_slice(args: argparse.Namespace) -> int:
+    run = _Run("slice", _beside(args.out))
     config = load_config(args.config)
-    run = _Run("slice", config.digest)
+    run.config_digest = config.digest
 
     if args.graph:
         text = run.read(args.graph, "graph file", f"graph:{Path(args.graph).name}")
@@ -241,18 +252,18 @@ def cmd_slice(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     run.write_json(out_path, result.to_document(graph))
     run.write_text(out_path.with_name(out_path.name + ".txt"), rendered.text + "\n")
-    run.finish(out_path.with_name(out_path.name + ".manifest.json"),
-               {"fallback": result.fallback})
+    run.finish({"fallback": result.fallback})
     print(f"slice: {len(result.node_ids)} nodes "
           f"({len(result.ei_ids)} external inputs, fallback={result.fallback})")
     return EXIT_OK
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    run = _Run("mine", _beside(args.pool))
     _check_jobs(args.jobs)
     config = load_config(args.config)
+    run.config_digest = config.digest
     provider = config.provider(args.provider)
-    run = _Run("mine", config.digest)
     dataset = load_dataset(run.read(args.dataset, "dataset file", "dataset"), Path(args.dataset))
 
     pool, failures, exchanges = build_pool(
@@ -260,9 +271,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
         external_functions=_external_functions(args, config),
         jobs=args.jobs,
     )
-    pool_path = run.output(args.pool)
-    save_pool(pool, pool_path)
-    run.finish(pool_path.with_name(pool_path.name + ".manifest.json"), {
+    run.write_text(args.pool, save_pool(pool))
+    run.finish({
         "provider": args.provider,
         "samples": len(dataset),
         "mined": len(pool),
@@ -273,8 +283,11 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_patch(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out)
+    run = _Run("patch", out_dir / "manifest.json")
     _check_jobs(args.jobs)
     config = load_config(args.config)
+    run.config_digest = config.digest
     max_rounds = config.demand_rounds if args.max_rounds is None else args.max_rounds
     if max_rounds < 1:
         raise UsageError("--max-rounds must be a positive integer")
@@ -286,7 +299,6 @@ def cmd_patch(args: argparse.Namespace) -> int:
         raise UsageError(f"--validators names {', '.join(repeated)} more than once")
     validators = [config.provider(v) for v in validator_ids]
 
-    run = _Run("patch", config.digest)
     sample_text = run.read(args.sample, "sample file", "sample")
     pool_text = run.read(args.pool, "pool file", "pool")
     where = f"sample file {args.sample}"
@@ -323,7 +335,6 @@ def cmd_patch(args: argparse.Namespace) -> int:
         retained = list(patches)
         verdicts_doc = []
 
-    out_dir = Path(args.out)
     run.write_text(out_dir / "rendered_slice.txt", rendered.text + "\n")
     run.write_json(out_dir / "slice.json", result.to_document(graph))
     run.write_json(out_dir / "root_cause.json", {
@@ -357,7 +368,7 @@ def cmd_patch(args: argparse.Namespace) -> int:
         "validated": bool(validators),
     })
 
-    run.finish(out_dir / "manifest.json", {
+    run.finish({
         "provider": args.provider,
         "validators": validator_ids,
         "no_validation": not validators,
@@ -370,7 +381,18 @@ def cmd_patch(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# What ``eval`` reads of a ``result.json`` that ``patch`` wrote.
+def _is_name(text: str) -> bool:
+    """Whether ``text`` is one path component: joined to a directory, an entry of it."""
+    return text not in ("", ".", "..") and "/" not in text
+
+
+# What ``eval`` reads of the manifest and the ``result.json`` that ``patch`` wrote.
+_MANIFEST_KEYS = (
+    ("command", lambda command: command == "patch", "'patch'"),
+    ("outputs", lambda outputs: is_object(outputs) and all(
+        _is_name(name) and is_str(digest) for name, digest in outputs.items()),
+     "an object mapping file names to sha256 digests"),
+)
 _RESULT_KEYS = (
     ("retained", optional(array_of(is_int)), "an array of integers"),
     ("candidates", optional(array_of(
@@ -379,11 +401,23 @@ _RESULT_KEYS = (
 )
 
 
+def _read_committed(run: _Run, manifest: Path, committed: Dict[str, str],
+                    name: str, what: str) -> str:
+    """The text of the file ``name`` beside ``manifest``, which must commit it as it is."""
+    path, key = manifest.parent / name, f"{manifest.parent.name}/{name}"
+    if name not in committed:
+        raise UsageError(f"{what} {path}: not an output that {manifest} commits")
+    text = run.read(path, what, key)
+    if run.input_digests[key] != committed[name]:
+        raise UsageError(f"{what} {path}: its sha256 is not the one {manifest} commits")
+    return text
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
+    run = _Run("eval", _beside(args.report))
     results_dir = Path(args.results)
     if not results_dir.is_dir():
         raise UsageError(f"results directory not found: {results_dir}")
-    run = _Run("eval")
     gt_samples = load_dataset(run.read(args.ground_truth, "ground-truth file", "ground_truth"),
                               Path(args.ground_truth))
 
@@ -396,11 +430,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     retained_sets: Dict[str, set] = {}
     for sample in gt_samples:
         retained_sets[sample.id] = set()
-        # Each file scored is recorded under its path relative to --results.
-        result_path = results_dir / sample.id / "result.json"
-        if not result_path.exists():   # a sample with no result
+        if not _is_name(sample.id):
+            raise UsageError(f"ground-truth sample id {sample.id!r} is not a directory name")
+        sample_dir = results_dir / sample.id
+        if not sample_dir.exists():   # a sample with no result
             continue
-        text = run.read(result_path, "result file", f"{sample.id}/result.json")
+        # Each file read is recorded under its path relative to --results.
+        manifest = sample_dir / "manifest.json"
+        where = str(manifest)
+        committed = checked(json_object(
+            run.read(manifest, "result manifest", f"{sample.id}/manifest.json"),
+            where, UsageError), where, _MANIFEST_KEYS, UsageError)["outputs"]
+        result_path = sample_dir / "result.json"
+        text = _read_committed(run, manifest, committed, "result.json", "result file")
         where = str(result_path)
         fields = checked(json_object(text, where, UsageError), where, _RESULT_KEYS, UsageError)
         candidates = {c["ordinal"]: c["file"] for c in fields.get("candidates", [])}
@@ -413,8 +455,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 raise UsageError(
                     f"{result_path}: retained ordinal {ordinal} has no candidate file"
                 )
-            diff_text = run.read(results_dir / sample.id / file_name, "candidate file",
-                                 f"{sample.id}/{file_name}")
+            diff_text = _read_committed(run, manifest, committed, file_name, "candidate file")
             if sample.sources is None:
                 log.warning("sample %s is graph-backed; cannot auto-check SynEq",
                             sample.id)
@@ -442,12 +483,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     generated = {sample_id: len(retained) for sample_id, retained in retained_sets.items()}
     report = evaluation.compute_metrics(len(gt_samples), labels, generated)
 
-    report_path = Path(args.report)
-    run.write_json(report_path, report.to_document())
+    run.write_json(args.report, report.to_document())
     if args.csv:
-        report.write_csv(run.output(args.csv))
-    run.finish(report_path.with_name(report_path.name + ".manifest.json"),
-               {"labels": bool(args.labels), "samples": len(gt_samples)})
+        run.write_text(args.csv, report.to_csv())
+    run.finish({"labels": bool(args.labels), "samples": len(gt_samples)})
     correct = report.per_category["Correct"]
     print(f"eval: recall={correct.recall:.4f} precision={correct.precision:.4f} "
           f"f1={correct.f1:.4f} over {report.testing_samples} sample(s)")
@@ -538,7 +577,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # configuration, or a file that cannot be read or written, is a usage
     # error; a failed stage is a pipeline error.
     try:
-        logging.basicConfig(level=_log_level())
         return args.func(args)
     except (UsageError, DatasetError, evaluation.EvaluationError, ConfigurationError,
             OSError) as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .diffs import ApplyError, DiffError, apply_patch
-from .files import checked, is_int, is_str, json_lines, optional, write_text_atomic
+from .files import checked, is_int, is_str, json_lines, optional
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +163,8 @@ class MetricsReport(NamedTuple):
             },
         }
 
-    def write_csv(self, path: Union[str, Path]) -> None:
+    def to_csv(self) -> str:
+        """The report as a CSV table, one row per category, rows ending in ``\\r\\n``."""
         import csv
 
         buffer = io.StringIO()
@@ -177,7 +178,7 @@ class MetricsReport(NamedTuple):
                 f"{metrics.precision:.6f}",
                 f"{metrics.f1:.6f}",
             ])
-        write_text_atomic(path, buffer.getvalue())
+        return buffer.getvalue()
 
 
 def compute_metrics(

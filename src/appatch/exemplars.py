@@ -18,9 +18,7 @@ from . import diffs
 from .code_model import CodeModelError, build_sdg, import_graph, parse_program
 from .code_model.model import DependenceGraph, Program, ReadOnly
 from .code_model.sdg import identify_external_inputs
-from .files import (
-    array_of, checked, is_int, is_object, is_str, json_lines, optional, pair_of, write_text_atomic,
-)
+from .files import array_of, checked, is_int, is_object, is_str, json_lines, optional, pair_of
 from .gateway import (
     CachedProvider, ConfigurationError, Exchange, Provider, ProviderError, ScriptedProvider,
     prompt_sha,
@@ -321,10 +319,9 @@ def build_pool(
     return pool, failures, [e for e in exchanges if e is not None]
 
 
-def save_pool(pool: Sequence[Exemplar], path: Union[str, Path]) -> None:
-    write_text_atomic(path, "".join(
-        json.dumps(exemplar.to_document(), sort_keys=True) + "\n" for exemplar in pool
-    ))
+def save_pool(pool: Sequence[Exemplar]) -> str:
+    """The JSON-lines text of ``pool``, one exemplar a line, as ``load_pool`` reads it."""
+    return "".join(json.dumps(exemplar.to_document(), sort_keys=True) + "\n" for exemplar in pool)
 
 
 def load_pool(text: str, path: Union[str, Path]) -> Tuple[Exemplar, ...]:

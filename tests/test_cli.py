@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from appatch import diffs, evaluation
 from appatch.cli import main
+from appatch.gateway import ProviderError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -31,6 +33,15 @@ def write_config(tmp_path, cached=False):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config, indent=2))
     return path
+
+
+def commit(sample_dir):
+    """Write ``sample_dir``'s manifest as ``patch`` would, over the files it holds now."""
+    path = sample_dir / "manifest.json"
+    manifest = json.loads(path.read_text()) if path.exists() else {"command": "patch"}
+    manifest["outputs"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                           for p in sorted(sample_dir.iterdir()) if p.is_file() and p != path}
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ── slice ────────────────────────────────────────────────────────────────
@@ -73,7 +84,8 @@ def test_calls_in_one_process_parse_only_their_own_flags(tmp_path):
 
 def test_unknown_log_level_is_usage_error_on_every_call(tmp_path, capsys, monkeypatch):
     """A fresh process would configure logging with it, a later call in one
-    process would not: both refuse the level before running the command."""
+    process would not: both refuse the level before running the command,
+    once an earlier run's manifest is removed."""
     argv = ["slice", "--source", str(FIXTURES / "jsi_like.c"), "--vuln", "jsi_like.c:48",
             "--out", str(tmp_path / "s.json")]
     child = subprocess.run([sys.executable, "-m", "appatch.cli", *argv],
@@ -89,6 +101,9 @@ def test_unknown_log_level_is_usage_error_on_every_call(tmp_path, capsys, monkey
     assert not (tmp_path / "s.json").exists()
     monkeypatch.setenv("APPATCH_LOG", "ERROR")
     assert main(argv) == 0
+    monkeypatch.setenv("APPATCH_LOG", "debug")
+    assert main(argv) == 2
+    assert not (tmp_path / "s.json.manifest.json").exists()
 
 
 def test_slice_missing_file_is_usage_error(tmp_path):
@@ -536,6 +551,7 @@ def test_eval_reproduces_published_count_shape(tmp_path):
             "retained": list(range(1, count + 1)),
             "validated": True,
         }))
+        commit(sample_dir)
         labeled.add((sample_id, 1))  # every patch-bearing sample is fixed
     for index, count in enumerate(patch_counts):
         for ordinal in range(2, count + 1):
@@ -893,8 +909,9 @@ def test_cached_providers_in_a_cycle_are_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["slice-source", "slice-graph", "mine", "patch", "eval"])
 def test_manifest_names_each_output_and_input(tmp_path, mined_pool, jsi_graph, request, case):
-    """The manifest lists exactly the files written beside it, and the
-    sha256 of each input file's bytes under one key per input."""
+    """The manifest maps exactly the files written beside it to the sha256
+    of their bytes, and holds the sha256 of each input file's bytes under
+    one key per input."""
     from appatch.code_model import dump_graph
 
     config, pool_path = mined_pool
@@ -934,17 +951,34 @@ def test_manifest_names_each_output_and_input(tmp_path, mined_pool, jsi_graph, r
         sample_dir = results / "jsi-strcpy-zero-day"
         result = json.loads((sample_dir / "result.json").read_text())
         files = {c["ordinal"]: c["file"] for c in result["candidates"]}
-        for name in ["result.json", *(files[o] for o in result["retained"])]:
+        for name in ["manifest.json", "result.json", *(files[o] for o in result["retained"])]:
             inputs[f"jsi-strcpy-zero-day/{name}"] = sample_dir / name
         config_digest = None
     assert main(argv) == 0
     manifest = json.loads(manifest_path.read_text())
-    written = sorted(p.name for p in out.iterdir() if p != manifest_path)
-    assert manifest["outputs"] == written
+    assert manifest["outputs"] == {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.iterdir() if p != manifest_path
+    }
     assert manifest["input_digests"] == {
         key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in inputs.items()
     }
     assert manifest["config_digest"] == config_digest
+
+
+def test_eval_csv_elsewhere_is_committed_by_its_path_from_the_manifest(tmp_path,
+                                                                       patched_results):
+    """A --csv in another directory, even under the report's own name, is
+    keyed by its path from the manifest, so each digest is its own file's."""
+    results, gt_path = patched_results
+    report, table = tmp_path / "a" / "r.json", tmp_path / "b" / "r.json"
+    assert main(["eval", "--results", str(results), "--ground-truth", str(gt_path),
+                 "--report", str(report), "--csv", str(table)]) == 0
+    manifest = json.loads((tmp_path / "a" / "r.json.manifest.json").read_text())
+    assert manifest["outputs"] == {
+        "r.json": hashlib.sha256(report.read_bytes()).hexdigest(),
+        "../b/r.json": hashlib.sha256(table.read_bytes()).hexdigest(),
+    }
 
 
 def test_eval_manifests_differ_when_one_scored_candidate_differs(tmp_path, patched_results):
@@ -960,6 +994,7 @@ def test_eval_manifests_differ_when_one_scored_candidate_differs(tmp_path, patch
     files = {c["ordinal"]: c["file"] for c in result["candidates"]}
     changed = sample_dir / files[min(result["retained"])]
     changed.write_text(changed.read_text() + "\n")
+    commit(sample_dir)
     manifests = []
     for tree in (results, other):
         report = tmp_path / tree.name / "report.json"
@@ -969,7 +1004,8 @@ def test_eval_manifests_differ_when_one_scored_candidate_differs(tmp_path, patch
     first, second = (m["input_digests"] for m in manifests)
     assert first.keys() == second.keys()
     key = f"jsi-strcpy-zero-day/{changed.name}"
-    assert {k for k in first if first[k] != second[k]} == {key}
+    differ = {k for k in first if first[k] != second[k]}
+    assert differ == {key, "jsi-strcpy-zero-day/manifest.json"}
     assert second[key] == hashlib.sha256(changed.read_bytes()).hexdigest()
 
 
@@ -993,10 +1029,104 @@ def test_eval_malformed_results_are_usage_errors(tmp_path, patched_results, caps
         (sample_dir / "result.json").mkdir()
     else:
         (sample_dir / "result.json").write_text(result_text)
+        commit(sample_dir)   # or the digest check would answer first
     code = main(["eval", "--results", str(results), "--ground-truth", str(gt_path),
                  "--report", str(tmp_path / "report.json")])
     assert code == 2
     assert str(sample_dir / named) in capsys.readouterr().err
+
+
+def test_patch_rerun_that_fails_leaves_no_manifest_and_eval_refuses_it(tmp_path,
+                                                                      patched_results, capsys):
+    """A rerun that fails at root cause into the --out of a run that
+    succeeded leaves that run's outputs but no manifest, so nothing in the
+    directory is committed and eval scores none of it."""
+    results, gt_path = patched_results
+    out_dir = results / "jsi-strcpy-zero-day"
+    (tmp_path / "down.json").write_text(json.dumps([{"error": "down", "transient": False}]))
+    config = tmp_path / "down-config.json"
+    config.write_text(json.dumps({"providers": [
+        {"id": "gen", "kind": "scripted", "script": str(tmp_path / "down.json")}]}))
+    assert main(["patch", "--sample", str(FIXTURES / "sample_e2e.json"),
+                 "--pool", str(tmp_path / "pool.jsonl"), "--provider", "gen",
+                 "--out", str(out_dir), "--config", str(config)]) == 1
+    assert (out_dir / "result.json").is_file()
+    assert not (out_dir / "manifest.json").exists()
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(["eval", "--results", str(results), "--ground-truth", str(gt_path),
+                 "--report", str(report)]) == 2
+    assert f"result manifest {out_dir / 'manifest.json'}: " in capsys.readouterr().err
+    assert not report.exists()
+
+
+def _escaping_candidate(sample_dir):
+    (sample_dir.parent.parent / "outside.diff").write_text(
+        (sample_dir / "candidate_1.diff").read_text())
+    result = json.loads((sample_dir / "result.json").read_text())
+    result["candidates"][0]["file"] = "../../outside.diff"
+    (sample_dir / "result.json").write_text(json.dumps(result))
+    commit(sample_dir)
+    return "../../outside.diff", "not an output that"
+
+
+def _uncommitted_result(sample_dir):
+    (sample_dir / "result.json").write_text(
+        (sample_dir / "result.json").read_text().replace('"validated": true', '"validated": 1'))
+    return "result.json", "its sha256 is not the one"
+
+
+def _uncommitted_candidate(sample_dir):
+    with open(sample_dir / "candidate_3.diff", "a") as handle:
+        handle.write("\n")
+    return "candidate_3.diff", "its sha256 is not the one"
+
+
+def _manifest_of_another_command(sample_dir):
+    manifest = json.loads((sample_dir / "manifest.json").read_text())
+    (sample_dir / "manifest.json").write_text(json.dumps({**manifest, "command": "mine"}))
+    return "manifest.json", "'command' must be 'patch'"
+
+
+def _output_name_that_is_a_path(sample_dir):
+    manifest = json.loads((sample_dir / "manifest.json").read_text())
+    manifest["outputs"]["../result.json"] = manifest["outputs"]["result.json"]
+    (sample_dir / "manifest.json").write_text(json.dumps(manifest))
+    return "manifest.json", "'outputs' must be an object mapping file names"
+
+
+@pytest.mark.parametrize("change", [
+    _escaping_candidate, _uncommitted_result, _uncommitted_candidate,
+    _manifest_of_another_command, _output_name_that_is_a_path,
+], ids=lambda change: change.__name__.strip("_"))
+def test_eval_scores_only_what_a_patch_manifest_commits(tmp_path, patched_results, capsys,
+                                                        change):
+    results, gt_path = patched_results
+    sample_dir = results / "jsi-strcpy-zero-day"
+    named, problem = change(sample_dir)
+    report = tmp_path / "report.json"
+    assert main(["eval", "--results", str(results), "--ground-truth", str(gt_path),
+                 "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"{sample_dir / named}: " in err and problem in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("sample_id", ["", ".", "..", "a/b", "../jsi-strcpy-zero-day"])
+def test_eval_refuses_a_sample_id_that_is_not_one_path_component(tmp_path, patched_results,
+                                                                  capsys, sample_id):
+    """The id is refused before it is joined to --results, whether or not
+    what it would name exists."""
+    results, _ = patched_results
+    record = json.loads((FIXTURES / "sample_e2e.json").read_text())
+    gt_path = tmp_path / "odd-gt.jsonl"
+    gt_path.write_text(json.dumps({**record, "id": sample_id}) + "\n")
+    report = tmp_path / "report.json"
+    assert main(["eval", "--results", str(results / "jsi-strcpy-zero-day"),
+                 "--ground-truth", str(gt_path), "--report", str(report)]) == 2
+    assert (f"ground-truth sample id {sample_id!r} is not a directory name"
+            in capsys.readouterr().err)
+    assert not report.exists()
 
 
 # ── malformed inputs exit with a code, not a traceback ───────────────────
@@ -1239,3 +1369,130 @@ def test_eval_label_of_the_wrong_type_is_usage_error(tmp_path, patched_results, 
     assert code == 2
     assert f"{labels}, line 3: {problem}" in capsys.readouterr().err
     assert not report.exists()
+
+
+# ── every write and every provider call, failed in turn ─────────────────
+
+class _Faults:
+    """Counts ``write_text_atomic`` and inner ``Provider.complete`` calls,
+    and fails the k-th of either: a full disk, or a provider that answers
+    with a non-transient error (its script moves on, as a scripted error's
+    does)."""
+
+    def __init__(self, write, complete):
+        self._write, self._complete = write, complete
+        self.writes = self.calls = 0
+        self.write_at = self.call_at = None
+
+    def write(self, path, text):
+        self.writes += 1
+        if self.writes == self.write_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        self._write(path, text)
+
+    def complete(self, provider, prompt):
+        exchange = self._complete(provider, prompt)
+        self.calls += 1
+        if self.calls == self.call_at:
+            raise ProviderError("injected failure", transient=False)
+        return exchange
+
+
+def _committed_or_absent(manifest_path):
+    """Whether ``manifest_path`` is absent, or maps every output beside it to its sha256."""
+    if not manifest_path.exists():
+        return True
+    outputs = json.loads(manifest_path.read_text())["outputs"]
+    return all(hashlib.sha256((manifest_path.parent / name).read_bytes()).hexdigest() == digest
+               for name, digest in outputs.items())
+
+
+# The patch fixture's provider calls in order: two root-cause rounds, one
+# comparison per pool exemplar, the patch request, then each judge's five.
+# A run fails at the first and third kind with the message given here.
+_PATCH_CALLS = (["root-cause generation failed"] * 2 + ["comparison"] * 3
+                + ["patch generation failed"] + ["judge"] * 10)
+
+
+@pytest.mark.parametrize("command, writes, calls", [
+    ("slice", 3, 0), ("mine", 5, 3), ("patch", 28, 16), ("eval", 3, 0),
+])
+def test_every_failure_point_leaves_a_committed_manifest_or_none(
+        tmp_path, mined_pool, monkeypatch, capsys, command, writes, calls):
+    """Each run starts with an empty cache, over a clean run's outputs and
+    manifest.  A failed write exits 2 with one message; a failed provider
+    call ends as its stage says.  After every run, the manifest is absent
+    or commits exactly what is beside it."""
+    from appatch import files, gateway
+
+    _, pool_path = mined_pool
+    config = write_config(tmp_path, cached=True)
+    results = tmp_path / "results"
+    gt_path = tmp_path / "gt.jsonl"
+    gt_path.write_text(json.dumps(json.loads((FIXTURES / "sample_e2e.json").read_text())) + "\n")
+    loc, clean = tmp_path / "out", tmp_path / "clean"
+    patch = ["patch", "--sample", str(FIXTURES / "sample_e2e.json"), "--pool", str(pool_path),
+             "--provider", "gen", "--validators", "v1,v2", "--config", str(config)]
+    argv = {
+        "slice": ["slice", "--source", str(FIXTURES / "jsi_like.c"), "--vuln", "jsi_like.c:48",
+                  "--cwe", "CWE-787", "--out", str(loc / "slice.json"), "--config", str(config)],
+        "mine": ["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "miner",
+                 "--pool", str(loc / "pool.jsonl"), "--config", str(config)],
+        "patch": [*patch, "--out", str(loc)],
+        "eval": ["eval", "--results", str(results), "--ground-truth", str(gt_path),
+                 "--report", str(loc / "report.json"), "--csv", str(loc / "report.csv")],
+    }[command]
+    manifest = loc / {"slice": "slice.json.manifest.json", "mine": "pool.jsonl.manifest.json",
+                      "patch": "manifest.json", "eval": "report.json.manifest.json"}[command]
+    if command == "eval":
+        assert main([*patch, "--out", str(results / "jsi-strcpy-zero-day")]) == 0
+
+    write = files.write_text_atomic
+    faults = _Faults(write, gateway.Provider.complete)
+    for module in [m for name, m in sys.modules.items() if name.startswith("appatch")]:
+        if getattr(module, "write_text_atomic", None) is write:
+            monkeypatch.setattr(module, "write_text_atomic", faults.write)
+    monkeypatch.setattr(gateway.Provider, "complete",
+                        lambda provider, prompt: faults.complete(provider, prompt))
+
+    def run(write_at=None, call_at=None):
+        shutil.rmtree(tmp_path / "cache", ignore_errors=True)
+        shutil.rmtree(loc, ignore_errors=True)
+        if clean.exists():
+            shutil.copytree(clean, loc)
+        faults.writes = faults.calls = 0
+        faults.write_at, faults.call_at = write_at, call_at
+        capsys.readouterr()
+        code = main(argv)
+        assert _committed_or_absent(manifest)
+        assert manifest.exists() == (code == 0)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, [line for line in err.splitlines() if line.startswith("error:")]
+
+    assert run()[0] == 0
+    assert (faults.writes, faults.calls) == (writes, calls)
+    shutil.copytree(loc, clean)
+
+    for k in range(1, writes + 1):
+        code, errors = run(write_at=k)
+        assert code == 2 and len(errors) == 1 and os.strerror(errno.ENOSPC) in errors[0]
+
+    for k in range(1, calls + 1):
+        code, errors = run(call_at=k)
+        flags = json.loads(manifest.read_text())["flags"] if code == 0 else None
+        if command == "mine":
+            assert code == 0 and len(flags["errors"]) == 1 and flags["mined"] == 2
+            continue
+        stage = _PATCH_CALLS[k - 1]
+        if stage.endswith("failed"):
+            assert code == 1 and errors == [f"error: {stage}: injected failure"]
+        elif stage == "comparison":
+            pool_ids = ["jsi-strcpy-overflow", "idx-oob-read", "null-deref-store"]
+            assert code == 0 and flags["comparisons_failed"] == [pool_ids[k - 3]]
+        else:
+            verdicts = json.loads((loc / "verdicts.json").read_text())
+            unanswered = [(v["ordinal"], judge) for v in verdicts
+                          for judge, answer in v["answers"].items() if answer == "error"]
+            judged = k - _PATCH_CALLS.index("judge") - 1
+            assert code == 0 and unanswered == [(judged % 5 + 1, ("v1", "v2")[judged // 5])]

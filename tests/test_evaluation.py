@@ -182,18 +182,15 @@ def test_two_sample_worked_example():
     assert report.generated_patches == 10
 
 
-def test_csv_bytes_keep_crlf_row_endings(tmp_path):
+def test_csv_bytes_keep_crlf_row_endings():
     labels = [PatchLabel("s1", 1, "Plausible")]
     report = compute_metrics(2, labels, {"s1": 5, "s2": 5})
-    path = tmp_path / "report.csv"
-    report.write_csv(path)
-    rows = path.read_bytes().split(b"\r\n")
+    rows = report.to_csv().encode("utf-8").split(b"\r\n")
     assert rows[0] == b"category,recall,precision,f1"
     assert b"Correct,0.500000,0.100000,0.166667" in rows
     assert rows[-1] == b""                      # every row ends in \r\n
     assert len(rows) == len(report.per_category) + 2
     assert not any(b"\r" in row or b"\n" in row for row in rows)
-    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
 
 def test_zero_generated_patches_guarded():

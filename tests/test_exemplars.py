@@ -20,6 +20,7 @@ from appatch.exemplars import (
     mining_slice,
     save_pool,
 )
+from appatch.files import write_text_atomic
 from appatch.gateway import CachedProvider, ConfigurationError, prompt_sha
 from appatch.prompts import build_mining_prompt, render_ei, split_sections
 from appatch.scoping import VulnSpec
@@ -147,14 +148,14 @@ def test_empty_dataset_builds_empty_pool():
 def test_pool_round_trip(dataset, tmp_path):
     pool, _, _ = build_pool(dataset, scripted(load_script("mine.json")))
     path = tmp_path / "pool.jsonl"
-    save_pool(pool, path)
+    path.write_text(save_pool(pool), encoding="utf-8")
     assert load_pool(path.read_text(encoding="utf-8"), path) == pool
 
 
 def test_pool_iteration_order_survives_save_load(dataset, tmp_path):
     pool, _, _ = build_pool(dataset, scripted(load_script("mine.json")))
     path = tmp_path / "pool.jsonl"
-    save_pool(pool, path)
+    path.write_text(save_pool(pool), encoding="utf-8")
     loaded = load_pool(path.read_text(encoding="utf-8"), path)
     assert [e.sample_id for e in loaded] == [e.sample_id for e in pool]
 
@@ -162,7 +163,7 @@ def test_pool_iteration_order_survives_save_load(dataset, tmp_path):
 def test_truncated_pool_line_reports_line_number(dataset, tmp_path):
     pool, _, _ = build_pool(dataset, scripted(load_script("mine.json")))
     path = tmp_path / "pool.jsonl"
-    save_pool(pool, path)
+    path.write_text(save_pool(pool), encoding="utf-8")
     text = path.read_text().splitlines()
     text[-1] = text[-1][: len(text[-1]) // 2]
     path.write_text("\n".join(text) + "\n")
@@ -175,7 +176,7 @@ def test_failed_save_leaves_previous_pool_intact(dataset, tmp_path, monkeypatch)
     pool, _, _ = build_pool(dataset, scripted(load_script("mine.json")))
     assert len(pool) >= 2
     path = tmp_path / "pool.jsonl"
-    save_pool(pool, path)
+    path.write_text(save_pool(pool), encoding="utf-8")
     before = path.read_bytes()
 
     to_document = Exemplar.to_document
@@ -189,7 +190,7 @@ def test_failed_save_leaves_previous_pool_intact(dataset, tmp_path, monkeypatch)
 
     monkeypatch.setattr(Exemplar, "to_document", fails_on_second)
     with pytest.raises(RuntimeError):
-        save_pool(pool[::-1], path)
+        write_text_atomic(path, save_pool(pool[::-1]))
     assert len(calls) == 2
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["pool.jsonl"]
@@ -208,7 +209,7 @@ def test_large_pool_loads_quickly(tmp_path):
         prompt_digest="0" * 64,
     ) for index in range(306)]
     path = tmp_path / "big.jsonl"
-    save_pool(pool, path)
+    path.write_text(save_pool(pool), encoding="utf-8")
     started = time.monotonic()
     loaded = load_pool(path.read_text(encoding="utf-8"), path)
     elapsed = time.monotonic() - started
@@ -225,7 +226,7 @@ def test_mining_twice_with_cache_is_byte_identical(dataset, tmp_path):
         pool, failures, _ = build_pool(dataset, provider)
         assert not failures
         path = tmp_path / f"pool-{len(list(tmp_path.iterdir()))}.jsonl"
-        save_pool(pool, path)
+        path.write_text(save_pool(pool), encoding="utf-8")
         return path.read_bytes()
 
     cache = tmp_path / "cache"
@@ -241,7 +242,8 @@ def test_load_pool_rejects_a_repeated_sample_id_naming_its_line(tmp_path):
         provider_id="p", prompt_digest="d",
     )
     path = tmp_path / "pool.jsonl"
-    save_pool([exemplar, exemplar._replace(sample_id="other"), exemplar], path)
+    path.write_text(save_pool([exemplar, exemplar._replace(sample_id="other"), exemplar]),
+                    encoding="utf-8")
     with pytest.raises(DatasetError) as err:
         load_pool(path.read_text(encoding="utf-8"), path)
     assert str(err.value) == f"{path}, line 3: duplicate sample id in pool: 'dup'"

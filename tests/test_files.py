@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import os
@@ -42,6 +43,25 @@ def test_only_files_reads_a_file():
         and re.search(r"\b(?:read_text|read_bytes|open)\(", path.read_text(encoding="utf-8"))
     ]
     assert readers == []
+
+
+def test_only_the_run_record_writes_an_output():
+    """Every output goes through ``cli._Run``, whose manifest commits it; the
+    cache writes its own entries, which are no command's output."""
+    package = Path(appatch.__file__).parent
+    owner = {"cli.py": "_Run", "gateway.py": "CachedProvider"}
+    writers = []
+    for path in sorted(package.rglob("*.py")):
+        name = str(path.relative_to(package))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = [range(node.lineno, node.end_lineno + 1) for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == owner.get(name)]
+        writers += [
+            f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if "write_text_atomic" in (getattr(node, "id", None), getattr(node, "attr", None))
+            and name != "files.py" and not any(node.lineno in lines for lines in allowed)
+        ]
+    assert writers == []
 
 
 # ── every record reader: returns, or raises its own error class ─────────
