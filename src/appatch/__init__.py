@@ -54,7 +54,6 @@ from .gateway import (
 )
 from .evaluation import (
     MetricsReport,
-    PatchLabel,
     classify_syneq,
     compute_metrics,
     f1_score,

@@ -158,9 +158,14 @@ class _Run:
         return text
 
     def write_text(self, path: Union[str, Path], text: str) -> None:
+        """Write an output, refusing one this run already wrote, or its manifest."""
+        name = os.path.relpath(path, self.manifest.parent)
+        if name == self.manifest.name:
+            raise UsageError(f"output {path}: the manifest of this run")
+        if name in self.outputs:
+            raise UsageError(f"output {path}: written already by this run")
         write_text_atomic(path, text)
-        self.outputs[os.path.relpath(path, self.manifest.parent)] = (
-            hashlib.sha256(text.encode("utf-8")).hexdigest())
+        self.outputs[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def write_json(self, path: Union[str, Path], doc: Any) -> None:
         self.write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -215,6 +220,8 @@ def _parse_vuln_arg(vuln: str) -> List[Tuple[str, int]]:
 
 def cmd_slice(args: argparse.Namespace) -> int:
     run = _Run("slice", _beside(args.out))
+    if bool(args.source) == bool(args.graph):
+        raise UsageError("exactly one of --source and --graph is required")
     config = load_config(args.config)
     run.config_digest = config.digest
 
@@ -226,11 +233,9 @@ def cmd_slice(args: argparse.Namespace) -> int:
             raise PipelineError(f"graph import failed: {exc}")
     else:
         sources = []
-        for source_text in args.source or []:
+        for source_text in args.source:
             name = Path(source_text).name
             sources.append((name, run.read(source_text, "source file", f"source:{name}")))
-        if not sources:
-            raise UsageError("either --source or --graph is required")
         try:
             program = parse_program(sources, entry=args.entry)
             graph = build_sdg(program)
@@ -398,6 +403,7 @@ _RESULT_KEYS = (
     ("candidates", optional(array_of(
         lambda c: is_object(c) and is_int(c.get("ordinal")) and is_str(c.get("file")))),
      "an array of objects with an integer 'ordinal' and a string 'file'"),
+    ("sample_id", is_str, "a string"),
 )
 
 
@@ -421,15 +427,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gt_samples = load_dataset(run.read(args.ground_truth, "ground-truth file", "ground_truth"),
                               Path(args.ground_truth))
 
-    human_labels = []
+    human: Dict[Tuple[str, int], str] = {}
     if args.labels:
         text = run.read(args.labels, "labels file", "labels")
-        human_labels = evaluation.load_labels(text, Path(args.labels))
+        human = evaluation.load_labels(text, Path(args.labels))
 
-    auto_syneq: Dict[Tuple[str, int], bool] = {}
-    retained_sets: Dict[str, set] = {}
+    categories: Dict[Tuple[str, int], str] = {}
+    generated: Dict[str, int] = {}
     for sample in gt_samples:
-        retained_sets[sample.id] = set()
+        generated[sample.id] = 0
         if not _is_name(sample.id):
             raise UsageError(f"ground-truth sample id {sample.id!r} is not a directory name")
         sample_dir = results_dir / sample.id
@@ -445,21 +451,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
         text = _read_committed(run, manifest, committed, "result.json", "result file")
         where = str(result_path)
         fields = checked(json_object(text, where, UsageError), where, _RESULT_KEYS, UsageError)
+        if fields["sample_id"] != sample.id:
+            raise UsageError(f"{result_path}: 'sample_id' is {fields['sample_id']!r}, "
+                             f"not the ground truth's {sample.id!r}")
         candidates = {c["ordinal"]: c["file"] for c in fields.get("candidates", [])}
-        retained = set(fields.get("retained", []))
-        retained_sets[sample.id] = retained
+        retained = sorted(set(fields.get("retained", [])))
+        generated[sample.id] = len(retained)
         truth = None   # the ground truth is normalised at most once, on demand
-        for ordinal in sorted(retained):
+        for ordinal in retained:
             file_name = candidates.get(ordinal)
             if file_name is None:
                 raise UsageError(
                     f"{result_path}: retained ordinal {ordinal} has no candidate file"
                 )
             diff_text = _read_committed(run, manifest, committed, file_name, "candidate file")
+            # An unlabeled patch is Incorrect; an automatic SynEq beats a human label.
+            key = (sample.id, ordinal)
+            categories[key] = human.pop(key, "Incorrect")
             if sample.sources is None:
                 log.warning("sample %s is graph-backed; cannot auto-check SynEq",
                             sample.id)
-                auto_syneq[(sample.id, ordinal)] = False
                 continue
             if truth is None:
                 # load_dataset applied the ground truth already
@@ -468,20 +479,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
             is_syneq, note = evaluation.classify_syneq(sample.sources, diff_text, truth)
             if note:
                 log.info("sample %s patch %d: %s", sample.id, ordinal, note)
-            auto_syneq[(sample.id, ordinal)] = is_syneq
+            if is_syneq:
+                categories[key] = "SynEq"
 
     # Labels for candidates that validation removed are outside the
     # evaluation universe: they count neither as generated nor as correct.
-    kept_labels = []
-    for label in human_labels:
-        if label.ordinal in retained_sets.get(label.sample_id, set()):
-            kept_labels.append(label)
-        else:
-            log.warning("label for %s patch %d ignored: not in the retained set",
-                        label.sample_id, label.ordinal)
-    labels = evaluation.merge_labels(auto_syneq, kept_labels)
-    generated = {sample_id: len(retained) for sample_id, retained in retained_sets.items()}
-    report = evaluation.compute_metrics(len(gt_samples), labels, generated)
+    for sample_id, ordinal in human:
+        log.warning("label for %s patch %d ignored: not in the retained set",
+                    sample_id, ordinal)
+    report = evaluation.compute_metrics(len(gt_samples), categories, generated)
 
     run.write_json(args.report, report.to_document())
     if args.csv:

@@ -2,8 +2,11 @@
 
 Syntactic equivalence is decided automatically by comparing the patched
 texts after whitespace/comment normalization.  Semantic equivalence and
-plausibility only ever come from a human-authored labels file; each patch
-lands in exactly one category, most specific first.
+plausibility only ever come from a human-authored labels file.  ``eval``
+decides each retained patch's category once, as it reads that patch: an
+automatic SynEq beats the human label, which beats the default,
+Incorrect.  :func:`compute_metrics` counts the resulting
+``{(sample_id, ordinal): category}`` mapping.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import io
 import logging
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .diffs import ApplyError, DiffError, apply_patch
 from .files import checked, is_int, is_str, json_lines, optional
@@ -29,12 +32,6 @@ class EvaluationError(Exception):
     """Inconsistent labels or counts."""
 
 
-class PatchLabel(NamedTuple):
-    sample_id: str
-    ordinal: int
-    category: str
-
-
 _LABEL_FIELDS = (
     ("sample_id", is_str, "a string"),
     ("ordinal", is_int, "an integer"),
@@ -43,22 +40,18 @@ _LABEL_FIELDS = (
 )
 
 
-def load_labels(text: str, path: Union[str, Path]) -> List[PatchLabel]:
-    """Parse a JSON-lines labels file; ``path`` names it in error messages only."""
-    labels: List[PatchLabel] = []
-    seen: set = set()
+def load_labels(text: str, path: Union[str, Path]) -> Dict[Tuple[str, int], str]:
+    """A JSON-lines labels file as ``{(sample_id, ordinal): category}``; ``path`` names it."""
+    labels: Dict[Tuple[str, int], str] = {}
     for where, doc in json_lines(text, path, EvaluationError):
         fields = checked(doc, where, _LABEL_FIELDS, EvaluationError)
-        fields.pop("source", None)   # checked, but no stage reads it
-        label = PatchLabel(**fields)
-        key = (label.sample_id, label.ordinal)
-        if key in seen:
+        # 'source' is checked, but no stage reads it
+        key = (fields["sample_id"], fields["ordinal"])
+        if key in labels:
             raise EvaluationError(
-                f"{where}: duplicate label for "
-                f"sample {label.sample_id!r} patch {label.ordinal}"
+                f"{where}: duplicate label for sample {key[0]!r} patch {key[1]}"
             )
-        seen.add(key)
-        labels.append(label)
+        labels[key] = fields["category"]
     return labels
 
 
@@ -183,29 +176,23 @@ class MetricsReport(NamedTuple):
 
 def compute_metrics(
     samples: int,
-    labels: Sequence[PatchLabel],
+    categories: Mapping[Tuple[str, int], str],
     generated: Mapping[str, int],
 ) -> MetricsReport:
-    """Recall/precision/F1 per category over the labeled patches.
+    """Recall/precision/F1 per category over the categorized patches.
 
     ``samples`` is the testing-set size (the recall denominator);
+    ``categories`` maps ``(sample_id, ordinal)`` to a patch's category;
     ``generated`` maps sample id to its number of generated patches (their
     sum is the precision denominator).  Ordinals are identities rather
     than indexes, so they may be sparse after validation removed some
-    candidates.  A patch with no label is incorrect.
+    candidates.  A patch with no category is incorrect.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
-    seen: set = set()
-    for label in labels:
-        key = (label.sample_id, label.ordinal)
-        if key in seen:
-            raise EvaluationError(
-                f"duplicate label for sample {label.sample_id!r} patch {label.ordinal}"
-            )
-        seen.add(key)
-        if label.sample_id not in generated:
-            raise EvaluationError(f"label references unknown sample {label.sample_id!r}")
+    for sample_id, _ordinal in categories:
+        if sample_id not in generated:
+            raise EvaluationError(f"label references unknown sample {sample_id!r}")
 
     total_generated = sum(generated.values())
     per_category: Dict[str, CategoryMetrics] = {}
@@ -213,9 +200,9 @@ def compute_metrics(
         members = (
             CORRECT_MEMBERS if category == "Correct" else (category,)
         )
-        matched = [label for label in labels if label.category in members]
+        matched = [sample_id for (sample_id, _), label in categories.items() if label in members]
         patch_count = len(matched)
-        sample_count = len({label.sample_id for label in matched})
+        sample_count = len(set(matched))
         recall = sample_count / samples if samples else 0.0
         precision = patch_count / total_generated if total_generated else 0.0
         per_category[category] = CategoryMetrics(
@@ -224,36 +211,11 @@ def compute_metrics(
             f1=f1_score(recall, precision),
         )
 
-    correct_labels = [l for l in labels if l.category in CORRECT_MEMBERS]
+    # REPORT_CATEGORIES ends with Correct: the counts are that row's.
     return MetricsReport(
         per_category=per_category,
         testing_samples=samples,
-        fixed_samples=len({l.sample_id for l in correct_labels}),
+        fixed_samples=sample_count,
         generated_patches=total_generated,
-        correct_patches=len(correct_labels),
+        correct_patches=patch_count,
     )
-
-
-def merge_labels(
-    auto_syneq: Mapping[Tuple[str, int], bool],
-    human_labels: Sequence[PatchLabel],
-) -> List[PatchLabel]:
-    """Combine automatic SynEq results with human judgments.
-
-    Most specific category wins: an automatic SynEq beats any human label
-    for the same patch; otherwise the human label stands; everything else
-    is Incorrect.
-    """
-    by_key = {(l.sample_id, l.ordinal): l for l in human_labels}
-    merged: List[PatchLabel] = []
-    for (sample_id, ordinal), is_syneq in sorted(auto_syneq.items()):
-        if is_syneq:
-            merged.append(PatchLabel(sample_id, ordinal, "SynEq"))
-        elif (sample_id, ordinal) in by_key:
-            merged.append(by_key[(sample_id, ordinal)])
-        else:
-            merged.append(PatchLabel(sample_id, ordinal, "Incorrect"))
-    for key, label in sorted(by_key.items()):
-        if key not in auto_syneq:
-            merged.append(label)
-    return merged

@@ -141,6 +141,22 @@ def test_slice_from_imported_graph_matches_source_path(tmp_path, jsi_graph):
     assert a["ei"] == b["ei"]
 
 
+@pytest.mark.parametrize("inputs", [["--source", "--graph"], []], ids=["both", "neither"])
+def test_slice_takes_exactly_one_of_source_and_graph(tmp_path, jsi_graph, capsys, inputs):
+    """Sources given beside a graph would be neither read nor recorded."""
+    from appatch.code_model import dump_graph
+
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(dump_graph(jsi_graph))
+    given = {"--source": str(FIXTURES / "jsi_like.c"), "--graph": str(graph_file)}
+    argv = [part for flag in inputs for part in (flag, given[flag])]
+    out = tmp_path / "s.json"
+    assert main(["slice", *argv, "--vuln", "jsi_like.c:48", "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == "error: exactly one of --source and --graph is required\n")
+    assert not out.exists() and not (tmp_path / "s.json.manifest.json").exists()
+
+
 def test_slice_graph_accepts_ids_without_a_numeric_column(tmp_path, graph_without_columns):
     graph_file = tmp_path / "graph.json"
     graph_file.write_text(json.dumps(graph_without_columns))
@@ -511,6 +527,37 @@ def test_eval_label_with_unknown_source_is_usage_error(tmp_path, patched_results
     assert code == 2
     assert "'source' must be one of auto, human" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_decides_each_retained_patch_once(tmp_path, patched_results, caplog):
+    """Retained 1 and 3 are SynEq, 4 is not: an automatic SynEq beats a
+    human label, a human label beats Incorrect, and a label outside the
+    retained set is warned about once and counted nowhere."""
+    results, gt_path = patched_results
+    record = json.loads(gt_path.read_text())
+    gt_path.write_text(gt_path.read_text() + json.dumps({**record, "id": "no-result"}) + "\n")
+    sample = "jsi-strcpy-zero-day"
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("".join(json.dumps(label) + "\n" for label in [
+        {"sample_id": sample, "ordinal": 1, "category": "SemEq"},
+        {"sample_id": sample, "ordinal": 4, "category": "Plausible"},
+        {"sample_id": sample, "ordinal": 2, "category": "SemEq"},
+        {"sample_id": "no-result", "ordinal": 1, "category": "SemEq"},
+    ]))
+    report = tmp_path / "report.json"
+    with caplog.at_level("WARNING"):
+        assert main(["eval", "--results", str(results), "--ground-truth", str(gt_path),
+                     "--labels", str(labels), "--report", str(report)]) == 0
+    assert [r.getMessage() for r in caplog.records if "ignored" in r.getMessage()] == [
+        f"label for {sample} patch 2 ignored: not in the retained set",
+        "label for no-result patch 1 ignored: not in the retained set",
+    ]
+    doc = json.loads(report.read_text())
+    precision = {name: row["precision"] for name, row in doc["categories"].items()}
+    assert precision == {"SynEq": pytest.approx(2 / 3), "SemEq": 0.0,
+                         "Plausible": pytest.approx(1 / 3), "Correct": 1.0}
+    assert doc["counts"] == {"testing_samples": 2, "fixed_samples": 1,
+                             "generated_patches": 3, "correct_patches": 3}
 
 
 def test_eval_reproduces_published_count_shape(tmp_path):
@@ -1110,6 +1157,37 @@ def test_eval_scores_only_what_a_patch_manifest_commits(tmp_path, patched_result
     err = capsys.readouterr().err
     assert f"{sample_dir / named}: " in err and problem in err
     assert not report.exists()
+
+
+def test_eval_refuses_a_result_of_another_sample(tmp_path, patched_results, capsys):
+    """A committed result copied under another sample's id is not that sample's."""
+    results, gt_path = patched_results
+    other = results / "other-id"
+    shutil.copytree(results / "jsi-strcpy-zero-day", other)
+    record = json.loads(gt_path.read_text())
+    gt_path.write_text(json.dumps({**record, "id": "other-id"}) + "\n")
+    report = tmp_path / "report.json"
+    assert main(["eval", "--results", str(results), "--ground-truth", str(gt_path),
+                 "--report", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {other / 'result.json'}: 'sample_id' is 'jsi-strcpy-zero-day', "
+        "not the ground truth's 'other-id'\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("csv_name, problem", [
+    ("r.json", "written already by this run"),
+    ("r.json.manifest.json", "the manifest of this run"),
+], ids=["the-report", "the-manifest"])
+def test_eval_refuses_to_write_one_path_twice(tmp_path, patched_results, capsys,
+                                              csv_name, problem):
+    """The CSV may not replace the report, nor the manifest that commits both."""
+    results, gt_path = patched_results
+    report, table = tmp_path / "r.json", tmp_path / csv_name
+    assert main(["eval", "--results", str(results), "--ground-truth", str(gt_path),
+                 "--report", str(report), "--csv", str(table)]) == 2
+    assert capsys.readouterr().err == f"error: output {table}: {problem}\n"
+    assert not (tmp_path / "r.json.manifest.json").exists()
 
 
 @pytest.mark.parametrize("sample_id", ["", ".", "..", "a/b", "../jsi-strcpy-zero-day"])

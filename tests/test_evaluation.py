@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from appatch.evaluation import (
     EvaluationError,
-    PatchLabel,
     classify_syneq,
     compute_metrics,
     f1_score,
     load_labels,
-    merge_labels,
     normalize_code,
     _strip_comments,
 )
@@ -172,8 +170,7 @@ def test_f1_zero_guard():
 
 
 def test_two_sample_worked_example():
-    labels = [PatchLabel("s1", 1, "Plausible")]
-    report = compute_metrics(2, labels, {"s1": 5, "s2": 5})
+    report = compute_metrics(2, {("s1", 1): "Plausible"}, {"s1": 5, "s2": 5})
     correct = report.per_category["Correct"]
     assert correct.recall == pytest.approx(0.5)
     assert correct.precision == pytest.approx(0.1)
@@ -183,8 +180,7 @@ def test_two_sample_worked_example():
 
 
 def test_csv_bytes_keep_crlf_row_endings():
-    labels = [PatchLabel("s1", 1, "Plausible")]
-    report = compute_metrics(2, labels, {"s1": 5, "s2": 5})
+    report = compute_metrics(2, {("s1", 1): "Plausible"}, {"s1": 5, "s2": 5})
     rows = report.to_csv().encode("utf-8").split(b"\r\n")
     assert rows[0] == b"category,recall,precision,f1"
     assert b"Correct,0.500000,0.100000,0.166667" in rows
@@ -194,7 +190,7 @@ def test_csv_bytes_keep_crlf_row_endings():
 
 
 def test_zero_generated_patches_guarded():
-    report = compute_metrics(3, [], {"s1": 0, "s2": 0, "s3": 0})
+    report = compute_metrics(3, {}, {"s1": 0, "s2": 0, "s3": 0})
     for name, metrics in report.per_category.items():
         assert metrics.recall == 0.0
         assert metrics.precision == 0.0
@@ -203,23 +199,12 @@ def test_zero_generated_patches_guarded():
 
 def test_unknown_sample_label_rejected():
     with pytest.raises(EvaluationError):
-        compute_metrics(1, [PatchLabel("ghost", 1, "SynEq")], {"s1": 5})
-
-
-def test_duplicate_label_rejected():
-    labels = [PatchLabel("s1", 1, "SynEq"),
-              PatchLabel("s1", 1, "SemEq")]
-    with pytest.raises(EvaluationError):
-        compute_metrics(1, labels, {"s1": 5})
+        compute_metrics(1, {("ghost", 1): "SynEq"}, {"s1": 5})
 
 
 def test_every_syneq_patch_is_correct():
-    labels = [
-        PatchLabel("s1", 1, "SynEq"),
-        PatchLabel("s1", 2, "SemEq"),
-        PatchLabel("s2", 1, "Incorrect"),
-    ]
-    report = compute_metrics(2, labels, {"s1": 5, "s2": 5})
+    categories = {("s1", 1): "SynEq", ("s1", 2): "SemEq", ("s2", 1): "Incorrect"}
+    report = compute_metrics(2, categories, {"s1": 5, "s2": 5})
     syn = report.per_category["SynEq"]
     correct = report.per_category["Correct"]
     assert report.correct_patches >= 1
@@ -247,25 +232,25 @@ def test_f1_harmonic_mean_bounds(samples, fixed, correct, generated):
                 max_size=25))
 def test_category_monotonicity_on_random_labelings(rows):
     generated = {}
-    labels = []
+    labels = {}
     categories = ["SynEq", "SemEq", "Plausible", "Incorrect"]
     for index, (patch_count, _seed) in enumerate(rows):
         sample_id = f"s{index}"
         generated[sample_id] = patch_count
         for ordinal in range(1, patch_count + 1):
             category = categories[(index + ordinal + _seed) % 4]
-            labels.append(PatchLabel(sample_id, ordinal, category))
+            labels[(sample_id, ordinal)] = category
     report = compute_metrics(len(rows), labels, generated)
     syn = report.per_category["SynEq"]
     correct = report.per_category["Correct"]
     assert correct.recall >= syn.recall
     assert correct.precision >= syn.precision
     assert report.correct_patches >= sum(
-        1 for l in labels if l.category == "SynEq"
+        1 for category in labels.values() if category == "SynEq"
     )
 
 
-# ── labels files and merging ─────────────────────────────────────────────
+# ── labels files ─────────────────────────────────────────────────────────
 
 def test_load_labels_rejects_duplicates(tmp_path):
     path = tmp_path / "labels.jsonl"
@@ -283,25 +268,11 @@ def test_label_source_is_checked_but_not_kept(tmp_path):
             {"sample_id": "s1", "ordinal": 2, "category": "SynEq", "source": "auto"},
             {"sample_id": "s1", "ordinal": 3, "category": "Plausible"}]
     path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
-    assert load_labels(path.read_text(encoding="utf-8"), path) == [
-        PatchLabel("s1", 1, "SemEq"), PatchLabel("s1", 2, "SynEq"),
-        PatchLabel("s1", 3, "Plausible"),
-    ]
+    assert load_labels(path.read_text(encoding="utf-8"), path) == {
+        ("s1", 1): "SemEq", ("s1", 2): "SynEq", ("s1", 3): "Plausible",
+    }
     path.write_text(json.dumps(dict(docs[0], source="robot")) + "\n")
     with pytest.raises(EvaluationError) as err:
         load_labels(path.read_text(encoding="utf-8"), path)
     assert str(err.value) == f"{path}, line 1: 'source' must be one of auto, human"
 
-
-def test_merge_prefers_auto_syneq_over_human():
-    auto = {("s1", 1): True, ("s1", 2): False}
-    human = [PatchLabel("s1", 1, "SemEq"),
-             PatchLabel("s1", 2, "Plausible")]
-    merged = {(l.sample_id, l.ordinal): l for l in merge_labels(auto, human)}
-    assert merged[("s1", 1)].category == "SynEq"
-    assert merged[("s1", 2)].category == "Plausible"
-
-
-def test_merge_defaults_unlabeled_to_incorrect():
-    merged = merge_labels({("s1", 1): False}, [])
-    assert merged[0].category == "Incorrect"

@@ -19,7 +19,7 @@ from appatch.code_model.model import (
     StatementNode,
 )
 from appatch.diffs import FileDiff, Hunk
-from appatch.evaluation import CategoryMetrics, MetricsReport, PatchLabel
+from appatch.evaluation import CategoryMetrics, MetricsReport
 from appatch.exemplars import DatasetSample, Exemplar, MiningFailure
 from appatch.gateway import CachedProvider, Exchange, ScriptedProvider
 from appatch.prompting import CandidatePatch, RootCause
@@ -67,11 +67,6 @@ RECORDS = [
      lambda: FileDiff("a.c", (Hunk(1, 1, 1, 1, ("-a", "+b")),)),
      lambda: FileDiff("b.c", ()),
      "path", True),
-    ("PatchLabel",
-     lambda: PatchLabel(sample_id="s", ordinal=1, category="SemEq"),
-     lambda: PatchLabel("s", 1, "SemEq"),
-     lambda: PatchLabel("s", 1, "SynEq"),
-     "category", True),
     ("CategoryMetrics",
      lambda: CategoryMetrics(recall=0.5, precision=0.25, f1=1 / 3),
      lambda: CategoryMetrics(0.5, 0.25, 1 / 3),
