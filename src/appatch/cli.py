@@ -21,13 +21,7 @@ from pathlib import Path
 from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import evaluation
-from .code_model import (
-    CodeModelError,
-    build_sdg,
-    identify_external_inputs,
-    import_graph,
-    parse_program,
-)
+from .code_model import CodeModelError
 from .code_model.sdg import DEFAULT_EXTERNAL_FUNCTIONS
 from .exemplars import (
     DatasetError,
@@ -55,9 +49,7 @@ from .prompting import (
     generate_root_cause,
     select_exemplars,
 )
-from .scoping import (
-    ScopingError, VulnSpec, functions_containing, render_slice, vulnerability_semantics,
-)
+from .scoping import ScopingError, VulnSpec, functions_containing, render_slice
 from .validation import validate_all
 
 log = logging.getLogger(__name__)
@@ -95,15 +87,14 @@ class Config(NamedTuple):
 
 
 def load_config(path_text: Optional[str]) -> Config:
-    """Read the JSON config named by ``--config`` or $APPATCH_CONFIG.
+    """Read the JSON config file at ``path_text``; ``None`` configures nothing.
 
     API keys never live in the file; http providers name the environment
     variable that holds theirs.
     """
-    resolved = path_text or os.environ.get(CONFIG_ENV_VAR)
-    if resolved is None:
+    if path_text is None:
         return Config(providers={})
-    path = Path(resolved)
+    path = Path(path_text)
     where = f"config file {path}"
     text, digest = read_input(path, where, UsageError)
     doc = json_object(text, where, UsageError)
@@ -138,7 +129,8 @@ class _Run:
     stops early leaves none: a manifest on disk says that each file it maps
     to a sha256, by its path from the manifest's directory, is that run's
     output.  Every field is deterministic, so a warm-cache rerun reproduces
-    it byte for byte.
+    it byte for byte.  No output may be, by its real path, a file the run
+    read or wrote, or its manifest.
     """
 
     def __init__(self, command: str, manifest: Path):
@@ -149,22 +141,33 @@ class _Run:
         self.config_digest: Optional[str] = None
         self.input_digests: Dict[str, str] = {}
         self.outputs: Dict[str, str] = {}
+        self._seen = {os.path.realpath(manifest): "the manifest of this run"}
+
+    def config(self, path_text: Optional[str]) -> Config:
+        """The configuration named by ``--config`` or $APPATCH_CONFIG, if any; its file is read."""
+        path_text = path_text or os.environ.get(CONFIG_ENV_VAR)
+        if path_text is not None:
+            self._seen.setdefault(os.path.realpath(path_text), "read by this run")
+        config = load_config(path_text)
+        self.config_digest = config.digest
+        return config
 
     def read(self, path: Union[str, Path], what: str, key: Optional[str] = None) -> str:
         """The text of an input file; its digest is recorded under ``key``, if given."""
         text, digest = read_input(path, f"{what} {path}", UsageError)
+        self._seen.setdefault(os.path.realpath(path), "read by this run")
         if key is not None:
             self.input_digests[key] = digest
         return text
 
     def write_text(self, path: Union[str, Path], text: str) -> None:
-        """Write an output, refusing one this run already wrote, or its manifest."""
-        name = os.path.relpath(path, self.manifest.parent)
-        if name == self.manifest.name:
-            raise UsageError(f"output {path}: the manifest of this run")
-        if name in self.outputs:
-            raise UsageError(f"output {path}: written already by this run")
+        """Write an output, refusing a file this run already read or wrote, or its manifest."""
+        real = os.path.realpath(path)
+        if real in self._seen:
+            raise UsageError(f"output {path}: {self._seen[real]}")
         write_text_atomic(path, text)
+        self._seen[real] = "written already by this run"
+        name = os.path.relpath(path, self.manifest.parent)
         self.outputs[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def write_json(self, path: Union[str, Path], doc: Any) -> None:
@@ -218,38 +221,37 @@ def _parse_vuln_arg(vuln: str) -> List[Tuple[str, int]]:
 
 # ── subcommands ──────────────────────────────────────────────────────────
 
+def _slice(sample: DatasetSample, args: argparse.Namespace, config: Config):
+    """``sample.slice`` over the run's external functions; a code model
+    that does not build is a pipeline error."""
+    try:
+        return sample.slice(_external_functions(args, config))
+    except CodeModelError as exc:
+        raise PipelineError(f"cannot build the dependence graph: {exc}") from exc
+
+
 def cmd_slice(args: argparse.Namespace) -> int:
     run = _Run("slice", _beside(args.out))
     if bool(args.source) == bool(args.graph):
         raise UsageError("exactly one of --source and --graph is required")
-    config = load_config(args.config)
-    run.config_digest = config.digest
-
-    if args.graph:
-        text = run.read(args.graph, "graph file", f"graph:{Path(args.graph).name}")
-        try:
-            program, graph = import_graph(text)
-        except CodeModelError as exc:
-            raise PipelineError(f"graph import failed: {exc}")
-    else:
-        sources = []
-        for source_text in args.source:
-            name = Path(source_text).name
-            sources.append((name, run.read(source_text, "source file", f"source:{name}")))
-        try:
-            program = parse_program(sources, entry=args.entry)
-            graph = build_sdg(program)
-        except CodeModelError as exc:
-            raise PipelineError(f"parse failed: {exc}")
-
     vulnerable_lines = tuple(_parse_vuln_arg(args.vuln))
     cwe_ids = tuple(c.strip() for c in (args.cwe or "").split(",") if c.strip())
     try:
         spec = VulnSpec(vulnerable_lines, cwe_ids)
     except ValueError as exc:
         raise UsageError(f"--cwe: {exc}")
-    ei = identify_external_inputs(program, graph, _external_functions(args, config))
-    result = vulnerability_semantics(graph, spec, ei)
+    config = run.config(args.config)
+
+    sources = graph_text = None
+    if args.graph:
+        graph_text = run.read(args.graph, "graph file", f"graph:{Path(args.graph).name}")
+    else:
+        names = [Path(path).name for path in args.source]
+        sources = tuple((name, run.read(path, "source file", f"source:{name}"))
+                        for name, path in zip(names, args.source))
+    sample = DatasetSample(id="", vuln=spec, sources=sources, graph_document=graph_text,
+                           entry=args.entry)   # a sample of no dataset: it has no id
+    program, graph, _, result = _slice(sample, args, config)
 
     functions = functions_containing(graph, result.node_ids)
     rendered = render_slice(result, program, graph, functions)
@@ -266,8 +268,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     run = _Run("mine", _beside(args.pool))
     _check_jobs(args.jobs)
-    config = load_config(args.config)
-    run.config_digest = config.digest
+    config = run.config(args.config)
     provider = config.provider(args.provider)
     dataset = load_dataset(run.read(args.dataset, "dataset file", "dataset"), Path(args.dataset))
 
@@ -291,8 +292,7 @@ def cmd_patch(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     run = _Run("patch", out_dir / "manifest.json")
     _check_jobs(args.jobs)
-    config = load_config(args.config)
-    run.config_digest = config.digest
+    config = run.config(args.config)
     max_rounds = config.demand_rounds if args.max_rounds is None else args.max_rounds
     if max_rounds < 1:
         raise UsageError("--max-rounds must be a positive integer")
@@ -311,12 +311,7 @@ def cmd_patch(args: argparse.Namespace) -> int:
     sample.check_patch_applies()
     pool = load_pool(pool_text, Path(args.pool))
 
-    try:
-        program, graph = sample.materialize()
-    except CodeModelError as exc:
-        raise PipelineError(f"cannot build the dependence graph: {exc}")
-    ei = identify_external_inputs(program, graph, _external_functions(args, config))
-    result = vulnerability_semantics(graph, sample.vuln, ei)
+    program, graph, _, result = _slice(sample, args, config)
 
     root_cause, rendered, rc_exchanges = generate_root_cause(
         graph, program, sample.vuln, result, provider, max_rounds=max_rounds,

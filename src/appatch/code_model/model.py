@@ -24,8 +24,6 @@ STATEMENT_KINDS = (
 
 EDGE_KINDS = ("data", "control", "call", "param")
 
-EI_REASONS = ("external-call", "program-input-param")
-
 
 class CodeModelError(Exception):
     """Base class for errors raised by the code model."""
@@ -332,25 +330,7 @@ class DependenceGraph(ReadOnly, _GraphValue):
         return list(self._at.get(file, {}).get(line, ()))
 
 
-class _EISetValue(NamedTuple):
-    reasons: Mapping[str, str]
+class ExternalInputSet(NamedTuple):
+    """External-input sites: the node ids of a dependence graph."""
 
-
-class ExternalInputSet(_EISetValue):
-    """External-input sites: node id -> reason it qualifies."""
-
-    __slots__ = ()
-
-    def __new__(cls, reasons: Mapping[str, str]) -> "ExternalInputSet":
-        for node_id, reason in reasons.items():
-            if reason not in EI_REASONS:
-                raise ValueError(f"bad EI reason for {node_id}: {reason!r}")
-        return tuple.__new__(cls, (reasons,))
-
-    @property
-    def ids(self) -> FrozenSet[str]:
-        return frozenset(self.reasons)
-
-    def validate_against(self, graph: DependenceGraph) -> None:
-        for node_id in self.reasons:
-            graph.node(node_id)
+    ids: FrozenSet[str]

@@ -164,20 +164,15 @@ def identify_external_inputs(
     """Callsites of curated external functions plus entry-point parameter
     definitions; the program entry point stands in for its input sites.
 
-    Both are read off ``program``; the sites are node ids of ``graph``, its
-    dependence graph, which :func:`vulnerability_semantics` checks them
-    against.
+    Both are read off ``program``, and the set holds their node ids only;
+    ``graph``, the program's dependence graph, is not read here:
+    :func:`vulnerability_semantics` checks the ids against it.
     """
     if external_functions is None:
         external_functions = DEFAULT_EXTERNAL_FUNCTIONS
-    reasons: Dict[str, str] = {}
-    for fn in program.functions:
-        for callee, node_id in fn.callsites:
-            if callee in external_functions:
-                reasons[node_id] = "external-call"
+    ids = {node_id for fn in program.functions
+           for callee, node_id in fn.callsites if callee in external_functions}
     if program.entry_function is not None:
         entry_fn = program.function(program.entry_function)
-        for node in entry_fn.nodes:
-            if node.kind == "param-def":
-                reasons[node.id] = "program-input-param"
-    return ExternalInputSet(reasons=reasons)
+        ids.update(node.id for node in entry_fn.nodes if node.kind == "param-def")
+    return ExternalInputSet(frozenset(ids))

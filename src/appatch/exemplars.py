@@ -1,8 +1,9 @@
-"""Exemplar mining: turn known-patched samples into worked examples.
+"""Dataset samples, and exemplar mining: known-patched samples become worked examples.
 
-Each sample is sliced, prompted with its ground-truth patch attached, and
-the response is split into root-cause reasoning and a fixing strategy.
-The resulting pool feeds exemplar selection during patch generation.
+:meth:`DatasetSample.slice` slices a sample, for mining and for the ``slice``
+and ``patch`` commands.  A mined sample is prompted with its ground-truth
+patch attached, and the response is split into root-cause reasoning and a
+fixing strategy; the resulting pool feeds exemplar selection in patching.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import (
 
 from . import diffs
 from .code_model import CodeModelError, build_sdg, import_graph, parse_program
-from .code_model.model import DependenceGraph, Program, ReadOnly
+from .code_model.model import DependenceGraph, ExternalInputSet, Program, ReadOnly
 from .code_model.sdg import identify_external_inputs
 from .files import array_of, checked, is_int, is_object, is_str, json_lines, optional, pair_of
 from .gateway import (
@@ -26,6 +27,7 @@ from .gateway import (
 from .prompts import build_mining_prompt, render_ei, split_sections
 from .scoping import (
     ScopingError,
+    SliceResult,
     VulnSpec,
     functions_containing,
     render_slice,
@@ -84,7 +86,7 @@ class _SampleValue(NamedTuple):
     id: str
     vuln: VulnSpec
     sources: Optional[Tuple[Tuple[str, str], ...]] = None
-    graph_document: Optional[Mapping[str, Any]] = None
+    graph_document: Union[str, Mapping[str, Any], None] = None   # as import_graph reads it
     ground_truth_patch: Optional[str] = None
     entry: Optional[str] = None
 
@@ -113,11 +115,18 @@ class DatasetSample(ReadOnly, _SampleValue):
         except ValueError as exc:   # no vulnerable line, or a bad CWE id
             raise DatasetError(f"{where}: {exc}") from exc
 
-    def materialize(self) -> Tuple[Program, DependenceGraph]:
+    def slice(
+        self, external_functions: Optional[FrozenSet[str]] = None,
+    ) -> Tuple[Program, DependenceGraph, ExternalInputSet, SliceResult]:
+        """The code model (from the sources or the graph document), its external
+        inputs and its slice; raises :class:`CodeModelError` or :class:`ScopingError`."""
         if self.graph_document is not None:
-            return import_graph(self.graph_document)
-        program = parse_program(self.sources, entry=self.entry)
-        return program, build_sdg(program)
+            program, graph = import_graph(self.graph_document)
+        else:
+            program = parse_program(self.sources, entry=self.entry)
+            graph = build_sdg(program)
+        ei = identify_external_inputs(program, graph, external_functions)
+        return program, graph, ei, vulnerability_semantics(graph, self.vuln, ei)
 
     @cached_property
     def fixed_sources(self) -> Optional[Tuple[Tuple[str, str], ...]]:
@@ -186,9 +195,7 @@ def mining_slice(
     plus those holding external inputs that can influence the patched
     lines, so the example stays focused on what the fix actually touched.
     """
-    program, graph = sample.materialize()
-    ei = identify_external_inputs(program, graph, external_functions)
-    result = vulnerability_semantics(graph, sample.vuln, ei)
+    program, graph, ei, result = sample.slice(external_functions)
 
     patch_nodes: set = set()
     if sample.ground_truth_patch:

@@ -14,7 +14,7 @@ import logging
 import re
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Set, Tuple
 
-from .code_model.model import DependenceGraph, ExternalInputSet, Program
+from .code_model.model import DependenceGraph, ExternalInputSet, Program, UnknownNodeError
 
 log = logging.getLogger(__name__)
 
@@ -122,10 +122,13 @@ def vulnerability_semantics(
     from the vulnerable nodes, so the union is one intersection of two
     traversals.  Resolved vulnerable nodes are always kept.  When no
     external input reaches any of them the full backward closure is used
-    instead and the result is flagged as a fallback.
+    instead and the result is flagged as a fallback.  An unknown input id
+    raises :class:`UnknownNodeError`, the smallest one named.
     """
     sv_ids = resolve_vulnerable_nodes(graph, spec)
-    ei.validate_against(graph)
+    unknown = [node_id for node_id in ei.ids if node_id not in graph.nodes]
+    if unknown:
+        raise UnknownNodeError(min(unknown))
     backward = graph.backward(sv_ids)
     union = graph.forward(ei.ids) & backward
 

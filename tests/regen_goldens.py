@@ -29,8 +29,6 @@ def collect_prompts():
         select_exemplars,
     )
     from appatch.prompts import build_validation_prompt
-    from appatch.scoping import vulnerability_semantics
-    from appatch.code_model.sdg import identify_external_inputs
 
     def script(name, provider_id):
         responses = json.loads((FIXTURES / "scripted" / name).read_text())
@@ -51,9 +49,7 @@ def collect_prompts():
     sample = DatasetSample.from_document(
         json.loads((FIXTURES / "sample_e2e.json").read_text()), "sample_e2e.json"
     )
-    program, graph = sample.materialize()
-    ei = identify_external_inputs(program, graph)
-    result = vulnerability_semantics(graph, sample.vuln, ei)
+    program, graph, _, result = sample.slice()
 
     generator = script("gen.json", "gen")
     root_cause, rendered, rc_exchanges = generate_root_cause(

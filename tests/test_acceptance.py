@@ -28,7 +28,6 @@ from pathlib import Path
 import pytest
 
 from appatch.cli import main
-from appatch.code_model import identify_external_inputs
 from appatch.code_model.model import ExternalInputSet
 from appatch.diffs import apply_patch
 from appatch.evaluation import classify_syneq, f1_score
@@ -175,8 +174,7 @@ def test_criterion_2_slicing_oracle_equivalence():
             ),
             cwe_ids=("CWE-787",),
         )
-        ei = ExternalInputSet(reasons={e: "external-call" for e in ei_ids})
-        result = vulnerability_semantics(graph, spec, ei)
+        result = vulnerability_semantics(graph, spec, ExternalInputSet(frozenset(ei_ids)))
         expected, fallback = union_slice_oracle(graph, sv_ids, ei_ids)
         assert result.node_ids == expected
         assert result.fallback == fallback
@@ -224,9 +222,7 @@ def _e2e_context():
     sample = DatasetSample.from_document(
         json.loads((FIXTURES / "sample_e2e.json").read_text()), "sample_e2e.json"
     )
-    program, graph = sample.materialize()
-    ei = identify_external_inputs(program, graph)
-    result = vulnerability_semantics(graph, sample.vuln, ei)
+    program, graph, _, result = sample.slice()
     return sample, program, graph, result
 
 

@@ -157,6 +157,32 @@ def test_slice_takes_exactly_one_of_source_and_graph(tmp_path, jsi_graph, capsys
     assert not out.exists() and not (tmp_path / "s.json.manifest.json").exists()
 
 
+def test_slice_of_source_or_graph_and_patch_write_one_slice(tmp_path, mined_pool):
+    """The sample's source, the graph exported from it, and the sample
+    itself are sliced alike: each command writes the same slice.json."""
+    from appatch.code_model import build_sdg, dump_graph, parse_program
+
+    config, pool_path = mined_pool
+    record = json.loads((FIXTURES / "sample_e2e.json").read_text())
+    [(name, text)] = record["sources"]
+    source = tmp_path / name
+    source.write_text(text)
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(dump_graph(build_sdg(parse_program([(name, text)]))))
+    flags = ["--vuln", ",".join(f"{f}:{n}" for f, n in record["vuln"]["lines"]),
+             "--cwe", ",".join(record["vuln"]["cwes"])]
+    assert main(["slice", "--source", str(source), *flags,
+                 "--out", str(tmp_path / "from_source.json")]) == 0
+    assert main(["slice", "--graph", str(graph_file), *flags,
+                 "--out", str(tmp_path / "from_graph.json")]) == 0
+    assert main(["patch", "--sample", str(FIXTURES / "sample_e2e.json"), "--pool",
+                 str(pool_path), "--provider", "gen", "--out", str(tmp_path / "patched"),
+                 "--config", str(config)]) == 0
+    written = {(tmp_path / path).read_bytes() for path in
+               ("from_source.json", "from_graph.json", "patched/slice.json")}
+    assert len(written) == 1
+
+
 def test_slice_graph_accepts_ids_without_a_numeric_column(tmp_path, graph_without_columns):
     graph_file = tmp_path / "graph.json"
     graph_file.write_text(json.dumps(graph_without_columns))
@@ -911,6 +937,16 @@ def test_slice_bad_cwe_flag_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_slice_checks_its_flags_before_it_reads_anything(tmp_path, capsys):
+    """A bad --cwe is named even when the source would not parse."""
+    bad = tmp_path / "bad.c"
+    bad.write_text("int f(){")
+    code = main(["slice", "--source", str(bad), "--vuln", "bad.c:1", "--cwe", "CWE-x",
+                 "--out", str(tmp_path / "s.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --cwe: bad CWE id: 'CWE-x'\n"
+
+
 @pytest.mark.parametrize("rounds", ["0", "-1"])
 def test_patch_max_rounds_below_one_is_usage_error(tmp_path, mined_pool, capsys, rounds):
     config, pool_path = mined_pool
@@ -1178,16 +1214,38 @@ def test_eval_refuses_a_result_of_another_sample(tmp_path, patched_results, caps
 @pytest.mark.parametrize("csv_name, problem", [
     ("r.json", "written already by this run"),
     ("r.json.manifest.json", "the manifest of this run"),
-], ids=["the-report", "the-manifest"])
+    ("link/r.json", "written already by this run"),
+], ids=["the-report", "the-manifest", "the-report-by-a-symlink"])
 def test_eval_refuses_to_write_one_path_twice(tmp_path, patched_results, capsys,
                                               csv_name, problem):
-    """The CSV may not replace the report, nor the manifest that commits both."""
+    """The CSV may not replace the report, nor the manifest that commits both,
+    however its path is spelled: the report is kept."""
     results, gt_path = patched_results
+    (tmp_path / "link").symlink_to(tmp_path)
     report, table = tmp_path / "r.json", tmp_path / csv_name
     assert main(["eval", "--results", str(results), "--ground-truth", str(gt_path),
                  "--report", str(report), "--csv", str(table)]) == 2
     assert capsys.readouterr().err == f"error: output {table}: {problem}\n"
+    assert json.loads(report.read_text())["counts"]["testing_samples"] == 1
     assert not (tmp_path / "r.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("over", ["source", "config"])
+def test_a_run_refuses_to_write_over_a_file_it_read(tmp_path, capsys, over):
+    """However the output is spelled, an input it names stays as it was."""
+    source = tmp_path / "jsi_like.c"
+    source.write_bytes((FIXTURES / "jsi_like.c").read_bytes())
+    config = tmp_path / "config.json"
+    config.write_text('{"providers": []}')
+    target = {"source": source, "config": config}[over]
+    before = target.read_bytes()
+    out = tmp_path / "sub" / ".." / target.name
+    (tmp_path / "sub").mkdir()
+    assert main(["slice", "--source", str(source), "--vuln", "jsi_like.c:48",
+                 "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: output {out}: read by this run\n"
+    assert target.read_bytes() == before
+    assert not (tmp_path / f"{target.name}.manifest.json").exists()
 
 
 @pytest.mark.parametrize("sample_id", ["", ".", "..", "a/b", "../jsi-strcpy-zero-day"])
@@ -1217,7 +1275,8 @@ def test_slice_two_sources_with_one_name_is_parse_failure(tmp_path, capsys):
                  "--source", str(tmp_path / "b" / "x.c"), "--vuln", "x.c:1",
                  "--out", str(tmp_path / "s.json")])
     assert code == 1
-    assert "parse failed: x.c:1:1: duplicate source path: x.c" in capsys.readouterr().err
+    assert ("cannot build the dependence graph: x.c:1:1: duplicate source path: x.c"
+            in capsys.readouterr().err)
     assert not (tmp_path / "s.json").exists()
 
 

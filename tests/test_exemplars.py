@@ -271,7 +271,7 @@ def test_graph_backed_sample_skips_apply_check(jsi_graph):
         ground_truth_patch="--- a/x\n+++ b/x\n@@ -1,1 +1,1 @@\n-a\n+b\n",
     )
     sample.check_patch_applies()  # does not raise
-    program, graph = sample.materialize()
+    _, graph, _, _ = sample.slice()
     assert set(graph.nodes) == set(jsi_graph.nodes)
 
 
@@ -342,7 +342,7 @@ def test_mining_reaching_ei_matches_per_input_oracle(monkeypatch):
             graph_document=export_graph(graph),
             ground_truth_patch=_hunks(spans) if spans else None,
         )
-        ei = ExternalInputSet(reasons={e: "external-call" for e in ei_ids})
+        ei = ExternalInputSet(frozenset(ei_ids))
         monkeypatch.setattr(exemplars, "identify_external_inputs",
                             lambda program, graph, functions=None: ei)
         _program, _graph, result, _rendered, reaching_ei = mining_slice(sample)

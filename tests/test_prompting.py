@@ -25,9 +25,7 @@ def e2e_setup(fixtures_dir):
     sample = DatasetSample.from_document(
         json.loads((fixtures_dir / "sample_e2e.json").read_text()), "sample_e2e.json"
     )
-    program, graph = sample.materialize()
-    ei = identify_external_inputs(program, graph)
-    result = vulnerability_semantics(graph, sample.vuln, ei)
+    program, graph, ei, result = sample.slice()
     return sample, program, graph, ei, result
 
 

@@ -152,10 +152,10 @@ RECORDS = [
      lambda: DependenceGraph({NODE.id: NODE}, frozenset({(NODE.id, NODE.id, "data")})),
      "edges", False),
     ("ExternalInputSet",
-     lambda: ExternalInputSet(reasons={NODE.id: "external-call"}),
-     lambda: ExternalInputSet({NODE.id: "external-call"}),
-     lambda: ExternalInputSet({NODE.id: "program-input-param"}),
-     "reasons", False),
+     lambda: ExternalInputSet(ids=frozenset({NODE.id})),
+     lambda: ExternalInputSet(frozenset({NODE.id})),
+     lambda: ExternalInputSet(frozenset()),
+     "ids", True),
 ]
 
 
@@ -214,8 +214,6 @@ def test_state_outside_the_value_is_read_only_and_left_out_of_it(jsi_program):
                  "iterations must be >= 1", id="RootCause-iterations"),
     pytest.param(lambda: ValidationVerdict(1, (("v1", "maybe"),)),
                  "unknown answer 'maybe' from v1", id="ValidationVerdict-answer"),
-    pytest.param(lambda: ExternalInputSet({"n": "file-read"}),
-                 "bad EI reason for n: 'file-read'", id="ExternalInputSet-reason"),
     pytest.param(lambda: Program(FILES, (_function(), _function())),
                  "duplicate function names: f", id="Program-duplicate"),
     pytest.param(lambda: Program((("a.c", "int f() {"),), (_function(),)),
