@@ -18,7 +18,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import evaluation
 from .code_model import CodeModelError
@@ -75,7 +75,6 @@ class Config(NamedTuple):
     providers: Dict[str, Provider]
     external_functions: FrozenSet[str] = DEFAULT_EXTERNAL_FUNCTIONS
     demand_rounds: int = DEFAULT_DEMAND_ROUNDS
-    digest: Optional[str] = None   # sha256 of the config file's bytes
 
     def provider(self, provider_id: str) -> Provider:
         if provider_id not in self.providers:
@@ -86,24 +85,25 @@ class Config(NamedTuple):
         return self.providers[provider_id]
 
 
-def load_config(path_text: Optional[str]) -> Config:
-    """Read the JSON config file at ``path_text``; ``None`` configures nothing.
+def load_config(path_text: Optional[str], read: Callable[[Path, str, str], str]) -> Config:
+    """The JSON config file at ``path_text``, else $APPATCH_CONFIG; neither configures nothing.
 
-    API keys never live in the file; http providers name the environment
-    variable that holds theirs.
+    ``read(path, what, key)`` reads it under the key ``config`` and each
+    provider script under ``script:<provider id>``.  API keys never live in
+    the file; http providers name the environment variable that holds theirs.
     """
+    path_text = path_text or os.environ.get(CONFIG_ENV_VAR)
     if path_text is None:
         return Config(providers={})
     path = Path(path_text)
     where = f"config file {path}"
-    text, digest = read_input(path, where, UsageError)
-    doc = json_object(text, where, UsageError)
+    doc = json_object(read(path, "config file", "config"), where, UsageError)
     entries = doc.get("providers")
     if not optional(array_of(is_object))(entries):
         raise UsageError(f"{where}: providers must be an array of objects")
     try:
-        providers = load_providers(entries or [], base_dir=path.parent)
-    except ConfigurationError as exc:
+        providers = load_providers(entries or [], read, base_dir=path.parent)
+    except (ConfigurationError, UsageError) as exc:   # a script that cannot be read
         raise UsageError(f"{where}: {exc}")
     external = doc.get("external_functions")
     if not optional(array_of(is_str))(external):
@@ -115,22 +115,22 @@ def load_config(path_text: Optional[str]) -> Config:
         providers=providers,
         external_functions=DEFAULT_EXTERNAL_FUNCTIONS if external is None else frozenset(external),
         demand_rounds=rounds,
-        digest=digest,
     )
 
 
 # ── the run record ───────────────────────────────────────────────────────
 
 class _Run:
-    """One command's reads and writes, and the manifest that commits them.
+    """One command's reads, writes and removals, and the manifest that commits them.
 
     The manifest is removed first, when the record is made (before even the
     log level is read), and written last, after every output, so a run that
     stops early leaves none: a manifest on disk says that each file it maps
     to a sha256, by its path from the manifest's directory, is that run's
-    output.  Every field is deterministic, so a warm-cache rerun reproduces
-    it byte for byte.  No output may be, by its real path, a file the run
-    read or wrote, or its manifest.
+    output.  :meth:`read` reads every input, config and scripts included,
+    under a key.  Every field is deterministic, so a warm-cache rerun
+    reproduces it byte for byte.  No output or removal may take, by its
+    real path, a file the run read or wrote, or its manifest.
     """
 
     def __init__(self, command: str, manifest: Path):
@@ -138,26 +138,15 @@ class _Run:
         self.manifest = manifest
         manifest.unlink(missing_ok=True)
         logging.basicConfig(level=_log_level())
-        self.config_digest: Optional[str] = None
         self.input_digests: Dict[str, str] = {}
         self.outputs: Dict[str, str] = {}
         self._seen = {os.path.realpath(manifest): "the manifest of this run"}
 
-    def config(self, path_text: Optional[str]) -> Config:
-        """The configuration named by ``--config`` or $APPATCH_CONFIG, if any; its file is read."""
-        path_text = path_text or os.environ.get(CONFIG_ENV_VAR)
-        if path_text is not None:
-            self._seen.setdefault(os.path.realpath(path_text), "read by this run")
-        config = load_config(path_text)
-        self.config_digest = config.digest
-        return config
-
-    def read(self, path: Union[str, Path], what: str, key: Optional[str] = None) -> str:
-        """The text of an input file; its digest is recorded under ``key``, if given."""
+    def read(self, path: Union[str, Path], what: str, key: str) -> str:
+        """The text of an input file; its digest is recorded under ``key``."""
         text, digest = read_input(path, f"{what} {path}", UsageError)
         self._seen.setdefault(os.path.realpath(path), "read by this run")
-        if key is not None:
-            self.input_digests[key] = digest
+        self.input_digests[key] = digest
         return text
 
     def write_text(self, path: Union[str, Path], text: str) -> None:
@@ -173,10 +162,16 @@ class _Run:
     def write_json(self, path: Union[str, Path], doc: Any) -> None:
         self.write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
+    def remove(self, path: Path) -> None:
+        """Remove an earlier run's stale output, refusing a file this run read or wrote."""
+        real = os.path.realpath(path)
+        if real in self._seen:
+            raise UsageError(f"stale output {path}: {self._seen[real]}")
+        path.unlink()
+
     def finish(self, flags: Dict[str, Any], exchanges: Sequence[Exchange] = ()) -> None:
         write_text_atomic(self.manifest, json.dumps({
             "command": self.command,
-            "config_digest": self.config_digest,
             "input_digests": self.input_digests,
             "outputs": self.outputs,
             "accounting": accounting_report(exchanges),
@@ -240,7 +235,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
         spec = VulnSpec(vulnerable_lines, cwe_ids)
     except ValueError as exc:
         raise UsageError(f"--cwe: {exc}")
-    config = run.config(args.config)
+    config = load_config(args.config, run.read)
 
     sources = graph_text = None
     if args.graph:
@@ -268,7 +263,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     run = _Run("mine", _beside(args.pool))
     _check_jobs(args.jobs)
-    config = run.config(args.config)
+    config = load_config(args.config, run.read)
     provider = config.provider(args.provider)
     dataset = load_dataset(run.read(args.dataset, "dataset file", "dataset"), Path(args.dataset))
 
@@ -292,7 +287,7 @@ def cmd_patch(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     run = _Run("patch", out_dir / "manifest.json")
     _check_jobs(args.jobs)
-    config = run.config(args.config)
+    config = load_config(args.config, run.read)
     max_rounds = config.demand_rounds if args.max_rounds is None else args.max_rounds
     if max_rounds < 1:
         raise UsageError("--max-rounds must be a positive integer")
@@ -359,7 +354,7 @@ def cmd_patch(args: argparse.Namespace) -> int:
     written = {entry["file"] for entry in candidate_files}
     for path in out_dir.glob("candidate_*.diff"):
         if re.fullmatch(r"candidate_\d+\.diff", path.name) and path.name not in written:
-            path.unlink()
+            run.remove(path)
     run.write_json(out_dir / "verdicts.json", verdicts_doc)
     run.write_json(out_dir / "result.json", {
         "sample_id": sample.id,

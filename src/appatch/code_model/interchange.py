@@ -80,8 +80,9 @@ _NO_FLOW = ((), (), ())   # an imported node's defs, uses, calls
 def import_graph(document: Any) -> Tuple[Program, DependenceGraph]:
     """Validate an interchange document and rebuild (Program, graph).
 
-    Node texts and line numbers are preserved verbatim.  Accepts either a
-    parsed document or its JSON text.
+    Node texts and line numbers are preserved verbatim; a function whose
+    nodes lie in two files is refused.  Accepts either a parsed document or
+    its JSON text.
     """
     if isinstance(document, str):
         try:
@@ -222,6 +223,12 @@ def _reconstruct_program(graph: DependenceGraph) -> Program:
         if callees:
             group[1].extend([(callee, nid) for callee in callees])
 
+    # Nodes come file-major, so a function in two files starts in one and ends in another.
+    for name, (fn_nodes, _) in members.items():
+        if fn_nodes[0].file != fn_nodes[-1].file:
+            other = next(node for node in fn_nodes if node.file != fn_nodes[0].file)
+            raise GraphFormatError(f"function {name!r} has nodes in both {fn_nodes[0].file} "
+                                   f"and {other.file}", f"$.nodes[{list(nodes).index(other.id)}]")
     functions = [
         FunctionDef(
             name=name,

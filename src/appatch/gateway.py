@@ -384,7 +384,8 @@ _CACHED_KEYS = (
 )
 
 
-def _build_one(entry: Mapping[str, Any], provider_id: str, base_dir: Path) -> Provider:
+def _build_one(entry: Mapping[str, Any], provider_id: str,
+               read: Callable[[Path, str, str], str], base_dir: Path) -> Provider:
     kind = entry.get("kind")
     where = f"provider {provider_id!r}"
     # Passed on as given: the constructor refuses a setting outside its range.
@@ -400,12 +401,12 @@ def _build_one(entry: Mapping[str, Any], provider_id: str, base_dir: Path) -> Pr
                     f"scripted provider {provider_id!r} needs 'responses' or 'script'"
                 )
             script_path = base_dir / script   # an absolute script stays as it is
-            where = f"scripted provider {provider_id!r}: script {script_path}"
-            text, _ = read_input(script_path, where, ConfigurationError)
+            what = f"scripted provider {provider_id!r}: script"
+            text = read(script_path, what, f"script:{provider_id}")
             try:
                 responses = json.loads(text)
             except ValueError as exc:
-                raise ConfigurationError(f"{where} is not valid JSON: {exc}") from exc
+                raise ConfigurationError(f"{what} {script_path} is not valid JSON: {exc}") from exc
         if not array_of(_is_response)(responses):
             raise ConfigurationError(
                 f"scripted provider {provider_id!r}: responses must be a JSON array "
@@ -422,13 +423,15 @@ def _build_one(entry: Mapping[str, Any], provider_id: str, base_dir: Path) -> Pr
 
 def load_providers(
     config: Sequence[Mapping[str, Any]],
+    read: Callable[[Path, str, str], str],
     base_dir: Optional[Union[str, Path]] = None,
 ) -> Dict[str, Provider]:
     """Instantiate the provider array of a configuration file.
 
     ``cached`` entries reference another provider by id through ``inner``
     and may appear in any order; relative script/cache paths resolve
-    against ``base_dir``.
+    against ``base_dir``.  ``read(path, what, key)`` reads each scripted
+    provider's script under the key ``script:<provider id>``.
     """
     base = Path(base_dir or "")
     providers: Dict[str, Provider] = {}
@@ -440,7 +443,7 @@ def load_providers(
         if entry.get("kind") == "cached":
             pending[provider_id] = entry
         else:
-            providers[provider_id] = _build_one(entry, provider_id, base)
+            providers[provider_id] = _build_one(entry, provider_id, read, base)
     cached = {provider_id: checked(entry, f"provider {provider_id!r}", _CACHED_KEYS,
                                    ConfigurationError)
               for provider_id, entry in pending.items()}

@@ -194,6 +194,66 @@ def test_slice_graph_accepts_ids_without_a_numeric_column(tmp_path, graph_withou
     assert document["ei"] == ["x.c:f:p0", "x.c:f:s1"]
 
 
+# Two graphs of one function name in two files, as a whole-program frontend
+# exports two file-scoped functions: each is refused where the second file's
+# first node stands.  The first would end past its first file's last line;
+# the second would merge two files' ``helper`` into one.
+_A3 = ("int main(int argc) {\n    int n;\n    n = helper(argc);\n    return n;\n}\n"
+       "int helper(int k) {\n    int r;\n    r = k + 1;\n    return r;\n}\n")
+_B3 = "int helper(int k) {\n    return k;\n}\n"
+
+
+def _one_name_in_two_files(case):
+    """``(document, vulnerable line, error line)`` for ``case``."""
+    from appatch.code_model import build_sdg, export_graph, parse_program
+
+    if case == "ends-past-its-file":
+        return {"nodes": [
+            {"id": "a", "file": "a.c", "function": "f", "line": 1, "text": "int f(int n)",
+             "kind": "entry"},
+            {"id": "b", "file": "b.c", "function": "f", "line": 5, "text": "buf[n] = 0",
+             "kind": "assign"},
+        ], "edges": [{"src": "a", "dst": "b", "kind": "control"}]}, "b.c:5", (
+            "$.nodes[1]: function 'f' has nodes in both a.c and b.c")
+    parts = [export_graph(build_sdg(parse_program([(name, text)])))
+             for name, text in (("a3.c", _A3), ("b3.c", _B3))]
+    document = {key: parts[0][key] + parts[1][key] for key in ("nodes", "edges")}
+    first_b3 = next(i for i, node in enumerate(document["nodes"]) if node["file"] == "b3.c")
+    return document, "b3.c:2", (
+        f"$.nodes[{first_b3}]: function 'helper' has nodes in both a3.c and b3.c")
+
+
+@pytest.mark.parametrize("case", ["ends-past-its-file", "two-helpers"])
+def test_slice_graph_of_one_function_in_two_files_is_pipeline_error(tmp_path, capsys, case):
+    document, vuln, error = _one_name_in_two_files(case)
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(document))
+    out = tmp_path / "s.json"
+    assert main(["slice", "--graph", str(graph_file), "--vuln", vuln, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot build the dependence graph: {error}\n"
+    assert not out.exists() and not (tmp_path / "s.json.manifest.json").exists()
+
+
+def test_mine_lists_a_graph_of_one_function_in_two_files_as_a_failure(tmp_path, capsys):
+    """The sample fails as a sample; the others are mined."""
+    document, vuln, error = _one_name_in_two_files("ends-past-its-file")
+    file, line = vuln.split(":")
+    record = {"id": "two-files", "graph": document,
+              "vuln": {"lines": [[file, int(line)]], "cwes": []},
+              "ground_truth_patch": "--- a/b.c\n+++ b/b.c\n@@ -5,1 +5,1 @@\n-a\n+b\n"}
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps(record) + "\n" + (FIXTURES / "dataset.jsonl").read_text())
+    pool_path = tmp_path / "pool.jsonl"
+    assert main(["mine", "--dataset", str(dataset), "--provider", "miner",
+                 "--pool", str(pool_path), "--config", str(write_config(tmp_path))]) == 0
+    flags = json.loads((tmp_path / "pool.jsonl.manifest.json").read_text())["flags"]
+    assert (flags["samples"], flags["mined"]) == (4, 3)
+    assert flags["errors"] == [{
+        "sample_id": "two-files",
+        "message": f"sample 'two-files': cannot build the dependence graph: {error}"}]
+    assert len(pool_path.read_text().splitlines()) == 3
+
+
 def test_slice_parse_error_is_pipeline_error(tmp_path):
     bad = tmp_path / "bad.c"
     bad.write_text("int f(){")
@@ -280,7 +340,7 @@ def test_mine_accounts_every_answer_alike_at_any_jobs(tmp_path, monkeypatch, ans
 
     response = json.loads((FIXTURES / "scripted" / "mine.json").read_text())[0]
     fixed = FixedProvider(response if answered else "no sections here")
-    monkeypatch.setattr(cli, "load_config", lambda path: cli.Config({"fixed": fixed}))
+    monkeypatch.setattr(cli, "load_config", lambda path, read: cli.Config({"fixed": fixed}))
     manifests = []
     for jobs in ("1", "2"):
         pool_path = tmp_path / f"jobs{jobs}" / "pool.jsonl"
@@ -734,6 +794,38 @@ def test_cold_runs_in_fresh_directories_are_byte_identical(tmp_path):
     }
 
 
+def test_pipeline_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """slice, mine, patch and eval, each tree written by a fresh interpreter
+    under its own PYTHONHASHSEED, agree byte for byte, manifests included."""
+    config = write_config(tmp_path)
+    gt_path = tmp_path / "gt.jsonl"
+    gt_path.write_text(json.dumps(json.loads((FIXTURES / "sample_e2e.json").read_text())) + "\n")
+    program = ("import json, sys\nfrom appatch.cli import main\n"
+               "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0, argv\n")
+    trees = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        runs = [
+            ["slice", "--source", str(FIXTURES / "jsi_like.c"), "--vuln", "jsi_like.c:48",
+             "--cwe", "CWE-787", "--out", str(out / "slice.json")],
+            ["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "miner",
+             "--pool", str(out / "pool.jsonl"), "--config", str(config)],
+            ["patch", "--sample", str(FIXTURES / "sample_e2e.json"),
+             "--pool", str(out / "pool.jsonl"), "--provider", "gen", "--validators", "v1,v2",
+             "--out", str(out / "results" / "jsi-strcpy-zero-day"), "--config", str(config)],
+            ["eval", "--results", str(out / "results"), "--ground-truth", str(gt_path),
+             "--labels", str(FIXTURES / "labels.jsonl"), "--report", str(out / "report.json"),
+             "--csv", str(out / "report.csv")],
+        ]
+        subprocess.run([sys.executable, "-c", program, json.dumps(runs)], check=True,
+                       env={**os.environ, "PYTHONHASHSEED": seed,
+                            "PYTHONPATH": str(FIXTURES.parents[1] / "src")})
+        trees.append({str(path.relative_to(out)): path.read_bytes()
+                      for path in sorted(out.rglob("*")) if path.is_file()})
+    assert sum(name.endswith("manifest.json") for name in trees[0]) == 4
+    assert trees[0] == trees[1]
+
+
 def test_slice_from_graph_renders_node_texts(tmp_path, jsi_graph):
     from appatch.code_model import dump_graph
 
@@ -994,34 +1086,41 @@ def test_cached_providers_in_a_cycle_are_usage_error(tmp_path, capsys):
 def test_manifest_names_each_output_and_input(tmp_path, mined_pool, jsi_graph, request, case):
     """The manifest maps exactly the files written beside it to the sha256
     of their bytes, and holds the sha256 of each input file's bytes under
-    one key per input."""
+    one key per input: the config and each provider script are inputs too."""
     from appatch.code_model import dump_graph
 
     config, pool_path = mined_pool
     out = tmp_path / "out"
     with_config = ["--config", str(config)]
-    config_digest = hashlib.sha256(config.read_bytes()).hexdigest()
+    configured = {"config": config, **{
+        f"script:{pid}": FIXTURES / "scripted" / name
+        for pid, name in [("gen", "gen.json"), ("miner", "mine.json"),
+                          ("v1", "val1.json"), ("v2", "val2.json")]}}
     if case == "slice-source":
         source = FIXTURES / "jsi_like.c"
         argv = ["slice", "--source", str(source), "--vuln", "jsi_like.c:48",
                 "--out", str(out / "slice.json"), *with_config]
-        manifest_path, inputs = out / "slice.json.manifest.json", {"source:jsi_like.c": source}
+        manifest_path, inputs = out / "slice.json.manifest.json", {
+            "source:jsi_like.c": source, **configured}
     elif case == "slice-graph":
         graph_file = tmp_path / "graph.json"
         graph_file.write_text(dump_graph(jsi_graph))
         argv = ["slice", "--graph", str(graph_file), "--vuln", "jsi_like.c:48",
                 "--out", str(out / "slice.json"), *with_config]
-        manifest_path, inputs = out / "slice.json.manifest.json", {"graph:graph.json": graph_file}
+        manifest_path, inputs = out / "slice.json.manifest.json", {
+            "graph:graph.json": graph_file, **configured}
     elif case == "mine":
         dataset = FIXTURES / "dataset.jsonl"
         argv = ["mine", "--dataset", str(dataset), "--provider", "miner",
                 "--pool", str(out / "pool.jsonl"), *with_config]
-        manifest_path, inputs = out / "pool.jsonl.manifest.json", {"dataset": dataset}
+        manifest_path, inputs = out / "pool.jsonl.manifest.json", {
+            "dataset": dataset, **configured}
     elif case == "patch":
         sample = FIXTURES / "sample_e2e.json"
         argv = ["patch", "--sample", str(sample), "--pool", str(pool_path), "--provider", "gen",
                 "--validators", "v1,v2", "--out", str(out), *with_config]
-        manifest_path, inputs = out / "manifest.json", {"sample": sample, "pool": pool_path}
+        manifest_path, inputs = out / "manifest.json", {
+            "sample": sample, "pool": pool_path, **configured}
     else:
         results, gt_path = request.getfixturevalue("patched_results")
         labels = FIXTURES / "labels.jsonl"
@@ -1036,7 +1135,6 @@ def test_manifest_names_each_output_and_input(tmp_path, mined_pool, jsi_graph, r
         files = {c["ordinal"]: c["file"] for c in result["candidates"]}
         for name in ["manifest.json", "result.json", *(files[o] for o in result["retained"])]:
             inputs[f"jsi-strcpy-zero-day/{name}"] = sample_dir / name
-        config_digest = None
     assert main(argv) == 0
     manifest = json.loads(manifest_path.read_text())
     assert manifest["outputs"] == {
@@ -1046,7 +1144,7 @@ def test_manifest_names_each_output_and_input(tmp_path, mined_pool, jsi_graph, r
     assert manifest["input_digests"] == {
         key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in inputs.items()
     }
-    assert manifest["config_digest"] == config_digest
+    assert "config_digest" not in manifest
 
 
 def test_eval_csv_elsewhere_is_committed_by_its_path_from_the_manifest(tmp_path,
@@ -1246,6 +1344,78 @@ def test_a_run_refuses_to_write_over_a_file_it_read(tmp_path, capsys, over):
     assert capsys.readouterr().err == f"error: output {out}: read by this run\n"
     assert target.read_bytes() == before
     assert not (tmp_path / f"{target.name}.manifest.json").exists()
+
+
+def test_a_run_refuses_to_write_over_a_script_its_config_names(tmp_path, capsys):
+    """A provider script is read through the run record like any input, so
+    an output over it is refused and the script stays as it was."""
+    script = tmp_path / "mine.json"
+    script.write_bytes((FIXTURES / "scripted" / "mine.json").read_bytes())
+    before = script.read_bytes()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"providers": [
+        {"id": "miner", "kind": "scripted", "script": "mine.json"}]}))
+    assert main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "miner",
+                 "--pool", str(script), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: output {script}: read by this run\n"
+    assert script.read_bytes() == before
+    assert not (tmp_path / "mine.json.manifest.json").exists()
+
+
+def test_patch_refuses_to_remove_a_stale_candidate_it_read(tmp_path, mined_pool, capsys):
+    """A pool that bears a candidate name in --out is an input of the run:
+    the removal of an earlier run's extra candidates refuses it."""
+    config, pool_path = mined_pool
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    pool = out_dir / "candidate_9.diff"
+    pool.write_bytes(pool_path.read_bytes())
+    before = pool.read_bytes()
+    assert main(["patch", "--sample", str(FIXTURES / "sample_e2e.json"), "--pool", str(pool),
+                 "--provider", "gen", "--out", str(out_dir), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: stale output {pool}: read by this run\n"
+    assert pool.read_bytes() == before
+    assert not (out_dir / "manifest.json").exists()
+
+
+def test_runs_whose_scripts_differ_write_different_input_digests(tmp_path, mined_pool):
+    """Two runs over one config file, whose script gained an answer that
+    neither run reaches, write the same outputs; each manifest names the
+    script that it replayed."""
+    _, pool_path = mined_pool
+    script = tmp_path / "gen.json"
+    config = tmp_path / "gen-config.json"
+    config.write_text(json.dumps({"providers": [
+        {"id": "gen", "kind": "scripted", "script": "gen.json"}]}))
+    answers = json.loads((FIXTURES / "scripted" / "gen.json").read_text())
+    scripts = [json.dumps(answers), json.dumps([*answers, "never asked for"])]
+    manifests = []
+    for i, text in enumerate(scripts):
+        script.write_text(text)
+        out_dir = tmp_path / f"out{i}"
+        assert main(["patch", "--sample", str(FIXTURES / "sample_e2e.json"),
+                     "--pool", str(pool_path), "--provider", "gen", "--out", str(out_dir),
+                     "--config", str(config)]) == 0
+        manifests.append(json.loads((out_dir / "manifest.json").read_text()))
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
+    digests = [m["input_digests"] for m in manifests]
+    assert digests[0]["config"] == digests[1]["config"]
+    assert [d["script:gen"] for d in digests] == [
+        hashlib.sha256(text.encode()).hexdigest() for text in scripts]
+
+
+def test_script_that_cannot_be_read_is_named_under_its_config(tmp_path, capsys):
+    """The message names the config file, the provider and the script, in
+    that order, as the other errors of a config file do."""
+    script = tmp_path / "absent.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"providers": [
+        {"id": "miner", "kind": "scripted", "script": "absent.json"}]}))
+    assert main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "miner",
+                 "--pool", str(tmp_path / "pool.jsonl"), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config file {config}: scripted provider 'miner': "
+        f"script {script}: No such file or directory\n")
 
 
 @pytest.mark.parametrize("sample_id", ["", ".", "..", "a/b", "../jsi-strcpy-zero-day"])

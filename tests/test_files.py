@@ -45,23 +45,25 @@ def test_only_files_reads_a_file():
     assert readers == []
 
 
-def test_only_the_run_record_writes_an_output():
-    """Every output goes through ``cli._Run``, whose manifest commits it; the
-    cache writes its own entries, which are no command's output."""
+@pytest.mark.parametrize("primitive", ["write_text_atomic", "read_input"])
+def test_only_the_run_record_writes_an_output(primitive):
+    """Every output goes through ``cli._Run``, whose manifest commits it, and
+    so does every input, the config and provider scripts included; the cache
+    reads and writes its own entries, which belong to its store, not to a run."""
     package = Path(appatch.__file__).parent
     owner = {"cli.py": "_Run", "gateway.py": "CachedProvider"}
-    writers = []
+    callers = []
     for path in sorted(package.rglob("*.py")):
         name = str(path.relative_to(package))
         tree = ast.parse(path.read_text(encoding="utf-8"))
         allowed = [range(node.lineno, node.end_lineno + 1) for node in tree.body
                    if isinstance(node, ast.ClassDef) and node.name == owner.get(name)]
-        writers += [
+        callers += [
             f"{name}:{node.lineno}" for node in ast.walk(tree)
-            if "write_text_atomic" in (getattr(node, "id", None), getattr(node, "attr", None))
+            if primitive in (getattr(node, "id", None), getattr(node, "attr", None))
             and name != "files.py" and not any(node.lineno in lines for lines in allowed)
         ]
-    assert writers == []
+    assert callers == []
 
 
 # ── every record reader: returns, or raises its own error class ─────────

@@ -260,17 +260,30 @@ def test_http_chat_missing_auth_names_the_env_var(stub_server, monkeypatch):
     assert "STUB_KEY" in str(err.value)
 
 
+def _no_read(path, what, key):
+    """The ``read`` of a configuration that names no script."""
+    raise AssertionError(f"{what} {path} read under {key!r}")
+
+
 def test_load_providers_resolves_cached_inner(tmp_path):
     script = tmp_path / "responses.json"
     script.write_text(json.dumps(["a", "b"]))
+    reads = []
+
+    def read(path, what, key):
+        reads.append((path, what, key))
+        return path.read_text()
+
     providers = load_providers(
         [
             {"id": "raw", "kind": "scripted", "script": "responses.json"},
             {"id": "front", "kind": "cached", "inner": "raw",
              "cache_dir": "cache"},
         ],
+        read,
         base_dir=tmp_path,
     )
+    assert reads == [(script, "scripted provider 'raw': script", "script:raw")]
     assert providers["front"].complete("p").response == "a"
     assert (tmp_path / "cache").is_dir()
 
@@ -285,7 +298,7 @@ _CHAIN = [
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))),
                          ids=lambda order: "-".join(_CHAIN[i]["id"] for i in order))
 def test_load_providers_resolves_cached_chains_in_any_order(tmp_path, order):
-    providers = load_providers([_CHAIN[i] for i in order], base_dir=tmp_path)
+    providers = load_providers([_CHAIN[i] for i in order], _no_read, base_dir=tmp_path)
     assert providers["c2"].inner is providers["c1"]
     assert providers["c1"].inner is providers["raw"]
     assert providers["c2"].complete("p").response == "a"
@@ -306,7 +319,7 @@ def _cached(provider_id, inner):
 ], ids=["self", "two", "behind-another", "unknown-at-depth"])
 def test_load_providers_rejects_cached_cycles_and_unknown_inners(tmp_path, config, message):
     with pytest.raises(ConfigurationError) as err:
-        load_providers(config, base_dir=tmp_path)
+        load_providers(config, _no_read, base_dir=tmp_path)
     assert str(err.value) == message
 
 
@@ -320,7 +333,7 @@ def test_load_providers_rejects_cached_cycles_and_unknown_inners(tmp_path, confi
 ])
 def test_load_providers_rejects_bad_config(config, fragment):
     with pytest.raises(ConfigurationError) as err:
-        load_providers(config)
+        load_providers(config, _no_read)
     assert fragment in str(err.value)
 
 

@@ -317,6 +317,27 @@ def test_block_outside_rendered_functions_is_dropped(patch_stage, caplog):
     assert "dst[i] = 0" in patches[0].diff
 
 
+def test_block_that_runs_past_the_end_of_a_rendered_function_is_dropped(patch_stage, caplog):
+    """A hunk must lie inside one rendered function: starting inside
+    ``format_value`` (lines 12-49) is not enough."""
+    sample, program, rendered, root_cause = patch_stage
+    assert "format_value" in rendered.included_functions
+    crossing = (
+        "Patch 1:\n```diff\n--- a/jsi_like.c\n+++ b/jsi_like.c\n"
+        "@@ -48,3 +48,3 @@\n     return jsi_strcpy(p, use);\n }\n-\n+/* end */\n```\n\n"
+        "Patch 2:\n```diff\n--- a/jsi_like.c\n+++ b/jsi_like.c\n"
+        "@@ -55,1 +55,1 @@\n-        dst[i] = src[i];\n+        dst[i] = 0;\n```"
+    )
+    with caplog.at_level("WARNING"):
+        patches, _ = generate_patches(
+            [], rendered, sample.vuln, root_cause, scripted([crossing]), program,
+        )
+    assert len(patches) == 1
+    assert "dst[i] = 0" in patches[0].diff
+    assert ("patch block 1 references lines outside the rendered functions; dropping it"
+            in [r.getMessage() for r in caplog.records])
+
+
 def test_unparseable_block_is_dropped_as_such(patch_stage, caplog):
     sample, program, rendered, root_cause = patch_stage
     response = load_script("gen.json")[5]

@@ -13,6 +13,7 @@ from appatch.code_model import (
 from appatch.code_model.model import DependenceGraph, ExternalInputSet, StatementNode
 from appatch.scoping import (
     ScopingError,
+    SliceResult,
     VulnSpec,
     render_slice,
     vulnerability_semantics,
@@ -230,6 +231,18 @@ def test_render_empty_intersection_flags_warning(jsi_slice, jsi_program, jsi_gra
     assert any("slice does not intersect functions ['jsi_strlen']" in r.message
                for r in caplog.records)
     assert rendered.text == ""
+
+
+def test_render_shows_the_signature_line_of_a_function_with_no_slice_node_on_it():
+    """A slice that holds only a body statement of ``main`` still renders
+    ``main``'s signature line above it."""
+    program = parse_program([("s.c", "int main(int n) {\n    n = n + 1;\n    return n;\n}\n")])
+    graph = build_sdg(program)
+    [body] = graph.nodes_at("s.c", 2)
+    ids = frozenset([body])
+    rendered = render_slice(SliceResult(node_ids=ids, sv_ids=ids, ei_ids=frozenset()),
+                            program, graph, {"main"})
+    assert rendered.text == "1: int main(int n) {\n2:     n = n + 1;"
 
 
 def test_render_requires_functions(jsi_slice, jsi_program, jsi_graph):
