@@ -18,7 +18,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import evaluation
 from .code_model import CodeModelError
@@ -54,8 +54,6 @@ from .validation import validate_all
 
 log = logging.getLogger(__name__)
 
-CONFIG_ENV_VAR = "APPATCH_CONFIG"
-
 EXIT_OK = 0
 EXIT_PIPELINE = 1
 EXIT_USAGE = 2
@@ -71,51 +69,41 @@ class PipelineError(Exception):
 
 # ── configuration ────────────────────────────────────────────────────────
 
-class Config(NamedTuple):
-    providers: Dict[str, Provider]
-    external_functions: FrozenSet[str] = DEFAULT_EXTERNAL_FUNCTIONS
-    demand_rounds: int = DEFAULT_DEMAND_ROUNDS
-
-    def provider(self, provider_id: str) -> Provider:
-        if provider_id not in self.providers:
-            known = ", ".join(sorted(self.providers)) or "(none configured)"
-            raise UsageError(
-                f"unknown provider id {provider_id!r}; configured: {known}"
-            )
-        return self.providers[provider_id]
+# Run settings are flags, not config keys.  The config format ignores keys it
+# does not know, so one of these, ignored, would change the run without a word.
+_RETIRED_KEYS = {"external_functions": "--external-functions", "demand_rounds": "--max-rounds"}
 
 
-def load_config(path_text: Optional[str], read: Callable[[Path, str, str], str]) -> Config:
-    """The JSON config file at ``path_text``, else $APPATCH_CONFIG; neither configures nothing.
+def load_config(path_text: Optional[str], read: Callable[[Path, str, str], str]
+                ) -> Dict[str, Provider]:
+    """The providers of the JSON config file at ``path_text``, by id; no file configures none.
 
     ``read(path, what, key)`` reads it under the key ``config`` and each
     provider script under ``script:<provider id>``.  API keys never live in
     the file; http providers name the environment variable that holds theirs.
     """
-    path_text = path_text or os.environ.get(CONFIG_ENV_VAR)
     if path_text is None:
-        return Config(providers={})
+        return {}
     path = Path(path_text)
     where = f"config file {path}"
     doc = json_object(read(path, "config file", "config"), where, UsageError)
+    for key, flag in _RETIRED_KEYS.items():
+        if key in doc:
+            raise UsageError(f"{where}: {key!r} is no longer a config key; pass {flag}")
     entries = doc.get("providers")
     if not optional(array_of(is_object))(entries):
         raise UsageError(f"{where}: providers must be an array of objects")
     try:
-        providers = load_providers(entries or [], read, base_dir=path.parent)
+        return load_providers(entries or [], read, base_dir=path.parent)
     except (ConfigurationError, UsageError) as exc:   # a script that cannot be read
         raise UsageError(f"{where}: {exc}")
-    external = doc.get("external_functions")
-    if not optional(array_of(is_str))(external):
-        raise UsageError(f"{where}: external_functions must be an array of strings")
-    rounds = DEFAULT_DEMAND_ROUNDS if doc.get("demand_rounds") is None else doc["demand_rounds"]
-    if not is_int(rounds) or rounds < 1:
-        raise UsageError(f"{where}: demand_rounds must be a positive integer")
-    return Config(
-        providers=providers,
-        external_functions=DEFAULT_EXTERNAL_FUNCTIONS if external is None else frozenset(external),
-        demand_rounds=rounds,
-    )
+
+
+def _provider(providers: Dict[str, Provider], provider_id: str) -> Provider:
+    if provider_id not in providers:
+        known = ", ".join(sorted(providers)) or "(none configured)"
+        raise UsageError(f"unknown provider id {provider_id!r}; configured: {known}")
+    return providers[provider_id]
 
 
 # ── the run record ───────────────────────────────────────────────────────
@@ -187,11 +175,11 @@ def _beside(path_text: str) -> Path:
 
 # ── shared loaders ───────────────────────────────────────────────────────
 
-def _external_functions(args: argparse.Namespace, config: Config):
-    flag = args.external_functions
+def _external_functions(flag: str) -> FrozenSet[str]:
+    """``--external-functions``, comma separated; an empty flag keeps the curated set."""
     if flag:
         return frozenset(n.strip() for n in flag.split(",") if n.strip())
-    return config.external_functions
+    return DEFAULT_EXTERNAL_FUNCTIONS
 
 
 def _check_jobs(jobs: int) -> None:
@@ -216,11 +204,10 @@ def _parse_vuln_arg(vuln: str) -> List[Tuple[str, int]]:
 
 # ── subcommands ──────────────────────────────────────────────────────────
 
-def _slice(sample: DatasetSample, args: argparse.Namespace, config: Config):
-    """``sample.slice`` over the run's external functions; a code model
-    that does not build is a pipeline error."""
+def _slice(sample: DatasetSample, external_functions: FrozenSet[str]):
+    """``sample.slice``; a code model that does not build is a pipeline error."""
     try:
-        return sample.slice(_external_functions(args, config))
+        return sample.slice(external_functions)
     except CodeModelError as exc:
         raise PipelineError(f"cannot build the dependence graph: {exc}") from exc
 
@@ -235,7 +222,6 @@ def cmd_slice(args: argparse.Namespace) -> int:
         spec = VulnSpec(vulnerable_lines, cwe_ids)
     except ValueError as exc:
         raise UsageError(f"--cwe: {exc}")
-    config = load_config(args.config, run.read)
 
     sources = graph_text = None
     if args.graph:
@@ -246,7 +232,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
                         for name, path in zip(names, args.source))
     sample = DatasetSample(id="", vuln=spec, sources=sources, graph_document=graph_text,
                            entry=args.entry)   # a sample of no dataset: it has no id
-    program, graph, _, result = _slice(sample, args, config)
+    program, graph, _, result = _slice(sample, args.external_functions)
 
     functions = functions_containing(graph, result.node_ids)
     rendered = render_slice(result, program, graph, functions)
@@ -254,7 +240,8 @@ def cmd_slice(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     run.write_json(out_path, result.to_document(graph))
     run.write_text(out_path.with_name(out_path.name + ".txt"), rendered.text + "\n")
-    run.finish({"fallback": result.fallback})
+    run.finish({"entry": args.entry, "external_functions": sorted(args.external_functions),
+                "fallback": result.fallback})
     print(f"slice: {len(result.node_ids)} nodes "
           f"({len(result.ei_ids)} external inputs, fallback={result.fallback})")
     return EXIT_OK
@@ -263,18 +250,16 @@ def cmd_slice(args: argparse.Namespace) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     run = _Run("mine", _beside(args.pool))
     _check_jobs(args.jobs)
-    config = load_config(args.config, run.read)
-    provider = config.provider(args.provider)
+    provider = _provider(load_config(args.config, run.read), args.provider)
     dataset = load_dataset(run.read(args.dataset, "dataset file", "dataset"), Path(args.dataset))
 
     pool, failures, exchanges = build_pool(
-        dataset, provider,
-        external_functions=_external_functions(args, config),
-        jobs=args.jobs,
+        dataset, provider, external_functions=args.external_functions, jobs=args.jobs,
     )
     run.write_text(args.pool, save_pool(pool))
     run.finish({
         "provider": args.provider,
+        "external_functions": sorted(args.external_functions),
         "samples": len(dataset),
         "mined": len(pool),
         "errors": [{"sample_id": f.sample_id, "message": f.message} for f in failures],
@@ -287,17 +272,16 @@ def cmd_patch(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     run = _Run("patch", out_dir / "manifest.json")
     _check_jobs(args.jobs)
-    config = load_config(args.config, run.read)
-    max_rounds = config.demand_rounds if args.max_rounds is None else args.max_rounds
-    if max_rounds < 1:
+    if args.max_rounds < 1:
         raise UsageError("--max-rounds must be a positive integer")
-    provider = config.provider(args.provider)
+    providers = load_config(args.config, run.read)
+    provider = _provider(providers, args.provider)
     validator_ids = [v.strip() for v in (args.validators or "").split(",") if v.strip()]
     repeated = sorted({v for v in validator_ids if validator_ids.count(v) > 1})
     if repeated:
         # One judge asked twice would overwrite its own verdicts.
         raise UsageError(f"--validators names {', '.join(repeated)} more than once")
-    validators = [config.provider(v) for v in validator_ids]
+    validators = [_provider(providers, v) for v in validator_ids]
 
     sample_text = run.read(args.sample, "sample file", "sample")
     pool_text = run.read(args.pool, "pool file", "pool")
@@ -306,10 +290,10 @@ def cmd_patch(args: argparse.Namespace) -> int:
     sample.check_patch_applies()
     pool = load_pool(pool_text, Path(args.pool))
 
-    program, graph, _, result = _slice(sample, args, config)
+    program, graph, _, result = _slice(sample, args.external_functions)
 
     root_cause, rendered, rc_exchanges = generate_root_cause(
-        graph, program, sample.vuln, result, provider, max_rounds=max_rounds,
+        graph, program, sample.vuln, result, provider, max_rounds=args.max_rounds,
     )
     chosen, sel_exchanges, comparisons_failed = select_exemplars(
         root_cause, pool, provider,
@@ -366,6 +350,9 @@ def cmd_patch(args: argparse.Namespace) -> int:
     run.finish({
         "provider": args.provider,
         "validators": validator_ids,
+        "external_functions": sorted(args.external_functions),
+        "max_rounds": args.max_rounds,
+        "cwe_filter": args.cwe_filter,
         "no_validation": not validators,
         "exemplars_selected": len(chosen),
         "comparisons_failed": sorted(comparisons_failed),
@@ -497,10 +484,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Slice, mine, patch, and evaluate vulnerability fixes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # The flags of every command that builds a dependence graph.
+    # The flag of every command that builds a dependence graph.
     graph_flags = argparse.ArgumentParser(add_help=False)
-    graph_flags.add_argument("--config", help="configuration file")
-    graph_flags.add_argument("--external-functions",
+    graph_flags.add_argument("--external-functions", type=_external_functions,
+                             default=DEFAULT_EXTERNAL_FUNCTIONS,
                              help="override the external-function set, comma separated")
 
     p_slice = sub.add_parser("slice", parents=[graph_flags],
@@ -519,6 +506,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             help="mine an exemplar pool from known patches")
     p_mine.add_argument("--dataset", required=True, help="JSONL dataset")
     p_mine.add_argument("--provider", required=True, help="provider id")
+    p_mine.add_argument("--config", help="provider configuration file")
     p_mine.add_argument("--pool", required=True, help="pool JSONL output path")
     p_mine.add_argument("--jobs", type=int, default=1, help="parallel samples")
     p_mine.set_defaults(func=cmd_mine)
@@ -528,13 +516,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_patch.add_argument("--sample", required=True, help="sample JSON file")
     p_patch.add_argument("--pool", required=True, help="exemplar pool JSONL")
     p_patch.add_argument("--provider", required=True, help="generating provider id")
+    p_patch.add_argument("--config", help="provider configuration file")
     p_patch.add_argument("--validators", default="",
                          help="validating provider ids, comma separated; "
                               "omit to skip validation")
     p_patch.add_argument("--out", required=True, help="output directory")
     p_patch.add_argument("--cwe-filter", action="store_true",
                          help="pre-filter the pool to matching CWE ids")
-    p_patch.add_argument("--max-rounds", type=int, default=None,
+    p_patch.add_argument("--max-rounds", type=int, default=DEFAULT_DEMAND_ROUNDS,
                          help="context-demand round ceiling")
     p_patch.add_argument("--jobs", type=int, default=1,
                          help="concurrent validators")

@@ -146,9 +146,17 @@ def apply_patch(
             # old_start is 1-based; for zero-count hunks it names the line
             # *after* which the insertion happens.
             anchor = hunk.old_start - 1 if hunk.old_count else hunk.old_start
-            if anchor < cursor or anchor > len(old_lines):
+            if anchor > len(old_lines):
                 raise ApplyError(
                     f"hunk starts at line {hunk.old_start}, beyond the file",
+                    file_diff.path, index,
+                )
+            if anchor < cursor:
+                # Before the first hunk, only a line-0 hunk that keeps or removes lines.
+                previous = (f"hunk #{index - 1}, which ends at line {cursor}" if index > 1
+                            else "line 0")
+                raise ApplyError(
+                    f"hunk starts at line {hunk.old_start}, not after {previous}",
                     file_diff.path, index,
                 )
             new_lines.extend(old_lines[cursor:anchor])

@@ -155,17 +155,16 @@ def load_dataset(text: str, path: Union[str, Path]) -> List[DatasetSample]:
 
     ``path`` names the file in error messages only.
     """
-    samples: List[DatasetSample] = []
+    samples: Dict[str, DatasetSample] = {}
     for where, doc in json_lines(text, path, DatasetError):
         sample = DatasetSample.from_document(doc, where)
+        if sample.id in samples:
+            raise DatasetError(f"{where}: duplicate sample id: {sample.id!r}")
         if sample.ground_truth_patch is None:
             raise DatasetError(f"{where}: sample {sample.id!r} has no ground-truth patch")
         sample.check_patch_applies()
-        samples.append(sample)
-    ids = [s.id for s in samples]
-    if len(ids) != len(set(ids)):
-        raise DatasetError(f"{path}: duplicate sample ids")
-    return samples
+        samples[sample.id] = sample
+    return list(samples.values())
 
 
 class Exemplar(NamedTuple):
@@ -289,7 +288,7 @@ def build_pool(
     seen: set = set()
     for sample in dataset:
         if sample.id in seen:
-            raise ValueError(f"duplicate sample id in pool: {sample.id!r}")
+            raise ValueError(f"duplicate sample id in dataset: {sample.id!r}")
         seen.add(sample.id)
     if jobs > 1:
         replayed = provider

@@ -340,7 +340,7 @@ def test_mine_accounts_every_answer_alike_at_any_jobs(tmp_path, monkeypatch, ans
 
     response = json.loads((FIXTURES / "scripted" / "mine.json").read_text())[0]
     fixed = FixedProvider(response if answered else "no sections here")
-    monkeypatch.setattr(cli, "load_config", lambda path, read: cli.Config({"fixed": fixed}))
+    monkeypatch.setattr(cli, "load_config", lambda path, read: {"fixed": fixed})
     manifests = []
     for jobs in ("1", "2"):
         pool_path = tmp_path / f"jobs{jobs}" / "pool.jsonl"
@@ -351,15 +351,6 @@ def test_mine_accounts_every_answer_alike_at_any_jobs(tmp_path, monkeypatch, ans
     manifest = json.loads(manifests[0])
     assert manifest["accounting"]["fixed"]["calls"] == 3
     assert len(manifest["flags"]["errors"]) == (0 if answered else 3)
-
-
-def test_config_via_environment(tmp_path, monkeypatch):
-    config = write_config(tmp_path)
-    monkeypatch.setenv("APPATCH_CONFIG", str(config))
-    pool_path = tmp_path / "pool.jsonl"
-    code = main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"),
-                 "--provider", "miner", "--pool", str(pool_path)])
-    assert code == 0
 
 
 # ── patch ────────────────────────────────────────────────────────────────
@@ -1039,6 +1030,36 @@ def test_slice_checks_its_flags_before_it_reads_anything(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --cwe: bad CWE id: 'CWE-x'\n"
 
 
+def test_slice_takes_no_config(tmp_path, capsys):
+    """``slice`` calls no provider, so it has no config to read."""
+    config = write_config(tmp_path)
+    assert main(["slice", "--source", str(FIXTURES / "jsi_like.c"), "--vuln", "jsi_like.c:48",
+                 "--config", str(config), "--out", str(tmp_path / "s.json")]) == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "s.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("key, value, flag", [
+    ("external_functions", ["recv"], "--external-functions"),
+    ("demand_rounds", 3, "--max-rounds"),
+])
+def test_patch_refuses_a_config_that_sets_a_retired_key(tmp_path, mined_pool, capsys,
+                                                         key, value, flag):
+    config, pool_path = mined_pool
+    doc = json.loads(config.read_text())
+    doc[key] = value
+    old = tmp_path / "old-config.json"
+    old.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out-retired"
+    capsys.readouterr()
+    assert main(["patch", "--sample", str(FIXTURES / "sample_e2e.json"), "--pool",
+                 str(pool_path), "--provider", "gen", "--out", str(out_dir),
+                 "--config", str(old)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config file {old}: {key!r} is no longer a config key; pass {flag}\n")
+    assert not (out_dir / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("rounds", ["0", "-1"])
 def test_patch_max_rounds_below_one_is_usage_error(tmp_path, mined_pool, capsys, rounds):
     config, pool_path = mined_pool
@@ -1075,8 +1096,8 @@ def test_cached_providers_in_a_cycle_are_usage_error(tmp_path, capsys):
         {"id": "a", "kind": "cached", "inner": "b", "cache_dir": "cache/a"},
         {"id": "b", "kind": "cached", "inner": "a", "cache_dir": "cache/b"},
     ]}))
-    code = main(["slice", "--source", str(FIXTURES / "null_use.c"), "--vuln", "null_use.c:4",
-                 "--config", str(config), "--out", str(tmp_path / "s.json")])
+    code = main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "a",
+                 "--config", str(config), "--pool", str(tmp_path / "pool.jsonl")])
     assert code == 2
     assert "cached provider 'a': inner providers form a cycle: a -> b -> a" in (
         capsys.readouterr().err)
@@ -1086,7 +1107,8 @@ def test_cached_providers_in_a_cycle_are_usage_error(tmp_path, capsys):
 def test_manifest_names_each_output_and_input(tmp_path, mined_pool, jsi_graph, request, case):
     """The manifest maps exactly the files written beside it to the sha256
     of their bytes, and holds the sha256 of each input file's bytes under
-    one key per input: the config and each provider script are inputs too."""
+    one key per input: the config and each provider script are inputs too,
+    and ``slice``, which calls no provider, reads no config."""
     from appatch.code_model import dump_graph
 
     config, pool_path = mined_pool
@@ -1099,16 +1121,14 @@ def test_manifest_names_each_output_and_input(tmp_path, mined_pool, jsi_graph, r
     if case == "slice-source":
         source = FIXTURES / "jsi_like.c"
         argv = ["slice", "--source", str(source), "--vuln", "jsi_like.c:48",
-                "--out", str(out / "slice.json"), *with_config]
-        manifest_path, inputs = out / "slice.json.manifest.json", {
-            "source:jsi_like.c": source, **configured}
+                "--out", str(out / "slice.json")]
+        manifest_path, inputs = out / "slice.json.manifest.json", {"source:jsi_like.c": source}
     elif case == "slice-graph":
         graph_file = tmp_path / "graph.json"
         graph_file.write_text(dump_graph(jsi_graph))
         argv = ["slice", "--graph", str(graph_file), "--vuln", "jsi_like.c:48",
-                "--out", str(out / "slice.json"), *with_config]
-        manifest_path, inputs = out / "slice.json.manifest.json", {
-            "graph:graph.json": graph_file, **configured}
+                "--out", str(out / "slice.json")]
+        manifest_path, inputs = out / "slice.json.manifest.json", {"graph:graph.json": graph_file}
     elif case == "mine":
         dataset = FIXTURES / "dataset.jsonl"
         argv = ["mine", "--dataset", str(dataset), "--provider", "miner",
@@ -1145,6 +1165,48 @@ def test_manifest_names_each_output_and_input(tmp_path, mined_pool, jsi_graph, r
         key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in inputs.items()
     }
     assert "config_digest" not in manifest
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("slice", ["--external-functions", "trace_write"]),
+    ("slice", ["--entry", "format_value"]),
+    ("mine", ["--external-functions", "trace_write"]),
+    ("patch", ["--external-functions", "trace_write"]),
+    ("patch", ["--max-rounds", "2"]),
+    ("patch", ["--cwe-filter"]),
+], ids=["slice-external-functions", "slice-entry", "mine-external-functions",
+        "patch-external-functions", "patch-max-rounds", "patch-cwe-filter"])
+def test_manifest_flags_record_each_setting_that_shapes_the_outputs(tmp_path, command, flag):
+    """Two runs that differ only in one such flag write manifests whose
+    flags differ.  ``patch`` runs over a one-exemplar CWE-787 pool, so
+    that ``--cwe-filter`` keeps the scripted answers in step."""
+    gen = json.loads((FIXTURES / "scripted" / "gen.json").read_text())
+    (tmp_path / "gen.json").write_text(json.dumps([*gen[:3], gen[-1]]))
+    pool = tmp_path / "pool.jsonl"
+    assert main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "miner",
+                 "--pool", str(pool), "--config", str(write_config(tmp_path))]) == 0
+    pool.write_text(pool.read_text().splitlines(keepends=True)[0])
+    config = tmp_path / "gen-config.json"
+    config.write_text(json.dumps({"providers": [
+        {"id": "gen", "kind": "scripted", "script": "gen.json"}]}))
+
+    def flags(out, *extra):
+        argv, manifest = {
+            "slice": (["slice", "--source", str(FIXTURES / "jsi_like.c"), "--vuln",
+                       "jsi_like.c:48", "--out", str(out / "slice.json")],
+                      out / "slice.json.manifest.json"),
+            "mine": (["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider",
+                      "miner", "--pool", str(out / "pool.jsonl"),
+                      "--config", str(tmp_path / "config.json")],
+                     out / "pool.jsonl.manifest.json"),
+            "patch": (["patch", "--sample", str(FIXTURES / "sample_e2e.json"), "--pool",
+                       str(pool), "--provider", "gen", "--out", str(out),
+                       "--config", str(config)], out / "manifest.json"),
+        }[command]
+        assert main([*argv, *extra]) == 0
+        return json.loads(manifest.read_text())["flags"]
+
+    assert flags(tmp_path / "without") != flags(tmp_path / "with", *flag)
 
 
 def test_eval_csv_elsewhere_is_committed_by_its_path_from_the_manifest(tmp_path,
@@ -1333,14 +1395,17 @@ def test_a_run_refuses_to_write_over_a_file_it_read(tmp_path, capsys, over):
     """However the output is spelled, an input it names stays as it was."""
     source = tmp_path / "jsi_like.c"
     source.write_bytes((FIXTURES / "jsi_like.c").read_bytes())
-    config = tmp_path / "config.json"
-    config.write_text('{"providers": []}')
+    config = write_config(tmp_path)
     target = {"source": source, "config": config}[over]
     before = target.read_bytes()
     out = tmp_path / "sub" / ".." / target.name
     (tmp_path / "sub").mkdir()
-    assert main(["slice", "--source", str(source), "--vuln", "jsi_like.c:48",
-                 "--config", str(config), "--out", str(out)]) == 2
+    argv = {
+        "source": ["slice", "--source", str(source), "--vuln", "jsi_like.c:48", "--out", str(out)],
+        "config": ["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "miner",
+                   "--config", str(config), "--pool", str(out)],
+    }[over]
+    assert main(argv) == 2
     assert capsys.readouterr().err == f"error: output {out}: read by this run\n"
     assert target.read_bytes() == before
     assert not (tmp_path / f"{target.name}.manifest.json").exists()
@@ -1503,12 +1568,10 @@ def _provider_entry_not_an_object(doc):
     doc["providers"].append("miner")
 
 
-def _external_functions_as_string(doc):
-    doc["external_functions"] = "recv"
-
-
-def _demand_rounds_true(doc):
-    doc["demand_rounds"] = True
+def _retired_key(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
 
 
 def _miner_key(key, value):
@@ -1538,8 +1601,10 @@ def _cached_key(key, value):
 @pytest.mark.parametrize("mutate, message", [
     (_providers_as_object, "providers must be an array of objects"),
     (_provider_entry_not_an_object, "providers must be an array of objects"),
-    (_external_functions_as_string, "external_functions must be an array of strings"),
-    (_demand_rounds_true, "demand_rounds must be a positive integer"),
+    (_retired_key("external_functions", ["recv"]),
+     "'external_functions' is no longer a config key; pass --external-functions"),
+    (_retired_key("demand_rounds", 3),
+     "'demand_rounds' is no longer a config key; pass --max-rounds"),
     (_miner_key("attempts", "3"), "provider 'miner': 'attempts' must be an integer"),
     (_miner_key("rpm_limit", "60"), "provider 'miner': 'rpm_limit' must be an integer"),
     (_miner_key("max_concurrency", 2.5),
@@ -1574,7 +1639,7 @@ def _cached_key(key, value):
      "provider 'chat': 'max_tokens' must be an integer >= 1"),
     (_http_chat_key("temperature", -7),
      "provider 'chat': 'temperature' must be a number >= 0"),
-], ids=["providers-object", "provider-entry", "external-functions", "demand-rounds-bool",
+], ids=["providers-object", "provider-entry", "retired-external-functions", "retired-demand-rounds",
         "attempts", "rpm-limit", "max-concurrency", "backoff", "http-timeout",
         "http-temperature", "http-max-tokens", "http-max-tokens-bool", "http-headers-array",
         "http-headers-value", "http-auth-env", "cached-inner", "cached-cache-dir", "id",
@@ -1592,6 +1657,7 @@ def test_config_of_the_wrong_shape_is_usage_error(tmp_path, capsys, mutate, mess
     assert code == 2
     assert f"config file {config}: {message}" in capsys.readouterr().err
     assert not pool_path.exists()
+    assert not (tmp_path / "pool.jsonl.manifest.json").exists()
 
 
 # ── every input record: exact JSON types, errors that name file, line and field ──
@@ -1600,6 +1666,30 @@ def _fixture_record(**changes):
     record = json.loads((FIXTURES / "dataset.jsonl").read_text().splitlines()[0])
     record.update(changes)
     return {key: value for key, value in record.items() if value is not None}
+
+
+@pytest.mark.parametrize("command", ["mine", "eval"])
+def test_a_dataset_that_repeats_a_sample_id_is_usage_error_naming_the_line(
+        tmp_path, patched_results, capsys, command):
+    """``mine --dataset`` and ``eval --ground-truth`` read one format, and
+    each refuses the line that repeats an id."""
+    results, gt_path = patched_results
+    lines = (FIXTURES / "dataset.jsonl").read_text().splitlines(keepends=True)
+    dataset = tmp_path / "repeats.jsonl"
+    dataset.write_text("".join([*lines, lines[1]]))
+    out = tmp_path / "out-repeats"
+    argv = {
+        "mine": ["mine", "--dataset", str(dataset), "--provider", "miner",
+                 "--pool", str(out / "pool.jsonl"), "--config", str(write_config(tmp_path))],
+        "eval": ["eval", "--results", str(results), "--ground-truth", str(dataset),
+                 "--report", str(out / "report.json")],
+    }[command]
+    sample_id = json.loads(lines[1])["id"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {dataset}, line {len(lines) + 1}: duplicate sample id: {sample_id!r}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("record, field", [
@@ -1742,7 +1832,7 @@ def test_every_failure_point_leaves_a_committed_manifest_or_none(
              "--provider", "gen", "--validators", "v1,v2", "--config", str(config)]
     argv = {
         "slice": ["slice", "--source", str(FIXTURES / "jsi_like.c"), "--vuln", "jsi_like.c:48",
-                  "--cwe", "CWE-787", "--out", str(loc / "slice.json"), "--config", str(config)],
+                  "--cwe", "CWE-787", "--out", str(loc / "slice.json")],
         "mine": ["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "miner",
                  "--pool", str(loc / "pool.jsonl"), "--config", str(config)],
         "patch": [*patch, "--out", str(loc)],

@@ -67,6 +67,25 @@ def test_mismatch_messages_name_the_line_kind(hunk, message):
     assert str(err.value) == "f.c, hunk #1: " + message
 
 
+def test_hunk_past_the_last_line_is_beyond_the_file():
+    with pytest.raises(ApplyError) as err:
+        apply_patch({"f.c": SOURCE}, "--- a/f.c\n+++ b/f.c\n@@ -6,1 +6,1 @@\n-zeta\n+ZETA\n")
+    assert str(err.value) == "f.c, hunk #1: hunk starts at line 6, beyond the file"
+
+
+@pytest.mark.parametrize("hunks, message", [
+    ("@@ -4,1 +4,1 @@\n-delta\n+DELTA\n@@ -2,1 +2,1 @@\n-beta\n+BETA\n",
+     "hunk #2: hunk starts at line 2, not after hunk #1, which ends at line 4"),
+    ("@@ -2,2 +2,2 @@\n beta\n-gamma\n+GAMMA\n@@ -3,1 +3,1 @@\n-gamma\n+G\n",
+     "hunk #2: hunk starts at line 3, not after hunk #1, which ends at line 3"),
+    ("@@ -0,1 +0,1 @@\n-alpha\n+ALPHA\n", "hunk #1: hunk starts at line 0, not after line 0"),
+], ids=["out-of-order", "overlapping", "line-0"])
+def test_hunk_before_the_end_of_the_previous_one_names_it(hunks, message):
+    with pytest.raises(ApplyError) as err:
+        apply_patch({"f.c": SOURCE}, "--- a/f.c\n+++ b/f.c\n" + hunks)
+    assert str(err.value) == "f.c, " + message
+
+
 def test_unknown_file_rejected():
     diff = "--- a/g.c\n+++ b/g.c\n@@ -1,1 +1,1 @@\n-alpha\n+ALPHA\n"
     with pytest.raises(ApplyError):

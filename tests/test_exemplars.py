@@ -256,7 +256,7 @@ def test_build_pool_rejects_a_repeated_sample_id_before_any_call(dataset):
 
     with pytest.raises(ValueError) as err:
         build_pool([*dataset, dataset[1]], Unreachable(""))
-    assert str(err.value) == f"duplicate sample id in pool: {dataset[1].id!r}"
+    assert str(err.value) == f"duplicate sample id in dataset: {dataset[1].id!r}"
 
 
 def test_graph_backed_sample_skips_apply_check(jsi_graph):

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from appatch.cli import Config
 from appatch.code_model.model import (
     DependenceGraph,
     ExternalInputSet,
@@ -52,11 +51,6 @@ def _function(**cfg) -> FunctionDef:
 # (id, build a value, build an equal one, build a different one, a field,
 # whether the value hashes); each is built the way its callers build it.
 RECORDS = [
-    ("Config",
-     lambda: Config(providers={}),
-     lambda: Config({}),
-     lambda: Config(providers={}, demand_rounds=3),
-     "demand_rounds", False),
     ("Hunk",
      lambda: Hunk(1, 1, 1, 1, ("-a", "+b")),
      lambda: Hunk(old_start=1, old_count=1, new_start=1, new_count=1, lines=("-a", "+b")),
