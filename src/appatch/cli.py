@@ -74,16 +74,17 @@ class PipelineError(Exception):
 _RETIRED_KEYS = {"external_functions": "--external-functions", "demand_rounds": "--max-rounds"}
 
 
-def load_config(path_text: Optional[str], read: Callable[[Path, str, str], str]
-                ) -> Dict[str, Provider]:
-    """The providers of the JSON config file at ``path_text``, by id; no file configures none.
+def load_config(path_text: Optional[str], read: Callable[[Path, str, str], str],
+                ids: Sequence[str]) -> Dict[str, Provider]:
+    """The providers ``ids`` name, and their inner ones, from the config file at ``path_text``.
 
-    ``read(path, what, key)`` reads it under the key ``config`` and each
-    provider script under ``script:<provider id>``.  API keys never live in
-    the file; http providers name the environment variable that holds theirs.
+    Only their entries are read, checked and built; no file configures none.
+    ``read(path, what, key)`` reads the file under the key ``config`` and each
+    built provider's script under ``script:<provider id>``.  API keys never live
+    in the file; http providers name the environment variable that holds theirs.
     """
     if path_text is None:
-        return {}
+        return load_providers([], read, ids=ids)
     path = Path(path_text)
     where = f"config file {path}"
     doc = json_object(read(path, "config file", "config"), where, UsageError)
@@ -94,16 +95,9 @@ def load_config(path_text: Optional[str], read: Callable[[Path, str, str], str]
     if not optional(array_of(is_object))(entries):
         raise UsageError(f"{where}: providers must be an array of objects")
     try:
-        return load_providers(entries or [], read, base_dir=path.parent)
+        return load_providers(entries or [], read, base_dir=path.parent, ids=ids)
     except (ConfigurationError, UsageError) as exc:   # a script that cannot be read
         raise UsageError(f"{where}: {exc}")
-
-
-def _provider(providers: Dict[str, Provider], provider_id: str) -> Provider:
-    if provider_id not in providers:
-        known = ", ".join(sorted(providers)) or "(none configured)"
-        raise UsageError(f"unknown provider id {provider_id!r}; configured: {known}")
-    return providers[provider_id]
 
 
 # ── the run record ───────────────────────────────────────────────────────
@@ -250,7 +244,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     run = _Run("mine", _beside(args.pool))
     _check_jobs(args.jobs)
-    provider = _provider(load_config(args.config, run.read), args.provider)
+    provider = load_config(args.config, run.read, [args.provider])[args.provider]
     dataset = load_dataset(run.read(args.dataset, "dataset file", "dataset"), Path(args.dataset))
 
     pool, failures, exchanges = build_pool(
@@ -274,14 +268,14 @@ def cmd_patch(args: argparse.Namespace) -> int:
     _check_jobs(args.jobs)
     if args.max_rounds < 1:
         raise UsageError("--max-rounds must be a positive integer")
-    providers = load_config(args.config, run.read)
-    provider = _provider(providers, args.provider)
     validator_ids = [v.strip() for v in (args.validators or "").split(",") if v.strip()]
     repeated = sorted({v for v in validator_ids if validator_ids.count(v) > 1})
     if repeated:
         # One judge asked twice would overwrite its own verdicts.
         raise UsageError(f"--validators names {', '.join(repeated)} more than once")
-    validators = [_provider(providers, v) for v in validator_ids]
+    providers = load_config(args.config, run.read, [args.provider, *validator_ids])
+    provider = providers[args.provider]
+    validators = [providers[v] for v in validator_ids]
 
     sample_text = run.read(args.sample, "sample file", "sample")
     pool_text = run.read(args.pool, "pool file", "pool")

@@ -6,7 +6,7 @@ One document, two arrays::
      "edges": [{"src", "dst", "kind"}, ...]}
 
 Every field is required with its exact JSON type; ``line`` is an integer
->= 1 and node ids are distinct.  Extra keys anywhere are ignored.
+from 1 to ``MAX_LINE`` and node ids are distinct.  Extra keys anywhere are ignored.
 Validation failures carry the JSON path of the offending field; the first
 bad record is the one reported, every node before any edge.  Within a
 node its first bad field in the order above wins; within an edge a missing
@@ -75,6 +75,9 @@ _EDGE_KINDS = frozenset(EDGE_KINDS)
 _node_fields = itemgetter("id", "file", "function", "line", "text", "kind")
 _edge_fields = itemgetter("src", "dst", "kind")
 _NO_FLOW = ((), (), ())   # an imported node's defs, uses, calls
+# The import writes out every line of a file up to its last node's, so a
+# line number, not the document's size, would set the memory it takes.
+MAX_LINE = 1_000_000
 
 
 def import_graph(document: Any) -> Tuple[Program, DependenceGraph]:
@@ -106,7 +109,7 @@ def import_graph(document: Any) -> Tuple[Program, DependenceGraph]:
             _reject_node(item, len(nodes), nodes)
         node_id, file, function, line, text, kind = fields
         if not (type(node_id) is str and type(file) is str and type(function) is str
-                and type(line) is int and line >= 1 and type(text) is str
+                and type(line) is int and 1 <= line <= MAX_LINE and type(text) is str
                 and type(kind) is str and kind in _NODE_KINDS and node_id not in nodes):
             _reject_node(item, len(nodes), nodes)
         nodes[node_id] = tuple.__new__(StatementNode, fields + _NO_FLOW)
@@ -139,8 +142,10 @@ def _reject_node(item: Any, i: int, nodes: Dict[str, StatementNode]) -> NoReturn
         raise GraphFormatError(f"duplicate node id {node_id!r}", f"{path}.id")
     _field(item, "file", str, path, "a string")
     _field(item, "function", str, path, "a string")
-    if _field(item, "line", int, path, "an integer") < 1:
-        raise GraphFormatError("line must be >= 1", f"{path}.line")
+    line = _field(item, "line", int, path, "an integer")
+    if not 1 <= line <= MAX_LINE:
+        raise GraphFormatError("line must be >= 1" if line < 1 else f"line must be <= {MAX_LINE}",
+                               f"{path}.line")
     _field(item, "text", str, path, "a string")
     if _field(item, "kind", str, path, "a string") not in _NODE_KINDS:
         raise GraphFormatError(
@@ -223,7 +228,8 @@ def _reconstruct_program(graph: DependenceGraph) -> Program:
         if callees:
             group[1].extend([(callee, nid) for callee in callees])
 
-    # Nodes come file-major, so a function in two files starts in one and ends in another.
+    # Nodes come file-major and in line order, so a function in two files starts in
+    # one and ends in another, and one in a single file spans its first to its last node.
     for name, (fn_nodes, _) in members.items():
         if fn_nodes[0].file != fn_nodes[-1].file:
             other = next(node for node in fn_nodes if node.file != fn_nodes[0].file)
@@ -235,8 +241,8 @@ def _reconstruct_program(graph: DependenceGraph) -> Program:
             file=fn_nodes[0].file,
             nodes=tuple(fn_nodes),
             callsites=tuple(sites),
-            start_line=min(node.line for node in fn_nodes),
-            end_line=max(node.line for node in fn_nodes),
+            start_line=fn_nodes[0].line,
+            end_line=fn_nodes[-1].line,
         )
         for name, (fn_nodes, sites) in sorted(members.items())
     ]

@@ -94,26 +94,19 @@ def _is_count(value: Any) -> bool:
     return is_int(value) and value >= 1
 
 
-# The range of each retry, pacing and request setting a constructor takes.
-_RANGES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
-    "attempts": (_is_count, "an integer >= 1"),
-    "rpm_limit": (optional(_is_count), "an integer >= 1"),
-    "max_concurrency": (_is_count, "an integer >= 1"),
-    "backoff": (lambda value: is_number(value) and value >= 0, "a number >= 0"),
-    "timeout": (lambda value: is_number(value) and value > 0, "a number > 0"),
-    "max_tokens": (_is_count, "an integer >= 1"),
-    "temperature": (lambda value: is_number(value) and value >= 0, "a number >= 0"),
-}
-# The settings only ``HttpChatProvider`` takes.
-_HTTP_SETTINGS = ("timeout", "max_tokens", "temperature")
-
-
-def _check_ranges(provider_id: str, **settings: Any) -> None:
-    """Refuse a setting outside its range, in the words a config error uses."""
-    for key, value in settings.items():
-        test, description = _RANGES[key]
-        if not test(value):
-            raise ConfigurationError(f"provider {provider_id!r}: {key!r} must be {description}")
+# The range of each retry and pacing setting ``Provider`` takes, as a ``checked`` table.
+_RANGES = (
+    ("attempts", _is_count, "an integer >= 1"),
+    ("rpm_limit", optional(_is_count), "an integer >= 1"),
+    ("max_concurrency", _is_count, "an integer >= 1"),
+    ("backoff", lambda value: is_number(value) and value >= 0, "a number >= 0"),
+)
+# The range of each request setting only ``HttpChatProvider`` takes.
+_HTTP_RANGES = (
+    ("timeout", lambda value: is_number(value) and value > 0, "a number > 0"),
+    ("max_tokens", _is_count, "an integer >= 1"),
+    ("temperature", lambda value: is_number(value) and value >= 0, "a number >= 0"),
+)
 
 
 class Provider:
@@ -128,8 +121,8 @@ class Provider:
         rpm_limit: Optional[int] = None,
         max_concurrency: int = 4,
     ):
-        _check_ranges(provider_id, attempts=attempts, rpm_limit=rpm_limit,
-                      max_concurrency=max_concurrency, backoff=backoff)
+        checked({"attempts": attempts, "rpm_limit": rpm_limit, "max_concurrency": max_concurrency,
+                 "backoff": backoff}, f"provider {provider_id!r}", _RANGES, ConfigurationError)
         self.id = provider_id
         self.model = model
         self.attempts = attempts
@@ -239,8 +232,8 @@ class HttpChatProvider(Provider):
         **kwargs,
     ):
         super().__init__(provider_id, model, **kwargs)
-        _check_ranges(provider_id, timeout=timeout, max_tokens=max_tokens,
-                      temperature=temperature)
+        checked({"timeout": timeout, "max_tokens": max_tokens, "temperature": temperature},
+                f"provider {provider_id!r}", _HTTP_RANGES, ConfigurationError)
         self.endpoint = endpoint
         self.auth_env = auth_env
         self.temperature = temperature
@@ -389,8 +382,8 @@ def _build_one(entry: Mapping[str, Any], provider_id: str,
     kind = entry.get("kind")
     where = f"provider {provider_id!r}"
     # Passed on as given: the constructor refuses a setting outside its range.
-    common = {key: entry[key] for key in _RANGES
-              if entry.get(key) is not None and (key not in _HTTP_SETTINGS or kind == "http-chat")}
+    ranges = _RANGES + (_HTTP_RANGES if kind == "http-chat" else ())
+    common = {key: entry[key] for key, _, _ in ranges if entry.get(key) is not None}
     if kind == "scripted":
         fields = checked(entry, where, _SCRIPTED_KEYS, ConfigurationError)
         responses = entry.get("responses")
@@ -425,44 +418,51 @@ def load_providers(
     config: Sequence[Mapping[str, Any]],
     read: Callable[[Path, str, str], str],
     base_dir: Optional[Union[str, Path]] = None,
+    ids: Sequence[str] = (),
 ) -> Dict[str, Provider]:
-    """Instantiate the provider array of a configuration file.
+    """The providers ``ids`` name, and their inner ones, from a config's provider array.
 
-    ``cached`` entries reference another provider by id through ``inner``
-    and may appear in any order; relative script/cache paths resolve
-    against ``base_dir``.  ``read(path, what, key)`` reads each scripted
+    Every entry's ``id`` is checked first; a named entry is built on first
+    request, a ``cached`` one after its ``inner`` provider, and no ``ids``
+    builds every entry.  Relative script/cache paths resolve against
+    ``base_dir``; ``read(path, what, key)`` reads each built scripted
     provider's script under the key ``script:<provider id>``.
     """
     base = Path(base_dir or "")
-    providers: Dict[str, Provider] = {}
-    pending: Dict[str, Mapping[str, Any]] = {}   # cached entries, built last
+    entries: Dict[str, Mapping[str, Any]] = {}
     for entry in config:
         provider_id = checked(entry, "provider entry", _ID_KEY, ConfigurationError)["id"]
-        if provider_id in providers or provider_id in pending:
+        if provider_id in entries:
             raise ConfigurationError(f"duplicate provider id: {provider_id!r}")
-        if entry.get("kind") == "cached":
-            pending[provider_id] = entry
+        entries[provider_id] = entry
+    providers: Dict[str, Provider] = {}
+    chain: List[str] = []   # the cached ids being built, outermost first
+
+    def build(provider_id: str) -> Provider:
+        if provider_id in providers:
+            return providers[provider_id]
+        if provider_id in chain:
+            loop = chain[chain.index(provider_id):] + [provider_id]
+            raise ConfigurationError(f"cached provider {provider_id!r}: inner providers "
+                                     f"form a cycle: {' -> '.join(loop)}")
+        if provider_id not in entries:
+            if chain:
+                raise ConfigurationError(f"cached provider {chain[-1]!r}: "
+                                         f"unknown inner provider {provider_id!r}")
+            known = ", ".join(sorted(entries)) or "(none configured)"
+            raise ConfigurationError(f"unknown provider id {provider_id!r}; configured: {known}")
+        entry = entries[provider_id]
+        if entry.get("kind") != "cached":
+            provider = _build_one(entry, provider_id, read, base)
         else:
-            providers[provider_id] = _build_one(entry, provider_id, read, base)
-    cached = {provider_id: checked(entry, f"provider {provider_id!r}", _CACHED_KEYS,
-                                   ConfigurationError)
-              for provider_id, entry in pending.items()}
-    for provider_id in cached:
-        chain: List[str] = []   # cached ids down to a built provider, outermost first
-        inner_id = provider_id
-        while inner_id not in providers:
-            if inner_id in chain:
-                loop = chain[chain.index(inner_id):] + [inner_id]
-                raise ConfigurationError(f"cached provider {inner_id!r}: inner providers "
-                                         f"form a cycle: {' -> '.join(loop)}")
-            if inner_id not in cached:
-                raise ConfigurationError(
-                    f"cached provider {chain[-1]!r}: unknown inner provider {inner_id!r}"
-                )
-            chain.append(inner_id)
-            inner_id = cached[inner_id]["inner"]
-        for cached_id in reversed(chain):
-            fields = cached[cached_id]
-            providers[cached_id] = CachedProvider(cached_id, providers[fields["inner"]],
-                                                  base / fields["cache_dir"])
+            fields = checked(entry, f"provider {provider_id!r}", _CACHED_KEYS, ConfigurationError)
+            chain.append(provider_id)
+            provider = CachedProvider(provider_id, build(fields["inner"]),
+                                      base / fields["cache_dir"])
+            chain.pop()
+        providers[provider_id] = provider
+        return provider
+
+    for provider_id in ids or entries:
+        build(provider_id)
     return providers

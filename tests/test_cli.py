@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -340,7 +341,7 @@ def test_mine_accounts_every_answer_alike_at_any_jobs(tmp_path, monkeypatch, ans
 
     response = json.loads((FIXTURES / "scripted" / "mine.json").read_text())[0]
     fixed = FixedProvider(response if answered else "no sections here")
-    monkeypatch.setattr(cli, "load_config", lambda path, read: {"fixed": fixed})
+    monkeypatch.setattr(cli, "load_config", lambda path, read, ids: {"fixed": fixed})
     manifests = []
     for jobs in ("1", "2"):
         pool_path = tmp_path / f"jobs{jobs}" / "pool.jsonl"
@@ -604,6 +605,32 @@ def test_eval_label_with_unknown_source_is_usage_error(tmp_path, patched_results
     assert code == 2
     assert "'source' must be one of auto, human" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_keeps_the_labels_of_a_graph_backed_sample(tmp_path, patched_results, jsi_graph,
+                                                        caplog):
+    """A graph-backed ground truth has no sources to patch: each retained
+    patch keeps its label, or is Incorrect, and none is SynEq, with one
+    warning per patch."""
+    from appatch.code_model import export_graph
+
+    results, gt_path = patched_results
+    record = json.loads(gt_path.read_text())
+    del record["sources"]
+    gt_path.write_text(json.dumps({**record, "graph": export_graph(jsi_graph)}) + "\n")
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(json.dumps({"sample_id": record["id"], "ordinal": 1,
+                                  "category": "SemEq"}) + "\n")
+    report = tmp_path / "report.json"
+    with caplog.at_level("WARNING"):
+        assert main(["eval", "--results", str(results), "--ground-truth", str(gt_path),
+                     "--labels", str(labels), "--report", str(report)]) == 0
+    warning = f"sample {record['id']} is graph-backed; cannot auto-check SynEq"
+    assert [r.getMessage() for r in caplog.records] == [warning] * 3
+    doc = json.loads(report.read_text())
+    precision = {name: row["precision"] for name, row in doc["categories"].items()}
+    assert precision == {"SynEq": 0.0, "SemEq": pytest.approx(1 / 3), "Plausible": 0.0,
+                         "Correct": pytest.approx(1 / 3)}
 
 
 def test_eval_decides_each_retained_patch_once(tmp_path, patched_results, caplog):
@@ -1107,17 +1134,20 @@ def test_cached_providers_in_a_cycle_are_usage_error(tmp_path, capsys):
 def test_manifest_names_each_output_and_input(tmp_path, mined_pool, jsi_graph, request, case):
     """The manifest maps exactly the files written beside it to the sha256
     of their bytes, and holds the sha256 of each input file's bytes under
-    one key per input: the config and each provider script are inputs too,
-    and ``slice``, which calls no provider, reads no config."""
+    one key per input: the config and the script of each provider the run
+    names are inputs too, and ``slice``, which calls no provider, reads no
+    config."""
     from appatch.code_model import dump_graph
 
     config, pool_path = mined_pool
     out = tmp_path / "out"
     with_config = ["--config", str(config)]
-    configured = {"config": config, **{
-        f"script:{pid}": FIXTURES / "scripted" / name
-        for pid, name in [("gen", "gen.json"), ("miner", "mine.json"),
-                          ("v1", "val1.json"), ("v2", "val2.json")]}}
+    scripts = {pid: FIXTURES / "scripted" / name
+               for pid, name in [("gen", "gen.json"), ("miner", "mine.json"),
+                                 ("v1", "val1.json"), ("v2", "val2.json")]}
+
+    def configured(*pids):
+        return {"config": config, **{f"script:{pid}": scripts[pid] for pid in pids}}
     if case == "slice-source":
         source = FIXTURES / "jsi_like.c"
         argv = ["slice", "--source", str(source), "--vuln", "jsi_like.c:48",
@@ -1134,13 +1164,13 @@ def test_manifest_names_each_output_and_input(tmp_path, mined_pool, jsi_graph, r
         argv = ["mine", "--dataset", str(dataset), "--provider", "miner",
                 "--pool", str(out / "pool.jsonl"), *with_config]
         manifest_path, inputs = out / "pool.jsonl.manifest.json", {
-            "dataset": dataset, **configured}
+            "dataset": dataset, **configured("miner")}
     elif case == "patch":
         sample = FIXTURES / "sample_e2e.json"
         argv = ["patch", "--sample", str(sample), "--pool", str(pool_path), "--provider", "gen",
                 "--validators", "v1,v2", "--out", str(out), *with_config]
         manifest_path, inputs = out / "manifest.json", {
-            "sample": sample, "pool": pool_path, **configured}
+            "sample": sample, "pool": pool_path, **configured("gen", "v1", "v2")}
     else:
         results, gt_path = request.getfixturevalue("patched_results")
         labels = FIXTURES / "labels.jsonl"
@@ -1483,6 +1513,57 @@ def test_script_that_cannot_be_read_is_named_under_its_config(tmp_path, capsys):
         f"script {script}: No such file or directory\n")
 
 
+def test_mine_reads_only_the_provider_it_names(tmp_path):
+    """An entry the run does not name is not read, checked or digested:
+    a missing script of an unused ``judge`` is no error."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"providers": [
+        {"id": "miner", "kind": "scripted", "script": str(FIXTURES / "scripted" / "mine.json")},
+        {"id": "judge", "kind": "scripted", "script": "missing.json"}]}))
+    assert main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "miner",
+                 "--pool", str(tmp_path / "pool.jsonl"), "--config", str(config)]) == 0
+    manifest = json.loads((tmp_path / "pool.jsonl.manifest.json").read_text())
+    assert sorted(manifest["input_digests"]) == ["config", "dataset", "script:miner"]
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["scripted", "cached"])
+def test_patch_without_validators_digests_no_validator_script(tmp_path, mined_pool, cached):
+    """``patch`` builds the generator and its inner chain only."""
+    _, pool_path = mined_pool
+    (tmp_path / "configs").mkdir()
+    config = write_config(tmp_path / "configs", cached=cached)
+    out_dir = tmp_path / "out"
+    assert main(["patch", "--sample", str(FIXTURES / "sample_e2e.json"), "--pool", str(pool_path),
+                 "--provider", "gen", "--out", str(out_dir), "--config", str(config)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    script = "script:gen-raw" if cached else "script:gen"
+    assert sorted(manifest["input_digests"]) == ["config", "pool", "sample", script]
+
+
+@pytest.mark.parametrize("flags, configured", [
+    (["--provider", "nope"], True),
+    (["--provider", "gen", "--validators", "v1,nope"], True),
+    (["--provider", "gen"], False),
+], ids=["provider", "validator", "no-config"])
+def test_a_provider_the_config_does_not_list_is_usage_error(tmp_path, mined_pool, capsys,
+                                                            flags, configured):
+    """The message lists every configured id, the entries the run does not name included."""
+    config, pool_path = mined_pool
+    out_dir = tmp_path / "out"
+    argv = ["patch", "--sample", str(FIXTURES / "sample_e2e.json"), "--pool", str(pool_path),
+            "--out", str(out_dir), *flags]
+    if configured:
+        expected = (f"error: config file {config}: unknown provider id 'nope'; "
+                    "configured: gen, miner, v1, v2\n")
+        argv += ["--config", str(config)]
+    else:
+        expected = "error: unknown provider id 'gen'; configured: (none configured)\n"
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == expected
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("sample_id", ["", ".", "..", "a/b", "../jsi-strcpy-zero-day"])
 def test_eval_refuses_a_sample_id_that_is_not_one_path_component(tmp_path, patched_results,
                                                                   capsys, sample_id):
@@ -1581,20 +1662,23 @@ def _miner_key(key, value):
 
 
 def _http_chat_key(key, value):
-    """Add an http-chat provider ``chat`` with one key of the wrong type;
-    loading the config rejects it, so no request is ever sent."""
+    """Add an http-chat provider ``chat`` with one key of the wrong type, for
+    the run to name; loading the config rejects it, so no request is ever sent."""
     def mutate(doc):
         doc["providers"].append({"id": "chat", "kind": "http-chat", "model": "m",
                                  "endpoint": "http://127.0.0.1:9/v1/chat/completions",
                                  key: value})
+        return "chat"
     return mutate
 
 
 def _cached_key(key, value):
-    """Add a cached provider ``front`` in front of ``miner`` with one key set."""
+    """Add a cached provider ``front`` in front of ``miner`` with one key set,
+    for the run to name."""
     def mutate(doc):
         entry = {"id": "front", "kind": "cached", "inner": "miner", "cache_dir": "cache/front"}
         doc["providers"].append(dict(entry, **{key: value}))
+        return "front"
     return mutate
 
 
@@ -1649,11 +1733,11 @@ def _cached_key(key, value):
 def test_config_of_the_wrong_shape_is_usage_error(tmp_path, capsys, mutate, message):
     config = write_config(tmp_path)
     doc = json.loads(config.read_text())
-    mutate(doc)
+    provider = mutate(doc) or "miner"   # the provider the mutation added, or miner
     config.write_text(json.dumps(doc))
     pool_path = tmp_path / "pool.jsonl"
     code = main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"),
-                 "--provider", "miner", "--pool", str(pool_path), "--config", str(config)])
+                 "--provider", provider, "--pool", str(pool_path), "--config", str(config)])
     assert code == 2
     assert f"config file {config}: {message}" in capsys.readouterr().err
     assert not pool_path.exists()
@@ -1893,3 +1977,156 @@ def test_every_failure_point_leaves_a_committed_manifest_or_none(
                           for judge, answer in v["answers"].items() if answer == "error"]
             judged = k - _PATCH_CALLS.index("judge") - 1
             assert code == 0 and unanswered == [(judged % 5 + 1, ("v1", "v2")[judged // 5])]
+
+
+# ── every input, mutated at random ──────────────────────────────────────
+# The mutators know JSON and text, not appatch: each run edits one input the
+# way a corrupt file or a stray model answer would.
+
+_EDIT_CHARS = "(){}[];,*&=<>+-/\\\"'#:@ \t\n\r0123456789abnxz_é\u2028\x00"
+_RETYPED = [None, True, 0, -1, 2 ** 70, 1.5, "", "x", "../x", [], {}, [[]]]
+
+
+def _edit_text(text, rng):
+    """One to three character deletions, insertions or replacements."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(3)
+        head, tail = text[:i], text[i + 1:] if op != 1 else text[i:]
+        text = head + ("" if op == 0 else rng.choice(_EDIT_CHARS)) + tail
+    return text
+
+
+def _edit_json(doc, rng):
+    """``doc`` with one key dropped, one value retyped or one array element
+    duplicated, at a place picked uniformly over the whole tree."""
+    doc = [doc]   # so the top level itself can be retyped
+    spots = []
+
+    def walk(node):
+        for key in (range(len(node)) if isinstance(node, list) else list(node)):
+            spots.append((node, key))
+            if isinstance(node[key], (list, dict)):
+                walk(node[key])
+
+    walk(doc)
+    node, key = rng.choice(spots)
+    op = rng.choice(["drop", "retype", "duplicate"])
+    if op == "drop" and isinstance(node, dict):
+        del node[key]
+    elif op == "duplicate" and isinstance(node, list) and node is not doc:
+        node.insert(key, json.loads(json.dumps(node[key])))
+    else:
+        node[key] = rng.choice(_RETYPED)
+    return doc[0]
+
+
+def _edit_json_lines(text, rng):
+    """A JSON-lines file edited as one array of its records."""
+    records = _edit_json([json.loads(line) for line in text.splitlines() if line.strip()], rng)
+    if not isinstance(records, list):
+        return json.dumps(records) + "\n"
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+_WALK_INPUTS = ["source", "graph", "dataset", "sample", "pool", "labels", "ground_truth",
+                "answer"]
+
+
+@pytest.mark.parametrize("target", _WALK_INPUTS)
+def test_no_mutated_input_escapes_main(tmp_path, mined_pool, jsi_graph, capsys, target):
+    """38 seeded runs per input, each over one mutated copy of it: every
+    command returns 0, 1 or 2 with nothing raised out of ``main``, a
+    non-zero exit prints exactly one ``error:`` line and leaves no manifest."""
+    from appatch.code_model import dump_graph
+
+    _, pool_path = mined_pool
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    config = tmp_path / "walk-config.json"
+    config.write_text(json.dumps({"providers": [
+        {"id": pid, "kind": "scripted", "script": f"scripts/{pid}.json"}
+        for pid in ("gen", "miner", "v1", "v2")]}))
+    originals = {
+        "source": (FIXTURES / "jsi_like.c").read_text(),
+        "graph": dump_graph(jsi_graph),
+        "dataset": (FIXTURES / "dataset.jsonl").read_text(),
+        "sample": (FIXTURES / "sample_e2e.json").read_text(),
+        "pool": pool_path.read_text(),
+        "labels": (FIXTURES / "labels.jsonl").read_text(),
+        "ground_truth": json.dumps(json.loads((FIXTURES / "sample_e2e.json").read_text())) + "\n",
+        **{pid: (FIXTURES / "scripted" / name).read_text()
+           for pid, name in [("gen", "gen.json"), ("miner", "mine.json"),
+                             ("v1", "val1.json"), ("v2", "val2.json")]},
+    }
+    inp, out, results = tmp_path / "in", tmp_path / "out", tmp_path / "results"
+    patch = ["patch", "--sample", str(inp / "sample.json"), "--pool", str(inp / "pool.jsonl"),
+             "--provider", "gen", "--validators", "v1,v2", "--config", str(config),
+             "--out", str(results / "jsi-strcpy-zero-day")]
+    commands = {
+        "slice-source": (["slice", "--source", str(inp / "jsi_like.c"), "--vuln", "jsi_like.c:48",
+                          "--cwe", "CWE-787", "--out", str(out / "slice.json")],
+                         out / "slice.json.manifest.json"),
+        "slice-graph": (["slice", "--graph", str(inp / "graph.json"), "--vuln", "jsi_like.c:48",
+                         "--out", str(out / "slice.json")], out / "slice.json.manifest.json"),
+        "mine": (["mine", "--dataset", str(inp / "dataset.jsonl"), "--provider", "miner",
+                  "--config", str(config), "--pool", str(out / "pool.jsonl")],
+                 out / "pool.jsonl.manifest.json"),
+        "patch": (patch, results / "jsi-strcpy-zero-day" / "manifest.json"),
+        "eval": (["eval", "--results", str(results), "--ground-truth", str(inp / "gt.jsonl"),
+                  "--labels", str(inp / "labels.jsonl"), "--report", str(out / "report.json"),
+                  "--csv", str(out / "report.csv")], out / "report.json.manifest.json"),
+    }
+    # each input file: its name under in/, and the commands that read it, in turn
+    inputs = {"source": ("jsi_like.c", ["slice-source"]), "graph": ("graph.json", ["slice-graph"]),
+              "dataset": ("dataset.jsonl", ["mine"]), "sample": ("sample.json", ["patch", "eval"]),
+              "pool": ("pool.jsonl", ["patch", "eval"]), "labels": ("labels.jsonl", ["eval"]),
+              "ground_truth": ("gt.jsonl", ["eval"])}
+
+    def reset():
+        for path in (inp, out, scripts):
+            shutil.rmtree(path, ignore_errors=True)
+            path.mkdir()
+        for name, (file, _) in inputs.items():
+            (inp / file).write_text(originals[name], encoding="utf-8")
+        for pid in ("gen", "miner", "v1", "v2"):
+            (scripts / f"{pid}.json").write_text(originals[pid])
+
+    def run(command, seed):
+        argv, manifest = commands[command]
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except Exception as exc:
+            raise AssertionError(f"{target} seed {seed}: {command} raised {exc!r}") from exc
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert code in (0, 1, 2), (target, seed, command, code)
+        assert len(errors) == (code != 0), (target, seed, command, errors)
+        assert manifest.exists() == (code == 0), (target, seed, command, code)
+        return code
+
+    reset()
+    assert run("patch", "clean") == 0
+    for seed in range(38):
+        rng = random.Random(f"{target}:{seed}")
+        reset()
+        if target == "answer":
+            pid = rng.choice(["miner", "gen"])
+            answers = json.loads(originals[pid])
+            i = rng.randrange(len(answers))
+            answers[i] = _edit_text(answers[i], rng)
+            (scripts / f"{pid}.json").write_text(json.dumps(answers))
+            chain = ["mine"] if pid == "miner" else ["patch", "eval"]
+        else:
+            file, chain = inputs[target]
+            path = inp / file
+            if target == "source":
+                path.write_text(_edit_text(originals[target], rng), encoding="utf-8")
+            elif path.suffix == ".jsonl":
+                path.write_text(_edit_json_lines(originals[target], rng))
+            else:
+                path.write_text(json.dumps(_edit_json(json.loads(originals[target]), rng)))
+        for command in chain:
+            if run(command, seed) != 0:
+                break

@@ -152,3 +152,14 @@ def test_parse_diff_strips_git_prefixes():
     diff = "--- a/sub/f.c\n+++ b/sub/f.c\n@@ -1,1 +1,1 @@\n-alpha\n+A\n"
     files = parse_diff(diff)
     assert files[0].path == "sub/f.c"
+
+
+def test_no_newline_marker_is_skipped_and_an_empty_hunk_line_is_empty_context():
+    """``\\ No newline at end of file`` is not a hunk line, and a context line
+    whose single space was trimmed still counts as one on both sides."""
+    source = "alpha\n\nbeta"
+    diff = ("--- a/f.c\n+++ b/f.c\n@@ -1,3 +1,3 @@\n alpha\n\n-beta\n"
+            "\\ No newline at end of file\n+BETA\n\\ No newline at end of file\n")
+    (file,) = parse_diff(diff)
+    assert file.hunks[0].lines == (" alpha", " ", "-beta", "+BETA")
+    assert apply_patch({"f.c": source}, diff) == {"f.c": "alpha\n\nBETA"}

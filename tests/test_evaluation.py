@@ -119,6 +119,12 @@ def test_identical_diffs_are_syneq(jsi_sources, gt_truth):
     assert equal is True and note is None
 
 
+def test_truth_that_names_another_file_is_not_syneq(jsi_sources, gt_truth):
+    """A library caller may pass a truth for other files than the patch yields."""
+    truth = {"other.c": text for text in gt_truth.values()}
+    assert classify_syneq(jsi_sources, GT_DIFF, truth) == (False, "patched file sets differ")
+
+
 def test_indentation_only_difference_is_syneq(jsi_sources, gt_truth):
     variant = GT_DIFF.replace(
         "+    p = malloc(jsi_strlen(use) + 1);",

@@ -127,6 +127,7 @@ def _both(*mutations):
     (_set("line", True), "$.nodes[1].line", "expected an integer"),
     (_set("line", 0), "$.nodes[1].line", "line must be >= 1"),
     (_set("line", -3), "$.nodes[1].line", "line must be >= 1"),
+    (_set("line", 1_000_001), "$.nodes[1].line", "line must be <= 1000000"),
     (_drop("text"), "$.nodes[1].text", "missing required field"),
     (_set("text", 1), "$.nodes[1].text", "expected a string"),
     (_drop("kind"), "$.nodes[1].kind", "missing required field"),
