@@ -79,12 +79,13 @@ def load_config(path_text: Optional[str], read: Callable[[Path, str, str], str],
     """The providers ``ids`` name, and their inner ones, from the config file at ``path_text``.
 
     Only their entries are read, checked and built; no file configures none.
+    A cached provider's ``inner`` names a scripted or http-chat entry.
     ``read(path, what, key)`` reads the file under the key ``config`` and each
     built provider's script under ``script:<provider id>``.  API keys never live
     in the file; http providers name the environment variable that holds theirs.
     """
     if path_text is None:
-        return load_providers([], read, ids=ids)
+        return load_providers([], read, ids)
     path = Path(path_text)
     where = f"config file {path}"
     doc = json_object(read(path, "config file", "config"), where, UsageError)
@@ -95,7 +96,7 @@ def load_config(path_text: Optional[str], read: Callable[[Path, str, str], str],
     if not optional(array_of(is_object))(entries):
         raise UsageError(f"{where}: providers must be an array of objects")
     try:
-        return load_providers(entries or [], read, base_dir=path.parent, ids=ids)
+        return load_providers(entries or [], read, ids, base_dir=path.parent)
     except (ConfigurationError, UsageError) as exc:   # a script that cannot be read
         raise UsageError(f"{where}: {exc}")
 

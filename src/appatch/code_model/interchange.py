@@ -20,6 +20,7 @@ import re
 from operator import itemgetter
 from typing import Any, Dict, List, NoReturn, Tuple
 
+from ..files import json_value
 from .model import (
     EDGE_KINDS,
     STATEMENT_KINDS,
@@ -88,10 +89,7 @@ def import_graph(document: Any) -> Tuple[Program, DependenceGraph]:
     its JSON text.
     """
     if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"not valid JSON: {exc.msg}", "$") from exc
+        document = json_value(document, lambda message: GraphFormatError(message, "$"))
     _require(document, dict, "$", "an object")
     raw_nodes = _field(document, "nodes", list, "$", "an array")
     raw_edges = _field(document, "edges", list, "$", "an array")

@@ -280,8 +280,8 @@ def build_pool(
     reported as a failure and the run goes on; any other exception is a
     defect and propagates.  Pool order follows dataset order regardless
     of completion order.  A dataset that repeats a sample id is refused
-    before any call, and so is a provider that replays a script, behind
-    any caches, at ``jobs > 1``: the script answers in call order, and
+    before any call, and so is a provider that replays a script, directly or
+    behind its cache, at ``jobs > 1``: the script answers in call order, and
     concurrent samples call in thread order, so each would get (and cache)
     another sample's answer.
     """
@@ -291,9 +291,7 @@ def build_pool(
             raise ValueError(f"duplicate sample id in dataset: {sample.id!r}")
         seen.add(sample.id)
     if jobs > 1:
-        replayed = provider
-        while isinstance(replayed, CachedProvider):
-            replayed = replayed.inner
+        replayed = provider.inner if isinstance(provider, CachedProvider) else provider
         if isinstance(replayed, ScriptedProvider):
             raise ConfigurationError(
                 f"provider {provider.id!r} replays the script of {replayed.id!r} "

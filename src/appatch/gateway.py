@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .files import (
-    array_of, checked, is_bool, is_int, is_number, is_object, is_str, json_object, optional,
-    read_input, write_text_atomic,
+    array_of, checked, is_bool, is_int, is_number, is_object, is_str, json_object, json_value,
+    optional, read_input, write_text_atomic,
 )
 
 log = logging.getLogger(__name__)
@@ -274,9 +274,9 @@ class HttpChatProvider(Provider):
             raise ProviderError(f"client error {reply.status_code}: {reply.text[:200]}",
                                 transient=False)
         try:
-            doc = reply.json()
+            doc = json_value(reply.content.decode("utf-8"), ProviderError)
             content = doc["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ProviderError, UnicodeDecodeError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed completion response: {exc}") from exc
         if not is_str(content):
             raise ProviderError("malformed completion response: content is not a string")
@@ -286,18 +286,28 @@ class HttpChatProvider(Provider):
         return (content, *(n if is_int(n) else None for n in counts))
 
 
-class CachedProvider(Provider):
-    """Content-addressed cache in front of another provider.
+def _cached_inner(provider_id: str, inner_id: str) -> ConfigurationError:
+    return ConfigurationError(f"cached provider {provider_id!r}: inner provider {inner_id!r} "
+                              "is cached too; name a scripted or http-chat provider")
 
-    Entries live at ``<cache>/<digest[:2]>/<digest>.json`` keyed by
-    (inner provider id, model, prompt bytes) and are written via
-    temp-file-then-rename so concurrent writers stay safe.  A hit is
-    served only if the entry records that same request; any other entry at
-    its path is a :class:`ConfigurationError`, never an answer.
+
+class CachedProvider:
+    """Content-addressed cache in front of one scripted or http-chat provider.
+
+    It has a provider's ``id``, ``model`` and ``complete``; a miss is one
+    ``inner.complete``, which retries and paces.  Entries live at
+    ``<cache>/<digest[:2]>/<digest>.json`` keyed by (inner provider id, model,
+    prompt bytes) and are written via temp-file-then-rename so concurrent
+    writers stay safe.  A hit is served only if the entry records that same
+    request; any other entry at its path is a :class:`ConfigurationError`,
+    never an answer.
     """
 
     def __init__(self, provider_id: str, inner: Provider, cache_dir: Union[str, Path]):
-        super().__init__(provider_id, inner.model, attempts=1, backoff=0.0)
+        if isinstance(inner, CachedProvider):
+            raise _cached_inner(provider_id, inner.id)
+        self.id = provider_id
+        self.model = inner.model
         self.inner = inner
         self.cache_dir = Path(cache_dir)
 
@@ -359,7 +369,7 @@ _ID_KEY = (("id", _is_name, "a non-empty string"),)
 
 _SCRIPTED_KEYS = (
     ("model", optional(is_str), "a string"),
-    ("script", optional(is_str), "a string"),
+    ("script", _is_name, "a non-empty string"),
 )
 
 # Keys of http-chat entries, named as ``HttpChatProvider`` takes them but for ``headers``.
@@ -385,21 +395,15 @@ def _build_one(entry: Mapping[str, Any], provider_id: str,
     ranges = _RANGES + (_HTTP_RANGES if kind == "http-chat" else ())
     common = {key: entry[key] for key, _, _ in ranges if entry.get(key) is not None}
     if kind == "scripted":
+        if "responses" in entry:
+            raise ConfigurationError(f"{where}: 'responses' is no longer a config key; "
+                                     "list the responses in a 'script' file")
         fields = checked(entry, where, _SCRIPTED_KEYS, ConfigurationError)
-        responses = entry.get("responses")
-        if responses is None:
-            script = fields.get("script")
-            if not script:
-                raise ConfigurationError(
-                    f"scripted provider {provider_id!r} needs 'responses' or 'script'"
-                )
-            script_path = base_dir / script   # an absolute script stays as it is
-            what = f"scripted provider {provider_id!r}: script"
-            text = read(script_path, what, f"script:{provider_id}")
-            try:
-                responses = json.loads(text)
-            except ValueError as exc:
-                raise ConfigurationError(f"{what} {script_path} is not valid JSON: {exc}") from exc
+        script_path = base_dir / fields["script"]   # an absolute script stays as it is
+        what = f"scripted provider {provider_id!r}: script"
+        text = read(script_path, what, f"script:{provider_id}")
+        responses = json_value(text, lambda message: ConfigurationError(
+            f"{what} {script_path} is {message}"))
         if not array_of(_is_response)(responses):
             raise ConfigurationError(
                 f"scripted provider {provider_id!r}: responses must be a JSON array "
@@ -417,16 +421,16 @@ def _build_one(entry: Mapping[str, Any], provider_id: str,
 def load_providers(
     config: Sequence[Mapping[str, Any]],
     read: Callable[[Path, str, str], str],
+    ids: Sequence[str],
     base_dir: Optional[Union[str, Path]] = None,
-    ids: Sequence[str] = (),
 ) -> Dict[str, Provider]:
     """The providers ``ids`` name, and their inner ones, from a config's provider array.
 
-    Every entry's ``id`` is checked first; a named entry is built on first
-    request, a ``cached`` one after its ``inner`` provider, and no ``ids``
-    builds every entry.  Relative script/cache paths resolve against
-    ``base_dir``; ``read(path, what, key)`` reads each built scripted
-    provider's script under the key ``script:<provider id>``.
+    Every entry's ``id`` is checked first; only the named entries are then
+    built, a ``cached`` one over the scripted or http-chat entry its ``inner``
+    names.  Relative script/cache paths resolve against ``base_dir``;
+    ``read(path, what, key)`` reads each built scripted provider's script under
+    the key ``script:<provider id>``.
     """
     base = Path(base_dir or "")
     entries: Dict[str, Mapping[str, Any]] = {}
@@ -436,33 +440,27 @@ def load_providers(
             raise ConfigurationError(f"duplicate provider id: {provider_id!r}")
         entries[provider_id] = entry
     providers: Dict[str, Provider] = {}
-    chain: List[str] = []   # the cached ids being built, outermost first
 
-    def build(provider_id: str) -> Provider:
-        if provider_id in providers:
-            return providers[provider_id]
-        if provider_id in chain:
-            loop = chain[chain.index(provider_id):] + [provider_id]
-            raise ConfigurationError(f"cached provider {provider_id!r}: inner providers "
-                                     f"form a cycle: {' -> '.join(loop)}")
+    def build(provider_id: str) -> Provider:   # a scripted or http-chat entry, once
+        if provider_id not in providers:
+            providers[provider_id] = _build_one(entries[provider_id], provider_id, read, base)
+        return providers[provider_id]
+
+    for provider_id in ids:
         if provider_id not in entries:
-            if chain:
-                raise ConfigurationError(f"cached provider {chain[-1]!r}: "
-                                         f"unknown inner provider {provider_id!r}")
             known = ", ".join(sorted(entries)) or "(none configured)"
             raise ConfigurationError(f"unknown provider id {provider_id!r}; configured: {known}")
         entry = entries[provider_id]
         if entry.get("kind") != "cached":
-            provider = _build_one(entry, provider_id, read, base)
-        else:
-            fields = checked(entry, f"provider {provider_id!r}", _CACHED_KEYS, ConfigurationError)
-            chain.append(provider_id)
-            provider = CachedProvider(provider_id, build(fields["inner"]),
-                                      base / fields["cache_dir"])
-            chain.pop()
-        providers[provider_id] = provider
-        return provider
-
-    for provider_id in ids or entries:
-        build(provider_id)
+            build(provider_id)
+            continue
+        fields = checked(entry, f"provider {provider_id!r}", _CACHED_KEYS, ConfigurationError)
+        inner_id = fields["inner"]
+        if inner_id not in entries:
+            raise ConfigurationError(f"cached provider {provider_id!r}: "
+                                     f"unknown inner provider {inner_id!r}")
+        if entries[inner_id].get("kind") == "cached":
+            raise _cached_inner(provider_id, inner_id)
+        providers[provider_id] = CachedProvider(provider_id, build(inner_id),
+                                                base / fields["cache_dir"])
     return providers

@@ -80,12 +80,15 @@ MUTANTS: List[Mutant] = [
     Mutant("cli.py", '        "cwe_filter": args.cwe_filter,\n', "",
            f"{_FLAGS}[patch-cwe-filter]"),
     # A command builds only the providers it names, and their inner ones.
-    Mutant("gateway.py", "    for provider_id in ids or entries:\n",
-           "    for provider_id in entries:\n",
+    Mutant("gateway.py", "    for provider_id in ids:\n", "    for provider_id in entries:\n",
            "tests/test_cli.py::test_mine_reads_only_the_provider_it_names"),
-    # Cached providers whose inner chain loops are refused, not recursed into.
-    Mutant("gateway.py", "        if provider_id in chain:\n", "        if False:\n",
-           "tests/test_gateway.py::test_load_providers_rejects_cached_cycles_and_unknown_inners"),
+    # A cached entry's inner entry is scripted or http-chat, never another cache.
+    Mutant("gateway.py", '        if entries[inner_id].get("kind") == "cached":\n',
+           "        if False:\n",
+           "tests/test_cli.py::test_a_cache_over_a_cache_is_usage_error[two]"),
+    # A JSON string that holds a lone surrogate is refused as it is read.
+    Mutant("files.py", '    if "\\\\" in text and "\\\\u" in text:\n', "    if False:\n",
+           "tests/test_cli.py::test_a_lone_surrogate_in_a_scripted_answer_is_usage_error"),
     # An imported line number is bounded: the import writes out every line up to it.
     Mutant("code_model/interchange.py", "1 <= line <= MAX_LINE and", "1 <= line and",
            "tests/test_interchange.py::test_schema_violations_give_the_exact_message_and_path"),

@@ -951,6 +951,70 @@ def test_bad_script_file_is_usage_error(tmp_path, capsys, script_bytes, problem)
     assert f"script {script}" in err and problem in err
 
 
+def test_a_lone_surrogate_in_a_scripted_answer_is_usage_error(tmp_path, mined_pool, capsys):
+    """JSON may spell a lone UTF-16 surrogate, which no UTF-8 file can hold:
+    the script is refused as it is read, before any candidate is written."""
+    _, pool_path = mined_pool
+    answers = json.loads((FIXTURES / "scripted" / "gen.json").read_text())
+    line = "+    p = malloc(jsi_strlen(use) + 1);"
+    assert line in answers[5]
+    answers[5] = answers[5].replace(line, line + " /* \ud800 */", 1)
+    script = tmp_path / "gen.json"
+    script.write_text(json.dumps(answers))   # ASCII: the surrogate is a \ud800 escape
+    config = tmp_path / "gen-config.json"
+    config.write_text(json.dumps({"providers": [
+        {"id": "gen", "kind": "scripted", "script": "gen.json"}]}))
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["patch", "--sample", str(FIXTURES / "sample_e2e.json"), "--pool", str(pool_path),
+                 "--provider", "gen", "--out", str(out_dir), "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config file {config}: scripted provider 'gen': script {script} "
+        "is not valid JSON: unpaired surrogate \\ud800"]
+    assert not (out_dir / "manifest.json").exists()
+
+
+def test_a_lone_surrogate_in_a_graph_is_pipeline_error(tmp_path, jsi_graph, capsys):
+    from appatch.code_model import dump_graph
+
+    doc = json.loads(dump_graph(jsi_graph))
+    next(node for node in doc["nodes"] if node["line"] == 48)["text"] += " /* \ud800 */"
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(doc))
+    out = tmp_path / "slice.json"
+    code = main(["slice", "--graph", str(graph_file), "--vuln", "jsi_like.c:48",
+                 "--out", str(out)])
+    assert code == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error: ")
+    assert errors[0].endswith("$: not valid JSON: unpaired surrogate \\ud800")
+    assert not out.exists() and not (tmp_path / "slice.json.manifest.json").exists()
+
+
+def test_an_output_whose_rename_fails_is_usage_error(tmp_path, capsys, monkeypatch):
+    """The write fails after its temporary file exists: one error line, the
+    old output kept, no temporary file left and no manifest."""
+    out = tmp_path / "slice.json"
+    out.write_text("old\n")
+    replace = os.replace
+
+    def fail_on_out(src, dst):
+        if Path(dst) == out:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_out)
+    code = main(["slice", "--source", str(FIXTURES / "jsi_like.c"), "--vuln", "jsi_like.c:48",
+                 "--out", str(out)])
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and os.strerror(errno.EIO) in errors[0]
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["slice.json"]
+
+
 def test_cache_entry_that_is_a_directory_is_usage_error(tmp_path, capsys):
     config = write_config(tmp_path, cached=True)
     args = ["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "miner",
@@ -1117,17 +1181,26 @@ def test_jobs_below_one_is_usage_error(tmp_path, mined_pool, capsys, command, jo
     assert not out.exists()
 
 
-def test_cached_providers_in_a_cycle_are_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("caches", [["a", "b"], [f"c{i}" for i in range(1500)]],
+                         ids=["two", "deep"])
+def test_a_cache_over_a_cache_is_usage_error(tmp_path, capsys, caches):
+    """A ``cached`` entry's ``inner`` names a scripted or http-chat entry: a
+    cache over a cache is refused by name, however long the chain behind it."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"providers": [
-        {"id": "a", "kind": "cached", "inner": "b", "cache_dir": "cache/a"},
-        {"id": "b", "kind": "cached", "inner": "a", "cache_dir": "cache/b"},
+        *({"id": pid, "kind": "cached", "inner": inner, "cache_dir": f"cache/{pid}"}
+          for pid, inner in zip(caches, [*caches[1:], "raw"])),
+        {"id": "raw", "kind": "scripted", "script": str(FIXTURES / "scripted" / "mine.json")},
     ]}))
-    code = main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", "a",
-                 "--config", str(config), "--pool", str(tmp_path / "pool.jsonl")])
+    pool = tmp_path / "pool.jsonl"
+    code = main(["mine", "--dataset", str(FIXTURES / "dataset.jsonl"), "--provider", caches[0],
+                 "--config", str(config), "--pool", str(pool)])
     assert code == 2
-    assert "cached provider 'a': inner providers form a cycle: a -> b -> a" in (
-        capsys.readouterr().err)
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config file {config}: cached provider {caches[0]!r}: inner provider "
+        f"{caches[1]!r} is cached too; name a scripted or http-chat provider"]
+    assert not pool.exists() and not (tmp_path / "cache").exists()
+    assert not (tmp_path / "pool.jsonl.manifest.json").exists()
 
 
 @pytest.mark.parametrize("case", ["slice-source", "slice-graph", "mine", "patch", "eval"])
@@ -1282,6 +1355,16 @@ def test_eval_manifests_differ_when_one_scored_candidate_differs(tmp_path, patch
     assert second[key] == hashlib.sha256(changed.read_bytes()).hexdigest()
 
 
+def test_eval_of_a_missing_results_directory_is_usage_error(tmp_path, capsys):
+    results = tmp_path / "no-results"
+    code = main(["eval", "--results", str(results), "--ground-truth",
+                 str(FIXTURES / "dataset.jsonl"), "--report", str(tmp_path / "report.json")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: results directory not found: {results}"]
+    assert not (tmp_path / "report.json.manifest.json").exists()
+
+
 @pytest.mark.parametrize("result_text, named", [
     ("[1, 3, 4]", "result.json"),
     ('{"candidates": [{"ordinal": 1}], "retained": [1]}', "result.json"),
@@ -1290,6 +1373,8 @@ def test_eval_manifests_differ_when_one_scored_candidate_differs(tmp_path, patch
     ('{"candidates": [{"ordinal": 1, "file": 7}], "retained": [1]}', "result.json"),
     (None, "candidate_3.diff"),   # a retained candidate's diff is gone
     ("/", "result.json"),   # result.json is a directory
+    # a retained ordinal with no candidate entry
+    ('{"sample_id": "jsi-strcpy-zero-day", "candidates": [], "retained": [1]}', "result.json"),
 ])
 def test_eval_malformed_results_are_usage_errors(tmp_path, patched_results, capsys,
                                                  result_text, named):
@@ -1634,6 +1719,29 @@ def test_sources_entry_without_text_is_usage_error(tmp_path, mined_pool, capsys,
     assert "'sources' must be an array of [path, text] pairs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source, entry, message", [
+    ("int main(int n){ else n = 1; return n; }", None, "a.c:1:18: 'else' without matching 'if'"),
+    ("int main(int n){ for (int i = 0, j = 0; i < n; i = i + 1) { n = n - 1; } return n; }",
+     None, "a.c:1:18: unsupported construct: multiple declarators in for-init"),
+    ("int g[2] = {1, 2};\nint main(int n){ return n; }", None,
+     "a.c:1:12: unsupported construct: brace initializer"),
+    ("int main(int n){ return n; }\nint g", None, "a.c:2:6: expected ';', found end of input"),
+    ("int main(int n){ return sizeof(n; }", None, "a.c:1:36: expected ')', found end of input"),
+    ("int main(int n){ return n; }", "nope", "<entry>:1:1: entry function not defined: nope"),
+], ids=["else-without-if", "for-init-declarators", "global-brace-initializer",
+        "global-at-end-of-input", "unterminated-sizeof", "entry-not-defined"])
+def test_c_source_the_frontend_refuses_is_pipeline_error(tmp_path, capsys, source, entry,
+                                                         message):
+    (tmp_path / "a.c").write_text(source)
+    out = tmp_path / "s.json"
+    code = main(["slice", "--source", str(tmp_path / "a.c"), "--vuln", "a.c:1", "--out", str(out),
+                 *(["--entry", entry] if entry else [])])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot build the dependence graph: {message}"]
+    assert not out.exists() and not (tmp_path / "s.json.manifest.json").exists()
+
+
 def test_slice_vuln_line_of_superscript_digits_is_usage_error(tmp_path, capsys):
     code = main(["slice", "--source", str(FIXTURES / "jsi_like.c"),
                  "--vuln", "jsi_like.c:\u00b2", "--out", str(tmp_path / "s.json")])
@@ -1709,9 +1817,13 @@ def _cached_key(key, value):
     (_cached_key("cache_dir", 5), "provider 'front': 'cache_dir' must be a non-empty string"),
     (_miner_key("id", ["x"]), "provider entry: 'id' must be a non-empty string"),
     (_miner_key("model", 5), "provider 'miner': 'model' must be a string"),
-    (_miner_key("responses", [5]),
+    (_miner_key("script", str(FIXTURES / "scripted" / "not_a_response.json")),
      "scripted provider 'miner': responses must be a JSON array "
      'of strings and {"error": string} objects'),
+    (_miner_key("responses", ["a"]),
+     "provider 'miner': 'responses' is no longer a config key; "
+     "list the responses in a 'script' file"),
+    (_miner_key("script", None), "provider 'miner': 'script' must be a non-empty string"),
     (_http_chat_key("endpoint", 5), "provider 'chat': 'endpoint' must be a non-empty string"),
     (_miner_key("attempts", 0), "provider 'miner': 'attempts' must be an integer >= 1"),
     (_miner_key("max_concurrency", -3),
@@ -1727,7 +1839,8 @@ def _cached_key(key, value):
         "attempts", "rpm-limit", "max-concurrency", "backoff", "http-timeout",
         "http-temperature", "http-max-tokens", "http-max-tokens-bool", "http-headers-array",
         "http-headers-value", "http-auth-env", "cached-inner", "cached-cache-dir", "id",
-        "scripted-model", "scripted-response", "http-endpoint", "attempts-zero",
+        "scripted-model", "scripted-response", "scripted-responses-key", "scripted-no-script",
+        "http-endpoint", "attempts-zero",
         "max-concurrency-negative", "rpm-limit-negative", "backoff-negative",
         "http-timeout-zero", "http-max-tokens-negative", "http-temperature-negative"])
 def test_config_of_the_wrong_shape_is_usage_error(tmp_path, capsys, mutate, message):
@@ -1998,8 +2111,9 @@ def _edit_text(text, rng):
 
 
 def _edit_json(doc, rng):
-    """``doc`` with one key dropped, one value retyped or one array element
-    duplicated, at a place picked uniformly over the whole tree."""
+    """``doc`` with one key dropped, one value retyped, one array element
+    duplicated or a lone surrogate put into one string, at a place picked
+    uniformly over the whole tree."""
     doc = [doc]   # so the top level itself can be retyped
     spots = []
 
@@ -2011,11 +2125,14 @@ def _edit_json(doc, rng):
 
     walk(doc)
     node, key = rng.choice(spots)
-    op = rng.choice(["drop", "retype", "duplicate"])
+    op = rng.choice(["drop", "retype", "duplicate", "surrogate"])
     if op == "drop" and isinstance(node, dict):
         del node[key]
     elif op == "duplicate" and isinstance(node, list) and node is not doc:
         node.insert(key, json.loads(json.dumps(node[key])))
+    elif op == "surrogate" and isinstance(node[key], str):
+        i = rng.randrange(len(node[key]) + 1)   # json.dumps writes it as a \ud800 escape
+        node[key] = node[key][:i] + "\ud800" + node[key][i:]
     else:
         node[key] = rng.choice(_RETYPED)
     return doc[0]

@@ -154,6 +154,11 @@ def test_parse_diff_strips_git_prefixes():
     assert files[0].path == "sub/f.c"
 
 
+def test_paths_without_git_prefixes_apply():
+    diff = "--- sub/f.c\n+++ sub/f.c\n@@ -1,1 +1,1 @@\n-alpha\n+A\n"
+    assert apply_patch({"sub/f.c": "alpha\n"}, diff) == {"sub/f.c": "A\n"}
+
+
 def test_no_newline_marker_is_skipped_and_an_empty_hunk_line_is_empty_context():
     """``\\ No newline at end of file`` is not a hunk line, and a context line
     whose single space was trimmed still counts as one on both sides."""

@@ -140,6 +140,15 @@ def test_build_pool_collects_failures(dataset):
     assert [e.response for e in exchanges] == responses   # the malformed answer included
 
 
+def test_mining_answer_with_empty_sections_is_a_mining_failure(dataset):
+    responses = load_script("mine.json")
+    responses[1] = "ROOT CAUSE:\n\nFIXING STRATEGY:\n"
+    pool, failures, _ = build_pool(dataset, scripted(responses))
+    assert [ex.sample_id for ex in pool] == ["jsi-strcpy-overflow", "null-deref-store"]
+    assert [f.sample_id for f in failures] == ["idx-oob-read"]
+    assert "response sections are empty" in failures[0].message
+
+
 def test_empty_dataset_builds_empty_pool():
     pool, failures, exchanges = build_pool([], scripted([]))
     assert len(pool) == 0 and not failures and not exchanges
@@ -382,11 +391,10 @@ def test_defect_while_mining_propagates_out_of_build_pool(dataset, monkeypatch, 
 
 def test_build_pool_refuses_a_scripted_provider_at_more_than_one_job(dataset, tmp_path):
     """A script answers in call order, which threads would scramble: the
-    refusal sees through any chain of caches, and one job still mines."""
+    refusal sees behind the provider's cache, and one job still mines."""
     responses = load_script("mine.json")
     direct = scripted(responses)
-    behind = CachedProvider("outer", CachedProvider("inner", direct, tmp_path / "a"),
-                            tmp_path / "b")
+    behind = CachedProvider("cached", direct, tmp_path / "cache")
     for provider in (direct, behind):
         with pytest.raises(ConfigurationError) as err:
             build_pool(dataset, provider, jobs=2)

@@ -1,5 +1,6 @@
 import ast
 import copy
+import errno
 import json
 import os
 import re
@@ -32,6 +33,21 @@ def test_new_file_mode_follows_the_umask(tmp_path, umask):
     assert path.read_bytes() == b"{}\r\n"
     assert [p.name for p in path.parent.iterdir()] == ["a.json"]
 
+
+def test_a_failed_rename_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "a.json"
+    path.write_bytes(b"old\n")
+
+    def fail(src, dst):
+        assert Path(src).is_file()   # the new text was written in full first
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError) as err:
+        write_text_atomic(path, "new\n")
+    assert err.value.errno == errno.EIO
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
 
 
 def test_only_files_reads_a_file():
@@ -163,3 +179,14 @@ def test_a_field_of_any_json_value_is_read_or_refused_by_its_error_class(kind, t
             pass
 
     replace_one_field()
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS))
+def test_a_lone_surrogate_escape_is_refused_by_its_error_class(kind, tmp_path):
+    """JSON may spell ``"\\ud800"``, which no UTF-8 output can hold; a
+    surrogate pair spells one character, and is read."""
+    make_record, read, error = RECORDS[kind]
+    read_text = (lambda text: read(text, tmp_path / "cache")) if kind == "cache" else read
+    read_text(json.dumps(dict(make_record(), note="\ud83d\ude00")) + "\n")
+    with pytest.raises(error, match=re.escape("not valid JSON: unpaired surrogate \\ud800")):
+        read_text(json.dumps(dict(make_record(), note="a \ud800")) + "\n")

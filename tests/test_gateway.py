@@ -1,6 +1,6 @@
-import itertools
 import json
 import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -178,21 +178,25 @@ def test_cache_serves_entries_that_still_carry_a_latency(tmp_path):
 
 class _StubHandler(BaseHTTPRequestHandler):
     failures_left = 0
-    body = {
+    status = 200   # once ``failures_left`` 500s are spent
+    body = {       # a JSON document, or the raw bytes of the answer
         "choices": [{"message": {"content": "stub says hello"}}],
         "usage": {"prompt_tokens": 7, "completion_tokens": 3},
     }
+    seen = []      # the headers of each POST, in order
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         self.rfile.read(length)
+        type(self).seen.append(self.headers)
         if type(self).failures_left > 0:
             type(self).failures_left -= 1
             self.send_response(500)
             self.end_headers()
             return
-        payload = json.dumps(type(self).body).encode()
-        self.send_response(200)
+        body = type(self).body
+        payload = body if isinstance(body, bytes) else json.dumps(body).encode()
+        self.send_response(type(self).status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -203,9 +207,11 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def stub_server():
+def stub_server(monkeypatch):
+    monkeypatch.setattr(_StubHandler, "seen", [])
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval: shutdown waits out one poll.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
     server.shutdown()
@@ -260,6 +266,70 @@ def test_http_chat_missing_auth_names_the_env_var(stub_server, monkeypatch):
     assert "STUB_KEY" in str(err.value)
 
 
+def test_http_chat_client_error_is_not_retried(stub_server, monkeypatch):
+    _StubHandler.failures_left = 0
+    monkeypatch.setattr(_StubHandler, "status", 404)
+    monkeypatch.setattr(_StubHandler, "body", b"no such model")
+    provider = HttpChatProvider("h", "m", stub_server, attempts=3, backoff=0.0)
+    with pytest.raises(ProviderError) as err:
+        provider.complete("hello")
+    assert str(err.value) == "client error 404: no such model"
+    assert not err.value.transient
+    assert len(_StubHandler.seen) == 1
+
+
+def test_http_chat_refused_connection_is_tried_each_attempt(monkeypatch):
+    import requests
+
+    with socket.socket() as sock:   # a port bound, then closed: nothing listens on it
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    posts = []
+    real_post = requests.post
+
+    def post(*args, **kwargs):
+        posts.append(args)
+        return real_post(*args, **kwargs)
+
+    monkeypatch.setattr(requests, "post", post)
+    provider = HttpChatProvider("h", "m", f"http://127.0.0.1:{port}/v1/chat", attempts=3,
+                                backoff=0.0)
+    with pytest.raises(ProviderError) as err:
+        provider.complete("hello")
+    assert str(err.value).startswith("provider 'h' failed after 3 attempts: request failed: ")
+    assert len(posts) == 3
+
+
+@pytest.mark.parametrize("body, problem", [
+    (b"<html>busy</html>", "not valid JSON: Expecting value"),
+    (b'{"choices": [{"message": {"content": "a \\ud800 b"}}]}',
+     "not valid JSON: unpaired surrogate \\ud800"),
+    (b'{"choices": [{"message": {"content": "caf\xe9"}}]}', "'utf-8' codec can't decode"),
+    (b'{"choices": []}', "list index out of range"),
+], ids=["not-json", "lone-surrogate", "not-utf8", "no-choice"])
+def test_http_chat_answer_that_is_no_completion_is_malformed(stub_server, monkeypatch, body,
+                                                              problem):
+    _StubHandler.failures_left = 0
+    monkeypatch.setattr(_StubHandler, "body", body)
+    provider = HttpChatProvider("h", "m", stub_server, attempts=1, backoff=0.0)
+    with pytest.raises(ProviderError) as err:
+        provider.complete("hello")
+    assert str(err.value).startswith(f"provider 'h' failed after 1 attempts: "
+                                     f"malformed completion response: {problem}")
+
+
+def test_http_chat_sends_the_token_and_the_configured_headers(stub_server, monkeypatch):
+    _StubHandler.failures_left = 0
+    monkeypatch.setenv("STUB_KEY", "s3cret")
+    provider = load_providers([{"id": "h", "kind": "http-chat", "model": "m",
+                                "endpoint": stub_server, "auth_env": "STUB_KEY",
+                                "headers": {"X-Team": "appatch"}}], _no_read, ["h"])["h"]
+    assert provider.complete("hello").response == "stub says hello"
+    [headers] = _StubHandler.seen
+    assert headers["Authorization"] == "Bearer s3cret"
+    assert headers["X-Team"] == "appatch"
+
+
 def _no_read(path, what, key):
     """The ``read`` of a configuration that names no script."""
     raise AssertionError(f"{what} {path} read under {key!r}")
@@ -279,61 +349,60 @@ def test_load_providers_resolves_cached_inner(tmp_path):
             {"id": "raw", "kind": "scripted", "script": "responses.json"},
             {"id": "front", "kind": "cached", "inner": "raw",
              "cache_dir": "cache"},
+            {"id": "unused", "kind": "mystery"},   # not named, so never built
         ],
         read,
+        ["front"],
         base_dir=tmp_path,
     )
     assert reads == [(script, "scripted provider 'raw': script", "script:raw")]
+    assert providers["front"].inner is providers["raw"]
     assert providers["front"].complete("p").response == "a"
     assert (tmp_path / "cache").is_dir()
-
-
-_CHAIN = [
-    {"id": "c2", "kind": "cached", "inner": "c1", "cache_dir": "cache/c2"},
-    {"id": "c1", "kind": "cached", "inner": "raw", "cache_dir": "cache/c1"},
-    {"id": "raw", "kind": "scripted", "responses": ["a"]},
-]
-
-
-@pytest.mark.parametrize("order", list(itertools.permutations(range(3))),
-                         ids=lambda order: "-".join(_CHAIN[i]["id"] for i in order))
-def test_load_providers_resolves_cached_chains_in_any_order(tmp_path, order):
-    providers = load_providers([_CHAIN[i] for i in order], _no_read, base_dir=tmp_path)
-    assert providers["c2"].inner is providers["c1"]
-    assert providers["c1"].inner is providers["raw"]
-    assert providers["c2"].complete("p").response == "a"
 
 
 def _cached(provider_id, inner):
     return {"id": provider_id, "kind": "cached", "inner": inner, "cache_dir": provider_id}
 
 
+_RAW = {"id": "raw", "kind": "http-chat", "model": "m", "endpoint": "http://127.0.0.1:9/v1"}
+
+
 @pytest.mark.parametrize("config, message", [
-    ([_cached("c", "c")], "cached provider 'c': inner providers form a cycle: c -> c"),
-    ([_cached("a", "b"), _cached("b", "a")],
-     "cached provider 'a': inner providers form a cycle: a -> b -> a"),
-    ([_cached("x", "a"), _cached("a", "b"), _cached("b", "a")],
-     "cached provider 'a': inner providers form a cycle: a -> b -> a"),
-    ([_cached("a", "b"), _cached("b", "nope")],
-     "cached provider 'b': unknown inner provider 'nope'"),
-], ids=["self", "two", "behind-another", "unknown-at-depth"])
-def test_load_providers_rejects_cached_cycles_and_unknown_inners(tmp_path, config, message):
+    ([_cached("c", "c")],
+     "cached provider 'c': inner provider 'c' is cached too; name a scripted or http-chat "
+     "provider"),
+    ([_cached("a", "b"), _cached("b", "raw"), _RAW],
+     "cached provider 'a': inner provider 'b' is cached too; name a scripted or http-chat "
+     "provider"),
+    ([_cached("b", "nope")], "cached provider 'b': unknown inner provider 'nope'"),
+], ids=["self", "two", "unknown"])
+def test_load_providers_refuses_a_cached_or_unknown_inner(config, message):
     with pytest.raises(ConfigurationError) as err:
-        load_providers(config, _no_read, base_dir=tmp_path)
+        load_providers(config, _no_read, [config[0]["id"]])
     assert str(err.value) == message
+
+
+def test_a_cache_over_a_cache_is_refused(tmp_path):
+    inner = CachedProvider("inner", scripted([]), tmp_path / "a")
+    with pytest.raises(ConfigurationError) as err:
+        CachedProvider("outer", inner, tmp_path / "b")
+    assert str(err.value) == ("cached provider 'outer': inner provider 'inner' is cached too; "
+                              "name a scripted or http-chat provider")
 
 
 @pytest.mark.parametrize("config,fragment", [
     ([{"id": "x", "kind": "mystery"}], "unknown provider kind"),
-    ([{"id": "x", "kind": "scripted"}], "responses"),
+    ([{"id": "x", "kind": "scripted"}], "'script' must be a non-empty string"),
+    ([{"id": "x", "kind": "scripted", "script": "s.json", "responses": ["a"]}],
+     "'responses' is no longer a config key"),
     ([{"id": "x", "kind": "http-chat"}], "endpoint"),
     ([{"id": "x", "kind": "cached", "inner": "nope", "cache_dir": "c"}], "inner"),
-    ([{"id": "x", "kind": "scripted", "responses": []},
-      {"id": "x", "kind": "scripted", "responses": []}], "duplicate"),
+    ([{"id": "x", "kind": "mystery"}, {"id": "x", "kind": "mystery"}], "duplicate"),
 ])
 def test_load_providers_rejects_bad_config(config, fragment):
     with pytest.raises(ConfigurationError) as err:
-        load_providers(config, _no_read)
+        load_providers(config, _no_read, ["x"])
     assert fragment in str(err.value)
 
 

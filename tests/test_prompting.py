@@ -353,6 +353,42 @@ def test_unparseable_block_is_dropped_as_such(patch_stage, caplog):
     assert "patch block 1 is not a parseable diff" in dropped[0]
 
 
+@pytest.mark.parametrize("block, problem", [
+    ("--- a/jsi_like.c\n+++ b/jsi_like.c\n", "no hunks for file 'jsi_like.c'"),
+    ("--- a/jsi_like.c\n@@ -55,1 +55,1 @@\n-        dst[i] = src[i];\n+        dst[i] = 0;\n",
+     "'---' header without matching '+++'"),
+    ("@@ -55,1 +55,1 @@\n-        dst[i] = src[i];\n+        dst[i] = 0;\n",
+     "hunk header before any file header"),
+    ("--- a/jsi_like.c\n+++ b/jsi_like.c\n@@ -55,2 +55,2 @@\n-        dst[i] = src[i];\n"
+     "+        dst[i] = 0;\n*        i++;\n", "unexpected line inside hunk: '*        i++;'"),
+], ids=["no-hunks", "no-new-header", "hunk-before-header", "unexpected-line"])
+def test_each_diff_refusal_drops_its_block(patch_stage, caplog, block, problem):
+    sample, program, rendered, root_cause = patch_stage
+    response = f"Patch 1:\n```diff\n{block}```\n\n" + load_script("gen.json")[5]
+    with caplog.at_level("WARNING"):
+        patches, _ = generate_patches(
+            [], rendered, sample.vuln, root_cause, scripted([response]), program,
+        )
+    assert len(patches) == 5
+    assert (f"patch block 1 is not a parseable diff ({problem}); dropping it"
+            in [r.getMessage() for r in caplog.records])
+
+
+def test_block_naming_a_file_outside_the_rendered_functions_is_dropped(patch_stage, caplog):
+    sample, program, rendered, root_cause = patch_stage
+    stray = ("Patch 1:\n```diff\n--- a/other.c\n+++ b/other.c\n"
+             "@@ -55,1 +55,1 @@\n-        dst[i] = src[i];\n+        dst[i] = 0;\n```\n\n")
+    with caplog.at_level("WARNING"):
+        patches, _ = generate_patches(
+            [], rendered, sample.vuln, root_cause,
+            scripted([stray + load_script("gen.json")[5]]), program,
+        )
+    assert len(patches) == 5
+    assert all("other.c" not in patch.diff for patch in patches)
+    assert ("patch block 1 references lines outside the rendered functions; dropping it"
+            in [r.getMessage() for r in caplog.records])
+
+
 def test_prompt_digest_is_shared_by_all_patches(patch_stage):
     sample, program, rendered, root_cause = patch_stage
     response = load_script("gen.json")[5]
